@@ -74,6 +74,8 @@ class GraspProposal:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("grasp target must be finite")
+        if not math.isfinite(self.t):
+            raise ValueError(f"timestamp {self.t} must be finite")
         if not (-math.pi / 2 < self.theta <= math.pi / 2):
             raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]")
 

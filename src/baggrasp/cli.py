@@ -73,16 +73,22 @@ def cmd_vision(args, cfg) -> int:
     return 0
 
 
-def cmd_denoise(args, cfg) -> int:
-    proposals = []
-    for line in sys.stdin:
+def _parse_proposals(lines) -> list[GraspProposal]:
+    """JSON-lines proposals; blank lines are skipped, a bad line is BadUsage."""
+    props = []
+    for line in lines:
         line = line.strip()
         if not line:
             continue
         try:
-            proposals.append(GraspProposal.from_json_line(line))
-        except (ValueError, KeyError) as err:
+            props.append(GraspProposal.from_json_line(line))
+        except (ValueError, KeyError, TypeError) as err:
             raise BadUsage(f"malformed proposal line {line!r}: {err}") from err
+    return props
+
+
+def cmd_denoise(args, cfg) -> int:
+    proposals = _parse_proposals(sys.stdin)
     if not proposals:
         print("no proposals on stdin", file=sys.stderr)
         return 1
@@ -100,8 +106,7 @@ def _start_pose(args, cfg) -> Pose:
         if len(vals) != 4:
             raise BadUsage("--start expects px,py,pz,yaw")
         return Pose(vals[:3], so3.grasp_orientation(vals[3]))
-    arm = kinematics.load_arm(cfg.arm_file or kinematics.default_arm_path())
-    return kinematics.fk(arm, sim.HOME_Q)
+    return kinematics.fk(sim.arm_for(cfg), sim.HOME_Q)
 
 
 def cmd_plan(args, cfg) -> int:
@@ -127,42 +132,32 @@ def cmd_plan(args, cfg) -> int:
     return 0
 
 
-def _read_proposals_file(path) -> list[GraspProposal]:
-    props = []
-    for line in _require_file(path, "proposals file").read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            props.append(GraspProposal.from_json_line(line))
-        except (ValueError, KeyError) as err:
-            raise BadUsage(f"malformed proposal line {line!r}: {err}") from err
-    return props
-
-
 def cmd_simulate(args, cfg) -> int:
-    params = None
-    if args.vision == "learned":
-        if not (args.params or cfg.params_path):
-            raise BadUsage("learned vision requires --params or params_path")
-        params = _load_params(args.params or cfg.params_path)
-    if args.batch is not None:
-        _, success_rate, good_rate = sim.run_batch(
-            cfg, args.batch, args.seed, vision=args.vision, params=params,
-            out_dir=args.out)
-        print("episodes,success_rate,good_grasp_rate")
-        print(f"{args.batch},{success_rate!r},{good_rate!r}")
-        return 0
-    proposals = None
-    scene = None
     if args.vision == "file":
+        if args.batch is not None:
+            raise BadUsage("--vision file runs a single episode; batch episodes "
+                           "run on generated scenes, so drop --batch")
         if not args.proposals:
             raise BadUsage("--vision file requires --proposals")
-        proposals = _read_proposals_file(args.proposals)
+        source = _parse_proposals(
+            _require_file(args.proposals, "proposals file").read_text().splitlines())
+        scene = None
     else:
+        params = None
+        if args.vision == "learned":
+            if not (args.params or cfg.params_path):
+                raise BadUsage("learned vision requires --params or params_path")
+            params = _load_params(args.params or cfg.params_path)
+        if args.batch is not None:
+            _, success_rate, good_rate = sim.run_batch(
+                cfg, args.batch, args.seed, vision=args.vision, params=params,
+                out_dir=args.out)
+            print("episodes,success_rate,good_grasp_rate")
+            print(f"{args.batch},{success_rate!r},{good_rate!r}")
+            return 0
+        source = sim.vision_source(args.vision, cfg, params)
         scene = sim.generate_scene(args.seed, cfg, flat=args.flat)
-    report = sim.run_episode(cfg, args.seed, scene=scene, vision=args.vision,
-                             params=params, proposals=proposals,
+    report = sim.run_episode(cfg, args.seed, sim.arm_for(cfg), source, scene,
                              out_dir=args.out)
     print(json.dumps(sim.report_to_dict(report), sort_keys=True))
     return 0
@@ -245,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vision", choices=["classical", "learned", "file"],
                    default="classical")
     p.add_argument("--params")
-    p.add_argument("--proposals", help="JSON-lines proposals for --vision file")
+    p.add_argument("--proposals",
+                   help="JSON-lines proposals for --vision file (single episode)")
     p.add_argument("--flat", action="store_true", help="crease-free scene")
     p.set_defaults(func=cmd_simulate)
 

@@ -27,7 +27,6 @@ class PipelineConfig:
     scale_y: float = 0.3 / 144.0
     shift_x: float = 0.45
     shift_y: float = -0.15
-    table_z: float = 0.0
     grasp_z: float = 0.01
     # Proposal denoiser.
     window: float = 10.0
@@ -51,8 +50,6 @@ class PipelineConfig:
     arm_file: str = ""
     params_path: str = ""
     # Learned vision training.
-    epochs: int = 50
-    lr: float = 1e-3
     batch_size: int = 4
 
     @property

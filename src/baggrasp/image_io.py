@@ -19,69 +19,53 @@ class FormatError(ValueError):
 
 
 @dataclass
-class RgbImage:
+class _Raster:
+    """Pixel array shaped (height, width) plus the subclass's CHANNELS axes."""
+
+    pixels: np.ndarray
+    DTYPE = float
+    CHANNELS = ()
+
+    def __post_init__(self):
+        self.pixels = np.asarray(self.pixels, dtype=self.DTYPE)
+        if self.pixels.shape[2:] != self.CHANNELS or self.pixels.ndim < 2:
+            dims = ", ".join(["height", "width", *map(str, self.CHANNELS)])
+            raise ValueError(f"{type(self).__name__} pixels must be ({dims})")
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be >= 1")
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+
+@dataclass
+class RgbImage(_Raster):
     """8-bit RGB raster, pixels shaped (height, width, 3)."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise ValueError("RgbImage pixels must be (height, width, 3)")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    DTYPE = np.uint8
+    CHANNELS = (3,)
 
 
 @dataclass
-class DepthImage:
+class DepthImage(_Raster):
     """16-bit depth raster in millimeters, pixels shaped (height, width)."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint16)
-        if self.pixels.ndim != 2:
-            raise ValueError("DepthImage pixels must be (height, width)")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    DTYPE = np.uint16
 
 
 @dataclass
-class GrayImage:
+class GrayImage(_Raster):
     """Real-valued intensities in [0, 1], pixels shaped (height, width)."""
 
-    pixels: np.ndarray
-
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=float)
-        if self.pixels.ndim != 2:
-            raise ValueError("GrayImage pixels must be (height, width)")
-        if self.pixels.size and (self.pixels.min() < 0.0 or self.pixels.max() > 1.0):
+        super().__post_init__()
+        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
             raise ValueError("GrayImage values must lie in [0, 1]")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
 
 
 def _parse_header(data: bytes, magic: bytes, path) -> tuple[list[int], int]:
@@ -197,16 +181,11 @@ def _bilinear(src: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, in_h - 1)
     fx = xs - x0
     fy = ys - y0
-    if src.ndim == 3:
-        fx = fx[None, :, None]
-        fy = fy[:, None, None]
-        top = src[y0[:, None], x0[None, :]] * (1 - fx) + src[y0[:, None], x1[None, :]] * fx
-        bot = src[y1[:, None], x0[None, :]] * (1 - fx) + src[y1[:, None], x1[None, :]] * fx
-    else:
-        fx = fx[None, :]
-        fy = fy[:, None]
-        top = src[y0[:, None], x0[None, :]] * (1 - fx) + src[y0[:, None], x1[None, :]] * fx
-        bot = src[y1[:, None], x0[None, :]] * (1 - fx) + src[y1[:, None], x1[None, :]] * fx
+    channels = (1,) * (src.ndim - 2)
+    fx = fx.reshape(1, -1, *channels)
+    fy = fy.reshape(-1, 1, *channels)
+    top = src[y0[:, None], x0[None, :]] * (1 - fx) + src[y0[:, None], x1[None, :]] * fx
+    bot = src[y1[:, None], x0[None, :]] * (1 - fx) + src[y1[:, None], x1[None, :]] * fx
     return top * (1 - fy) + bot * fy
 
 

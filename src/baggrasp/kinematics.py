@@ -44,16 +44,6 @@ class ArmModel:
 
 
 @dataclass
-class JointState:
-    q: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(N_JOINTS)
-        self.qdot = np.asarray(self.qdot, dtype=float).reshape(N_JOINTS)
-
-
-@dataclass
 class Gains:
     """Scalar PD gains, expanded as k*I6 on the stacked 6-vector error."""
 
@@ -118,7 +108,11 @@ def default_arm_path() -> Path:
 
 
 def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
-    """Forward kinematics and the 6x7 Jacobian in one pass."""
+    """Forward kinematics and the 6x7 Jacobian in one pass.
+
+    Jacobian rows are (linear velocity at the end-effector point; angular
+    velocity) in the base frame; column j comes from joint j's moved axis.
+    """
     q = np.asarray(q, dtype=float).reshape(N_JOINTS)
     R_acc = np.eye(3)
     p_acc = np.zeros(3)
@@ -143,12 +137,6 @@ def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
 def fk(arm: ArmModel, q) -> Pose:
     """End-effector pose for joint vector q (product of exponentials)."""
     return fk_and_jacobian(arm, q)[0]
-
-
-def spatial_jacobian(arm: ArmModel, q) -> np.ndarray:
-    """6x7 Jacobian; rows are (linear velocity at the end-effector point;
-    angular velocity), base frame, column j from joint j's moved axis."""
-    return fk_and_jacobian(arm, q)[1]
 
 
 def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Deterministic kinematic simulator: synthetic ball-in-bag scenes, a
 perfect-velocity-tracking plant, and the end-to-end episode runner
-(vision stream -> denoise -> plan -> control) with report/trace artifacts.
+(proposal source -> denoise -> plan -> control) with report/trace artifacts.
 """
 
 from __future__ import annotations
@@ -211,21 +211,26 @@ def draw_overlay(rgb: RgbImage, px, theta: float, half_len: float = 18.0) -> Rgb
     return RgbImage(out)
 
 
-def _arm_for(cfg: PipelineConfig) -> kinematics.ArmModel:
-    path = cfg.arm_file or kinematics.default_arm_path()
-    return kinematics.load_arm(path)
+def arm_for(cfg: PipelineConfig) -> kinematics.ArmModel:
+    """The arm named by cfg.arm_file, or the bundled 7-DOF arm."""
+    return kinematics.load_arm(cfg.arm_file or kinematics.default_arm_path())
 
 
-def _vision_proposal(mode: str, rgb, depth, cfg, params, timestamp):
-    if mode == "classical":
-        return classical.classical_pipeline(rgb, cfg, timestamp)
-    if mode == "learned":
+def vision_source(vision: str, cfg: PipelineConfig, params=None):
+    """Frame -> proposal function for an image vision mode, cfg and params
+    bound: source(rgb, depth, timestamp) -> GraspProposal or VisionError."""
+    if vision == "classical":
+        return lambda rgb, depth, t: classical.classical_pipeline(rgb, cfg, t)
+    if vision == "learned":
         if params is None:
-            raise VisionError("learned vision requires a params file")
-        px, theta = learned.predict(params, rgb, depth)
-        return classical.pixel_to_workspace(
-            px, theta, CameraCalibration.from_config(cfg), timestamp)
-    raise ValueError(f"unknown vision mode {mode!r}")
+            raise ValueError("learned vision requires params")
+        cal = CameraCalibration.from_config(cfg)
+
+        def learned_source(rgb, depth, t):
+            px, theta = learned.predict(params, rgb, depth)
+            return classical.pixel_to_workspace(px, theta, cal, t)
+        return learned_source
+    raise ValueError(f"no image vision mode {vision!r}")
 
 
 def run_control(arm: kinematics.ArmModel, q0, traj, cfg: PipelineConfig):
@@ -258,57 +263,55 @@ def _yaw_error(R_current, R_target) -> float:
         return math.pi
 
 
-def run_episode(cfg: PipelineConfig, seed: int, scene: Scene | None = None,
-                rgb: RgbImage | None = None, depth: DepthImage | None = None,
-                vision: str = "classical", params=None, proposals=None,
-                out_dir=None) -> EpisodeReport:
-    """One full episode: stream vision frames, denoise, plan, track, score.
+def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
+    """Fill the denoiser's buffer from the proposal source: a fixed proposal
+    list, or a vision function run on the scene's per-frame noisy images.
 
-    Success means the final position error is under pos_tol and the final
-    yaw error under ang_tol. All randomness comes from the seed; reports are
-    bit-identical across runs.
+    Returns (buffer, window end, frames attempted, last vision error).
     """
-    if scene is not None:
-        rgb, depth = scene.rgb, scene.depth
-    rng = np.random.default_rng([seed, 1])
     buffer = denoise.ProposalBuffer(cfg.window, cfg.distance_threshold)
-    frames_attempted = 0
-    last_vision_error = ""
-
-    if vision == "file":
-        for prop in sorted(proposals or [], key=lambda p: p.t):
+    if not callable(source):
+        for prop in sorted(source, key=lambda p: p.t):
             buffer.push(prop)
-        now = max((p.t for p in buffer.proposals), default=cfg.window)
-    else:
-        if rgb is None:
-            raise ValueError("image-based vision modes need a scene or rgb raster")
-        n_frames = int(round(cfg.window * cfg.frame_rate))
-        for k in range(n_frames):
-            frames_attempted += 1
-            frame_rgb, frame_depth = add_pixel_noise(rng, rgb, depth, cfg.noise_sigma)
-            try:
-                buffer.push(_vision_proposal(vision, frame_rgb, frame_depth, cfg,
-                                             params, k / cfg.frame_rate))
-            except VisionError as err:
-                last_vision_error = str(err)
-        now = cfg.window
+        return buffer, max((p.t for p in buffer.proposals), default=cfg.window), 0, ""
+    rng = np.random.default_rng([seed, 1])
+    n_frames = int(round(cfg.window * cfg.frame_rate))
+    last_error = ""
+    for k in range(n_frames):
+        rgb, depth = add_pixel_noise(rng, scene.rgb, scene.depth, cfg.noise_sigma)
+        try:
+            buffer.push(source(rgb, depth, k / cfg.frame_rate))
+        except VisionError as err:
+            last_error = str(err)
+    return buffer, cfg.window, n_frames, last_error
 
-    stats = {"frames_attempted": frames_attempted,
+
+def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
+                source, scene: Scene | None = None, out_dir=None) -> EpisodeReport:
+    """One full episode: collect proposals, denoise, plan, track, score.
+
+    source is a list of proposals, or a vision function from
+    vision_source() that runs on the scene's frames. Success means the final
+    position error is under pos_tol and the final yaw error under ang_tol.
+    All randomness comes from the seed; reports are bit-identical across runs.
+    """
+    buffer, now, frames, vision_error = _collect(source, scene, cfg, seed)
+    stats = {"frames_attempted": frames,
              "proposals_collected": len(buffer),
              "control_steps": 0}
 
     def finish(report: EpisodeReport) -> EpisodeReport:
         if out_dir is not None:
-            write_episode_artifacts(report, cfg, out_dir, rgb)
+            write_episode_artifacts(report, cfg, out_dir,
+                                    scene.rgb if scene is not None else None)
         return report
 
     if len(buffer) == 0:
-        reason = last_vision_error or "vision produced no proposals"
+        reason = vision_error or "vision produced no proposals"
         return finish(EpisodeReport(None, False, reason, None, None, None,
                                     [], stats))
 
     final_prop = denoise.denoise(buffer, now)
-    arm = _arm_for(cfg)
     start = kinematics.fk(arm, HOME_Q)
     try:
         traj = trajectory.plan(start, final_prop, cfg.grasp_z,
@@ -383,13 +386,14 @@ def run_batch(cfg: PipelineConfig, n: int, seed: int, vision: str = "classical",
               params=None, out_dir=None):
     """n seeded episodes on generated scenes; returns (rows, success_rate,
     good_grasp_rate) and writes summary.csv when out_dir is given."""
+    arm = arm_for(cfg)
+    source = vision_source(vision, cfg, params)
     rows = []
     for i in range(n):
         ep_seed = seed + i
         scene = generate_scene(ep_seed, cfg)
         ep_dir = Path(out_dir) / f"episode_{i:03d}" if out_dir is not None else None
-        report = run_episode(cfg, ep_seed, scene=scene, vision=vision,
-                             params=params, out_dir=ep_dir)
+        report = run_episode(cfg, ep_seed, arm, source, scene, out_dir=ep_dir)
         rows.append({
             "episode": i,
             "success": report.success,

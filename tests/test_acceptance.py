@@ -78,7 +78,7 @@ def test_kinematics_suite():
     worst = 0.0
     for _ in range(100):
         q = rng.uniform(ARM.limits[:, 0] * 0.6, ARM.limits[:, 1] * 0.6)
-        J = kinematics.spatial_jacobian(ARM, q)
+        J = kinematics.fk_and_jacobian(ARM, q)[1]
         J_fd = np.zeros_like(J)
         for j in range(7):
             dq = np.zeros(7)

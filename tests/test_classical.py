@@ -306,6 +306,8 @@ def test_grasp_proposal_validation():
         GraspProposal(0.1, 0.2, 2.0)
     with pytest.raises(ValueError):
         GraspProposal(float("nan"), 0.2, 0.0)
+    with pytest.raises(ValueError):
+        GraspProposal(0.1, 0.2, 0.0, float("inf"))
 
 
 def test_pipeline_hits_scene_label(cfg):

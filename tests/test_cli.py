@@ -80,9 +80,10 @@ def test_denoise_empty_stdin_exits_1(monkeypatch, capsys):
 
 
 def test_denoise_malformed_line_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("not json\n"))
-    assert main(["denoise"]) == 2
-    assert "malformed" in capsys.readouterr().err
+    for line in ("not json\n", '{"x": null, "y": 0, "theta": 0, "t": 0}\n'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        assert main(["denoise"]) == 2
+        assert "malformed" in capsys.readouterr().err
 
 
 def test_plan_csv_boundary_rows(tmp_path, capsys):
@@ -191,6 +192,28 @@ def test_simulate_file_vision(tmp_path, capsys):
     assert report["success"] is True
 
 
+def test_simulate_batch_file_vision_exits_2(tmp_path, capsys):
+    props = tmp_path / "props.jsonl"
+    props.write_text('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": 0.0}\n')
+    rc = main(["simulate", "--seed", "0", "--batch", "2", "--vision", "file",
+               "--proposals", str(props), "--out", str(tmp_path / "batch")])
+    assert rc == 2
+    assert "single episode" in capsys.readouterr().err
+    assert not (tmp_path / "batch").exists()
+
+
+def test_nonfinite_timestamp_exits_2(tmp_path, monkeypatch, capsys):
+    line = '{"x": 0.6, "y": 0.0, "theta": 0.2, "t": NaN}\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO(line))
+    assert main(["denoise"]) == 2
+    assert "malformed proposal line" in capsys.readouterr().err
+    props = tmp_path / "props.jsonl"
+    props.write_text(line)
+    assert main(["simulate", "--seed", "0", "--vision", "file",
+                 "--proposals", str(props)]) == 2
+    assert "malformed proposal line" in capsys.readouterr().err
+
+
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("sigma=1.2\ncolor_low=150,40,0\n# comment\n")
@@ -204,10 +227,11 @@ def test_config_file_and_overrides(tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
-    cfg_file.write_text("not_a_key=1\n")
-    rc = main(["simulate", "--seed", "0", "--config", str(cfg_file)])
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    for key in ("not_a_key", "table_z", "epochs", "lr"):
+        cfg_file.write_text(f"{key}=1\n")
+        rc = main(["simulate", "--seed", "0", "--config", str(cfg_file)])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_bad_set_override_exits_2(capsys):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from baggrasp import kinematics, so3, trajectory
+from baggrasp import so3, trajectory
 from baggrasp.classical import GraspProposal
 from baggrasp.kinematics import (ArmModel, ErrorTwist, Gains, compute_error,
                                  control_step, default_arm_path, fk,
-                                 fk_and_jacobian, load_arm, pinv,
-                                 spatial_jacobian)
+                                 fk_and_jacobian, load_arm, pinv)
 from baggrasp.so3 import Pose
 from baggrasp.trajectory import TrajectorySample
 
@@ -23,13 +22,6 @@ def test_load_default_arm():
     assert ARM.axes.shape == (7, 3)
     assert np.allclose(np.linalg.norm(ARM.axes, axis=1), 1.0, atol=1e-9)
     assert so3.is_rotation(ARM.zero_pose.R)
-
-
-def test_joint_state_shapes():
-    state = kinematics.JointState(np.zeros(7), np.ones(7))
-    assert state.q.shape == (7,) and state.qdot.shape == (7,)
-    with pytest.raises(ValueError):
-        kinematics.JointState(np.zeros(6), np.zeros(7))
 
 
 def test_load_arm_missing_zero_pose(tmp_path):
@@ -96,7 +88,7 @@ def test_fk_2pi_periodic():
 # --- jacobian ---
 
 def test_jacobian_zero_config_columns():
-    J = spatial_jacobian(ARM, np.zeros(7))
+    J = fk_and_jacobian(ARM, np.zeros(7))[1]
     p_ee = ARM.zero_pose.p
     for j in range(7):
         assert np.allclose(J[3:, j], ARM.axes[j], atol=1e-12)
@@ -109,7 +101,7 @@ def test_jacobian_zero_config_columns():
 
 def test_jacobian_zero_linear_column_for_axis_through_ee():
     # The wrist-yaw axis passes through the tool point at q = 0.
-    J = spatial_jacobian(ARM, np.zeros(7))
+    J = fk_and_jacobian(ARM, np.zeros(7))[1]
     assert np.allclose(J[:3, 6], 0.0, atol=1e-12)
 
 
@@ -129,7 +121,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(20):
         q = random_q(rng)
-        J = spatial_jacobian(ARM, q)
+        J = fk_and_jacobian(ARM, q)[1]
         J_fd = _fd_jacobian(ARM, q)
         rel = np.abs(J - J_fd).max() / max(np.abs(J_fd).max(), 1e-12)
         assert rel < 1e-5
@@ -161,7 +153,7 @@ def test_pinv_singular_rejected_then_damped():
 
 def test_pinv_continuity_near_singularity():
     # q = 0 is the stretched-out singular configuration of the default arm.
-    J = spatial_jacobian(ARM, np.zeros(7))
+    J = fk_and_jacobian(ARM, np.zeros(7))[1]
     for lam in (1e-3, 1e-2, 1e-1):
         assert np.all(np.isfinite(pinv(J, lam)))
 

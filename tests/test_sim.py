@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,12 @@ import pytest
 from baggrasp import classical, sim
 from baggrasp.classical import CameraCalibration, GraspProposal
 from baggrasp.config import PipelineConfig
+
+ARM = sim.arm_for(PipelineConfig())
+
+
+def classical_source(cfg):
+    return sim.vision_source("classical", cfg)
 
 
 def test_generate_scene_deterministic(cfg):
@@ -74,7 +81,8 @@ def test_step_plant_clamps_at_limits():
 
 def test_episode_noiseless_classical_succeeds(cfg, tmp_path):
     scene = sim.generate_scene(7, cfg)
-    report = sim.run_episode(cfg, 7, scene=scene, out_dir=tmp_path)
+    report = sim.run_episode(cfg, 7, ARM, classical_source(cfg), scene,
+                             out_dir=tmp_path)
     assert report.success
     assert report.final_pos_err < 1e-3
     assert report.reason == ""
@@ -85,28 +93,29 @@ def test_episode_noiseless_classical_succeeds(cfg, tmp_path):
 
 def test_episode_file_vision_converges(cfg):
     proposals = [GraspProposal(0.6, 0.05, 0.3, float(t)) for t in range(3)]
-    report = sim.run_episode(cfg, 0, vision="file", proposals=proposals)
+    report = sim.run_episode(cfg, 0, ARM, proposals)
     assert report.success
     assert report.final_pos_err < 1e-3
 
 
 def test_episode_accepts_bare_image_pair(cfg):
     scene = sim.generate_scene(12, cfg)
-    report = sim.run_episode(cfg, 12, rgb=scene.rgb, depth=scene.depth)
+    report = sim.run_episode(cfg, 12, ARM, classical_source(cfg),
+                             dataclasses.replace(scene, label=None))
     assert report.success
     assert report.proposal_px_err is None  # no ground truth available
 
 
 def test_episode_unreachable_target_fails(cfg):
     proposals = [GraspProposal(1.6, 0.0, 0.0, 0.0)]
-    report = sim.run_episode(cfg, 0, vision="file", proposals=proposals)
+    report = sim.run_episode(cfg, 0, ARM, proposals)
     assert not report.success
     assert report.reason == "tracking tolerance not met"
 
 
 def test_episode_vision_failure_reported(cfg):
     scene = sim.generate_scene(9, cfg, flat=True)
-    report = sim.run_episode(cfg, 9, scene=scene)
+    report = sim.run_episode(cfg, 9, ARM, classical_source(cfg), scene)
     assert not report.success
     assert report.proposal is None
     assert "contour" in report.reason
@@ -115,7 +124,7 @@ def test_episode_vision_failure_reported(cfg):
 def test_episode_success_implies_tolerances(cfg):
     for seed in (1, 2, 3):
         scene = sim.generate_scene(seed, cfg)
-        report = sim.run_episode(cfg, seed, scene=scene)
+        report = sim.run_episode(cfg, seed, ARM, classical_source(cfg), scene)
         if report.success:
             assert report.final_pos_err < cfg.pos_tol
             assert report.final_yaw_err < cfg.ang_tol
@@ -123,8 +132,10 @@ def test_episode_success_implies_tolerances(cfg):
 
 def test_episode_deterministic_artifacts(cfg, tmp_path):
     scene = sim.generate_scene(5, cfg)
-    r1 = sim.run_episode(cfg, 5, scene=scene, out_dir=tmp_path / "a")
-    r2 = sim.run_episode(cfg, 5, scene=scene, out_dir=tmp_path / "b")
+    r1 = sim.run_episode(cfg, 5, ARM, classical_source(cfg), scene,
+                         out_dir=tmp_path / "a")
+    r2 = sim.run_episode(cfg, 5, ARM, classical_source(cfg), scene,
+                         out_dir=tmp_path / "b")
     assert sim.report_to_dict(r1) == sim.report_to_dict(r2)
     for name in ("report.json", "trace.csv", "overlay.ppm"):
         assert (tmp_path / "a" / name).read_bytes() \
@@ -134,7 +145,7 @@ def test_episode_deterministic_artifacts(cfg, tmp_path):
 def test_episode_noisy_stream_collects_frames(cfg):
     noisy = PipelineConfig(noise_sigma=2.0)
     scene = sim.generate_scene(4, noisy)
-    report = sim.run_episode(noisy, 4, scene=scene)
+    report = sim.run_episode(noisy, 4, ARM, classical_source(noisy), scene)
     assert report.stats["frames_attempted"] == 10
     assert report.stats["proposals_collected"] >= 8
     assert report.success
@@ -164,7 +175,8 @@ def test_run_batch_noiseless_all_succeed(cfg, tmp_path):
 
 def test_report_json_round_trip(cfg, tmp_path):
     scene = sim.generate_scene(6, cfg)
-    report = sim.run_episode(cfg, 6, scene=scene, out_dir=tmp_path)
+    report = sim.run_episode(cfg, 6, ARM, classical_source(cfg), scene,
+                             out_dir=tmp_path)
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded == sim.report_to_dict(report)
 
