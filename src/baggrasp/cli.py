@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import config, denoise, image_io, kinematics, learned, sim, so3, trajectory
-from .classical import (CameraCalibration, GraspProposal, VisionError,
-                        classical_pipeline, pixel_to_workspace)
+from .classical import CameraCalibration, GraspProposal, VisionError
+# Kept as a cli attribute: perfbench's tracer test checks that this alias
+# of a traced function is wrapped and restored.
+from .classical import classical_pipeline  # noqa: F401
 from .so3 import Pose
 
 
@@ -50,20 +53,34 @@ def _load_params(path):
         raise BadUsage(str(err)) from err
 
 
+def _finite(value: float, flag: str) -> None:
+    if not math.isfinite(value):
+        raise BadUsage(f"{flag} must be finite, got {value!r}")
+
+
+def _numbers(text: str, flag: str, form: str) -> list[float]:
+    """The finite comma-separated numbers of a flag such as --target X,Y."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != form.count(",") + 1 or not all(map(math.isfinite, vals)):
+        raise BadUsage(f"{flag} expects {form} as finite numbers, got {text!r}")
+    return vals
+
+
 def cmd_vision(args, cfg) -> int:
+    _finite(args.t, "--t")
     rgb = image_io.load_ppm(_require_file(args.rgb, "rgb image"))
-    if args.mode == "classical":
-        proposal = classical_pipeline(rgb, cfg, args.t)
-    else:
+    depth = params = None
+    if args.mode == "learned":
         if not args.depth:
             raise BadUsage("learned mode requires --depth")
         if not (args.params or cfg.params_path):
             raise BadUsage("learned mode requires --params or params_path")
         depth = image_io.load_pgm(_require_file(args.depth, "depth image"))
         params = _load_params(args.params or cfg.params_path)
-        px, theta = learned.predict(params, rgb, depth)
-        proposal = pixel_to_workspace(px, theta,
-                                      CameraCalibration.from_config(cfg), args.t)
+    proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth, args.t)
     print(proposal.to_json_line())
     if args.overlay:
         cal = CameraCalibration.from_config(cfg)
@@ -102,19 +119,26 @@ def cmd_denoise(args, cfg) -> int:
 
 def _start_pose(args, cfg) -> Pose:
     if args.start:
-        vals = [float(v) for v in args.start.split(",")]
-        if len(vals) != 4:
-            raise BadUsage("--start expects px,py,pz,yaw")
+        vals = _numbers(args.start, "--start", "PX,PY,PZ,YAW")
         return Pose(vals[:3], so3.grasp_orientation(vals[3]))
     return kinematics.fk(sim.arm_for(cfg), sim.HOME_Q)
 
 
 def cmd_plan(args, cfg) -> int:
+    tx, ty = _numbers(args.target, "--target", "X,Y")
+    for flag, value in (("--theta", args.theta), ("--grasp-z", args.grasp_z),
+                        ("--ti", args.ti), ("--tf", args.tf),
+                        ("--rate", args.rate)):
+        if value is not None:
+            _finite(value, flag)
+    if args.rate <= 0:
+        raise BadUsage("--rate must be > 0")
+    if args.tf <= args.ti:
+        raise BadUsage("--tf must be > --ti")
     try:
-        tx, ty = (float(v) for v in args.target.split(","))
+        proposal = GraspProposal(tx, ty, args.theta, args.ti)
     except ValueError as err:
-        raise BadUsage("--target expects x,y in meters") from err
-    proposal = GraspProposal(tx, ty, args.theta, args.ti)
+        raise BadUsage(f"--theta: {err}") from err
     traj = trajectory.plan(_start_pose(args, cfg), proposal,
                            args.grasp_z if args.grasp_z is not None else cfg.grasp_z,
                            args.ti, args.tf)
@@ -133,6 +157,8 @@ def cmd_plan(args, cfg) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
+    if args.batch is not None and args.batch < 1:
+        raise BadUsage(f"--batch must be >= 1, got {args.batch}")
     if args.vision == "file":
         if args.batch is not None:
             raise BadUsage("--vision file runs a single episode; batch episodes "

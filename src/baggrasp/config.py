@@ -73,10 +73,14 @@ class PipelineConfig:
             raise ValueError("color_low must be componentwise <= color_high")
         if self.window <= 0 or self.distance_threshold < 0:
             raise ValueError("bad denoiser parameters")
-        if self.duration <= 0 or self.control_rate <= 0:
-            raise ValueError("duration and control_rate must be > 0")
-        if self.k_p <= 0 or self.k_d < 0:
-            raise ValueError("require k_p > 0 and k_d >= 0")
+        # NaN fails every comparison, so each bound is written as the test
+        # a good value passes.
+        for name in ("duration", "control_rate", "k_p", "qdot_max"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("k_d", "damping", "settle_time"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.scene_width < 8 or self.scene_height < 8:
             raise ValueError("scene dimensions too small")
         return self

@@ -43,32 +43,6 @@ class ArmModel:
         self._W2 = np.array([W @ W for W in self._W])
 
 
-@dataclass
-class Gains:
-    """Scalar PD gains, expanded as k*I6 on the stacked 6-vector error."""
-
-    k_p: float = 0.8
-    k_d: float = 0.4
-
-    def __post_init__(self):
-        if self.k_p <= 0 or self.k_d < 0:
-            raise ValueError("require k_p > 0 and k_d >= 0")
-
-
-@dataclass
-class ErrorTwist:
-    e_p: np.ndarray
-    e_o: np.ndarray
-
-    def __post_init__(self):
-        self.e_p = np.asarray(self.e_p, dtype=float).reshape(3)
-        self.e_o = np.asarray(self.e_o, dtype=float).reshape(3)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.e_p, self.e_o])
-
-
 def load_arm(path) -> ArmModel:
     """Parse an arm description file.
 
@@ -146,7 +120,8 @@ def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
     and raises otherwise.
     """
     J = np.asarray(J, dtype=float)
-    G = J @ J.T + (damping * damping) * np.eye(J.shape[0])
+    G = J @ J.T
+    G.flat[::G.shape[0] + 1] += damping * damping
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as err:
@@ -157,38 +132,36 @@ def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
     diag = np.diag(L)
     if diag.min() <= 1e-7 * diag.max():
         raise ValueError("J J^T singular; use damping > 0 near singularities")
-    inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(J.shape[0])))
-    return J.T @ inv
+    # G is symmetric, so J^T G^-1 = (G^-1 J)^T: two triangular solves of
+    # G X = J give the pseudo-inverse without forming G^-1.
+    X = np.linalg.solve(L.T, np.linalg.solve(L, J))
+    return X.T
 
 
-def compute_error(current: Pose, desired: TrajectorySample) -> ErrorTwist:
-    """Stacked position/orientation error of the current pose w.r.t. the
-    trajectory sample: e_p = p - p_d, e_o = cross-product orientation error."""
-    e_p = current.p - desired.p_d
-    e_o = so3.rotation_error(desired.R_d, current.R)
-    return ErrorTwist(e_p, e_o)
+def compute_error(current: Pose, desired: TrajectorySample) -> np.ndarray:
+    """Stacked 6-vector error [p - p_d; e_o] of the current pose w.r.t. the
+    trajectory sample, e_o being the cross-product orientation error."""
+    return np.concatenate([current.p - desired.p_d,
+                           so3.rotation_error(desired.R_d, current.R)])
 
 
-def control_step(arm: ArmModel, q, sample: TrajectorySample, gains: Gains,
-                 prev_e, dt: float, damping: float = 1e-3,
-                 qdot_max: float = 1.5) -> tuple[np.ndarray, ErrorTwist]:
-    """One tick of the workspace PD velocity law.
+def control_step(arm: ArmModel, q, sample: TrajectorySample, k_p: float,
+                 k_d: float, prev_e, dt: float, damping: float = 1e-3,
+                 qdot_max: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
+    """One tick of the workspace PD velocity law; returns (qdot, e).
 
-    qdot = pinv(J) @ (-k_p e - k_d edot + V); edot is the backward difference
-    of the stacked error (zero on the first step, when prev_e is None). The
-    feedforward V stacks the desired linear velocity with the angular rate
-    rotated into the base frame (the trajectory stores it along the moving
-    rotation axis). Output joint velocities are clamped to +-qdot_max.
+    qdot = pinv(J) @ (-k_p e - k_d edot + V) with scalar gains on the stacked
+    6-vector error e; edot is its backward difference (zero on the first
+    step, when prev_e is None). The feedforward V stacks the desired linear
+    velocity with the angular rate rotated into the base frame (the
+    trajectory stores it along the moving rotation axis). Output joint
+    velocities are clamped to +-qdot_max.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     pose, J = fk_and_jacobian(arm, q)
     e = compute_error(pose, sample)
-    if prev_e is None:
-        edot = np.zeros(6)
-    else:
-        edot = (e.stacked - prev_e.stacked) / dt
+    edot = np.zeros(6) if prev_e is None else (e - prev_e) / dt
     v_ff = np.concatenate([sample.pdot_d, sample.R_d @ sample.w_ff])
-    cmd = -gains.k_p * e.stacked - gains.k_d * edot + v_ff
-    qdot = pinv(J, damping) @ cmd
+    qdot = pinv(J, damping) @ (-k_p * e - k_d * edot + v_ff)
     return np.clip(qdot, -qdot_max, qdot_max), e

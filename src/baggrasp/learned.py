@@ -152,33 +152,6 @@ def _conv_backward(dout: np.ndarray, cols: np.ndarray, x_shape,
     return dx, dkernel, dbias
 
 
-def conv2d_forward(x, kernel, bias, stride: int = 1) -> np.ndarray:
-    """Valid (no padding) strided cross-correlation.
-
-    x is (channels, h, w) or (batch, channels, h, w); output spatial dims
-    are floor((in - k)/stride) + 1.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
-    out, _ = _conv_forward(x, np.asarray(kernel, dtype=float),
-                           np.asarray(bias, dtype=float), stride)
-    return out[0] if single else out
-
-
-def relu_forward(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
-def linear_forward(x, weight, bias) -> np.ndarray:
-    """y = W x + b; x may be (features,) or (batch, features)."""
-    x = np.asarray(x, dtype=float)
-    return x @ np.asarray(weight, dtype=float).T + np.asarray(bias, dtype=float)
-
-
 def _branch_forward(x: np.ndarray, k1, b1, k2, b2):
     h1, cols1 = _conv_forward(x, k1, b1, STRIDE)
     a1 = np.maximum(h1, 0.0)
@@ -258,10 +231,9 @@ def backward(params: ModelParams, rgb: np.ndarray, dep: np.ndarray,
 
 
 def batch_tensors(scenes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rgb = np.stack([s.tensors()[0] for s in scenes])
-    dep = np.stack([s.tensors()[1] for s in scenes])
+    rgb, dep = zip(*(s.tensors() for s in scenes))
     labels = np.stack([s.normalized_label() for s in scenes])
-    return rgb, dep, labels
+    return np.stack(rgb), np.stack(dep), labels
 
 
 def train(dataset, epochs: int, lr: float = 1e-3, seed: int = 0,

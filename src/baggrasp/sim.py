@@ -238,7 +238,6 @@ def run_control(arm: kinematics.ArmModel, q0, traj, cfg: PipelineConfig):
 
     Returns (final q, series of (t, ||e_p||, ||e_o||)).
     """
-    gains = kinematics.Gains(cfg.k_p, cfg.k_d)
     dt = 1.0 / cfg.control_rate
     n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
     q = np.asarray(q0, dtype=float).copy()
@@ -247,12 +246,12 @@ def run_control(arm: kinematics.ArmModel, q0, traj, cfg: PipelineConfig):
     for i in range(n_steps):
         t = traj.t_i + i * dt
         samp = trajectory.sample(traj, t)
-        qdot, e = kinematics.control_step(arm, q, samp, gains, prev_e, dt,
-                                          cfg.damping, cfg.qdot_max)
+        qdot, e = kinematics.control_step(arm, q, samp, cfg.k_p, cfg.k_d,
+                                          prev_e, dt, cfg.damping, cfg.qdot_max)
         q = step_plant(q, qdot, dt, arm.limits)
         prev_e = e
-        series.append((t, float(np.linalg.norm(e.e_p)),
-                       float(np.linalg.norm(e.e_o))))
+        series.append((t, float(np.linalg.norm(e[:3])),
+                       float(np.linalg.norm(e[3:]))))
     return q, series
 
 

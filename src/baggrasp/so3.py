@@ -63,6 +63,11 @@ def vee(M) -> np.ndarray:
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
+def _vee_antisym(M) -> np.ndarray:
+    """vee(M - M^T), read off the entries without forming M^T."""
+    return np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+
+
 def exp_so3(w) -> np.ndarray:
     """Rotation matrix for the rotation vector w (Rodrigues formula).
 
@@ -92,7 +97,7 @@ def log_so3(R) -> np.ndarray:
     phi = np.arccos(cos_phi)
     if phi >= np.pi - _ANTIPODE_MARGIN:
         raise ValueError("log near antipode; axis ill-conditioned by this formula")
-    anti = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    anti = _vee_antisym(R)
     if phi < _SMALL_ANGLE:
         return 0.5 * anti
     return (phi / (2.0 * np.sin(phi))) * anti
@@ -120,12 +125,12 @@ def grasp_orientation(theta_d: float) -> np.ndarray:
 def rotation_error(R_d, R_e) -> np.ndarray:
     """Cross-product orientation error between desired and current frames.
 
-    Sum over i of column_i(R_d) x column_i(R_e). Zero iff R_d == R_e; for a
-    single-axis offset of angle phi its magnitude is 2|sin phi|.
+    Defined as the sum over i of column_i(R_d) x column_i(R_e) (Luh, Walker
+    & Paul, 1980). Since hat(a x b) = b a^T - a b^T, the sum equals
+    vee(R_e R_d^T - R_d R_e^T), which is how it is computed. Zero iff
+    R_d == R_e; for a single-axis offset of angle phi its magnitude is
+    2|sin phi|.
     """
     R_d = np.asarray(R_d, dtype=float)
     R_e = np.asarray(R_e, dtype=float)
-    e = np.zeros(3)
-    for i in range(3):
-        e += np.cross(R_d[:, i], R_e[:, i])
-    return e
+    return _vee_antisym(R_e @ R_d.T)

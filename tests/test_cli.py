@@ -55,10 +55,13 @@ def test_vision_overlay_written(scene_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_vision_bad_subcommand_args(capsys):
+def test_vision_bad_subcommand_args(scene_files, capsys):
     rc = main(["vision"])  # --rgb is required
     assert rc == 2
     capsys.readouterr()
+    rc = main(["vision", "--rgb", str(scene_files / "scene.ppm"), "--t", "nan"])
+    assert rc == 2
+    assert "--t" in capsys.readouterr().err
 
 
 def test_denoise_pipe(monkeypatch, capsys):
@@ -109,6 +112,23 @@ def test_plan_csv_boundary_rows(tmp_path, capsys):
 def test_plan_bad_target_exits_2(capsys):
     assert main(["plan", "--target", "oops"]) == 2
     capsys.readouterr()
+    for extra, flag in [(["--target", "nan,0.1"], "--target"),
+                        (["--target", "0.6"], "--target"),
+                        (["--start", "0.5,0,0.3,nan"], "--start"),
+                        (["--start", "a,b,c,d"], "--start"),
+                        (["--start", "0.5,0,0.3"], "--start"),
+                        (["--grasp-z", "nan"], "--grasp-z"),
+                        (["--tf", "nan"], "--tf"),
+                        (["--ti", "inf"], "--ti"),
+                        (["--theta", "nan"], "--theta"),
+                        (["--theta", "3"], "--theta"),
+                        (["--rate", "0"], "--rate"),
+                        (["--rate", "nan"], "--rate"),
+                        (["--ti", "5", "--tf", "5"], "--tf")]:
+        # A repeated --target overrides the first one.
+        assert main(["plan", "--target", "0.6,0.1", *extra]) == 2, extra
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == "", extra
 
 
 def test_genscenes_deterministic(tmp_path, capsys):
@@ -182,6 +202,16 @@ def test_simulate_batch_summary(tmp_path, capsys):
     assert (tmp_path / "batch" / "summary.csv").exists()
 
 
+def test_simulate_batch_not_positive_exits_2(tmp_path, capsys):
+    for n in ("0", "-2"):
+        rc = main(["simulate", "--seed", "1", "--batch", n,
+                   "--out", str(tmp_path / "batch")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--batch" in captured.err and captured.out == ""
+    assert not (tmp_path / "batch").exists()
+
+
 def test_simulate_file_vision(tmp_path, capsys):
     props = tmp_path / "props.jsonl"
     props.write_text('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": 0.0}\n')
@@ -238,3 +268,8 @@ def test_bad_set_override_exits_2(capsys):
     rc = main(["simulate", "--seed", "0", "--set", "nope=3"])
     assert rc == 2
     capsys.readouterr()
+    for item in ("k_d=nan", "damping=nan", "settle_time=-5", "qdot_max=-1",
+                 "control_rate=inf"):
+        assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
+        captured = capsys.readouterr()
+        assert item.split("=")[0] in captured.err and captured.out == ""

@@ -35,11 +35,25 @@ def test_load_config_rejects_bad_line(tmp_path):
         load_config(p)
 
 
-def test_load_config_validates_values(tmp_path):
+@pytest.mark.parametrize("text, match", [
+    pytest.param("canny_low=0.5\ncanny_high=0.2\n", "canny", id="canny"),
+    *[pytest.param(f"{item}\n", item.split("=")[0], id=item) for item in (
+        "k_p=0", "k_p=nan", "k_p=inf", "duration=-1", "duration=nan",
+        "control_rate=0", "control_rate=inf", "qdot_max=-1", "qdot_max=0",
+        "qdot_max=inf", "k_d=nan", "k_d=-0.1", "damping=nan", "damping=-1e-3",
+        "settle_time=-5", "settle_time=inf")],
+])
+def test_load_config_validates_values(tmp_path, text, match):
     p = tmp_path / "c.txt"
-    p.write_text("canny_low=0.5\ncanny_high=0.2\n")
-    with pytest.raises(ValueError, match="canny"):
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match):
         load_config(p)
+
+
+def test_control_keys_accept_zero_where_allowed():
+    cfg = apply_overrides(PipelineConfig(),
+                          {"k_d": "0", "damping": "0", "settle_time": "0"})
+    assert (cfg.k_d, cfg.damping, cfg.settle_time) == (0.0, 0.0, 0.0)
 
 
 def test_apply_overrides():

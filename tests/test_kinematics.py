@@ -3,9 +3,8 @@ import pytest
 
 from baggrasp import so3, trajectory
 from baggrasp.classical import GraspProposal
-from baggrasp.kinematics import (ArmModel, ErrorTwist, Gains, compute_error,
-                                 control_step, default_arm_path, fk,
-                                 fk_and_jacobian, load_arm, pinv)
+from baggrasp.kinematics import (compute_error, control_step, default_arm_path,
+                                 fk, fk_and_jacobian, load_arm, pinv)
 from baggrasp.so3 import Pose
 from baggrasp.trajectory import TrajectorySample
 
@@ -170,7 +169,7 @@ def _sample_at(pose, pdot=(0, 0, 0), w_ff=(0, 0, 0)):
 def test_compute_error_zero_at_match():
     pose = fk(ARM, np.zeros(7))
     e = compute_error(pose, _sample_at(pose))
-    assert np.allclose(e.stacked, 0.0, atol=1e-12)
+    assert np.allclose(e, 0.0, atol=1e-12)
 
 
 def test_compute_error_position_offset():
@@ -178,7 +177,7 @@ def test_compute_error_position_offset():
     desired = TrajectorySample(np.array([0.49, 0.0, 0.2]), np.zeros(3),
                                so3.GRIPPER_DOWN.copy(), np.zeros(3))
     e = compute_error(pose, desired)
-    assert np.allclose(e.stacked, (0.01, 0, 0, 0, 0, 0), atol=1e-12)
+    assert np.allclose(e, (0.01, 0, 0, 0, 0, 0), atol=1e-12)
 
 
 def test_compute_error_yaw_offset():
@@ -186,22 +185,15 @@ def test_compute_error_yaw_offset():
     desired = TrajectorySample(np.zeros(3), np.zeros(3), so3.rot_z(np.pi / 2),
                                np.zeros(3))
     e = compute_error(pose, desired)
-    assert np.allclose(e.e_o, (0, 0, -2), atol=1e-12)
+    assert np.allclose(e[3:], (0, 0, -2), atol=1e-12)
 
 
 def test_control_step_zero_error_zero_command():
     q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
     pose = fk(ARM, q)
-    qdot, e = control_step(ARM, q, _sample_at(pose), Gains(), None, 0.01)
+    qdot, e = control_step(ARM, q, _sample_at(pose), 0.8, 0.4, None, 0.01)
     assert np.allclose(qdot, 0.0, atol=1e-9)
-    assert np.allclose(e.stacked, 0.0, atol=1e-12)
-
-
-def test_default_gains():
-    g = Gains()
-    assert (g.k_p, g.k_d) == (0.8, 0.4)
-    with pytest.raises(ValueError):
-        Gains(0.0, 0.1)
+    assert np.allclose(e, 0.0, atol=1e-12)
 
 
 def test_control_step_proportional_in_kp():
@@ -209,17 +201,33 @@ def test_control_step_proportional_in_kp():
     pose = fk(ARM, q)
     desired = TrajectorySample(pose.p + (0.01, -0.02, 0.005), np.zeros(3),
                                pose.R @ so3.rot_z(0.05), np.zeros(3))
-    qdot1, _ = control_step(ARM, q, desired, Gains(0.8, 0.0), None, 0.01,
+    qdot1, _ = control_step(ARM, q, desired, 0.8, 0.0, None, 0.01,
                             qdot_max=100.0)
-    qdot2, _ = control_step(ARM, q, desired, Gains(1.6, 0.0), None, 0.01,
+    qdot2, _ = control_step(ARM, q, desired, 1.6, 0.0, None, 0.01,
                             qdot_max=100.0)
     assert np.allclose(qdot2, 2.0 * qdot1, atol=1e-9)
+
+
+def test_control_step_derivative_term():
+    # With k_p = 0 and no feedforward, the command is -k_d (e - prev_e) / dt.
+    q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
+    pose = fk(ARM, q)
+    desired = TrajectorySample(pose.p + (0.01, -0.02, 0.005), np.zeros(3),
+                               pose.R @ so3.rot_z(0.05), np.zeros(3))
+    e = compute_error(pose, desired)
+    prev_e = e - np.array([0.001, 0.0, -0.002, 0.0005, 0.0, 0.001])
+    qdot, e_out = control_step(ARM, q, desired, 0.0, 0.4, prev_e, 0.01,
+                               qdot_max=100.0)
+    J = fk_and_jacobian(ARM, q)[1]
+    assert np.array_equal(e_out, e)
+    assert np.allclose(qdot, pinv(J, 1e-3) @ (-0.4 * (e - prev_e) / 0.01),
+                       atol=1e-12)
 
 
 def test_control_step_propagates_pinv_error():
     with pytest.raises(ValueError, match="damping"):
         control_step(ARM, np.zeros(7), _sample_at(fk(ARM, np.zeros(7))),
-                     Gains(), None, 0.01, damping=0.0)
+                     0.8, 0.4, None, 0.01, damping=0.0)
 
 
 def test_control_step_clamps_joint_velocity():
@@ -227,7 +235,7 @@ def test_control_step_clamps_joint_velocity():
     pose = fk(ARM, q)
     desired = TrajectorySample(pose.p + (0.5, 0.5, -0.1), np.zeros(3),
                                pose.R.copy(), np.zeros(3))
-    qdot, _ = control_step(ARM, q, desired, Gains(50.0, 0.0), None, 0.01,
+    qdot, _ = control_step(ARM, q, desired, 50.0, 0.0, None, 0.01,
                            qdot_max=1.5)
     assert np.abs(qdot).max() <= 1.5 + 1e-12
 

@@ -5,13 +5,17 @@ import pytest
 
 from baggrasp import learned
 from baggrasp.learned import (ModelParams, backward, batch_tensors,
-                              conv2d_forward, forward_batch, init_params,
-                              l1_loss, linear_forward, load_params,
-                              model_forward, relu_forward, save_params, train)
+                              forward_batch, init_params, l1_loss, load_params,
+                              model_forward, save_params, train)
 from conftest import make_dataset
 
 
 # --- layer primitives ---
+
+def conv2d_forward(x, kernel, bias, stride=1):
+    """The model's batched convolution applied to one (channels, h, w) input."""
+    return learned._conv_forward(x[None], kernel, bias, stride)[0][0]
+
 
 def test_conv_ones():
     x = np.ones((1, 3, 3))
@@ -62,26 +66,6 @@ def test_conv_shape_mismatch():
         conv2d_forward(np.zeros((2, 5, 5)), np.zeros((1, 3, 3, 3)), np.zeros(1))
     with pytest.raises(ValueError):
         conv2d_forward(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
-
-
-def test_relu():
-    assert relu_forward(-1.0) == 0.0
-    assert relu_forward(2.0) == 2.0
-
-
-def test_linear_identity():
-    x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(linear_forward(x, np.eye(3), np.zeros(3)), x)
-
-
-def test_linear_against_dot_oracle():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=12)
-    W = rng.normal(size=(4, 12))
-    b = rng.normal(size=4)
-    want = np.array([sum(W[i, j] * x[j] for j in range(12)) + b[i]
-                     for i in range(4)])
-    assert np.allclose(linear_forward(x, W, b), want, atol=1e-12)
 
 
 # --- model forward ---

@@ -140,3 +140,20 @@ def test_rotation_error_magnitude_two_sin_phi():
     for phi in np.arange(0.1, 1.51, 0.1):
         e = so3.rotation_error(so3.rot_z(phi), np.eye(3))
         assert abs(np.linalg.norm(e) - 2.0 * np.sin(phi)) < 1e-9
+
+
+def _rotation_error_by_columns(R_d, R_e):
+    # The defining sum of column cross products (Luh, Walker & Paul, 1980).
+    e = np.zeros(3)
+    for i in range(3):
+        e += np.cross(R_d[:, i], R_e[:, i])
+    return e
+
+
+def test_rotation_error_matches_column_cross_products():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        R_d = so3.exp_so3(rng.normal(size=3))
+        R_e = so3.exp_so3(rng.normal(size=3))
+        want = _rotation_error_by_columns(R_d, R_e)
+        assert np.abs(so3.rotation_error(R_d, R_e) - want).max() <= 1e-15
