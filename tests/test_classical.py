@@ -160,6 +160,114 @@ def test_find_contours_drops_tiny_components():
     assert find_contours(mask) == []
 
 
+# --- labeller oracles: the earlier fixpoint hysteresis and DFS contours ---
+
+def _fixpoint_canny(image, low, high):
+    """Canny as first written: hysteresis grows the strong pixels by 8-way
+    shifts until nothing changes."""
+    gx, gy = sobel_gradients(image)
+    mag = np.hypot(gx, gy)
+    sector = np.round(np.arctan2(gy, gx) / (np.pi / 4.0)).astype(int) % 8
+    thin = np.zeros(mag.shape, dtype=bool)
+    for q, (dx, dy) in enumerate(classical._COMPASS):
+        along = classical._shifted(mag, dx, dy)
+        against = classical._shifted(mag, -dx, -dy)
+        thin |= (sector == q) & (mag >= along) & (mag > against)
+    thin &= mag > 0
+    weak = thin & (mag >= low)
+    keep = thin & (mag >= high)
+    while True:
+        grown = keep.copy()
+        for dx, dy in classical._COMPASS:
+            grown |= classical._shifted(keep, dx, dy).astype(bool)
+        grown &= weak
+        grown |= keep
+        if np.array_equal(grown, keep):
+            return keep
+        keep = grown
+
+
+def _dfs_find_contours(mask):
+    """find_contours as first written: a stack-and-set flood fill per
+    component, in np.nonzero order of each component's first pixel."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    seen = np.zeros_like(mask)
+    polygons = []
+    ys, xs = np.nonzero(mask)
+    for y0, x0 in zip(ys, xs):
+        if seen[y0, x0]:
+            continue
+        stack = [(x0, y0)]
+        seen[y0, x0] = True
+        component = set()
+        while stack:
+            x, y = stack.pop()
+            component.add((x, y))
+            for dx, dy in classical._MOORE:
+                nx, ny = x + dx, y + dy
+                if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
+                    seen[ny, nx] = True
+                    stack.append((nx, ny))
+        if len(component) >= 3:
+            polygons.append(classical._trace_boundary(component))
+    return polygons
+
+
+def _same_polygons(got, want):
+    return len(got) == len(want) and all(
+        g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _oracle_masks():
+    """About 200 masks: edge cases first, then random densities and shapes."""
+    masks = [np.zeros((5, 7), bool), np.zeros((1, 1), bool), np.ones((1, 1), bool),
+             np.ones((6, 9), bool), np.ones((1, 12), bool), np.ones((12, 1), bool)]
+    ring = np.zeros((9, 11), bool)
+    ring[[0, -1], :] = ring[:, [0, -1]] = True
+    corners = np.zeros((6, 6), bool)
+    corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    corners[[0, 1, 0], [1, 0, 0]] = True
+    masks += [ring, corners, np.eye(7, dtype=bool), np.eye(7, dtype=bool)[::-1]]
+    rng = np.random.default_rng(4)
+    while len(masks) < 200:
+        h, w = rng.integers(1, 25, size=2)
+        masks.append(rng.random((h, w)) < rng.uniform(0.05, 0.7))
+    return masks
+
+
+def test_find_contours_matches_dfs_oracle_on_masks():
+    for mask in _oracle_masks():
+        assert _same_polygons(find_contours(mask), _dfs_find_contours(mask))
+
+
+def test_canny_and_contours_match_oracles_on_scenes():
+    cfg = config.PipelineConfig()
+    for seed in range(20):
+        scene = sim.generate_scene(seed, cfg)
+        rng = np.random.default_rng([seed, 1])
+        frames = [scene.rgb] + [sim.add_pixel_noise(rng, scene.rgb, scene.depth,
+                                                    2.0)[0] for _ in range(2)]
+        for rgb in frames:
+            for sigma in (1.4, 0.6):
+                blurred = gaussian_blur(to_gray(rgb), sigma)
+                edges = canny(blurred, cfg.canny_low, cfg.canny_high)
+                assert np.array_equal(
+                    edges, _fixpoint_canny(blurred, cfg.canny_low, cfg.canny_high))
+                assert _same_polygons(find_contours(edges),
+                                      _dfs_find_contours(edges))
+
+
+def test_canny_matches_fixpoint_oracle_on_random_images():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        h, w = rng.integers(2, 30, size=2)
+        img = GrayImage(rng.random((h, w)))
+        low = rng.uniform(0.01, 0.5)
+        high = rng.uniform(low + 1e-3, 1.0)
+        assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
+
+
 # --- polygon operations ---
 
 def test_polygon_mean_square():

@@ -137,6 +137,48 @@ def test_cluster_count_monotone_in_threshold():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def _bfs_cluster(proposals, threshold):
+    """cluster as first written: a BFS from each unassigned proposal in input
+    order, members sorted back into input order."""
+    n = len(proposals)
+    targets = np.array([p.target for p in proposals]).reshape(n, 2)
+    assigned = [False] * n
+    clusters = []
+    for i in range(n):
+        if assigned[i]:
+            continue
+        members = [i]
+        assigned[i] = True
+        queue = [i]
+        while queue:
+            j = queue.pop(0)
+            dists = np.linalg.norm(targets - targets[j], axis=1)
+            for k in range(n):
+                if not assigned[k] and dists[k] <= threshold:
+                    assigned[k] = True
+                    members.append(k)
+                    queue.append(k)
+        clusters.append([proposals[m] for m in sorted(members)])
+    return clusters
+
+
+def test_cluster_matches_bfs_oracle():
+    rng = np.random.default_rng(3)
+    for trial in range(500):
+        n = int(rng.integers(0, 41))
+        spread = rng.uniform(0.01, 0.3)
+        xy = rng.uniform(0, spread, size=(n, 2))
+        if trial % 4 == 0:  # repeated targets, joined even at threshold 0
+            xy = np.round(xy, 2)
+        props = [prop(x, y, t=float(i)) for i, (x, y) in enumerate(xy.tolist())]
+        threshold = (0.0, math.inf, rng.uniform(0.0, 0.05))[trial % 3]
+        got = cluster(props, threshold)
+        want = _bfs_cluster(props, threshold)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert len(g) == len(w) and all(a is b for a, b in zip(g, w))
+
+
 # --- selection ---
 
 def test_select_biggest_cluster_centroid():

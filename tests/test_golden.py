@@ -1,12 +1,14 @@
-"""Golden episode outputs: fixed seeds, stored values, explicit tolerances.
+"""Golden outputs: fixed seeds, stored values, explicit tolerances.
 
 Run-to-run equality cannot see a refactor that drifts the numbers, so each
 case here is compared against `tests/data/golden.json`. The cases go through
-the CLI and `sim.run_batch`, the entry points users call, and read back the
-`report.json` each episode writes.
+the CLI and `sim.run_batch`, the entry points users call: episodes read back
+the `report.json` each one writes, `plan` keeps a sample of its CSV rows and
+training its per-epoch losses.
 
-Regenerate the data only for an intended change of outputs:
-    PYTHONPATH=src python tests/test_golden.py
+Regenerate the data only for an intended change of outputs, naming the
+cases to record (all of them when none is named):
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import contextlib
@@ -39,6 +41,8 @@ TOLERANCES = {
     "control_steps": None,
     "success_rate": None,
     "good_grasp_rate": None,
+    "plan_rows": (1e-6, 1e-9),        # t, pose, velocity, rotation, w_ff
+    "losses": (1e-6, 1e-12),
 }
 
 FILE_PROPOSALS = [{"x": 0.6, "y": 0.05, "theta": 0.3, "t": float(t)}
@@ -73,6 +77,28 @@ def _batch(tmp: Path) -> dict:
             "episodes": [_report(out / f"episode_{i:03d}") for i in range(3)]}
 
 
+def _plan(tmp: Path) -> dict:
+    """Every 25th row of the `plan` CSV plus the last row."""
+    out = tmp / "traj.csv"
+    assert cli.main(["plan", "--target", "0.6,0.05", "--theta", "0.3",
+                     "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    return {"plan_rows": rows[:-1:25] + rows[-1:]}
+
+
+def _train(tmp: Path) -> dict:
+    data, loss_csv = tmp / "data", tmp / "loss.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["genscenes", "--n", "8", "--seed", "0",
+                         "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--epochs", "3",
+                         "--seed", "0", "--out", str(tmp / "params.bin"),
+                         "--loss-out", str(loss_csv)]) == 0
+    rows = loss_csv.read_text().splitlines()[1:]
+    return {"losses": [float(row.split(",")[1]) for row in rows]}
+
+
 CASES = {
     "classical_seed7": lambda tmp: _simulate(["--seed", "7"], tmp / "ep7"),
     "classical_batch3_seed20": _batch,
@@ -82,6 +108,8 @@ CASES = {
     "file_vision": _file_vision,
     "flat_vision_failure": lambda tmp: _simulate(["--seed", "9", "--flat"],
                                                  tmp / "flat"),
+    "plan_target_0.6_0.05": _plan,
+    "train_epochs3_seed0": _train,
 }
 
 
@@ -130,8 +158,11 @@ def test_compare_catches_drift():
 if __name__ == "__main__":
     import tempfile
 
+    # Named cases are recorded again; the others keep their stored values.
+    names = sys.argv[1:] or sorted(CASES)
+    data = json.loads(GOLDEN_FILE.read_text()) if GOLDEN_FILE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        data = {name: CASES[name](Path(tmp)) for name in sorted(CASES)}
+        data.update({name: CASES[name](Path(tmp)) for name in names})
     GOLDEN_FILE.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_FILE}", file=sys.stderr)
