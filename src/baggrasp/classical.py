@@ -145,6 +145,37 @@ def _shifted(mag: np.ndarray, dx: int, dy: int) -> np.ndarray:
     return out
 
 
+def connected_components(n: int, i, j) -> np.ndarray:
+    """Label nodes 0..n-1 of the undirected graph with edges (i[k], j[k]) by
+    the smallest node in their component: min-label propagation with pointer
+    jumping (Shiloach & Vishkin, 1982), repeated until nothing changes."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        low = np.minimum(label[i], label[j])
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _label8(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Set pixels (xs, ys) of a mask in row-major order, labelled by their
+    8-connected component's first (topmost-leftmost) pixel's index."""
+    ys, xs = np.nonzero(mask)
+    node = np.zeros(mask.shape, dtype=int)  # 1 + pixel index; 0 where unset
+    node[ys, xs] = np.arange(1, len(xs) + 1)
+    i, j = [], []
+    for dx, dy in _COMPASS[:4]:  # one offset of each opposite pair
+        other = _shifted(node, dx, dy)
+        both = (node > 0) & (other > 0)
+        i.append(node[both] - 1)
+        j.append(other[both] - 1)
+    return xs, ys, connected_components(len(xs), np.concatenate(i), np.concatenate(j))
+
+
 def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     """Canny edge mask: Sobel -> non-maximum suppression -> hysteresis.
 
@@ -152,8 +183,8 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     survives suppression iff its magnitude strictly exceeds the neighbor
     against the gradient and is >= the neighbor along it (the asymmetry
     thins symmetric two-pixel ridges to one pixel). Strong pixels have
-    magnitude >= high; weak ones (>= low) are kept only when 8-connected
-    to a strong pixel.
+    magnitude >= high; weak ones (>= low) are kept only when their
+    8-connected component of weak pixels holds a strong pixel.
     """
     if not (0.0 < low < high <= 1.0):
         raise ValueError("require 0 < low < high <= 1")
@@ -169,18 +200,12 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
         thin |= sel
     thin &= mag > 0
 
-    strong = thin & (mag >= high)
-    weak = thin & (mag >= low)
-    keep = strong.copy()
-    while True:
-        grown = keep.copy()
-        for dx, dy in _COMPASS:
-            grown |= _shifted(keep, dx, dy).astype(bool)
-        grown &= weak
-        grown |= keep
-        if np.array_equal(grown, keep):
-            return keep
-        keep = grown
+    xs, ys, label = _label8(thin & (mag >= low))
+    has_strong = np.zeros(len(label), dtype=bool)
+    has_strong[label[mag[ys, xs] >= high]] = True
+    keep = np.zeros_like(thin)
+    keep[ys, xs] = has_strong[label]
+    return keep
 
 
 def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
@@ -241,30 +266,15 @@ def find_contours(mask: np.ndarray) -> list[np.ndarray]:
     """Boundary polygons of the 8-connected components of an edge mask.
 
     Components smaller than 3 pixels are dropped. Each polygon is an (N, 2)
-    array of (x, y) vertices in trace order.
+    array of (x, y) vertices in trace order, components in row-major order.
     """
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    polygons: list[np.ndarray] = []
-    ys, xs = np.nonzero(mask)
-    for y0, x0 in zip(ys, xs):
-        if seen[y0, x0]:
-            continue
-        stack = [(x0, y0)]
-        seen[y0, x0] = True
-        component = set()
-        while stack:
-            x, y = stack.pop()
-            component.add((x, y))
-            for dx, dy in _MOORE:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
-                    stack.append((nx, ny))
-        if len(component) >= 3:
-            polygons.append(_trace_boundary(component))
-    return polygons
+    xs, ys, label = _label8(np.asarray(mask, dtype=bool))
+    # Pixels sorted by label, cut after the last pixel of each component.
+    ends = np.cumsum(np.bincount(label, minlength=len(label)))
+    groups = np.split(np.argsort(label, kind="stable"),
+                      ends[label == np.arange(len(label))][:-1])
+    return [_trace_boundary(set(zip(xs[g].tolist(), ys[g].tolist())))
+            for g in groups if len(g) >= 3]
 
 
 def polygon_mean(polygon: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import GraspProposal
+from .classical import GraspProposal, connected_components
 
 THETA_BIN = math.radians(5.0)
 
@@ -44,27 +44,16 @@ class ProposalBuffer:
 
 def cluster(proposals, threshold: float) -> list[list[GraspProposal]]:
     """Single-linkage clusters: connected components of the graph with an
-    edge wherever two targets are within threshold of each other."""
+    edge wherever two targets are within threshold of each other, in order
+    of their first member, each in input order."""
     n = len(proposals)
     targets = np.array([p.target for p in proposals]).reshape(n, 2)
-    assigned = [False] * n
-    clusters: list[list[GraspProposal]] = []
-    for i in range(n):
-        if assigned[i]:
-            continue
-        members = [i]
-        assigned[i] = True
-        queue = [i]
-        while queue:
-            j = queue.pop(0)
-            dists = np.linalg.norm(targets - targets[j], axis=1)
-            for k in range(n):
-                if not assigned[k] and dists[k] <= threshold:
-                    assigned[k] = True
-                    members.append(k)
-                    queue.append(k)
-        clusters.append([proposals[m] for m in sorted(members)])
-    return clusters
+    near = np.linalg.norm(targets[:, None] - targets[None], axis=2) <= threshold
+    label = connected_components(n, *np.nonzero(near))
+    clusters: dict[int, list[GraspProposal]] = {}
+    for prop, root in zip(proposals, label.tolist()):
+        clusters.setdefault(root, []).append(prop)
+    return list(clusters.values())
 
 
 def _mode_theta(thetas: list[float]) -> float:

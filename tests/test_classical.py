@@ -6,7 +6,8 @@ import pytest
 from baggrasp import classical, config, sim
 from baggrasp.classical import (BallDetection, BallNotFound, CameraCalibration,
                                 GraspProposal, NoViableContour, canny,
-                                classical_pipeline, detect_ball, find_contours,
+                                classical_pipeline, connected_components,
+                                detect_ball, find_contours,
                                 gaussian_blur, perimeter, pixel_to_workspace,
                                 polygon_mean, polygon_theta, select_grasp,
                                 sobel_gradients)
@@ -161,6 +162,33 @@ def test_find_contours_drops_tiny_components():
 
 
 # --- labeller oracles: the earlier fixpoint hysteresis and DFS contours ---
+
+def test_connected_components_small_graphs():
+    # A path numbered in reverse: 999-998-...-0, edges listed from the far end.
+    far = np.arange(999, 0, -1)
+    assert (connected_components(1000, far, far - 1) == 0).all()
+    # Isolated nodes 0, 1 and 2 (with a self edge); duplicate edges 3-5.
+    got = connected_components(7, [3, 3, 5, 2, 6], [5, 5, 3, 2, 4])
+    assert got.tolist() == [0, 1, 2, 3, 4, 3, 4]
+    assert connected_components(0, [], []).tolist() == []
+
+
+def test_connected_components_matches_union_find():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n = int(rng.integers(1, 60))
+        i, j = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+        for a, b in zip(i.tolist(), j.tolist()):
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+        assert connected_components(n, i, j).tolist() == [find(a) for a in range(n)]
+
 
 def _fixpoint_canny(image, low, high):
     """Canny as first written: hysteresis grows the strong pixels by 8-way
