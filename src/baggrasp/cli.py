@@ -58,6 +58,11 @@ def _finite(value: float, flag: str) -> None:
         raise BadUsage(f"{flag} must be finite, got {value!r}")
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise BadUsage(f"{flag} must be >= {low}, got {value}")
+
+
 def _numbers(text: str, flag: str, form: str) -> list[float]:
     """The finite comma-separated numbers of a flag such as --target X,Y."""
     try:
@@ -157,8 +162,9 @@ def cmd_plan(args, cfg) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
-    if args.batch is not None and args.batch < 1:
-        raise BadUsage(f"--batch must be >= 1, got {args.batch}")
+    _at_least(args.seed, 0, "--seed")
+    if args.batch is not None:
+        _at_least(args.batch, 1, "--batch")
     if args.vision == "file":
         if args.batch is not None:
             raise BadUsage("--vision file runs a single episode; batch episodes "
@@ -190,6 +196,11 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
+    _at_least(args.epochs, 0, "--epochs")
+    _at_least(args.seed, 0, "--seed")
+    _finite(args.lr, "--lr")
+    if args.lr <= 0:
+        raise BadUsage("--lr must be > 0")
     dataset = learned.load_dataset(_require_file(Path(args.data) / "labels.csv",
                                                  "labels.csv").parent)
     if not dataset:
@@ -201,11 +212,14 @@ def cmd_train(args, cfg) -> int:
     if args.loss_out:
         lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(losses)]
         Path(args.loss_out).write_text("\n".join(lines) + "\n")
-    print(repr(losses[-1]) if losses else "nan")
+    # With no epochs the params are the initial ones; report their loss.
+    print(repr(losses[-1] if losses else float(learned.training_loss(params, dataset))))
     return 0
 
 
 def cmd_genscenes(args, cfg) -> int:
+    _at_least(args.n, 1, "--n")
+    _at_least(args.seed, 0, "--seed")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["id,px,py,theta"]

@@ -57,12 +57,25 @@ class PipelineConfig:
         return math.radians(self.ang_tol_deg)
 
     def validate(self) -> "PipelineConfig":
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        # NaN fails every comparison, so each bound is written as the test
+        # a good value passes.
+        for f in dataclasses.fields(self):
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("sigma", "perimeter_min", "window", "frame_rate", "duration",
+                     "control_rate", "k_p", "qdot_max", "pos_tol", "ang_tol_deg",
+                     "good_grasp_px"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("distance_threshold", "noise_sigma", "k_d", "damping",
+                     "settle_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        # An episode attempts round(window * frame_rate) frames; round(0.5) == 0.
+        if not self.window * self.frame_rate > 0.5:
+            raise ValueError("window * frame_rate must round to at least 1 frame")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):
             raise ValueError("require 0 < canny_low < canny_high <= 1")
-        if self.perimeter_min <= 0:
-            raise ValueError("perimeter_min must be > 0")
         if self.scale_x == 0 or self.scale_y == 0:
             raise ValueError("calibration scale components must be nonzero")
         for name in ("color_low", "color_high"):
@@ -71,18 +84,10 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an RGB triple in 0..255")
         if any(lo > hi for lo, hi in zip(self.color_low, self.color_high)):
             raise ValueError("color_low must be componentwise <= color_high")
-        if self.window <= 0 or self.distance_threshold < 0:
-            raise ValueError("bad denoiser parameters")
-        # NaN fails every comparison, so each bound is written as the test
-        # a good value passes.
-        for name in ("duration", "control_rate", "k_p", "qdot_max"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and > 0")
-        for name in ("k_d", "damping", "settle_time"):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0")
         if self.scene_width < 8 or self.scene_height < 8:
             raise ValueError("scene dimensions too small")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         return self
 
 

@@ -157,6 +157,39 @@ def test_train_zero_epochs_returns_init(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_zero_epochs_prints_initial_loss(tmp_path, capsys):
+    assert main(["genscenes", "--n", "4", "--seed", "0",
+                 "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", str(tmp_path / "data"), "--epochs", "0",
+                 "--seed", "3", "--out", str(tmp_path / "params.bin")]) == 0
+    dataset = learned.load_dataset(tmp_path / "data")
+    want = learned.training_loss(learned.init_params(3), dataset)
+    assert float(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["genscenes", "--n", "2", "--seed", "-1"], "--seed"),
+    (["genscenes", "--n", "-3"], "--n"),
+    (["genscenes", "--n", "0"], "--n"),
+    (["train", "--seed", "-1"], "--seed"),
+    (["train", "--epochs", "-1"], "--epochs"),
+    (["train", "--lr", "nan"], "--lr"),
+    (["train", "--lr", "-1"], "--lr"),
+    (["train", "--set", "batch_size=0"], "batch_size"),
+])
+def test_bad_seed_count_and_rate_flags_exit_2(tmp_path, capsys, argv, flag):
+    if argv[0] == "train":
+        assert main(["genscenes", "--n", "2", "--out", str(tmp_path / "data")]) == 0
+        argv = [*argv, "--data", str(tmp_path / "data")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_train_and_learned_vision(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["genscenes", "--n", "6", "--seed", "20",
@@ -269,7 +302,7 @@ def test_bad_set_override_exits_2(capsys):
     assert rc == 2
     capsys.readouterr()
     for item in ("k_d=nan", "damping=nan", "settle_time=-5", "qdot_max=-1",
-                 "control_rate=inf"):
+                 "control_rate=inf", "grasp_z=nan", "frame_rate=0"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""

@@ -41,7 +41,13 @@ def test_load_config_rejects_bad_line(tmp_path):
         "k_p=0", "k_p=nan", "k_p=inf", "duration=-1", "duration=nan",
         "control_rate=0", "control_rate=inf", "qdot_max=-1", "qdot_max=0",
         "qdot_max=inf", "k_d=nan", "k_d=-0.1", "damping=nan", "damping=-1e-3",
-        "settle_time=-5", "settle_time=inf")],
+        "settle_time=-5", "settle_time=inf", "grasp_z=nan", "grasp_z=-inf",
+        "distance_threshold=nan", "distance_threshold=-0.01", "noise_sigma=nan",
+        "noise_sigma=-1", "frame_rate=0", "frame_rate=nan", "frame_rate=0.05",
+        "pos_tol=nan", "pos_tol=0", "ang_tol_deg=-1", "good_grasp_px=nan",
+        "good_grasp_px=0", "perimeter_min=nan", "window=nan", "window=0",
+        "sigma=nan", "canny_low=nan", "scale_x=nan", "scale_y=inf",
+        "shift_x=inf", "batch_size=0")],
 ])
 def test_load_config_validates_values(tmp_path, text, match):
     p = tmp_path / "c.txt"
