@@ -147,14 +147,14 @@ def _shifted(mag: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
 def connected_components(n: int, i, j) -> np.ndarray:
     """Label nodes 0..n-1 of the undirected graph with edges (i[k], j[k]) by
-    the smallest node in their component: min-label propagation with pointer
-    jumping (Shiloach & Vishkin, 1982), repeated until nothing changes."""
+    the smallest node in their component (Shiloach & Vishkin, 1982): each
+    edge hooks the larger of its ends' labels onto the smaller, then every
+    label jumps to its label's label, until nothing changes."""
     label = np.arange(n)
     while True:
+        a, b = label[i], label[j]
         new = label.copy()
-        low = np.minimum(label[i], label[j])
-        np.minimum.at(new, i, low)
-        np.minimum.at(new, j, low)
+        np.minimum.at(new, np.maximum(a, b), np.minimum(a, b))
         new = new[new]
         if np.array_equal(new, label):
             return label
