@@ -84,7 +84,8 @@ class GraspProposal:
         return np.array([self.x, self.y])
 
     def to_json_line(self) -> str:
-        return json.dumps({"x": self.x, "y": self.y, "theta": self.theta, "t": self.t})
+        return json.dumps({"x": self.x, "y": self.y, "theta": self.theta, "t": self.t},
+                          allow_nan=False)
 
     @staticmethod
     def from_json_line(line: str) -> "GraspProposal":

@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config, denoise, image_io, kinematics, learned, sim, so3, trajectory
 from .classical import CameraCalibration, GraspProposal, VisionError
 # Kept as a cli attribute: perfbench's tracer test checks that this alias
@@ -149,10 +151,10 @@ def cmd_plan(args, cfg) -> int:
                            args.ti, args.tf)
     lines = ["t,px,py,pz,vx,vy,vz,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
              "wffx,wffy,wffz"]
-    for t in trajectory.sample_times(traj, args.rate):
-        s = trajectory.sample(traj, t)
-        vals = [t, *s.p_d, *s.pdot_d, *s.R_d.reshape(-1), *s.w_ff]
-        lines.append(",".join(repr(float(v)) for v in vals))
+    ts = trajectory.sample_times(traj, args.rate)
+    s = trajectory.sample(traj, ts)
+    table = np.column_stack([ts, s.p_d, s.pdot_d, s.R_d.reshape(-1, 9), s.w_ff])
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -191,7 +193,7 @@ def cmd_simulate(args, cfg) -> int:
         scene = sim.generate_scene(args.seed, cfg, flat=args.flat)
     report = sim.run_episode(cfg, args.seed, sim.arm_for(cfg), source, scene,
                              out_dir=args.out)
-    print(json.dumps(sim.report_to_dict(report), sort_keys=True))
+    print(json.dumps(sim.report_to_dict(report), sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
     except BadUsage as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except image_io.FormatError as err:
+    except (image_io.FormatError, kinematics.ArmFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except VisionError as err:

@@ -12,6 +12,11 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+# Most frames an episode may attempt: 100 Hz over the default 10 s window.
+# The denoiser compares every pair of an episode's proposals, so this also
+# bounds its n x n distance matrix (16 MB at the cap).
+MAX_FRAMES = 1000
+
 
 @dataclass
 class PipelineConfig:
@@ -71,9 +76,11 @@ class PipelineConfig:
                      "settle_time"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        # An episode attempts round(window * frame_rate) frames; round(0.5) == 0.
-        if not self.window * self.frame_rate > 0.5:
-            raise ValueError("window * frame_rate must round to at least 1 frame")
+        # An episode attempts round(window * frame_rate) frames: at least 1
+        # (round(0.5) == 0) and at most MAX_FRAMES (round(1000.5) == 1000).
+        if not 0.5 < self.window * self.frame_rate <= MAX_FRAMES + 0.5:
+            raise ValueError(f"window * frame_rate must round to 1 to {MAX_FRAMES} "
+                             "frames")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):
             raise ValueError("require 0 < canny_low < canny_high <= 1")
         if self.scale_x == 0 or self.scale_y == 0:

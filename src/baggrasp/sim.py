@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,8 @@ class EpisodeReport:
     final_pos_err: float | None
     final_yaw_err: float | None
     proposal_px_err: float | None
-    series: list = field(default_factory=list)  # (t, ||e_p||, ||e_o||)
+    # One (t, ||e_p||, ||e_o||) row per control step.
+    series: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     stats: dict = field(default_factory=dict)
 
 
@@ -185,7 +186,8 @@ def add_pixel_noise(rng, rgb: RgbImage, depth: DepthImage,
 
 
 def step_plant(q, qdot_d, dt: float, limits) -> np.ndarray:
-    """Perfect velocity tracking: q' = q + qdot*dt, clamped to joint limits."""
+    """Perfect velocity tracking: q' = q + qdot*dt, clamped to joint limits;
+    q and qdot_d may be stacks (..., 7)."""
     q = np.asarray(q, dtype=float)
     limits = np.asarray(limits, dtype=float)
     return np.clip(q + np.asarray(qdot_d, dtype=float) * dt,
@@ -233,25 +235,44 @@ def vision_source(vision: str, cfg: PipelineConfig, params=None):
     raise ValueError(f"no image vision mode {vision!r}")
 
 
-def run_control(arm: kinematics.ArmModel, q0, traj, cfg: PipelineConfig):
-    """Run the PD loop over the trajectory plus settle time.
+_SAMPLE_BLOCK = 100  # control steps per trajectory.sample call
 
-    Returns (final q, series of (t, ||e_p||, ||e_o||)).
+
+def _control_times(t_i: float, n_steps: int, cfg: PipelineConfig) -> np.ndarray:
+    return t_i + np.arange(n_steps) * (1.0 / cfg.control_rate)
+
+
+def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
+    """Run the PD loop for a stack of episodes over their trajectories plus
+    settle time, starting each from q0.
+
+    The trajectories must share t_i and t_f (image vision gives every
+    episode the same window end and duration), so one loop steps all of them
+    as one joint state Q (B, 7). Every step works episode by episode, so an
+    episode's numbers do not depend on what else is in the stack. Returns
+    (final Q (B, 7), series (steps, B, 2) of ||e_p||, ||e_o|| per step).
     """
+    traj = trajectory.stack(trajs)
     dt = 1.0 / cfg.control_rate
     n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
-    q = np.asarray(q0, dtype=float).copy()
+    q = np.tile(np.asarray(q0, dtype=float), (len(trajs), 1))
     prev_e = None
-    series = []
+    series = np.empty((n_steps, len(trajs), 2))
+    times = _control_times(traj.t_i, n_steps, cfg)
     for i in range(n_steps):
-        t = traj.t_i + i * dt
-        samp = trajectory.sample(traj, t)
+        if i % _SAMPLE_BLOCK == 0:
+            # The trajectories are sampled a block of steps at a time: one
+            # call's overhead per block, and memory for one block only.
+            block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
+        k = i % _SAMPLE_BLOCK
+        samp = trajectory.TrajectorySample(block.p_d[k], block.pdot_d[k],
+                                           block.R_d[k], block.w_ff[k])
         qdot, e = kinematics.control_step(arm, q, samp, cfg.k_p, cfg.k_d,
                                           prev_e, dt, cfg.damping, cfg.qdot_max)
         q = step_plant(q, qdot, dt, arm.limits)
         prev_e = e
-        series.append((t, float(np.linalg.norm(e[:3])),
-                       float(np.linalg.norm(e[3:]))))
+        series[i, :, 0] = np.linalg.norm(e[:, :3], axis=-1)
+        series[i, :, 1] = np.linalg.norm(e[:, 3:], axis=-1)
     return q, series
 
 
@@ -273,8 +294,18 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
         for prop in sorted(source, key=lambda p: p.t):
             buffer.push(prop)
         return buffer, max((p.t for p in buffer.proposals), default=cfg.window), 0, ""
-    rng = np.random.default_rng([seed, 1])
     n_frames = int(round(cfg.window * cfg.frame_rate))
+    if cfg.noise_sigma <= 0:
+        # add_pixel_noise would hand back the scene itself for every frame,
+        # so the frames differ only in their timestamps: run the source once.
+        try:
+            prop = source(scene.rgb, scene.depth, 0.0)
+        except VisionError as err:
+            return buffer, cfg.window, n_frames, str(err)
+        for k in range(n_frames):
+            buffer.push(replace(prop, t=k / cfg.frame_rate))
+        return buffer, cfg.window, n_frames, ""
+    rng = np.random.default_rng([seed, 1])
     last_error = ""
     for k in range(n_frames):
         rgb, depth = add_pixel_noise(rng, scene.rgb, scene.depth, cfg.noise_sigma)
@@ -285,6 +316,90 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     return buffer, cfg.window, n_frames, last_error
 
 
+@dataclass
+class _Planned:
+    """An episode between planning and scoring: what control and scoring
+    need, and the image its overlay is drawn on (only when writing one)."""
+
+    proposal: GraspProposal
+    traj: trajectory.CubicTrajectory
+    stats: dict
+    px_err: float | None
+    rgb: RgbImage | None
+    out_dir: object
+
+
+def _finish(report: EpisodeReport, cfg: PipelineConfig, out_dir,
+            rgb: RgbImage | None) -> EpisodeReport:
+    if out_dir is not None:
+        write_episode_artifacts(report, cfg, out_dir, rgb)
+    return report
+
+
+def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
+                  scene: Scene | None, out_dir):
+    """Collect, denoise and plan one episode. An episode that fails here is
+    finished at once and returned as its EpisodeReport."""
+    buffer, now, frames, vision_error = _collect(source, scene, cfg, seed)
+    stats = {"frames_attempted": frames,
+             "proposals_collected": len(buffer),
+             "control_steps": 0}
+    rgb = scene.rgb if scene is not None else None
+    if len(buffer) == 0:
+        reason = vision_error or "vision produced no proposals"
+        return _finish(EpisodeReport(None, False, reason, None, None, None,
+                                     stats=stats), cfg, out_dir, rgb)
+    final_prop = denoise.denoise(buffer, now)
+    try:
+        traj = trajectory.plan(start, final_prop, cfg.grasp_z,
+                               now, now + cfg.duration)
+    except ValueError as err:
+        return _finish(EpisodeReport(final_prop, False, f"planning failed: {err}",
+                                     None, None, None, stats=stats),
+                       cfg, out_dir, rgb)
+    px_err = None
+    if scene is not None and scene.label is not None:
+        cal = CameraCalibration.from_config(cfg)
+        px_err = float(np.linalg.norm(cal.to_pixel(final_prop.target)
+                                      - scene.label[0]))
+    return _Planned(final_prop, traj, stats, px_err,
+                    rgb if out_dir is not None else None, out_dir)
+
+
+def _score(cfg: PipelineConfig, ep: _Planned, pose: so3.Pose,
+           series: np.ndarray) -> EpisodeReport:
+    """Finish a controlled episode from its final pose and (steps, 2) series."""
+    ep.stats["control_steps"] = len(series)
+    prop = ep.proposal
+    pos_err = float(np.linalg.norm(pose.p - np.array([prop.x, prop.y, cfg.grasp_z])))
+    yaw_err = _yaw_error(pose.R, so3.grasp_orientation(prop.theta))
+    success = pos_err < cfg.pos_tol and yaw_err < cfg.ang_tol
+    reason = "" if success else "tracking tolerance not met"
+    trace = np.column_stack([_control_times(ep.traj.t_i, len(series), cfg), series])
+    return _finish(EpisodeReport(prop, success, reason, pos_err, yaw_err,
+                                 ep.px_err, trace, ep.stats),
+                   cfg, ep.out_dir, ep.rgb)
+
+
+def _run_episodes(cfg: PipelineConfig, arm: kinematics.ArmModel,
+                  episodes) -> list[EpisodeReport]:
+    """Run episodes given as (seed, source, scene, out_dir) in three phases:
+    each is collected, denoised and planned in turn; the planned ones then
+    share one run_control loop; last, each is scored and its artifacts
+    written, in index order."""
+    start = kinematics.fk(arm, HOME_Q)
+    done = [_plan_episode(cfg, seed, start, source, scene, out_dir)
+            for seed, source, scene, out_dir in episodes]
+    planned = [i for i, ep in enumerate(done) if isinstance(ep, _Planned)]
+    if planned:
+        q, series = run_control(arm, HOME_Q, [done[i].traj for i in planned], cfg)
+        poses = kinematics.fk(arm, q)
+        for k, i in enumerate(planned):
+            done[i] = _score(cfg, done[i], so3.Pose(poses.p[k], poses.R[k]),
+                             series[:, k])
+    return done
+
+
 def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
                 source, scene: Scene | None = None, out_dir=None) -> EpisodeReport:
     """One full episode: collect proposals, denoise, plan, track, score.
@@ -292,50 +407,10 @@ def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
     source is a list of proposals, or a vision function from
     vision_source() that runs on the scene's frames. Success means the final
     position error is under pos_tol and the final yaw error under ang_tol.
-    All randomness comes from the seed; reports are bit-identical across runs.
+    All randomness comes from the seed; reports are bit-identical across runs
+    and equal to the same episode's report from run_batch.
     """
-    buffer, now, frames, vision_error = _collect(source, scene, cfg, seed)
-    stats = {"frames_attempted": frames,
-             "proposals_collected": len(buffer),
-             "control_steps": 0}
-
-    def finish(report: EpisodeReport) -> EpisodeReport:
-        if out_dir is not None:
-            write_episode_artifacts(report, cfg, out_dir,
-                                    scene.rgb if scene is not None else None)
-        return report
-
-    if len(buffer) == 0:
-        reason = vision_error or "vision produced no proposals"
-        return finish(EpisodeReport(None, False, reason, None, None, None,
-                                    [], stats))
-
-    final_prop = denoise.denoise(buffer, now)
-    start = kinematics.fk(arm, HOME_Q)
-    try:
-        traj = trajectory.plan(start, final_prop, cfg.grasp_z,
-                               now, now + cfg.duration)
-    except ValueError as err:
-        return finish(EpisodeReport(final_prop, False, f"planning failed: {err}",
-                                    None, None, None, [], stats))
-
-    q, series = run_control(arm, HOME_Q, traj, cfg)
-    stats["control_steps"] = len(series)
-    pose = kinematics.fk(arm, q)
-    p_target = np.array([final_prop.x, final_prop.y, cfg.grasp_z])
-    R_target = so3.grasp_orientation(final_prop.theta)
-    pos_err = float(np.linalg.norm(pose.p - p_target))
-    yaw_err = _yaw_error(pose.R, R_target)
-    success = pos_err < cfg.pos_tol and yaw_err < cfg.ang_tol
-    reason = "" if success else "tracking tolerance not met"
-
-    px_err = None
-    if scene is not None and scene.label is not None:
-        cal = CameraCalibration.from_config(cfg)
-        px_err = float(np.linalg.norm(cal.to_pixel(final_prop.target)
-                                      - scene.label[0]))
-    return finish(EpisodeReport(final_prop, success, reason, pos_err, yaw_err,
-                                px_err, series, stats))
+    return _run_episodes(cfg, arm, [(seed, source, scene, out_dir)])[0]
 
 
 def report_to_dict(report: EpisodeReport) -> dict:
@@ -360,9 +435,10 @@ def write_episode_artifacts(report: EpisodeReport, cfg: PipelineConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+        json.dumps(report_to_dict(report), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n")
     lines = ["t,pos_err,rot_err"]
-    lines += [f"{t!r},{pe!r},{re_!r}" for t, pe, re_ in report.series]
+    lines += [f"{t!r},{pe!r},{re_!r}" for t, pe, re_ in report.series.tolist()]
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
     if rgb is not None:
         if report.proposal is not None:
@@ -387,19 +463,17 @@ def run_batch(cfg: PipelineConfig, n: int, seed: int, vision: str = "classical",
     good_grasp_rate) and writes summary.csv when out_dir is given."""
     arm = arm_for(cfg)
     source = vision_source(vision, cfg, params)
-    rows = []
-    for i in range(n):
-        ep_seed = seed + i
-        scene = generate_scene(ep_seed, cfg)
-        ep_dir = Path(out_dir) / f"episode_{i:03d}" if out_dir is not None else None
-        report = run_episode(cfg, ep_seed, arm, source, scene, out_dir=ep_dir)
-        rows.append({
-            "episode": i,
-            "success": report.success,
-            "pos_err": report.final_pos_err,
-            "yaw_err": report.final_yaw_err,
-            "proposal_px_err": report.proposal_px_err,
-        })
+    # Scenes are made one at a time as the episodes are planned; only the
+    # images that overlays need are kept past planning.
+    episodes = ((seed + i, source, generate_scene(seed + i, cfg),
+                 Path(out_dir) / f"episode_{i:03d}" if out_dir is not None else None)
+                for i in range(n))
+    rows = [{"episode": i,
+             "success": report.success,
+             "pos_err": report.final_pos_err,
+             "yaw_err": report.final_yaw_err,
+             "proposal_px_err": report.proposal_px_err}
+            for i, report in enumerate(_run_episodes(cfg, arm, episodes))]
     success_rate = float(np.mean([r["success"] for r in rows])) if rows else 0.0
     good = [r["proposal_px_err"] is not None
             and r["proposal_px_err"] <= cfg.good_grasp_px for r in rows]

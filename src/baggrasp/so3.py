@@ -20,20 +20,25 @@ GRIPPER_DOWN = np.array([
     [0.0, 0.0, -1.0],
 ])
 
+# hat(v)[i, j] = _HAT_SIGN[i, j] * v[_HAT_INDEX[i, j]].
+_HAT_INDEX = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_HAT_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
 _SMALL_ANGLE = 1e-8
 _ANTIPODE_MARGIN = 1e-6
 
 
 @dataclass
 class Pose:
-    """End-effector position (m) and orientation in the world frame."""
+    """End-effector position (m) and orientation in the world frame; a
+    stack of poses carries leading axes, p (..., 3) and R (..., 3, 3)."""
 
     p: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).reshape(3)
-        self.R = np.asarray(self.R, dtype=float).reshape(3, 3)
+        self.p = np.asarray(self.p, dtype=float)
+        self.R = np.asarray(self.R, dtype=float)
 
 
 def is_rotation(R, tol=1e-9) -> bool:
@@ -46,13 +51,11 @@ def is_rotation(R, tol=1e-9) -> bool:
 
 
 def hat(v) -> np.ndarray:
-    """Skew-symmetric matrix of v, so that hat(v) @ u == cross(v, u)."""
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+    """Skew-symmetric matrix of v, so that hat(v) @ u == cross(v, u).
+
+    v may carry leading axes: (..., 3) gives (..., 3, 3).
+    """
+    return np.asarray(v, dtype=float)[..., _HAT_INDEX] * _HAT_SIGN
 
 
 def vee(M) -> np.ndarray:
@@ -64,23 +67,26 @@ def vee(M) -> np.ndarray:
 
 
 def _vee_antisym(M) -> np.ndarray:
-    """vee(M - M^T), read off the entries without forming M^T."""
-    return np.array([M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]])
+    """vee(M - M^T) over leading axes, read off the entries without forming
+    M^T."""
+    return np.stack([M[..., 2, 1] - M[..., 1, 2], M[..., 0, 2] - M[..., 2, 0],
+                     M[..., 1, 0] - M[..., 0, 1]], axis=-1)
 
 
 def exp_so3(w) -> np.ndarray:
     """Rotation matrix for the rotation vector w (Rodrigues formula).
 
-    Angle is ||w||, axis w/||w||. Below the small-angle cutoff a second-order
-    series is used to avoid the 0/0 in the closed form.
+    Angle is ||w||, axis w/||w||; w may carry leading axes, (..., 3) giving
+    (..., 3, 3). Below the small-angle cutoff a second-order series is used
+    to avoid the 0/0 in the closed form.
     """
-    w = np.asarray(w, dtype=float).reshape(3)
-    theta = np.linalg.norm(w)
+    w = np.asarray(w, dtype=float)
+    theta = np.linalg.norm(w, axis=-1)[..., None, None]
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    s = np.where(small, 1.0, np.sin(safe) / safe)
+    c = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
     W = hat(w)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + W + 0.5 * (W @ W)
-    s = np.sin(theta) / theta
-    c = (1.0 - np.cos(theta)) / (theta * theta)
     return np.eye(3) + s * W + c * (W @ W)
 
 
@@ -127,10 +133,10 @@ def rotation_error(R_d, R_e) -> np.ndarray:
 
     Defined as the sum over i of column_i(R_d) x column_i(R_e) (Luh, Walker
     & Paul, 1980). Since hat(a x b) = b a^T - a b^T, the sum equals
-    vee(R_e R_d^T - R_d R_e^T), which is how it is computed. Zero iff
-    R_d == R_e; for a single-axis offset of angle phi its magnitude is
-    2|sin phi|.
+    vee(R_e R_d^T - R_d R_e^T), which is how it is computed, over any
+    leading axes. Zero iff R_d == R_e; for a single-axis offset of angle phi
+    its magnitude is 2|sin phi|.
     """
     R_d = np.asarray(R_d, dtype=float)
     R_e = np.asarray(R_e, dtype=float)
-    return _vee_antisym(R_e @ R_d.T)
+    return _vee_antisym(R_e @ np.swapaxes(R_d, -1, -2))

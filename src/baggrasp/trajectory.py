@@ -19,24 +19,27 @@ from .so3 import Pose
 @dataclass
 class CubicTrajectory:
     """Coefficients (a, b, c, d) per row for position axes and rotation-vector
-    components, valid on [t_i, t_f]."""
+    components, valid on [t_i, t_f]. A stack of trajectories sharing
+    [t_i, t_f] (see stack()) carries a leading axis on each array."""
 
     t_i: float
     t_f: float
-    pos_coeffs: np.ndarray  # (3, 4)
-    rot_coeffs: np.ndarray  # (3, 4)
-    R_start: np.ndarray
+    pos_coeffs: np.ndarray  # (..., 3, 4)
+    rot_coeffs: np.ndarray  # (..., 3, 4)
+    R_start: np.ndarray     # (..., 3, 3)
 
     def __post_init__(self):
         if self.t_f <= self.t_i:
             raise ValueError("t_f must be > t_i")
-        self.pos_coeffs = np.asarray(self.pos_coeffs, dtype=float).reshape(3, 4)
-        self.rot_coeffs = np.asarray(self.rot_coeffs, dtype=float).reshape(3, 4)
-        self.R_start = np.asarray(self.R_start, dtype=float).reshape(3, 3)
+        self.pos_coeffs = np.asarray(self.pos_coeffs, dtype=float)
+        self.rot_coeffs = np.asarray(self.rot_coeffs, dtype=float)
+        self.R_start = np.asarray(self.R_start, dtype=float)
 
 
 @dataclass
 class TrajectorySample:
+    """Desired state at one or more times; arrays may carry leading axes."""
+
     p_d: np.ndarray      # desired position, m
     pdot_d: np.ndarray   # desired velocity, m/s
     R_d: np.ndarray      # desired orientation
@@ -84,15 +87,34 @@ def plan(start: Pose, target: GraspProposal, grasp_z: float,
     return CubicTrajectory(t_i, t_f, pos, rot, start.R.copy())
 
 
-def sample(traj: CubicTrajectory, t: float) -> TrajectorySample:
-    """Evaluate the trajectory at t (clamped to [t_i, t_f])."""
-    t = min(max(t, traj.t_i), traj.t_f)
-    powers = np.array([1.0, t, t * t, t ** 3])
-    dpowers = np.array([0.0, 1.0, 2.0 * t, 3.0 * t * t])
-    p_d = traj.pos_coeffs @ powers
-    pdot_d = traj.pos_coeffs @ dpowers
-    w = traj.rot_coeffs @ powers
-    w_ff = traj.rot_coeffs @ dpowers
+def stack(trajs) -> CubicTrajectory:
+    """One trajectory with a leading axis over `trajs`, which must all share
+    t_i and t_f (a stack is sampled at one time for all of them)."""
+    t_i, t_f = trajs[0].t_i, trajs[0].t_f
+    if any(tr.t_i != t_i or tr.t_f != t_f for tr in trajs):
+        raise ValueError("stacked trajectories must share t_i and t_f")
+    return CubicTrajectory(t_i, t_f, np.stack([tr.pos_coeffs for tr in trajs]),
+                           np.stack([tr.rot_coeffs for tr in trajs]),
+                           np.stack([tr.R_start for tr in trajs]))
+
+
+def sample(traj: CubicTrajectory, t) -> TrajectorySample:
+    """Evaluate the trajectory at t (clamped to [t_i, t_f]).
+
+    t is one time or an array of times; the sample's arrays have the shape
+    of t, then the trajectory's leading axes, then (3,) or (3, 3).
+    """
+    t = np.clip(np.asarray(t, dtype=float), traj.t_i, traj.t_f)
+    t = t.reshape(t.shape + (1,) * (traj.R_start.ndim - 2))
+    one = np.ones_like(t)
+    # A (4, 2) matrix with columns (1, t, t^2, t^3) and (0, 1, 2t, 3t^2):
+    # one product gives each polynomial's value and rate.
+    powers = np.stack([one, np.zeros_like(t), t, one, t * t, 2.0 * t,
+                       t ** 3, 3.0 * t * t], axis=-1).reshape(t.shape + (4, 2))
+    pos = traj.pos_coeffs @ powers
+    rot = traj.rot_coeffs @ powers
+    p_d, pdot_d = pos[..., 0], pos[..., 1]
+    w, w_ff = rot[..., 0], rot[..., 1]
     R_d = traj.R_start @ so3.exp_so3(w)
     return TrajectorySample(p_d, pdot_d, R_d, w_ff)
 

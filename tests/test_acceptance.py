@@ -103,11 +103,13 @@ def test_closed_loop_convergence():
     start = kinematics.fk(ARM, sim.HOME_Q)
     converged = 0
     worst_pos, worst_yaw = 0.0, 0.0
-    for _ in range(100):
-        target = GraspProposal(rng.uniform(0.48, 0.75), rng.uniform(-0.15, 0.15),
-                               rng.uniform(-np.pi / 2 + 0.01, np.pi / 2), 0.0)
-        traj = trajectory.plan(start, target, cfg.grasp_z, 0.0, cfg.duration)
-        q, _ = sim.run_control(ARM, sim.HOME_Q, traj, cfg)
+    targets = [GraspProposal(rng.uniform(0.48, 0.75), rng.uniform(-0.15, 0.15),
+                             rng.uniform(-np.pi / 2 + 0.01, np.pi / 2), 0.0)
+               for _ in range(100)]
+    trajs = [trajectory.plan(start, target, cfg.grasp_z, 0.0, cfg.duration)
+             for target in targets]
+    q_final, _ = sim.run_control(ARM, sim.HOME_Q, trajs, cfg)
+    for target, q in zip(targets, q_final):
         pose = kinematics.fk(ARM, q)
         pos_err = float(np.linalg.norm(
             pose.p - (target.x, target.y, cfg.grasp_z)))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baggrasp import config, image_io, learned, sim
+from baggrasp import config, image_io, kinematics, learned, sim
 from baggrasp.cli import main
 from baggrasp.classical import CameraCalibration, classical_pipeline
 
@@ -302,7 +302,40 @@ def test_bad_set_override_exits_2(capsys):
     assert rc == 2
     capsys.readouterr()
     for item in ("k_d=nan", "damping=nan", "settle_time=-5", "qdot_max=-1",
-                 "control_rate=inf", "grasp_z=nan", "frame_rate=0"):
+                 "control_rate=inf", "grasp_z=nan", "frame_rate=0",
+                 "frame_rate=1e6"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""
+
+
+ARM_LINES = kinematics.default_arm_path().read_text().splitlines()
+
+
+@pytest.mark.parametrize("bad_line, where, message", [
+    ("joint nan 0 1  0.0 0.0 0.0  -2.9 2.9", ":8:", "finite"),
+    ("joint 0 0 1  0.0 0.0 0.0  -2.9 inf", ":8:", "finite"),
+    ("joint 0 0 1  0.0 abc 0.0  -2.9 2.9", ":8:", "could not convert"),
+    ("zero_pose 0.9 0.0 0.17  -1 0 0  0 1 0  0 0 NaN", ":7:", "finite"),
+    ("joint 0 0 1  0.0 0.0 0.0  2.9 -2.9", "arm.txt:", "lower < upper"),
+])
+def test_bad_arm_file_exits_2(tmp_path, capsys, bad_line, where, message):
+    # Replace the line of the same tag: line 7 is zero_pose, line 8 joint 1.
+    lines = list(ARM_LINES)
+    lines[6 if bad_line.startswith("zero_pose") else 7] = bad_line
+    arm = tmp_path / "arm.txt"
+    arm.write_text("\n".join(lines) + "\n")
+    for argv in (["simulate", "--seed", "7"], ["plan", "--target", "0.6,0.1"]):
+        assert main([*argv, "--set", f"arm_file={arm}"]) == 2, argv
+        captured = capsys.readouterr()
+        assert where in captured.err and message in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_missing_arm_file_exits_2(tmp_path, capsys):
+    arm = tmp_path / "nope.txt"
+    for argv in (["simulate", "--seed", "7", "--batch", "2"],
+                 ["plan", "--target", "0.6,0.1"]):
+        assert main([*argv, "--set", f"arm_file={arm}"]) == 2, argv
+        captured = capsys.readouterr()
+        assert "nope.txt" in captured.err and captured.out == "", argv

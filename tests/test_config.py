@@ -44,6 +44,7 @@ def test_load_config_rejects_bad_line(tmp_path):
         "settle_time=-5", "settle_time=inf", "grasp_z=nan", "grasp_z=-inf",
         "distance_threshold=nan", "distance_threshold=-0.01", "noise_sigma=nan",
         "noise_sigma=-1", "frame_rate=0", "frame_rate=nan", "frame_rate=0.05",
+        "frame_rate=100.1", "frame_rate=1e6",
         "pos_tol=nan", "pos_tol=0", "ang_tol_deg=-1", "good_grasp_px=nan",
         "good_grasp_px=0", "perimeter_min=nan", "window=nan", "window=0",
         "sigma=nan", "canny_low=nan", "scale_x=nan", "scale_y=inf",
@@ -60,6 +61,15 @@ def test_control_keys_accept_zero_where_allowed():
     cfg = apply_overrides(PipelineConfig(),
                           {"k_d": "0", "damping": "0", "settle_time": "0"})
     assert (cfg.k_d, cfg.damping, cfg.settle_time) == (0.0, 0.0, 0.0)
+
+
+def test_frame_count_cap_is_inclusive():
+    # 10 s at 100 Hz is exactly the cap; window * frame_rate = 1000.5 still
+    # rounds to 1000 frames.
+    assert apply_overrides(PipelineConfig(), {"frame_rate": "100"}).frame_rate == 100
+    assert apply_overrides(PipelineConfig(), {"window": "1", "frame_rate": "1000.5"})
+    with pytest.raises(ValueError, match="window \\* frame_rate"):
+        apply_overrides(PipelineConfig(), {"window": "20", "frame_rate": "50.1"})
 
 
 def test_apply_overrides():

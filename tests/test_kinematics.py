@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from baggrasp import so3, trajectory
+from baggrasp import sim, so3, trajectory
+from baggrasp.config import PipelineConfig
 from baggrasp.classical import GraspProposal
 from baggrasp.kinematics import (compute_error, control_step, default_arm_path,
                                  fk, fk_and_jacobian, load_arm, pinv)
@@ -11,8 +12,52 @@ from baggrasp.trajectory import TrajectorySample
 ARM = load_arm(default_arm_path())
 
 
-def random_q(rng):
-    return rng.uniform(ARM.limits[:, 0] * 0.6, ARM.limits[:, 1] * 0.6)
+def random_q(rng, size=None):
+    shape = (7,) if size is None else (size, 7)
+    return rng.uniform(ARM.limits[:, 0] * 0.6, ARM.limits[:, 1] * 0.6, shape)
+
+
+# --- scalar oracles: one configuration at a time, joint by joint ---
+
+def _fk_and_jacobian_by_joint(arm, q):
+    """Product of exponentials composed one joint at a time, with the
+    Jacobian columns from each joint's moved axis."""
+    R_acc = np.eye(3)
+    p_acc = np.zeros(3)
+    moved_axes = np.empty((7, 3))
+    moved_points = np.empty((7, 3))
+    for j in range(7):
+        moved_axes[j] = R_acc @ arm.axes[j]
+        moved_points[j] = R_acc @ arm.points[j] + p_acc
+        s, c = np.sin(q[j]), np.cos(q[j])
+        R_j = np.eye(3) + s * arm._W[j] + (1.0 - c) * arm._W2[j]
+        p_acc = R_acc @ (arm.points[j] - R_j @ arm.points[j]) + p_acc
+        R_acc = R_acc @ R_j
+    p_ee = R_acc @ arm.zero_pose.p + p_acc
+    J = np.vstack([np.cross(moved_axes, p_ee - moved_points).T, moved_axes.T])
+    return p_ee, R_acc @ arm.zero_pose.R, J
+
+
+def _run_control_one_by_one(arm, q0, traj, cfg):
+    """The PD loop for one episode, every quantity a plain vector."""
+    dt = 1.0 / cfg.control_rate
+    n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
+    q = np.array(q0, dtype=float)
+    prev_e = None
+    series = []
+    for i in range(n_steps):
+        s = trajectory.sample(traj, traj.t_i + i * dt)
+        p, R, J = _fk_and_jacobian_by_joint(arm, q)
+        e = np.concatenate([p - s.p_d, so3.rotation_error(s.R_d, R)])
+        edot = np.zeros(6) if prev_e is None else (e - prev_e) / dt
+        v_ff = np.concatenate([s.pdot_d, s.R_d @ s.w_ff])
+        G = J @ J.T + cfg.damping ** 2 * np.eye(6)
+        qdot = J.T @ np.linalg.solve(G, -cfg.k_p * e - cfg.k_d * edot + v_ff)
+        qdot = np.clip(qdot, -cfg.qdot_max, cfg.qdot_max)
+        q = np.clip(q + qdot * dt, arm.limits[:, 0], arm.limits[:, 1])
+        prev_e = e
+        series.append((np.linalg.norm(e[:3]), np.linalg.norm(e[3:])))
+    return q, np.array(series)
 
 
 # --- arm description ---
@@ -84,6 +129,35 @@ def test_fk_2pi_periodic():
         assert np.linalg.norm(pose.R - base.R) < 1e-9
 
 
+@pytest.mark.parametrize("batch", [1, 3, 64])
+def test_stacked_fk_and_jacobian_match_joint_by_joint_oracle(batch):
+    rng = np.random.default_rng(batch)
+    worst = 0.0
+    for _ in range(-(-200 // batch)):
+        qs = random_q(rng, batch)
+        pose, J = fk_and_jacobian(ARM, qs)
+        assert pose.p.shape == (batch, 3) and J.shape == (batch, 6, 7)
+        for k, q in enumerate(qs):
+            p, R, J_k = _fk_and_jacobian_by_joint(ARM, q)
+            worst = max(worst, np.abs(pose.p[k] - p).max(),
+                        np.abs(pose.R[k] - R).max(), np.abs(J[k] - J_k).max())
+    assert worst <= 1e-14
+
+
+def test_stacked_kernels_do_not_mix_episodes():
+    # A configuration's numbers are the same alone and inside any stack.
+    rng = np.random.default_rng(4)
+    qs = random_q(rng, 5)
+    pose, J = fk_and_jacobian(ARM, qs)
+    Jp = pinv(J, 1e-3)
+    for k in range(5):
+        pose_k, J_k = fk_and_jacobian(ARM, qs[k:k + 1])
+        assert np.array_equal(pose.p[k], pose_k.p[0])
+        assert np.array_equal(pose.R[k], pose_k.R[0])
+        assert np.array_equal(J[k], J_k[0])
+        assert np.array_equal(Jp[k], pinv(J_k, 1e-3)[0])
+
+
 # --- jacobian ---
 
 def test_jacobian_zero_config_columns():
@@ -148,6 +222,24 @@ def test_pinv_singular_rejected_then_damped():
         pinv(J, 0.0)
     out = pinv(J, 0.1)
     assert np.all(np.isfinite(out))
+
+
+def test_pinv_stack_raises_on_one_singular_slice():
+    rng = np.random.default_rng(5)
+    healthy = fk_and_jacobian(ARM, random_q(rng, 4))[1]
+    # The stretched-out q = 0 is singular; cholesky still succeeds on it, so
+    # only the pivot test of that slice can see it.
+    stack = np.concatenate([healthy[:2], fk_and_jacobian(ARM, np.zeros((1, 7)))[1],
+                            healthy[2:]])
+    with pytest.raises(ValueError, match="damping"):
+        pinv(stack, 0.0)
+    with pytest.raises(ValueError, match="damping"):
+        pinv(np.concatenate([healthy, np.zeros((1, 6, 7))]), 0.0)
+    # The pivot test compares pivots within a slice, not across the stack.
+    scaled = np.stack([healthy[0], 1e-7 * healthy[1]])
+    out = pinv(scaled, 0.0)
+    assert np.array_equal(out[1], pinv(scaled[1:], 0.0)[0])
+    assert np.all(np.isfinite(pinv(stack, 1e-3)))
 
 
 def test_pinv_continuity_near_singularity():
@@ -241,15 +333,37 @@ def test_control_step_clamps_joint_velocity():
 
 
 def test_closed_loop_converges_quickly():
-    from baggrasp import sim
-    from baggrasp.config import PipelineConfig
-
     cfg = PipelineConfig()
     start = fk(ARM, sim.HOME_Q)
     traj = trajectory.plan(start, GraspProposal(0.55, -0.1, 0.7, 0.0), 0.01,
                            0.0, 2.0)
-    q, series = sim.run_control(ARM, sim.HOME_Q, traj, cfg)
-    pose = fk(ARM, q)
+    q, series = sim.run_control(ARM, sim.HOME_Q, [traj], cfg)
+    pose = fk(ARM, q[0])
     assert np.linalg.norm(pose.p - (0.55, -0.1, 0.01)) < 1e-3
     assert np.linalg.norm(so3.log_so3(pose.R.T @ so3.grasp_orientation(0.7))) \
         < np.radians(0.5)
+
+
+def test_stacked_control_loop_matches_scalar_oracle():
+    cfg = PipelineConfig(duration=2.0)
+    start = fk(ARM, sim.HOME_Q)
+    targets = [GraspProposal(0.55, -0.1, 0.7, 0.0), GraspProposal(0.7, 0.12, -1.2, 0.0),
+               GraspProposal(0.5, 0.0, 0.05, 0.0)]
+    trajs = [trajectory.plan(start, t, cfg.grasp_z, 0.0, cfg.duration)
+             for t in targets]
+    q, series = sim.run_control(ARM, sim.HOME_Q, trajs, cfg)
+    assert q.shape == (3, 7) and series.shape == (400, 3, 2)
+    for k, traj in enumerate(trajs):
+        q_k, series_k = _run_control_one_by_one(ARM, sim.HOME_Q, traj, cfg)
+        assert np.abs(q[k] - q_k).max() < 1e-9
+        assert np.abs(series[:, k] - series_k).max() < 1e-9
+
+
+def test_run_control_rejects_trajectories_on_other_windows():
+    start = fk(ARM, sim.HOME_Q)
+    target = GraspProposal(0.55, -0.1, 0.7, 0.0)
+    base = trajectory.plan(start, target, 0.01, 0.0, 2.0)
+    for t_i, t_f in ((0.5, 2.0), (0.0, 2.5)):
+        other = trajectory.plan(start, target, 0.01, t_i, t_f)
+        with pytest.raises(ValueError, match="share t_i and t_f"):
+            sim.run_control(ARM, sim.HOME_Q, [base, other], PipelineConfig())

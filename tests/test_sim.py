@@ -151,6 +151,63 @@ def test_episode_noisy_stream_collects_frames(cfg):
     assert report.success
 
 
+def _counting(source):
+    calls = []
+
+    def counted(rgb, depth, t):
+        calls.append(t)
+        return source(rgb, depth, t)
+    return counted, calls
+
+
+@pytest.mark.parametrize("seed, flat, noise_sigma", [
+    (4, False, 0.0), (4, False, 2.0), (9, True, 0.0)])
+def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=2.0)
+    scene = sim.generate_scene(seed, run_cfg, flat=flat)
+    source, calls = _counting(classical_source(run_cfg))
+    buffer, now, frames, error = sim._collect(source, scene, run_cfg, seed)
+    assert frames == 20 and now == run_cfg.window
+    assert len(calls) == (1 if noise_sigma == 0 else frames)
+    # Oracle: every frame through the source in turn, as noisy frames are.
+    rng = np.random.default_rng([seed, 1])
+    want, want_error = [], ""
+    for k in range(frames):
+        rgb, depth = sim.add_pixel_noise(rng, scene.rgb, scene.depth, noise_sigma)
+        try:
+            want.append(classical_source(run_cfg)(rgb, depth, k / run_cfg.frame_rate))
+        except classical.VisionError as err:
+            want_error = str(err)
+    assert buffer.proposals == want and error == want_error
+    assert (len(want) == 0) == flat and (error != "") == flat
+
+
+def test_run_batch_rows_do_not_depend_on_batch(cfg):
+    for run_cfg in (cfg, dataclasses.replace(cfg, noise_sigma=2.0)):
+        rows = sim.run_batch(run_cfg, 4, 30)[0]
+        for k, row in enumerate(rows):
+            alone = sim.run_batch(run_cfg, 1, 30 + k)[0][0]
+            assert {**row, "episode": 0} == alone
+
+
+def test_run_batch_mixes_failed_and_controlled_episodes(cfg, tmp_path):
+    # Episode 1 sees no proposal (fails before control), the others are
+    # controlled in one loop; every report equals its lone run.
+    failed_alone = sim.run_episode(cfg, 9, ARM, classical_source(cfg),
+                                     sim.generate_scene(9, cfg, flat=True))
+    live = [sim.generate_scene(s, cfg) for s in (7, 8)]
+    reports = sim._run_episodes(cfg, ARM, [
+        (7, classical_source(cfg), live[0], tmp_path / "a"),
+        (9, classical_source(cfg), sim.generate_scene(9, cfg, flat=True), None),
+        (8, classical_source(cfg), live[1], None)])
+    assert sim.report_to_dict(reports[1]) == sim.report_to_dict(failed_alone)
+    for report, seed, scene in ((reports[0], 7, live[0]), (reports[2], 8, live[1])):
+        alone = sim.run_episode(cfg, seed, ARM, classical_source(cfg), scene)
+        assert sim.report_to_dict(report) == sim.report_to_dict(alone)
+        assert np.array_equal(report.series, alone.series)
+    assert (tmp_path / "a" / "overlay.ppm").exists()
+
+
 def test_run_batch_empty(cfg, tmp_path):
     rows, success_rate, good_rate = sim.run_batch(cfg, 0, 0, out_dir=tmp_path)
     assert rows == [] and success_rate == 0.0 and good_rate == 0.0
