@@ -134,18 +134,6 @@ def sobel_gradients(image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 _COMPASS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
 
 
-def _shifted(mag: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """mag sampled at (x+dx, y+dy) with zeros outside the frame."""
-    out = np.zeros_like(mag)
-    h, w = mag.shape
-    ys = slice(max(0, -dy), min(h, h - dy))
-    xs = slice(max(0, -dx), min(w, w - dx))
-    ys_src = slice(max(0, dy), min(h, h + dy))
-    xs_src = slice(max(0, dx), min(w, w + dx))
-    out[ys, xs] = mag[ys_src, xs_src]
-    return out
-
-
 def connected_components(n: int, i, j) -> np.ndarray:
     """Label nodes 0..n-1 of the undirected graph with edges (i[k], j[k]) by
     the smallest node in their component (Shiloach & Vishkin, 1982): each
@@ -166,13 +154,15 @@ def _label8(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Set pixels (xs, ys) of a mask in row-major order, labelled by their
     8-connected component's first (topmost-leftmost) pixel's index."""
     ys, xs = np.nonzero(mask)
-    node = np.zeros(mask.shape, dtype=int)  # 1 + pixel index; 0 where unset
-    node[ys, xs] = np.arange(1, len(xs) + 1)
+    h, w = mask.shape
+    node = np.zeros((h + 2, w + 2), dtype=int)  # 1 + pixel index; 0 elsewhere
+    node[ys + 1, xs + 1] = np.arange(1, len(xs) + 1)
+    here = node[1:-1, 1:-1]
     i, j = [], []
     for dx, dy in _COMPASS[:4]:  # one offset of each opposite pair
-        other = _shifted(node, dx, dy)
-        both = (node > 0) & (other > 0)
-        i.append(node[both] - 1)
+        other = node[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
+        both = (here > 0) & (other > 0)
+        i.append(here[both] - 1)
         j.append(other[both] - 1)
     return xs, ys, connected_components(len(xs), np.concatenate(i), np.concatenate(j))
 
@@ -193,13 +183,13 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     mag = np.hypot(gx, gy)
     sector = np.round(np.arctan2(gy, gx) / (np.pi / 4.0)).astype(int) % 8
 
-    thin = np.zeros(mag.shape, dtype=bool)
-    for q, (dx, dy) in enumerate(_COMPASS):
-        along = _shifted(mag, dx, dy)
-        against = _shifted(mag, -dx, -dy)
-        sel = (sector == q) & (mag >= along) & (mag > against)
-        thin |= sel
-    thin &= mag > 0
+    # The neighbours along and against each pixel's sector, read from the
+    # zero-padded magnitude at flat offsets +-step.
+    h, w = mag.shape
+    padded = np.pad(mag, 1).ravel()
+    at = np.arange(padded.size).reshape(h + 2, w + 2)[1:-1, 1:-1]
+    step = np.array([dy * (w + 2) + dx for dx, dy in _COMPASS])[sector]
+    thin = (mag >= padded[at + step]) & (mag > padded[at - step]) & (mag > 0)
 
     xs, ys, label = _label8(thin & (mag >= low))
     has_strong = np.zeros(len(label), dtype=bool)

@@ -116,11 +116,9 @@ def cmd_denoise(args, cfg) -> int:
     if not proposals:
         print("no proposals on stdin", file=sys.stderr)
         return 1
-    buf = denoise.ProposalBuffer(cfg.window, cfg.distance_threshold)
-    for p in sorted(proposals, key=lambda p: p.t):
-        buf.push(p)
     now = args.now if args.now is not None else max(p.t for p in proposals)
-    print(denoise.denoise(buf, now).to_json_line())
+    print(denoise.denoise(proposals, now, cfg.window,
+                          cfg.distance_threshold).to_json_line())
     return 0
 
 
@@ -203,8 +201,11 @@ def cmd_train(args, cfg) -> int:
     _finite(args.lr, "--lr")
     if args.lr <= 0:
         raise BadUsage("--lr must be > 0")
-    dataset = learned.load_dataset(_require_file(Path(args.data) / "labels.csv",
-                                                 "labels.csv").parent)
+    try:
+        dataset = learned.load_dataset(_require_file(Path(args.data) / "labels.csv",
+                                                     "labels.csv").parent)
+    except ValueError as err:
+        raise BadUsage(str(err)) from err
     if not dataset:
         print("dataset is empty", file=sys.stderr)
         return 1

@@ -102,17 +102,23 @@ _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
 def _parse_value(name: str, raw: str):
-    field = _FIELDS[name]
+    """Parse raw as the type of config key `name`; every error names the key."""
+    if name not in _FIELDS:
+        raise ValueError(f"unknown config key {name!r}")
+    kind = _FIELDS[name].type
     raw = raw.strip()
-    if field.type in ("tuple", tuple):
-        parts = [p for p in raw.split(",") if p.strip()]
-        if len(parts) != 3:
-            raise ValueError(f"{name}: expected an r,g,b triple, got {raw!r}")
-        return tuple(int(p) for p in parts)
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
+    try:
+        if kind in ("tuple", tuple):
+            parts = tuple(int(p) for p in raw.split(",") if p.strip())
+            if len(parts) != 3:
+                raise ValueError(f"expected an r,g,b triple, got {raw!r}")
+            return parts
+        if kind in ("int", int):
+            return int(raw)
+        if kind in ("float", float):
+            return float(raw)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from err
     return raw
 
 
@@ -123,20 +129,18 @@ def load_config(path) -> PipelineConfig:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = line.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw))
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key=value, got {line!r}")
+            key, raw = line.split("=", 1)
+            setattr(cfg, key.strip(), _parse_value(key.strip(), raw))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from err
     return cfg.validate()
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Apply key -> string overrides (e.g. from CLI flags) on top of cfg."""
     for key, raw in overrides.items():
-        if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
         setattr(cfg, key, _parse_value(key, str(raw)))
     return cfg.validate()

@@ -1,45 +1,16 @@
-"""Grasp-proposal denoising: buffer a timestamped stream, keep a sliding
+"""Grasp-proposal denoising: order a timestamped stream, keep a sliding
 window, single-linkage-cluster the targets, and report the biggest cluster's
 centroid with the mode grasp angle."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classical import GraspProposal, connected_components
 
 THETA_BIN = math.radians(5.0)
-
-
-@dataclass
-class ProposalBuffer:
-    """Ordered proposal store with a sliding time window.
-
-    Push and query must be serialized by the caller (the simulator ticks
-    them from one loop); cluster/select work on snapshots and are pure.
-    """
-
-    window: float = 10.0
-    distance_threshold: float = 0.02
-    proposals: list = field(default_factory=list)
-
-    def push(self, proposal: GraspProposal) -> "ProposalBuffer":
-        if self.proposals and proposal.t < self.proposals[-1].t:
-            raise ValueError(
-                f"out-of-order timestamp {proposal.t} after {self.proposals[-1].t}")
-        self.proposals.append(proposal)
-        return self
-
-    def window_filter(self, now: float) -> "ProposalBuffer":
-        """New buffer holding proposals with now - t <= window (closed)."""
-        kept = [p for p in self.proposals if now - p.t <= self.window]
-        return ProposalBuffer(self.window, self.distance_threshold, kept)
-
-    def __len__(self) -> int:
-        return len(self.proposals)
 
 
 def cluster(proposals, threshold: float) -> list[list[GraspProposal]]:
@@ -82,7 +53,8 @@ def select(clusters) -> GraspProposal:
     return GraspProposal(float(centroid[0]), float(centroid[1]), theta, t)
 
 
-def denoise(buffer: ProposalBuffer, now: float) -> GraspProposal:
-    """Window-filter, cluster, and select in one call."""
-    windowed = buffer.window_filter(now)
-    return select(cluster(windowed.proposals, buffer.distance_threshold))
+def denoise(proposals, now: float, window: float, threshold: float) -> GraspProposal:
+    """Sort stably by timestamp, keep proposals with now - t <= window
+    (closed), then cluster and select."""
+    kept = [p for p in sorted(proposals, key=lambda p: p.t) if now - p.t <= window]
+    return select(cluster(kept, threshold))

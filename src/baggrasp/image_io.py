@@ -99,20 +99,26 @@ def _parse_header(data: bytes, magic: bytes, path) -> tuple[list[int], int]:
     return fields, pos + 1
 
 
-def load_ppm(path) -> RgbImage:
-    """Load a binary (P6) PPM file."""
+def _load_netpbm(path, magic: bytes, maxval: int, channels: int,
+                 dtype: str) -> np.ndarray:
+    """Pixels (height, width, channels) of a binary netpbm file whose header
+    must carry this magic and maxval, samples stored as dtype."""
     data = Path(path).read_bytes()
-    (width, height, maxval), offset = _parse_header(data, b"P6", path)
+    (width, height, got), offset = _parse_header(data, magic, path)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
-    need = width * height * 3
+    if got != maxval:
+        raise FormatError(f"{path}: unsupported maxval {got}, expected {maxval}")
+    need = width * height * channels * np.dtype(dtype).itemsize
     payload = data[offset:offset + need]
     if len(payload) < need:
         raise FormatError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return RgbImage(pixels.copy())
+    return np.frombuffer(payload, dtype).reshape(height, width, channels)
+
+
+def load_ppm(path) -> RgbImage:
+    """Load a binary (P6) PPM file."""
+    return RgbImage(_load_netpbm(path, b"P6", 255, 3, "u1").copy())
 
 
 def save_ppm(image: RgbImage, path) -> None:
@@ -122,18 +128,7 @@ def save_ppm(image: RgbImage, path) -> None:
 
 def load_pgm(path) -> DepthImage:
     """Load a binary (P5) PGM file with 16-bit big-endian samples."""
-    data = Path(path).read_bytes()
-    (width, height, maxval), offset = _parse_header(data, b"P5", path)
-    if width < 1 or height < 1:
-        raise FormatError(f"{path}: bad dimensions {width}x{height}")
-    if maxval != 65535:
-        raise FormatError(f"{path}: unsupported maxval {maxval}, expected 65535")
-    need = width * height * 2
-    payload = data[offset:offset + need]
-    if len(payload) < need:
-        raise FormatError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
-    pixels = np.frombuffer(payload, dtype=">u2").reshape(height, width)
-    return DepthImage(pixels.astype(np.uint16))
+    return DepthImage(_load_netpbm(path, b"P5", 65535, 1, ">u2")[:, :, 0])
 
 
 def save_pgm(image: DepthImage, path) -> None:
@@ -156,8 +151,7 @@ def crop_center_quarter(image):
     w, h = image.width, image.height
     if w < 4 or h < 4:
         raise ValueError(f"image too small to crop: {w}x{h}")
-    cw, ch = w // 2, h // 2
-    ox, oy = (w - cw) // 2, (h - ch) // 2
+    ox, oy, cw, ch = crop_window(image)
     return type(image)(image.pixels[oy:oy + ch, ox:ox + cw].copy())
 
 

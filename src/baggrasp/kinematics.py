@@ -164,10 +164,9 @@ def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
     pivots = np.diagonal(L, axis1=-2, axis2=-1)
     if np.any(pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)):
         raise ValueError("J J^T singular; use damping > 0 near singularities")
-    # G is symmetric, so J^T G^-1 = (G^-1 J)^T: two triangular solves of
-    # G X = J give the pseudo-inverse without forming G^-1.
-    X = np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, J))
-    return np.swapaxes(X, -1, -2)
+    # G is symmetric, so J^T G^-1 = (G^-1 J)^T: one solve of G X = J gives
+    # the pseudo-inverse without forming G^-1.
+    return np.swapaxes(np.linalg.solve(G, J), -1, -2)
 
 
 def compute_error(current: Pose, desired: TrajectorySample) -> np.ndarray:

@@ -346,19 +346,29 @@ def load_dataset(directory) -> list[LabeledScene]:
 
     Full-frame scenes are center-cropped and resized to 36x64; labels are
     mapped into the small frame, and rows whose label falls outside the
-    crop are skipped.
+    crop are skipped. A row with a missing column, a non-integer id or a
+    non-finite px, py or theta raises ValueError naming its file and line.
     """
-    directory = Path(directory)
+    path = Path(directory) / "labels.csv"
     scenes = []
-    with open(directory / "labels.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            idx = int(row["id"])
-            rgb = image_io.load_ppm(directory / f"scene_{idx:04d}.ppm")
-            depth = image_io.load_pgm(directory / f"scene_{idx:04d}.pgm")
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                idx = int(row["id"])
+                label = [float(row[key]) for key in ("px", "py", "theta")]
+            except KeyError as err:
+                raise ValueError(f"{where}: missing column {err}") from err
+            except ValueError as err:
+                raise ValueError(f"{where}: bad label row: {err}") from err
+            if not all(map(math.isfinite, label)):
+                raise ValueError(f"{where}: px, py and theta must be finite")
+            rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
+            depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
             rgb_small, dep_small, frame = preprocess(rgb, depth)
-            px, py = full_to_net_px(float(row["px"]), float(row["py"]), frame)
+            px, py = full_to_net_px(label[0], label[1], frame)
             if not (-0.5 <= px <= IN_W - 0.5 and -0.5 <= py <= IN_H - 0.5):
                 continue
-            scenes.append(LabeledScene(rgb_small, dep_small, (px, py),
-                                       float(row["theta"])))
+            scenes.append(LabeledScene(rgb_small, dep_small, (px, py), label[2]))
     return scenes

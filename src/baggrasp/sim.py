@@ -284,36 +284,30 @@ def _yaw_error(R_current, R_target) -> float:
 
 
 def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
-    """Fill the denoiser's buffer from the proposal source: a fixed proposal
+    """The denoiser's proposals from the proposal source: a fixed proposal
     list, or a vision function run on the scene's per-frame noisy images.
 
-    Returns (buffer, window end, frames attempted, last vision error).
+    Returns (proposals, window end, frames attempted, last vision error).
     """
-    buffer = denoise.ProposalBuffer(cfg.window, cfg.distance_threshold)
     if not callable(source):
-        for prop in sorted(source, key=lambda p: p.t):
-            buffer.push(prop)
-        return buffer, max((p.t for p in buffer.proposals), default=cfg.window), 0, ""
+        return list(source), max((p.t for p in source), default=cfg.window), 0, ""
     n_frames = int(round(cfg.window * cfg.frame_rate))
-    if cfg.noise_sigma <= 0:
-        # add_pixel_noise would hand back the scene itself for every frame,
-        # so the frames differ only in their timestamps: run the source once.
-        try:
-            prop = source(scene.rgb, scene.depth, 0.0)
-        except VisionError as err:
-            return buffer, cfg.window, n_frames, str(err)
-        for k in range(n_frames):
-            buffer.push(replace(prop, t=k / cfg.frame_rate))
-        return buffer, cfg.window, n_frames, ""
     rng = np.random.default_rng([seed, 1])
-    last_error = ""
+    proposals, last_error, prop = [], "", None
     for k in range(n_frames):
-        rgb, depth = add_pixel_noise(rng, scene.rgb, scene.depth, cfg.noise_sigma)
-        try:
-            buffer.push(source(rgb, depth, k / cfg.frame_rate))
-        except VisionError as err:
-            last_error = str(err)
-    return buffer, cfg.window, n_frames, last_error
+        t = k / cfg.frame_rate
+        # add_pixel_noise hands back the scene itself when noise-free, so the
+        # frames differ only in their timestamps: the source runs on the
+        # first and its proposal is restamped for the rest.
+        if k == 0 or cfg.noise_sigma > 0:
+            rgb, depth = add_pixel_noise(rng, scene.rgb, scene.depth, cfg.noise_sigma)
+            try:
+                prop = source(rgb, depth, t)
+            except VisionError as err:
+                prop, last_error = None, str(err)
+        if prop is not None:
+            proposals.append(replace(prop, t=t))
+    return proposals, cfg.window, n_frames, last_error
 
 
 @dataclass
@@ -340,16 +334,16 @@ def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
                   scene: Scene | None, out_dir):
     """Collect, denoise and plan one episode. An episode that fails here is
     finished at once and returned as its EpisodeReport."""
-    buffer, now, frames, vision_error = _collect(source, scene, cfg, seed)
+    proposals, now, frames, vision_error = _collect(source, scene, cfg, seed)
     stats = {"frames_attempted": frames,
-             "proposals_collected": len(buffer),
+             "proposals_collected": len(proposals),
              "control_steps": 0}
     rgb = scene.rgb if scene is not None else None
-    if len(buffer) == 0:
+    if not proposals:
         reason = vision_error or "vision produced no proposals"
         return _finish(EpisodeReport(None, False, reason, None, None, None,
                                      stats=stats), cfg, out_dir, rgb)
-    final_prop = denoise.denoise(buffer, now)
+    final_prop = denoise.denoise(proposals, now, cfg.window, cfg.distance_threshold)
     try:
         traj = trajectory.plan(start, final_prop, cfg.grasp_z,
                                now, now + cfg.duration)

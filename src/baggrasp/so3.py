@@ -1,4 +1,4 @@
-"""Rotation-matrix algebra: hat/vee, exp/log maps, z-axis rotations, the
+"""Rotation-matrix algebra: hat, exp/log maps, z-axis rotations, the
 downward-pointing grasp orientation, and the cross-product orientation error.
 
 Conventions (used everywhere in this package): matrices are row-major 3x3
@@ -41,15 +41,6 @@ class Pose:
         self.R = np.asarray(self.R, dtype=float)
 
 
-def is_rotation(R, tol=1e-9) -> bool:
-    """True if R is orthonormal with determinant +1 within tol."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    ortho = np.linalg.norm(R.T @ R - np.eye(3))
-    return ortho < tol and abs(np.linalg.det(R) - 1.0) < tol
-
-
 def hat(v) -> np.ndarray:
     """Skew-symmetric matrix of v, so that hat(v) @ u == cross(v, u).
 
@@ -58,17 +49,9 @@ def hat(v) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., _HAT_INDEX] * _HAT_SIGN
 
 
-def vee(M) -> np.ndarray:
-    """Inverse of hat. Rejects matrices that are not skew-symmetric."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3) or np.linalg.norm(M + M.T) >= 1e-8:
-        raise ValueError("vee expects a 3x3 skew-symmetric matrix")
-    return np.array([M[2, 1], M[0, 2], M[1, 0]])
-
-
 def _vee_antisym(M) -> np.ndarray:
-    """vee(M - M^T) over leading axes, read off the entries without forming
-    M^T."""
+    """vee(M - M^T) over leading axes, vee being the inverse of hat; read
+    off the entries without forming M^T."""
     return np.stack([M[..., 2, 1] - M[..., 1, 2], M[..., 0, 2] - M[..., 2, 0],
                      M[..., 1, 0] - M[..., 0, 1]], axis=-1)
 

@@ -27,6 +27,15 @@ def make_dataset(seed0: int, n: int, cfg=None) -> list:
     return out
 
 
+def is_rotation(R, tol=1e-9) -> bool:
+    """True if R is orthonormal with determinant +1 within tol."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        return False
+    ortho = np.linalg.norm(R.T @ R - np.eye(3))
+    return ortho < tol and abs(np.linalg.det(R) - 1.0) < tol
+
+
 def random_rotation(rng, max_angle=np.pi - 0.01) -> np.ndarray:
     from baggrasp import so3
     w = rng.normal(size=3)

@@ -182,18 +182,18 @@ def test_denoiser():
     for seed in range(20):
         scene = sim.generate_scene(seed, cfg)
         rng_noise = np.random.default_rng([seed, 1])
-        buf = denoise.ProposalBuffer(cfg.window, cfg.distance_threshold)
-        frame_d = []
+        stream, frame_d = [], []
         for k in range(10):
             rgb, _ = sim.add_pixel_noise(rng_noise, scene.rgb, scene.depth, 2.0)
             try:
                 p = classical.classical_pipeline(rgb, cfg, float(k))
             except classical.VisionError:
                 continue
-            buf.push(p)
+            stream.append(p)
             frame_d.append(float(np.linalg.norm(
                 cal.to_pixel(p.target) - scene.label[0])))
-        final = denoise.denoise(buf, cfg.window)
+        final = denoise.denoise(stream, cfg.window, cfg.window,
+                                cfg.distance_threshold)
         denoised_d.append(float(np.linalg.norm(
             cal.to_pixel(final.target) - scene.label[0])))
         median_d.append(float(np.median(frame_d)))

@@ -190,6 +190,18 @@ def test_connected_components_matches_union_find():
         assert connected_components(n, i, j).tolist() == [find(a) for a in range(n)]
 
 
+def _shifted(mag, dx, dy):
+    """mag sampled at (x+dx, y+dy) with zeros outside the frame."""
+    out = np.zeros_like(mag)
+    h, w = mag.shape
+    ys = slice(max(0, -dy), min(h, h - dy))
+    xs = slice(max(0, -dx), min(w, w - dx))
+    ys_src = slice(max(0, dy), min(h, h + dy))
+    xs_src = slice(max(0, dx), min(w, w + dx))
+    out[ys, xs] = mag[ys_src, xs_src]
+    return out
+
+
 def _fixpoint_canny(image, low, high):
     """Canny as first written: hysteresis grows the strong pixels by 8-way
     shifts until nothing changes."""
@@ -198,8 +210,8 @@ def _fixpoint_canny(image, low, high):
     sector = np.round(np.arctan2(gy, gx) / (np.pi / 4.0)).astype(int) % 8
     thin = np.zeros(mag.shape, dtype=bool)
     for q, (dx, dy) in enumerate(classical._COMPASS):
-        along = classical._shifted(mag, dx, dy)
-        against = classical._shifted(mag, -dx, -dy)
+        along = _shifted(mag, dx, dy)
+        against = _shifted(mag, -dx, -dy)
         thin |= (sector == q) & (mag >= along) & (mag > against)
     thin &= mag > 0
     weak = thin & (mag >= low)
@@ -207,7 +219,7 @@ def _fixpoint_canny(image, low, high):
     while True:
         grown = keep.copy()
         for dx, dy in classical._COMPASS:
-            grown |= classical._shifted(keep, dx, dy).astype(bool)
+            grown |= _shifted(keep, dx, dy).astype(bool)
         grown &= weak
         grown |= keep
         if np.array_equal(grown, keep):

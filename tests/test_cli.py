@@ -190,6 +190,25 @@ def test_bad_seed_count_and_rate_flags_exit_2(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels, message", [
+    ("id,px,py,theta\n0,120.0,70.0,nan\n", "finite"),
+    ("id,px,py,theta\n0,120.0,70.0,inf\n", "finite"),
+    ("id,px,py,theta\n0,nan,70.0,0.1\n", "finite"),
+    ("id,px,py,theta\n1.5,120.0,70.0,0.1\n", "1.5"),
+    ("id,px,py\n0,120.0,70.0\n", "theta"),
+], ids=["theta=nan", "theta=inf", "px=nan", "id=1.5", "no-theta-column"])
+def test_bad_labels_exit_2(tmp_path, capsys, labels, message):
+    data = tmp_path / "data"
+    assert main(["genscenes", "--n", "1", "--out", str(data)]) == 0
+    (data / "labels.csv").write_text(labels)
+    out = tmp_path / "params.bin"
+    assert main(["train", "--data", str(data), "--epochs", "1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "labels.csv:2:" in captured.err and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_train_and_learned_vision(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["genscenes", "--n", "6", "--seed", "20",
@@ -303,7 +322,8 @@ def test_bad_set_override_exits_2(capsys):
     capsys.readouterr()
     for item in ("k_d=nan", "damping=nan", "settle_time=-5", "qdot_max=-1",
                  "control_rate=inf", "grasp_z=nan", "frame_rate=0",
-                 "frame_rate=1e6"):
+                 "frame_rate=1e6", "scene_width=12.5", "sigma=abc",
+                 "color_low=1,x,3", "color_high=1,2"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""

@@ -49,6 +49,12 @@ def test_load_config_rejects_bad_line(tmp_path):
         "good_grasp_px=0", "perimeter_min=nan", "window=nan", "window=0",
         "sigma=nan", "canny_low=nan", "scale_x=nan", "scale_y=inf",
         "shift_x=inf", "batch_size=0")],
+    # Values that do not parse: the error names the file, line and key.
+    pytest.param("sigma = abc\n", r"c\.txt:1: sigma", id="sigma=abc"),
+    pytest.param("# ok\nscene_width=12.5\n", r"c\.txt:2: scene_width",
+                 id="scene_width=12.5"),
+    pytest.param("batch_size=two\n", r"c\.txt:1: batch_size", id="batch_size=two"),
+    pytest.param("color_low=1,x,3\n", r"c\.txt:1: color_low", id="color_low=1,x,3"),
 ])
 def test_load_config_validates_values(tmp_path, text, match):
     p = tmp_path / "c.txt"

@@ -3,60 +3,66 @@ import math
 import numpy as np
 import pytest
 
+from baggrasp import denoise as denoise_mod
 from baggrasp.classical import GraspProposal
-from baggrasp.denoise import ProposalBuffer, cluster, denoise, select
+from baggrasp.denoise import cluster, denoise, select
 
 
 def prop(x, y, theta=0.0, t=0.0):
     return GraspProposal(x, y, theta, t)
 
 
-# --- buffer ---
+# --- ordering and window ---
 
-def test_push_onto_empty():
-    buf = ProposalBuffer()
-    buf.push(prop(0, 0, t=1.0))
-    assert len(buf) == 1
+def _kept(monkeypatch, proposals, now):
+    """The proposals denoise hands to cluster (window 10): its sorted,
+    windowed list."""
+    seen = []
 
-
-def test_push_rejects_out_of_order():
-    buf = ProposalBuffer()
-    buf.push(prop(0, 0, t=7.0))
-    with pytest.raises(ValueError, match="out-of-order"):
-        buf.push(prop(0, 0, t=5.0))
-
-
-def test_push_allows_equal_timestamps():
-    buf = ProposalBuffer()
-    buf.push(prop(0, 0, t=2.0))
-    buf.push(prop(1, 1, t=2.0))
-    assert len(buf) == 2
+    def spy(props, threshold):
+        seen.extend(props)
+        return cluster(props, threshold)
+    monkeypatch.setattr(denoise_mod, "cluster", spy)
+    denoise(proposals, now, 10.0, 0.02)
+    return seen
 
 
-def test_push_many():
-    buf = ProposalBuffer()
-    for i in range(100):
-        buf.push(prop(i * 0.001, 0, t=float(i)))
-    assert len(buf) == 100
+def test_denoise_shuffled_equals_sorted():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        ts = np.round(rng.uniform(0, 15, n), 1)  # repeats: ties keep input order
+        props = [prop(x, y, th, t=float(t)) for x, y, th, t in zip(
+            rng.uniform(0.4, 0.5, n), rng.uniform(0, 0.1, n),
+            rng.uniform(-1.5, 1.5, n), ts)]
+        ordered = sorted(props, key=lambda p: p.t)
+        for now in (7.0, 15.0):
+            assert (denoise(props, now, 10.0, 0.02)
+                    == denoise(ordered, now, 10.0, 0.02))
 
 
-def test_window_filter_boundaries():
-    buf = ProposalBuffer(window=10.0)
-    for t in (0.0, 1.0, 5.0, 11.0):
-        buf.push(prop(0, 0, t=t))
-    kept = buf.window_filter(11.0)
-    assert [p.t for p in kept.proposals] == [1.0, 5.0, 11.0]  # 11-1=10 kept
+def test_denoise_allows_equal_timestamps(monkeypatch):
+    a, b = prop(0, 0, t=2.0), prop(1, 1, t=2.0)
+    assert _kept(monkeypatch, [a, b], 2.0) == [a, b]
+    assert _kept(monkeypatch, [b, a], 2.0) == [b, a]
 
 
-def test_window_filter_now_before_all():
-    buf = ProposalBuffer(window=10.0)
-    for t in (3.0, 4.0):
-        buf.push(prop(0, 0, t=t))
-    assert len(buf.window_filter(1.0)) == 2
+def test_window_filter_boundaries(monkeypatch):
+    props = [prop(0, 0, t=t) for t in (11.0, 0.0, 5.0, 1.0)]
+    kept = _kept(monkeypatch, props, 11.0)
+    assert [p.t for p in kept] == [1.0, 5.0, 11.0]  # 11-1=10 kept
+
+
+def test_window_filter_now_before_all(monkeypatch):
+    props = [prop(0, 0, t=t) for t in (3.0, 4.0)]
+    assert len(_kept(monkeypatch, props, 1.0)) == 2
 
 
 def test_window_filter_empty():
-    assert len(ProposalBuffer().window_filter(5.0)) == 0
+    with pytest.raises(ValueError, match="no proposals"):
+        denoise([], 5.0, 10.0, 0.02)
+    with pytest.raises(ValueError, match="no proposals"):
+        denoise([prop(0, 0, t=0.0)], 20.0, 10.0, 0.02)
 
 
 # --- clustering ---
@@ -216,11 +222,9 @@ def test_select_empty():
 
 
 def test_denoise_end_to_end():
-    buf = ProposalBuffer(window=10.0, distance_threshold=0.05)
-    buf.push(prop(0.5, 0.1, 0.2, t=1.0))
-    buf.push(prop(0.501, 0.101, 0.21, t=2.0))
-    buf.push(prop(0.9, 0.4, -0.5, t=3.0))
-    out = denoise(buf, 10.0)
+    props = [prop(0.5, 0.1, 0.2, t=1.0), prop(0.501, 0.101, 0.21, t=2.0),
+             prop(0.9, 0.4, -0.5, t=3.0)]
+    out = denoise(props, 10.0, window=10.0, threshold=0.05)
     assert abs(out.x - 0.5005) < 1e-12
     assert abs(out.theta - 0.205) < 1e-12
     assert out.t == 2.0

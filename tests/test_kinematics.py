@@ -8,6 +8,7 @@ from baggrasp.kinematics import (compute_error, control_step, default_arm_path,
                                  fk, fk_and_jacobian, load_arm, pinv)
 from baggrasp.so3 import Pose
 from baggrasp.trajectory import TrajectorySample
+from conftest import is_rotation
 
 ARM = load_arm(default_arm_path())
 
@@ -65,7 +66,7 @@ def _run_control_one_by_one(arm, q0, traj, cfg):
 def test_load_default_arm():
     assert ARM.axes.shape == (7, 3)
     assert np.allclose(np.linalg.norm(ARM.axes, axis=1), 1.0, atol=1e-9)
-    assert so3.is_rotation(ARM.zero_pose.R)
+    assert is_rotation(ARM.zero_pose.R)
 
 
 def test_load_arm_missing_zero_pose(tmp_path):

@@ -166,7 +166,7 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
     run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=2.0)
     scene = sim.generate_scene(seed, run_cfg, flat=flat)
     source, calls = _counting(classical_source(run_cfg))
-    buffer, now, frames, error = sim._collect(source, scene, run_cfg, seed)
+    proposals, now, frames, error = sim._collect(source, scene, run_cfg, seed)
     assert frames == 20 and now == run_cfg.window
     assert len(calls) == (1 if noise_sigma == 0 else frames)
     # Oracle: every frame through the source in turn, as noisy frames are.
@@ -178,7 +178,7 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
             want.append(classical_source(run_cfg)(rgb, depth, k / run_cfg.frame_rate))
         except classical.VisionError as err:
             want_error = str(err)
-    assert buffer.proposals == want and error == want_error
+    assert proposals == want and error == want_error
     assert (len(want) == 0) == flat and (error != "") == flat
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from baggrasp import so3
+from conftest import is_rotation
 
 
 def test_hat_zero():
@@ -18,26 +19,6 @@ def test_hat_matches_cross_product():
     for _ in range(50):
         v, u = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(so3.hat(v) @ u, np.cross(v, u), atol=1e-12)
-
-
-def test_vee_zero():
-    assert np.array_equal(so3.vee(np.zeros((3, 3))), np.zeros(3))
-
-
-def test_vee_hat_round_trip_exact():
-    assert np.array_equal(so3.vee(so3.hat((1, 2, 3))), np.array([1.0, 2.0, 3.0]))
-
-
-def test_vee_hat_round_trip_sweep():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        v = rng.normal(size=3)
-        assert np.allclose(so3.vee(so3.hat(v)), v, atol=1e-12)
-
-
-def test_vee_rejects_non_skew():
-    with pytest.raises(ValueError):
-        so3.vee(np.eye(3))
 
 
 def test_exp_zero_is_identity():
@@ -61,13 +42,13 @@ def test_exp_outputs_are_rotations():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         R = so3.exp_so3(rng.normal(size=3))
-        assert so3.is_rotation(R, tol=1e-9)
+        assert is_rotation(R, tol=1e-9)
 
 
 def test_exp_small_angle_branch():
     w = np.array([1e-10, -2e-10, 1e-10])
     R = so3.exp_so3(w)
-    assert so3.is_rotation(R, tol=1e-9)
+    assert is_rotation(R, tol=1e-9)
     assert np.allclose(so3.log_so3(R), w, atol=1e-15)
 
 
@@ -114,7 +95,7 @@ def test_grasp_orientation_points_down():
     for theta in rng.uniform(-np.pi / 2, np.pi / 2, size=100):
         R = so3.grasp_orientation(theta)
         assert np.allclose(R[:, 2], (0, 0, -1), atol=1e-12)
-        assert so3.is_rotation(R)
+        assert is_rotation(R)
 
 
 def test_grasp_orientation_quarter_turn():
