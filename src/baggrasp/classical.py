@@ -150,21 +150,15 @@ def connected_components(n: int, i, j) -> np.ndarray:
         label = new
 
 
-def _label8(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Set pixels (xs, ys) of a mask in row-major order, labelled by their
+def _label8(ids: np.ndarray, w: int) -> np.ndarray:
+    """Label pixels, given as sorted flat ids on a grid w+2 wide of which only
+    w columns are set (so no neighbour wraps onto another row), by their
     8-connected component's first (topmost-leftmost) pixel's index."""
-    ys, xs = np.nonzero(mask)
-    h, w = mask.shape
-    node = np.zeros((h + 2, w + 2), dtype=int)  # 1 + pixel index; 0 elsewhere
-    node[ys + 1, xs + 1] = np.arange(1, len(xs) + 1)
-    here = node[1:-1, 1:-1]
-    i, j = [], []
-    for dx, dy in _COMPASS[:4]:  # one offset of each opposite pair
-        other = node[1 + dy:h + 1 + dy, 1 + dx:w + 1 + dx]
-        both = (here > 0) & (other > 0)
-        i.append(here[both] - 1)
-        j.append(other[both] - 1)
-    return xs, ys, connected_components(len(xs), np.concatenate(i), np.concatenate(j))
+    # Each pixel's neighbours at one offset of each opposite pair.
+    nb = (ids[:, None] + [dy * (w + 2) + dx for dx, dy in _COMPASS[:4]]).ravel()
+    k = np.searchsorted(ids, nb)
+    hit = ids[np.minimum(k, len(ids) - 1)] == nb
+    return connected_components(len(ids), np.nonzero(hit)[0] // 4, k[hit])
 
 
 def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
@@ -181,22 +175,21 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
         raise ValueError("require 0 < low < high <= 1")
     gx, gy = sobel_gradients(image)
     mag = np.hypot(gx, gy)
-    sector = np.round(np.arctan2(gy, gx) / (np.pi / 4.0)).astype(int) % 8
-
-    # The neighbours along and against each pixel's sector, read from the
-    # zero-padded magnitude at flat offsets +-step.
+    # Only pixels at or above low can be weak, so only they are suppressed:
+    # against their sector's neighbours in the zero-padded magnitude at +-step.
     h, w = mag.shape
     padded = np.pad(mag, 1).ravel()
-    at = np.arange(padded.size).reshape(h + 2, w + 2)[1:-1, 1:-1]
+    ys, xs = np.nonzero(mag >= low)
+    at = (ys + 1) * (w + 2) + xs + 1
+    sector = np.round(np.arctan2(gy[ys, xs], gx[ys, xs])
+                      / (np.pi / 4.0)).astype(int) % 8
     step = np.array([dy * (w + 2) + dx for dx, dy in _COMPASS])[sector]
-    thin = (mag >= padded[at + step]) & (mag > padded[at - step]) & (mag > 0)
+    at = at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])]
 
-    xs, ys, label = _label8(thin & (mag >= low))
-    has_strong = np.zeros(len(label), dtype=bool)
-    has_strong[label[mag[ys, xs] >= high]] = True
-    keep = np.zeros_like(thin)
-    keep[ys, xs] = has_strong[label]
-    return keep
+    label = _label8(at, w)
+    keep = np.zeros(padded.size, dtype=bool)
+    keep[at[np.isin(label, label[padded[at] >= high])]] = True
+    return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
 
 
 def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
@@ -206,41 +199,32 @@ def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
     if np.any(lo > hi):
         raise ValueError("color_low must be componentwise <= color_high")
     px = image.pixels
-    mask = np.all((px >= lo) & (px <= hi), axis=2)
-    count = int(mask.sum())
-    if count == 0:
+    ys, xs = np.nonzero(np.logical_and.reduce(
+        [(px[..., c] >= lo[c]) & (px[..., c] <= hi[c]) for c in range(3)]))
+    if len(xs) == 0:
         raise BallNotFound("ball not found: no pixels inside the color range")
-    ys, xs = np.nonzero(mask)
-    center = np.array([xs.mean(), ys.mean()])
-    return BallDetection(center, math.sqrt(count / math.pi))
+    return BallDetection(np.array([xs.mean(), ys.mean()]),
+                         math.sqrt(len(xs) / math.pi))
 
 
-_MOORE = [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)]
-
-
-def _trace_boundary(component: set[tuple[int, int]]) -> np.ndarray:
-    """Moore boundary trace of an 8-connected pixel set, clockwise from the
-    topmost-leftmost pixel. Points are (x, y)."""
-    start = min(component, key=lambda p: (p[1], p[0]))
-    if len(component) == 1:
-        return np.array([start, start], dtype=float)
+def _trace_boundary(component: set[int], start: int, w: int) -> np.ndarray:
+    """Moore boundary trace of an 8-connected set of flat pixel ids
+    (y+1)*(w+2)+(x+1), clockwise from its topmost-leftmost pixel start.
+    Points are (x, y)."""
+    moore = [dy * (w + 2) + dx for dx, dy in _COMPASS]  # clockwise
     # Enter from the west; that neighbor is background by choice of start.
-    backtrack = (start[0] - 1, start[1])
+    backtrack = start - 1
     path = [start]
     current = start
     first_move = None
     for _ in range(4 * len(component) + 8):
-        base = _MOORE.index((backtrack[0] - current[0], backtrack[1] - current[1]))
-        nxt = None
+        base = moore.index(backtrack - current)
         for k in range(1, 9):
-            dx, dy = _MOORE[(base + k) % 8]
-            cand = (current[0] + dx, current[1] + dy)
-            if cand in component:
-                nxt = cand
-                prev_dx, prev_dy = _MOORE[(base + k - 1) % 8]
-                backtrack = (current[0] + prev_dx, current[1] + prev_dy)
+            nxt = current + moore[(base + k) % 8]
+            if nxt in component:
+                backtrack = current + moore[(base + k - 1) % 8]
                 break
-        if nxt is None:
+        else:
             break
         if first_move is None:
             first_move = nxt
@@ -250,7 +234,8 @@ def _trace_boundary(component: set[tuple[int, int]]) -> np.ndarray:
         current = nxt
     if path[-1] == start and len(path) > 1:
         path.pop()
-    return np.array(path, dtype=float)
+    ids = np.array(path)
+    return np.column_stack([ids % (w + 2) - 1, ids // (w + 2) - 1]).astype(float)
 
 
 def find_contours(mask: np.ndarray) -> list[np.ndarray]:
@@ -259,12 +244,14 @@ def find_contours(mask: np.ndarray) -> list[np.ndarray]:
     Components smaller than 3 pixels are dropped. Each polygon is an (N, 2)
     array of (x, y) vertices in trace order, components in row-major order.
     """
-    xs, ys, label = _label8(np.asarray(mask, dtype=bool))
-    # Pixels sorted by label, cut after the last pixel of each component.
+    w = np.shape(mask)[1]
+    ids = np.flatnonzero(np.pad(mask, 1))
+    label = _label8(ids, w)
+    # Pixels sorted by label and cut per component, each from its first pixel.
     ends = np.cumsum(np.bincount(label, minlength=len(label)))
     groups = np.split(np.argsort(label, kind="stable"),
                       ends[label == np.arange(len(label))][:-1])
-    return [_trace_boundary(set(zip(xs[g].tolist(), ys[g].tolist())))
+    return [_trace_boundary(set(ids[g].tolist()), int(ids[g[0]]), w)
             for g in groups if len(g) >= 3]
 
 

@@ -16,6 +16,10 @@ from pathlib import Path
 # The denoiser compares every pair of an episode's proposals, so this also
 # bounds its n x n distance matrix (16 MB at the cap).
 MAX_FRAMES = 1000
+# Most control steps (1000 s at 100 Hz; the trace keeps a row per step) and
+# most scene pixels (1920 x 1080) an episode may have.
+MAX_CONTROL_STEPS = 100_000
+MAX_SCENE_PIXELS = 1920 * 1080
 
 
 @dataclass
@@ -81,6 +85,10 @@ class PipelineConfig:
         if not 0.5 < self.window * self.frame_rate <= MAX_FRAMES + 0.5:
             raise ValueError(f"window * frame_rate must round to 1 to {MAX_FRAMES} "
                              "frames")
+        steps = (self.duration + self.settle_time) * self.control_rate
+        if not steps <= MAX_CONTROL_STEPS + 0.5:
+            raise ValueError("(duration + settle_time) * control_rate must round to "
+                             f"at most {MAX_CONTROL_STEPS} control steps")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):
             raise ValueError("require 0 < canny_low < canny_high <= 1")
         if self.scale_x == 0 or self.scale_y == 0:
@@ -91,8 +99,10 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an RGB triple in 0..255")
         if any(lo > hi for lo, hi in zip(self.color_low, self.color_high)):
             raise ValueError("color_low must be componentwise <= color_high")
-        if self.scene_width < 8 or self.scene_height < 8:
-            raise ValueError("scene dimensions too small")
+        if not (min(self.scene_width, self.scene_height) >= 8
+                and self.scene_width * self.scene_height <= MAX_SCENE_PIXELS):
+            raise ValueError("scene_width and scene_height must be >= 8 and "
+                             f"scene_width * scene_height <= {MAX_SCENE_PIXELS}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         return self

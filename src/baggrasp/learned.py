@@ -345,9 +345,9 @@ def load_dataset(directory) -> list[LabeledScene]:
     """Load scene_####.ppm/.pgm pairs listed in labels.csv (id,px,py,theta).
 
     Full-frame scenes are center-cropped and resized to 36x64; labels are
-    mapped into the small frame, and rows whose label falls outside the
-    crop are skipped. A row with a missing column, a non-integer id or a
-    non-finite px, py or theta raises ValueError naming its file and line.
+    mapped into the small frame, and rows whose label falls outside the crop
+    are skipped. A row with a missing column or scene file, a non-integer id
+    or a non-finite px, py or theta raises ValueError naming its file and line.
     """
     path = Path(directory) / "labels.csv"
     scenes = []
@@ -364,8 +364,11 @@ def load_dataset(directory) -> list[LabeledScene]:
                 raise ValueError(f"{where}: bad label row: {err}") from err
             if not all(map(math.isfinite, label)):
                 raise ValueError(f"{where}: px, py and theta must be finite")
-            rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
-            depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
+            try:
+                rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
+                depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
+            except FileNotFoundError as err:
+                raise ValueError(f"{where}: no scene file {err.filename}") from err
             rgb_small, dep_small, frame = preprocess(rgb, depth)
             px, py = full_to_net_px(label[0], label[1], frame)
             if not (-0.5 <= px <= IN_W - 0.5 and -0.5 <= py <= IN_H - 0.5):

@@ -176,13 +176,12 @@ def add_pixel_noise(rng, rgb: RgbImage, depth: DepthImage,
     """Per-frame Gaussian pixel noise (intensity levels / millimeters)."""
     if sigma <= 0:
         return rgb, depth
-    noisy_rgb = np.clip(np.round(rgb.pixels.astype(float)
-                                 + rng.normal(0.0, sigma, rgb.pixels.shape)),
-                        0, 255).astype(np.uint8)
-    noisy_dep = np.clip(np.round(depth.pixels.astype(float)
-                                 + rng.normal(0.0, sigma, depth.pixels.shape)),
-                        0, 65535).astype(np.uint16)
-    return RgbImage(noisy_rgb), DepthImage(noisy_dep)
+
+    def noisy(image, top):  # in the draws' buffer: no float copy of the image
+        out = rng.normal(0.0, sigma, image.pixels.shape)
+        out += image.pixels
+        return np.clip(np.round(out, out=out), 0, top, out=out).astype(image.pixels.dtype)
+    return RgbImage(noisy(rgb, 255)), DepthImage(noisy(depth, 65535))
 
 
 def step_plant(q, qdot_d, dt: float, limits) -> np.ndarray:

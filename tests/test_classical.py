@@ -133,6 +133,35 @@ def test_detect_ball_ignores_out_of_range_disc():
     assert np.linalg.norm(ball.center - (60, 60)) < 1.0
 
 
+def test_detect_ball_matches_all_channels_formula():
+    # Oracle: the (H, W, 3) box test reduced with np.all over the channels.
+    cfg = config.PipelineConfig()
+    rng = np.random.default_rng(8)
+    found = []
+    for seed in range(6):
+        scene = sim.generate_scene(seed, cfg)
+        for sigma in (0.0, 2.0, 32.0):
+            rgb = sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)[0]
+            boxes = [(cfg.color_low, cfg.color_high), ((0, 0, 0), (255, 255, 255)),
+                     ((255, 255, 255), (255, 255, 255)), ((0, 0, 0), (0, 0, 0))]
+            for _ in range(4):
+                a, b = rng.integers(0, 256, size=(2, 3))
+                boxes.append((np.minimum(a, b), np.maximum(a, b)))
+            for lo, hi in boxes:
+                lo8, hi8 = np.asarray(lo, np.uint8), np.asarray(hi, np.uint8)
+                ys, xs = np.nonzero(np.all((rgb.pixels >= lo8)
+                                           & (rgb.pixels <= hi8), axis=2))
+                found.append(len(xs) > 0)
+                if len(xs) == 0:
+                    with pytest.raises(BallNotFound):
+                        detect_ball(rgb, lo, hi)
+                    continue
+                ball = detect_ball(rgb, lo, hi)
+                assert np.array_equal(ball.center, [xs.mean(), ys.mean()])
+                assert ball.radius == math.sqrt(len(xs) / math.pi)
+    assert any(found) and not all(found)  # both outcomes were checked
+
+
 # --- contours ---
 
 def test_find_contours_empty():
@@ -227,6 +256,44 @@ def _fixpoint_canny(image, low, high):
         keep = grown
 
 
+_MOORE = [(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0)]
+
+
+def _tuple_trace_boundary(component):
+    """_trace_boundary as first written: a Moore trace over a set of (x, y)
+    tuples, clockwise from the topmost-leftmost pixel."""
+    start = min(component, key=lambda p: (p[1], p[0]))
+    if len(component) == 1:
+        return np.array([start, start], dtype=float)
+    # Enter from the west; that neighbor is background by choice of start.
+    backtrack = (start[0] - 1, start[1])
+    path = [start]
+    current = start
+    first_move = None
+    for _ in range(4 * len(component) + 8):
+        base = _MOORE.index((backtrack[0] - current[0], backtrack[1] - current[1]))
+        nxt = None
+        for k in range(1, 9):
+            dx, dy = _MOORE[(base + k) % 8]
+            cand = (current[0] + dx, current[1] + dy)
+            if cand in component:
+                nxt = cand
+                prev_dx, prev_dy = _MOORE[(base + k - 1) % 8]
+                backtrack = (current[0] + prev_dx, current[1] + prev_dy)
+                break
+        if nxt is None:
+            break
+        if first_move is None:
+            first_move = nxt
+        elif current == start and nxt == first_move:
+            break
+        path.append(nxt)
+        current = nxt
+    if path[-1] == start and len(path) > 1:
+        path.pop()
+    return np.array(path, dtype=float)
+
+
 def _dfs_find_contours(mask):
     """find_contours as first written: a stack-and-set flood fill per
     component, in np.nonzero order of each component's first pixel."""
@@ -244,13 +311,13 @@ def _dfs_find_contours(mask):
         while stack:
             x, y = stack.pop()
             component.add((x, y))
-            for dx, dy in classical._MOORE:
+            for dx, dy in _MOORE:
                 nx, ny = x + dx, y + dy
                 if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
                     seen[ny, nx] = True
                     stack.append((nx, ny))
         if len(component) >= 3:
-            polygons.append(classical._trace_boundary(component))
+            polygons.append(_tuple_trace_boundary(component))
     return polygons
 
 
@@ -287,15 +354,17 @@ def test_canny_and_contours_match_oracles_on_scenes():
         scene = sim.generate_scene(seed, cfg)
         rng = np.random.default_rng([seed, 1])
         frames = [scene.rgb] + [sim.add_pixel_noise(rng, scene.rgb, scene.depth,
-                                                    2.0)[0] for _ in range(2)]
+                                                    noise)[0]
+                                for noise in (2.0, 2.0, 8.0, 32.0)]
         for rgb in frames:
             for sigma in (1.4, 0.6):
                 blurred = gaussian_blur(to_gray(rgb), sigma)
-                edges = canny(blurred, cfg.canny_low, cfg.canny_high)
-                assert np.array_equal(
-                    edges, _fixpoint_canny(blurred, cfg.canny_low, cfg.canny_high))
-                assert _same_polygons(find_contours(edges),
-                                      _dfs_find_contours(edges))
+                for low, high in ((cfg.canny_low, cfg.canny_high), (0.02, 0.05),
+                                  (0.3, 0.9)):
+                    edges = canny(blurred, low, high)
+                    assert np.array_equal(edges, _fixpoint_canny(blurred, low, high))
+                    assert _same_polygons(find_contours(edges),
+                                          _dfs_find_contours(edges))
 
 
 def test_canny_matches_fixpoint_oracle_on_random_images():

@@ -196,7 +196,9 @@ def test_bad_seed_count_and_rate_flags_exit_2(tmp_path, capsys, argv, flag):
     ("id,px,py,theta\n0,nan,70.0,0.1\n", "finite"),
     ("id,px,py,theta\n1.5,120.0,70.0,0.1\n", "1.5"),
     ("id,px,py\n0,120.0,70.0\n", "theta"),
-], ids=["theta=nan", "theta=inf", "px=nan", "id=1.5", "no-theta-column"])
+    ("id,px,py,theta\n7,120.0,70.0,0.1\n", "scene_0007.ppm"),
+], ids=["theta=nan", "theta=inf", "px=nan", "id=1.5", "no-theta-column",
+        "no-scene-file"])
 def test_bad_labels_exit_2(tmp_path, capsys, labels, message):
     data = tmp_path / "data"
     assert main(["genscenes", "--n", "1", "--out", str(data)]) == 0
@@ -323,7 +325,8 @@ def test_bad_set_override_exits_2(capsys):
     for item in ("k_d=nan", "damping=nan", "settle_time=-5", "qdot_max=-1",
                  "control_rate=inf", "grasp_z=nan", "frame_rate=0",
                  "frame_rate=1e6", "scene_width=12.5", "sigma=abc",
-                 "color_low=1,x,3", "color_high=1,2"):
+                 "color_low=1,x,3", "color_high=1,2", "duration=1e9",
+                 "control_rate=1e6", "scene_width=100000", "scene_height=100000"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""

@@ -1,6 +1,7 @@
 import pytest
 
-from baggrasp.config import PipelineConfig, apply_overrides, load_config
+from baggrasp.config import (MAX_CONTROL_STEPS, MAX_SCENE_PIXELS, PipelineConfig,
+                             apply_overrides, load_config)
 
 
 def test_defaults_validate():
@@ -48,7 +49,9 @@ def test_load_config_rejects_bad_line(tmp_path):
         "pos_tol=nan", "pos_tol=0", "ang_tol_deg=-1", "good_grasp_px=nan",
         "good_grasp_px=0", "perimeter_min=nan", "window=nan", "window=0",
         "sigma=nan", "canny_low=nan", "scale_x=nan", "scale_y=inf",
-        "shift_x=inf", "batch_size=0")],
+        "shift_x=inf", "batch_size=0", "duration=1e9", "settle_time=1e9",
+        "control_rate=1e6", "control_rate=1e308", "scene_width=100000",
+        "scene_height=100000")],
     # Values that do not parse: the error names the file, line and key.
     pytest.param("sigma = abc\n", r"c\.txt:1: sigma", id="sigma=abc"),
     pytest.param("# ok\nscene_width=12.5\n", r"c\.txt:2: scene_width",
@@ -76,6 +79,24 @@ def test_frame_count_cap_is_inclusive():
     assert apply_overrides(PipelineConfig(), {"window": "1", "frame_rate": "1000.5"})
     with pytest.raises(ValueError, match="window \\* frame_rate"):
         apply_overrides(PipelineConfig(), {"window": "20", "frame_rate": "50.1"})
+
+
+def test_control_step_and_scene_caps_are_inclusive():
+    # Checked by validate() alone: no test allocates a capped size. 998 s plus
+    # the 2 s settle at 100 Hz is exactly MAX_CONTROL_STEPS; 100000.5 still
+    # rounds to it.
+    assert MAX_CONTROL_STEPS == 100_000 and MAX_SCENE_PIXELS == 1920 * 1080
+    assert apply_overrides(PipelineConfig(), {"duration": "998"})
+    assert apply_overrides(PipelineConfig(), {"duration": "998.005"})
+    with pytest.raises(ValueError, match="duration \\+ settle_time"):
+        apply_overrides(PipelineConfig(), {"duration": "998.01"})
+    assert apply_overrides(PipelineConfig(), {"scene_width": "1920",
+                                              "scene_height": "1080"})
+    with pytest.raises(ValueError, match="scene_width \\* scene_height"):
+        apply_overrides(PipelineConfig(), {"scene_width": "1920",
+                                           "scene_height": "1081"})
+    with pytest.raises(ValueError, match="scene_width and scene_height"):
+        apply_overrides(PipelineConfig(), {"scene_width": "7"})
 
 
 def test_apply_overrides():

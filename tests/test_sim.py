@@ -182,6 +182,36 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
     assert (len(want) == 0) == flat and (error != "") == flat
 
 
+def _float_copy_pixel_noise(rng, rgb, depth, sigma):
+    """add_pixel_noise as first written: a float copy of each image plus its
+    draws, then round, clip and cast."""
+    noisy_rgb = np.clip(np.round(rgb.pixels.astype(float)
+                                 + rng.normal(0.0, sigma, rgb.pixels.shape)),
+                        0, 255).astype(np.uint8)
+    noisy_dep = np.clip(np.round(depth.pixels.astype(float)
+                                 + rng.normal(0.0, sigma, depth.pixels.shape)),
+                        0, 65535).astype(np.uint16)
+    return noisy_rgb, noisy_dep
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 32.0])
+def test_add_pixel_noise_matches_float_copy_formula(cfg, sigma):
+    # One seeded stream of frames each: the draws keep their order and values.
+    scenes = [sim.generate_scene(seed, cfg) for seed in (3, 4)]
+    before = [(s.rgb.pixels.copy(), s.depth.pixels.copy()) for s in scenes]
+    rng, rng_want = np.random.default_rng(11), np.random.default_rng(11)
+    for k in range(6):
+        scene = scenes[k % 2]
+        rgb, depth = sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)
+        want_rgb, want_dep = _float_copy_pixel_noise(rng_want, scene.rgb,
+                                                     scene.depth, sigma)
+        assert rgb.pixels.dtype == np.uint8 and depth.pixels.dtype == np.uint16
+        assert np.array_equal(rgb.pixels, want_rgb)
+        assert np.array_equal(depth.pixels, want_dep)
+    for s, (rgb0, dep0) in zip(scenes, before):
+        assert np.array_equal(s.rgb.pixels, rgb0) and np.array_equal(s.depth.pixels, dep0)
+
+
 def test_run_batch_rows_do_not_depend_on_batch(cfg):
     for run_cfg in (cfg, dataclasses.replace(cfg, noise_sigma=2.0)):
         rows = sim.run_batch(run_cfg, 4, 30)[0]
