@@ -112,6 +112,8 @@ def _parse_proposals(lines) -> list[GraspProposal]:
 
 
 def cmd_denoise(args, cfg) -> int:
+    if args.now is not None:
+        _finite(args.now, "--now")
     proposals = _parse_proposals(sys.stdin)
     if not proposals:
         print("no proposals on stdin", file=sys.stderr)
@@ -140,6 +142,8 @@ def cmd_plan(args, cfg) -> int:
         raise BadUsage("--rate must be > 0")
     if args.tf <= args.ti:
         raise BadUsage("--tf must be > --ti")
+    if not (args.tf - args.ti) * args.rate <= config.MAX_CONTROL_STEPS:
+        raise BadUsage(f"(--tf - --ti) * --rate must be <= {config.MAX_CONTROL_STEPS}")
     try:
         proposal = GraspProposal(tx, ty, args.theta, args.ti)
     except ValueError as err:

@@ -103,6 +103,10 @@ class PipelineConfig:
                 and self.scene_width * self.scene_height <= MAX_SCENE_PIXELS):
             raise ValueError("scene_width and scene_height must be >= 8 and "
                              f"scene_width * scene_height <= {MAX_SCENE_PIXELS}")
+        # ceil(3 * sigma) <= n exactly when 3 * sigma <= n, for an integer n.
+        if not 3 * self.sigma <= max(self.scene_width, self.scene_height):
+            raise ValueError("sigma: blur radius ceil(3 * sigma) must be <= "
+                             "max(scene_width, scene_height)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         return self

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +44,6 @@ class LabeledScene:
             if (img.height, img.width) != (IN_H, IN_W):
                 raise ValueError(f"scene rasters must be {IN_H}x{IN_W}")
 
-    def tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        return image_tensors(self.rgb, self.depth)
-
     def normalized_label(self) -> np.ndarray:
         x, y = self.label_px
         return np.array([x / (IN_W - 1), y / (IN_H - 1),
@@ -60,28 +57,8 @@ def image_tensors(rgb: RgbImage, depth: DepthImage) -> tuple[np.ndarray, np.ndar
     return r, d
 
 
-@dataclass
-class ModelParams:
-    rgb_k1: np.ndarray
-    rgb_b1: np.ndarray
-    rgb_k2: np.ndarray
-    rgb_b2: np.ndarray
-    dep_k1: np.ndarray
-    dep_b1: np.ndarray
-    dep_k2: np.ndarray
-    dep_b2: np.ndarray
-    pos_w: np.ndarray
-    pos_b: np.ndarray
-    theta_w: np.ndarray
-    theta_b: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(*[a.copy() for a in self.arrays()])
-
-
+# Model parameters (and their gradients) are a name -> array dict in this
+# order, which is also the order of the arrays in a params file.
 # (out_ch, in_ch, kh, kw) per conv; embedding dim follows from two stride-2
 # valid 3x3 convolutions over a 36x64 input: 17x31 then 8x15 maps.
 _SHAPES = {
@@ -96,7 +73,7 @@ EMBED_DIM = 16 * 8 * 15
 STRIDE = 2
 
 
-def init_params(seed: int) -> ModelParams:
+def init_params(seed: int) -> dict[str, np.ndarray]:
     """Fan-in-scaled normal kernels/weights, zero biases, deterministic."""
     rng = np.random.default_rng(seed)
     arrays = {}
@@ -106,7 +83,7 @@ def init_params(seed: int) -> ModelParams:
         else:
             fan_in = int(np.prod(shape[1:]))
             arrays[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
-    return ModelParams(**arrays)
+    return arrays
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
@@ -172,30 +149,22 @@ def _branch_backward(demb: np.ndarray, cache, k1, k2):
     return dk1, db1, dk2, db2
 
 
-def forward_batch(params: ModelParams, rgb: np.ndarray, dep: np.ndarray):
-    """Batched forward pass; returns (pos (n,2), theta (n,1), cache)."""
-    if rgb.shape[1:] != (3, IN_H, IN_W) or dep.shape[1:] != (1, IN_H, IN_W):
-        raise ValueError(f"inputs must be (n,3,{IN_H},{IN_W}) and (n,1,{IN_H},{IN_W})")
-    emb_rgb, cache_rgb = _branch_forward(rgb, params.rgb_k1, params.rgb_b1,
-                                         params.rgb_k2, params.rgb_b2)
-    emb_dep, cache_dep = _branch_forward(dep, params.dep_k1, params.dep_b1,
-                                         params.dep_k2, params.dep_b2)
-    emb = emb_rgb + emb_dep
-    pos = emb @ params.pos_w.T + params.pos_b
-    theta = emb @ params.theta_w.T + params.theta_b
-    return pos, theta, (cache_rgb, cache_dep, emb)
-
-
-def model_forward(params: ModelParams, rgb, dep):
-    """Single-scene forward pass: ((2,) position, (1,) angle) raw outputs.
+def forward_batch(params: dict, rgb: np.ndarray, dep: np.ndarray):
+    """Batched forward pass; returns (pos (n,2), theta (n,1), cache).
 
     Outputs are in the network's normalized units; see `predict` for pixels
     and radians.
     """
-    rgb = np.asarray(rgb, dtype=float)
-    dep = np.asarray(dep, dtype=float)
-    pos, theta, _ = forward_batch(params, rgb[None], dep[None])
-    return pos[0], theta[0]
+    if rgb.shape[1:] != (3, IN_H, IN_W) or dep.shape[1:] != (1, IN_H, IN_W):
+        raise ValueError(f"inputs must be (n,3,{IN_H},{IN_W}) and (n,1,{IN_H},{IN_W})")
+    emb_rgb, cache_rgb = _branch_forward(rgb, params["rgb_k1"], params["rgb_b1"],
+                                         params["rgb_k2"], params["rgb_b2"])
+    emb_dep, cache_dep = _branch_forward(dep, params["dep_k1"], params["dep_b1"],
+                                         params["dep_k2"], params["dep_b2"])
+    emb = emb_rgb + emb_dep
+    pos = emb @ params["pos_w"].T + params["pos_b"]
+    theta = emb @ params["theta_w"].T + params["theta_b"]
+    return pos, theta, (cache_rgb, cache_dep, emb)
 
 
 def l1_loss(pred: np.ndarray, label: np.ndarray):
@@ -208,12 +177,12 @@ def l1_loss(pred: np.ndarray, label: np.ndarray):
     return loss, grad
 
 
-def backward(params: ModelParams, rgb: np.ndarray, dep: np.ndarray,
+def backward(params: dict, rgb: np.ndarray, dep: np.ndarray,
              labels: np.ndarray):
     """Loss and analytic gradients for a batch.
 
     labels is (n, 3) in normalized units: (x, y, theta). Gradients come back
-    as a ModelParams of matching shapes.
+    as a name -> array dict of the parameters' names and shapes.
     """
     pos, theta, (cache_rgb, cache_dep, emb) = forward_batch(params, rgb, dep)
     pred = np.concatenate([pos, theta], axis=1)
@@ -223,15 +192,15 @@ def backward(params: ModelParams, rgb: np.ndarray, dep: np.ndarray,
     dpos_b = dpos.sum(axis=0)
     dtheta_w = dtheta.T @ emb
     dtheta_b = dtheta.sum(axis=0)
-    demb = dpos @ params.pos_w + dtheta @ params.theta_w
-    grads_rgb = _branch_backward(demb, cache_rgb, params.rgb_k1, params.rgb_k2)
-    grads_dep = _branch_backward(demb, cache_dep, params.dep_k1, params.dep_k2)
-    grads = ModelParams(*grads_rgb, *grads_dep, dpos_w, dpos_b, dtheta_w, dtheta_b)
-    return loss, grads
+    demb = dpos @ params["pos_w"] + dtheta @ params["theta_w"]
+    grads_rgb = _branch_backward(demb, cache_rgb, params["rgb_k1"], params["rgb_k2"])
+    grads_dep = _branch_backward(demb, cache_dep, params["dep_k1"], params["dep_k2"])
+    return loss, dict(zip(_SHAPES, (*grads_rgb, *grads_dep,
+                                    dpos_w, dpos_b, dtheta_w, dtheta_b)))
 
 
 def batch_tensors(scenes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rgb, dep = zip(*(s.tensors() for s in scenes))
+    rgb, dep = zip(*(image_tensors(s.rgb, s.depth) for s in scenes))
     labels = np.stack([s.normalized_label() for s in scenes])
     return np.stack(rgb), np.stack(dep), labels
 
@@ -254,30 +223,30 @@ def train(dataset, epochs: int, lr: float = 1e-3, seed: int = 0,
             batch = [dataset[i] for i in order[begin:begin + batch_size]]
             rgb, dep, labels = batch_tensors(batch)
             loss, grads = backward(params, rgb, dep, labels)
-            for name in _SHAPES:
-                getattr(params, name)[...] -= lr * getattr(grads, name)
+            for name, grad in grads.items():
+                params[name] -= lr * grad
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
     return params, losses
 
 
-def training_loss(params: ModelParams, dataset) -> float:
+def training_loss(params: dict, dataset) -> float:
     rgb, dep, labels = batch_tensors(dataset)
     pos, theta, _ = forward_batch(params, rgb, dep)
     return l1_loss(np.concatenate([pos, theta], axis=1), labels)[0]
 
 
-def save_params(params: ModelParams, path) -> None:
+def save_params(params: dict, path) -> None:
     """Flat binary dump: magic, array count, per-array dims, float64 LE data."""
     chunks = [_MAGIC, struct.pack("<I", len(_SHAPES))]
-    for arr in params.arrays():
+    for arr in params.values():
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
-def load_params(path) -> ModelParams:
+def load_params(path) -> dict[str, np.ndarray]:
     data = Path(path).read_bytes()
     if data[:8] != _MAGIC:
         raise ValueError(f"{path}: bad params-file magic")
@@ -287,7 +256,7 @@ def load_params(path) -> ModelParams:
         pos += 4
         if count != len(_SHAPES):
             raise ValueError(f"{path}: expected {len(_SHAPES)} arrays, got {count}")
-        arrays = []
+        arrays = {}
         for name, shape in _SHAPES.items():
             (ndim,) = struct.unpack_from("<I", data, pos)
             pos += 4
@@ -298,11 +267,11 @@ def load_params(path) -> ModelParams:
             n = int(np.prod(shape))
             if pos + 8 * n > len(data):
                 raise ValueError(f"{path}: truncated params file")
-            arrays.append(np.frombuffer(data, "<f8", n, pos).reshape(shape).copy())
+            arrays[name] = np.frombuffer(data, "<f8", n, pos).reshape(shape).copy()
             pos += 8 * n
     except struct.error as err:
         raise ValueError(f"{path}: truncated params file") from err
-    return ModelParams(*arrays)
+    return arrays
 
 
 def preprocess(rgb: RgbImage, depth: DepthImage):
@@ -325,7 +294,7 @@ def full_to_net_px(px, py, frame) -> tuple[float, float]:
     return (px - ox + 0.5) / sx - 0.5, (py - oy + 0.5) / sy - 0.5
 
 
-def predict(params: ModelParams, rgb: RgbImage, depth: DepthImage):
+def predict(params: dict, rgb: RgbImage, depth: DepthImage):
     """Predicted grasp for a full-frame pair: ((x, y) full-frame pixels, theta).
 
     theta is wrapped into (-pi/2, pi/2].
@@ -334,11 +303,11 @@ def predict(params: ModelParams, rgb: RgbImage, depth: DepthImage):
 
     rgb_small, dep_small, frame = preprocess(rgb, depth)
     t_rgb, t_dep = image_tensors(rgb_small, dep_small)
-    pos, theta = model_forward(params, t_rgb, t_dep)
-    px = float(pos[0]) * (IN_W - 1)
-    py = float(pos[1]) * (IN_H - 1)
+    pos, theta, _ = forward_batch(params, t_rgb[None], t_dep[None])
+    px = float(pos[0, 0]) * (IN_W - 1)
+    py = float(pos[0, 1]) * (IN_H - 1)
     full = net_to_full_px(px, py, frame)
-    return full, wrap_half_pi(float(theta[0]) * (math.pi / 2))
+    return full, wrap_half_pi(float(theta[0, 0]) * (math.pi / 2))
 
 
 def load_dataset(directory) -> list[LabeledScene]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -309,88 +309,72 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     return proposals, cfg.window, n_frames, last_error
 
 
-@dataclass
-class _Planned:
-    """An episode between planning and scoring: what control and scoring
-    need, and the image its overlay is drawn on (only when writing one)."""
-
-    proposal: GraspProposal
-    traj: trajectory.CubicTrajectory
-    stats: dict
-    px_err: float | None
-    rgb: RgbImage | None
-    out_dir: object
-
-
-def _finish(report: EpisodeReport, cfg: PipelineConfig, out_dir,
-            rgb: RgbImage | None) -> EpisodeReport:
-    if out_dir is not None:
-        write_episode_artifacts(report, cfg, out_dir, rgb)
-    return report
-
-
 def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
-                  scene: Scene | None, out_dir):
-    """Collect, denoise and plan one episode. An episode that fails here is
-    finished at once and returned as its EpisodeReport."""
+                  scene: Scene | None):
+    """Collect, denoise and plan one episode. Returns (report, trajectory);
+    the trajectory is None when the episode failed here, and then the
+    report is final."""
     proposals, now, frames, vision_error = _collect(source, scene, cfg, seed)
     stats = {"frames_attempted": frames,
              "proposals_collected": len(proposals),
              "control_steps": 0}
-    rgb = scene.rgb if scene is not None else None
     if not proposals:
         reason = vision_error or "vision produced no proposals"
-        return _finish(EpisodeReport(None, False, reason, None, None, None,
-                                     stats=stats), cfg, out_dir, rgb)
+        return EpisodeReport(None, False, reason, None, None, None, stats=stats), None
     final_prop = denoise.denoise(proposals, now, cfg.window, cfg.distance_threshold)
     try:
         traj = trajectory.plan(start, final_prop, cfg.grasp_z,
                                now, now + cfg.duration)
     except ValueError as err:
-        return _finish(EpisodeReport(final_prop, False, f"planning failed: {err}",
-                                     None, None, None, stats=stats),
-                       cfg, out_dir, rgb)
+        return EpisodeReport(final_prop, False, f"planning failed: {err}",
+                             None, None, None, stats=stats), None
     px_err = None
     if scene is not None and scene.label is not None:
         cal = CameraCalibration.from_config(cfg)
         px_err = float(np.linalg.norm(cal.to_pixel(final_prop.target)
                                       - scene.label[0]))
-    return _Planned(final_prop, traj, stats, px_err,
-                    rgb if out_dir is not None else None, out_dir)
+    return EpisodeReport(final_prop, False, "", None, None, px_err, stats=stats), traj
 
 
-def _score(cfg: PipelineConfig, ep: _Planned, pose: so3.Pose,
-           series: np.ndarray) -> EpisodeReport:
-    """Finish a controlled episode from its final pose and (steps, 2) series."""
-    ep.stats["control_steps"] = len(series)
-    prop = ep.proposal
+def _score(cfg: PipelineConfig, report: EpisodeReport, traj, pose: so3.Pose,
+           series: np.ndarray) -> None:
+    """Fill in a controlled episode's report from its final pose and
+    (steps, 2) series."""
+    prop = report.proposal
     pos_err = float(np.linalg.norm(pose.p - np.array([prop.x, prop.y, cfg.grasp_z])))
     yaw_err = _yaw_error(pose.R, so3.grasp_orientation(prop.theta))
-    success = pos_err < cfg.pos_tol and yaw_err < cfg.ang_tol
-    reason = "" if success else "tracking tolerance not met"
-    trace = np.column_stack([_control_times(ep.traj.t_i, len(series), cfg), series])
-    return _finish(EpisodeReport(prop, success, reason, pos_err, yaw_err,
-                                 ep.px_err, trace, ep.stats),
-                   cfg, ep.out_dir, ep.rgb)
+    report.final_pos_err, report.final_yaw_err = pos_err, yaw_err
+    report.success = pos_err < cfg.pos_tol and yaw_err < cfg.ang_tol
+    report.reason = "" if report.success else "tracking tolerance not met"
+    report.series = np.column_stack([_control_times(traj.t_i, len(series), cfg),
+                                     series])
+    report.stats["control_steps"] = len(series)
 
 
 def _run_episodes(cfg: PipelineConfig, arm: kinematics.ArmModel,
                   episodes) -> list[EpisodeReport]:
     """Run episodes given as (seed, source, scene, out_dir) in three phases:
     each is collected, denoised and planned in turn; the planned ones then
-    share one run_control loop; last, each is scored and its artifacts
-    written, in index order."""
+    share one run_control loop and are scored; last, every episode's
+    artifacts are written, in index order."""
     start = kinematics.fk(arm, HOME_Q)
-    done = [_plan_episode(cfg, seed, start, source, scene, out_dir)
-            for seed, source, scene, out_dir in episodes]
-    planned = [i for i, ep in enumerate(done) if isinstance(ep, _Planned)]
+    reports, trajs, outputs = [], [], []
+    for seed, source, scene, out_dir in episodes:
+        report, traj = _plan_episode(cfg, seed, start, source, scene)
+        reports.append(report)
+        trajs.append(traj)
+        if out_dir is not None:  # only the images overlays need are kept
+            outputs.append((report, out_dir, scene.rgb if scene is not None else None))
+    planned = [i for i, traj in enumerate(trajs) if traj is not None]
     if planned:
-        q, series = run_control(arm, HOME_Q, [done[i].traj for i in planned], cfg)
+        q, series = run_control(arm, HOME_Q, [trajs[i] for i in planned], cfg)
         poses = kinematics.fk(arm, q)
         for k, i in enumerate(planned):
-            done[i] = _score(cfg, done[i], so3.Pose(poses.p[k], poses.R[k]),
-                             series[:, k])
-    return done
+            _score(cfg, reports[i], trajs[i], so3.Pose(poses.p[k], poses.R[k]),
+                   series[:, k])
+    for report, out_dir, rgb in outputs:
+        write_episode_artifacts(report, cfg, out_dir, rgb)
+    return reports
 
 
 def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
@@ -407,14 +391,10 @@ def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
 
 
 def report_to_dict(report: EpisodeReport) -> dict:
-    prop = None
-    if report.proposal is not None:
-        p = report.proposal
-        prop = {"x": p.x, "y": p.y, "theta": p.theta, "t": p.t}
     return {
         "success": report.success,
         "reason": report.reason,
-        "proposal": prop,
+        "proposal": asdict(report.proposal) if report.proposal is not None else None,
         "final_pos_err": report.final_pos_err,
         "final_yaw_err": report.final_yaw_err,
         "proposal_px_err": report.proposal_px_err,
@@ -456,8 +436,7 @@ def run_batch(cfg: PipelineConfig, n: int, seed: int, vision: str = "classical",
     good_grasp_rate) and writes summary.csv when out_dir is given."""
     arm = arm_for(cfg)
     source = vision_source(vision, cfg, params)
-    # Scenes are made one at a time as the episodes are planned; only the
-    # images that overlays need are kept past planning.
+    # Scenes are made one at a time as the episodes are planned.
     episodes = ((seed + i, source, generate_scene(seed + i, cfg),
                  Path(out_dir) / f"episode_{i:03d}" if out_dir is not None else None)
                 for i in range(n))

@@ -222,8 +222,8 @@ def test_learned_vision():
         return learned.l1_loss(np.concatenate([pos, theta], axis=1), labels)[0]
 
     for name in learned._SHAPES:
-        arr = getattr(params, name).reshape(-1)
-        g = getattr(grads, name).reshape(-1)
+        arr = params[name].reshape(-1)
+        g = grads[name].reshape(-1)
         for i in range(arr.size):
             old = arr[i]
             arr[i] = old + eps
@@ -253,7 +253,7 @@ def test_learned_vision():
     again, _ = learned.train(dataset[:20], epochs=3, lr=1e-3, seed=9)
     again2, _ = learned.train(dataset[:20], epochs=3, lr=1e-3, seed=9)
     deterministic = all(np.array_equal(a, b)
-                        for a, b in zip(again.arrays(), again2.arrays()))
+                        for a, b in zip(again.values(), again2.values()))
 
     elapsed = time.monotonic() - t0
     _report("learned vision: gradcheck < 1e-4; 50-epoch halving; "

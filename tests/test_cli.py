@@ -89,6 +89,15 @@ def test_denoise_malformed_line_exits_2(monkeypatch, capsys):
         assert "malformed" in capsys.readouterr().err
 
 
+def test_denoise_non_finite_now_exits_2(monkeypatch, capsys):
+    line = '{"x": 0.5, "y": 0.1, "theta": 0.2, "t": 1.0}\n'
+    for now in ("nan", "inf", "-inf"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        assert main(["denoise", f"--now={now}"]) == 2, now
+        captured = capsys.readouterr()
+        assert "--now" in captured.err and captured.out == "", now
+
+
 def test_plan_csv_boundary_rows(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     rc = main(["plan", "--target", "0.6,0.1", "--theta", "0.3",
@@ -124,7 +133,9 @@ def test_plan_bad_target_exits_2(capsys):
                         (["--theta", "3"], "--theta"),
                         (["--rate", "0"], "--rate"),
                         (["--rate", "nan"], "--rate"),
-                        (["--ti", "5", "--tf", "5"], "--tf")]:
+                        (["--ti", "5", "--tf", "5"], "--tf"),
+                        (["--rate", "1e300"], "--rate"),
+                        (["--tf", "1e9"], "--tf")]:
         # A repeated --target overrides the first one.
         assert main(["plan", "--target", "0.6,0.1", *extra]) == 2, extra
         captured = capsys.readouterr()
@@ -152,7 +163,7 @@ def test_train_zero_epochs_returns_init(tmp_path, capsys):
     assert rc == 0
     params = learned.load_params(out)
     init = learned.init_params(3)
-    for a, b in zip(params.arrays(), init.arrays()):
+    for a, b in zip(params.values(), init.values()):
         assert np.array_equal(a, b)
     capsys.readouterr()
 
@@ -326,7 +337,8 @@ def test_bad_set_override_exits_2(capsys):
                  "control_rate=inf", "grasp_z=nan", "frame_rate=0",
                  "frame_rate=1e6", "scene_width=12.5", "sigma=abc",
                  "color_low=1,x,3", "color_high=1,2", "duration=1e9",
-                 "control_rate=1e6", "scene_width=100000", "scene_height=100000"):
+                 "control_rate=1e6", "scene_width=100000", "scene_height=100000",
+                 "sigma=1e300"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""

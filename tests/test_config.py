@@ -51,7 +51,7 @@ def test_load_config_rejects_bad_line(tmp_path):
         "sigma=nan", "canny_low=nan", "scale_x=nan", "scale_y=inf",
         "shift_x=inf", "batch_size=0", "duration=1e9", "settle_time=1e9",
         "control_rate=1e6", "control_rate=1e308", "scene_width=100000",
-        "scene_height=100000")],
+        "scene_height=100000", "sigma=85.4", "sigma=1e300")],
     # Values that do not parse: the error names the file, line and key.
     pytest.param("sigma = abc\n", r"c\.txt:1: sigma", id="sigma=abc"),
     pytest.param("# ok\nscene_width=12.5\n", r"c\.txt:2: scene_width",

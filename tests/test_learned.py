@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from baggrasp import learned
-from baggrasp.learned import (ModelParams, backward, batch_tensors,
-                              forward_batch, init_params, l1_loss, load_params,
-                              model_forward, save_params, train)
+from baggrasp.learned import (backward, batch_tensors, forward_batch,
+                              init_params, l1_loss, load_params, save_params,
+                              train)
 from conftest import make_dataset
 
 
@@ -71,28 +71,34 @@ def test_conv_shape_mismatch():
 # --- model forward ---
 
 def _zero_params():
-    return ModelParams(*[np.zeros(s) for s in learned._SHAPES.values()])
+    return {name: np.zeros(s) for name, s in learned._SHAPES.items()}
+
+
+def _forward_one(params, rgb, dep):
+    """One scene through forward_batch: ((2,) position, (1,) angle)."""
+    pos, theta, _ = forward_batch(params, rgb[None], dep[None])
+    return pos[0], theta[0]
 
 
 def test_forward_zero_params_returns_biases():
     params = _zero_params()
-    params.pos_b[:] = (0.25, -0.5)
-    params.theta_b[:] = 0.125
-    pos, theta = model_forward(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
+    params["pos_b"][:] = (0.25, -0.5)
+    params["theta_b"][:] = 0.125
+    pos, theta = _forward_one(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
     assert np.array_equal(pos, (0.25, -0.5))
     assert np.array_equal(theta, (0.125,))
 
 
 def test_forward_output_shapes():
     params = init_params(0)
-    pos, theta = model_forward(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
+    pos, theta = _forward_one(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
     assert pos.shape == (2,) and theta.shape == (1,)
 
 
 def test_forward_rejects_wrong_dims():
     params = init_params(0)
     with pytest.raises(ValueError):
-        model_forward(params, np.zeros((3, 36, 63)), np.zeros((1, 36, 64)))
+        _forward_one(params, np.zeros((3, 36, 63)), np.zeros((1, 36, 64)))
 
 
 def test_forward_head_linearity_in_embedding():
@@ -101,11 +107,11 @@ def test_forward_head_linearity_in_embedding():
     rng = np.random.default_rng(3)
     params = init_params(3)
     for name in ("rgb_b1", "rgb_b2", "dep_b1", "dep_b2", "pos_b", "theta_b"):
-        getattr(params, name)[:] = 0.0
+        params[name][:] = 0.0
     rgb = rng.uniform(0, 1, (3, 36, 64))
     dep = rng.uniform(0, 1, (1, 36, 64))
-    pos1, th1 = model_forward(params, rgb, dep)
-    pos2, th2 = model_forward(params, 2 * rgb, 2 * dep)
+    pos1, th1 = _forward_one(params, rgb, dep)
+    pos2, th2 = _forward_one(params, 2 * rgb, 2 * dep)
     assert np.allclose(pos2, 2 * pos1, atol=1e-9)
     assert np.allclose(th2, 2 * th1, atol=1e-9)
 
@@ -134,7 +140,7 @@ def test_backward_zero_loss_gives_zero_grads():
     labels = np.concatenate([pos, theta], axis=1)
     loss, grads = backward(params, rgb, dep, labels)
     assert loss == 0.0
-    for arr in grads.arrays():
+    for arr in grads.values():
         assert np.array_equal(arr, np.zeros_like(arr))
 
 
@@ -148,9 +154,9 @@ def test_backward_untouched_head_gets_zero_grad():
     pos, theta, _ = forward_batch(params, rgb, dep)
     labels = np.concatenate([pos, theta + 1.0], axis=1)
     _, grads = backward(params, rgb, dep, labels)
-    assert np.array_equal(grads.pos_w, np.zeros_like(grads.pos_w))
-    assert np.array_equal(grads.pos_b, np.zeros_like(grads.pos_b))
-    assert not np.array_equal(grads.theta_w, np.zeros_like(grads.theta_w))
+    assert np.array_equal(grads["pos_w"], np.zeros_like(grads["pos_w"]))
+    assert np.array_equal(grads["pos_b"], np.zeros_like(grads["pos_b"]))
+    assert not np.array_equal(grads["theta_w"], np.zeros_like(grads["theta_w"]))
 
 
 def test_backward_sampled_finite_differences():
@@ -164,8 +170,8 @@ def test_backward_sampled_finite_differences():
     eps = 1e-4
     rng = np.random.default_rng(6)
     for name in learned._SHAPES:
-        arr = getattr(params, name).reshape(-1)
-        g = getattr(grads, name).reshape(-1)
+        arr = params[name].reshape(-1)
+        g = grads[name].reshape(-1)
         for i in rng.choice(arr.size, size=min(10, arr.size), replace=False):
             old = arr[i]
             arr[i] = old + eps
@@ -185,7 +191,7 @@ def test_train_zero_epochs_returns_init():
     params, losses = train(scenes, epochs=0, seed=7)
     init = init_params(7)
     assert losses == []
-    for a, b in zip(params.arrays(), init.arrays()):
+    for a, b in zip(params.values(), init.values()):
         assert np.array_equal(a, b)
 
 
@@ -194,7 +200,7 @@ def test_train_deterministic():
     p1, l1 = train(scenes, epochs=3, seed=5)
     p2, l2 = train(scenes, epochs=3, seed=5)
     assert l1 == l2
-    for a, b in zip(p1.arrays(), p2.arrays()):
+    for a, b in zip(p1.values(), p2.values()):
         assert np.array_equal(a, b)
 
 
@@ -274,7 +280,7 @@ def test_normalized_label_ranges():
 
 def test_predict_wraps_theta():
     params = _zero_params()
-    params.theta_b[:] = 1.2  # raw output 1.2 -> 1.2*pi/2 rad, outside range
+    params["theta_b"][:] = 1.2  # raw output 1.2 -> 1.2*pi/2 rad, outside range
     from baggrasp import sim as _sim
     from baggrasp.config import PipelineConfig
 

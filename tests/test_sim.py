@@ -222,19 +222,26 @@ def test_run_batch_rows_do_not_depend_on_batch(cfg):
 
 def test_run_batch_mixes_failed_and_controlled_episodes(cfg, tmp_path):
     # Episode 1 sees no proposal (fails before control), the others are
-    # controlled in one loop; every report equals its lone run.
+    # controlled in one loop; every report and artifact equals its lone run's.
     failed_alone = sim.run_episode(cfg, 9, ARM, classical_source(cfg),
-                                     sim.generate_scene(9, cfg, flat=True))
+                                     sim.generate_scene(9, cfg, flat=True),
+                                     out_dir=tmp_path / "alone_b")
     live = [sim.generate_scene(s, cfg) for s in (7, 8)]
     reports = sim._run_episodes(cfg, ARM, [
         (7, classical_source(cfg), live[0], tmp_path / "a"),
-        (9, classical_source(cfg), sim.generate_scene(9, cfg, flat=True), None),
-        (8, classical_source(cfg), live[1], None)])
+        (9, classical_source(cfg), sim.generate_scene(9, cfg, flat=True), tmp_path / "b"),
+        (8, classical_source(cfg), live[1], tmp_path / "c")])
     assert sim.report_to_dict(reports[1]) == sim.report_to_dict(failed_alone)
-    for report, seed, scene in ((reports[0], 7, live[0]), (reports[2], 8, live[1])):
-        alone = sim.run_episode(cfg, seed, ARM, classical_source(cfg), scene)
+    for report, seed, scene, name in ((reports[0], 7, live[0], "a"),
+                                      (reports[2], 8, live[1], "c")):
+        alone = sim.run_episode(cfg, seed, ARM, classical_source(cfg), scene,
+                                out_dir=tmp_path / f"alone_{name}")
         assert sim.report_to_dict(report) == sim.report_to_dict(alone)
         assert np.array_equal(report.series, alone.series)
+    for name in "abc":
+        for artifact in ("report.json", "trace.csv", "overlay.ppm"):
+            assert (tmp_path / name / artifact).read_bytes() \
+                == (tmp_path / f"alone_{name}" / artifact).read_bytes(), (name, artifact)
     assert (tmp_path / "a" / "overlay.ppm").exists()
 
 
