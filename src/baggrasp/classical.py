@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import InputError, PipelineConfig
 from .image_io import GrayImage, RgbImage, to_gray
 
 
@@ -88,10 +88,15 @@ class GraspProposal:
                           allow_nan=False)
 
     @staticmethod
-    def from_json_line(line: str) -> "GraspProposal":
-        obj = json.loads(line)
-        return GraspProposal(float(obj["x"]), float(obj["y"]),
-                             float(obj["theta"]), float(obj["t"]))
+    def from_json_line(line: str, where: str) -> "GraspProposal":
+        """Parse one JSON line; a malformed one is an InputError naming where."""
+        try:
+            obj = json.loads(line)
+            return GraspProposal(float(obj["x"]), float(obj["y"]),
+                                 float(obj["theta"]), float(obj["t"]))
+        except (ValueError, KeyError, TypeError, OverflowError) as err:
+            raise InputError(f"{where}: malformed proposal line {line.strip()!r}: "
+                             f"{err}") from err
 
 
 def wrap_half_pi(theta: float) -> float:

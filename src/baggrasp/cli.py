@@ -17,76 +17,74 @@ import numpy as np
 
 from . import config, denoise, image_io, kinematics, learned, sim, so3, trajectory
 from .classical import CameraCalibration, GraspProposal, VisionError
+from .config import InputError
 # Kept as a cli attribute: perfbench's tracer test checks that this alias
 # of a traced function is wrapped and restored.
 from .classical import classical_pipeline  # noqa: F401
 from .so3 import Pose
 
 
-class BadUsage(Exception):
-    """Invalid arguments or malformed input files."""
-
-
 def _load_cfg(args) -> config.PipelineConfig:
-    try:
-        cfg = config.load_config(args.config) if args.config else config.PipelineConfig()
-        overrides = {}
-        for item in args.set or []:
-            if "=" not in item:
-                raise ValueError(f"--set expects key=value, got {item!r}")
-            key, val = item.split("=", 1)
-            overrides[key.strip()] = val
-        return config.apply_overrides(cfg, overrides)
-    except (ValueError, OSError) as err:
-        raise BadUsage(str(err)) from err
+    cfg = config.load_config(args.config) if args.config else config.PipelineConfig()
+    overrides = {}
+    for item in args.set or []:
+        if "=" not in item:
+            raise InputError(f"--set expects key=value, got {item!r}")
+        key, val = item.split("=", 1)
+        overrides[key.strip()] = val
+    return config.apply_overrides(cfg, overrides)
 
 
 def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise BadUsage(f"{what} not found: {p}")
+        raise InputError(f"{what} not found: {p}")
     return p
 
 
-def _load_params(path):
-    try:
-        return learned.load_params(_require_file(path, "params file"))
-    except ValueError as err:
-        raise BadUsage(str(err)) from err
+# argparse types: each declares a flag's domain, so a bad value exits 2
+# naming the flag before any work is done.
+def _checked(convert, test, domain: str, name: str = ""):
+    """An argparse type: convert the text (argparse reports a ValueError as
+    an invalid `name` value), then require test(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
+        return value
+    parse.__name__ = name or convert.__name__
+    return parse
 
 
-def _finite(value: float, flag: str) -> None:
-    if not math.isfinite(value):
-        raise BadUsage(f"{flag} must be finite, got {value!r}")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_JAW_ANGLE = _checked(float, lambda v: -math.pi / 2 < v <= math.pi / 2,
+                      "an angle in (-pi/2, pi/2]")
 
 
-def _at_least(value: int, low: int, flag: str) -> None:
-    if value < low:
-        raise BadUsage(f"{flag} must be >= {low}, got {value}")
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
-def _numbers(text: str, flag: str, form: str) -> list[float]:
-    """The finite comma-separated numbers of a flag such as --target X,Y."""
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        vals = []
-    if len(vals) != form.count(",") + 1 or not all(map(math.isfinite, vals)):
-        raise BadUsage(f"{flag} expects {form} as finite numbers, got {text!r}")
-    return vals
+def _numbers(form: str):
+    """Comma-separated finite numbers shaped like form (e.g. X,Y)."""
+    return _checked(lambda text: [float(v) for v in text.split(",")],
+                    lambda vals: len(vals) == form.count(",") + 1
+                    and all(map(math.isfinite, vals)),
+                    f"{form} as finite numbers", form)
 
 
 def cmd_vision(args, cfg) -> int:
-    _finite(args.t, "--t")
     rgb = image_io.load_ppm(_require_file(args.rgb, "rgb image"))
     depth = params = None
     if args.mode == "learned":
         if not args.depth:
-            raise BadUsage("learned mode requires --depth")
+            raise InputError("learned mode requires --depth")
         if not (args.params or cfg.params_path):
-            raise BadUsage("learned mode requires --params or params_path")
+            raise InputError("learned mode requires --params or params_path")
         depth = image_io.load_pgm(_require_file(args.depth, "depth image"))
-        params = _load_params(args.params or cfg.params_path)
+        params = learned.load_params(_require_file(args.params or cfg.params_path,
+                                                   "params file"))
     proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth, args.t)
     print(proposal.to_json_line())
     if args.overlay:
@@ -97,24 +95,15 @@ def cmd_vision(args, cfg) -> int:
     return 0
 
 
-def _parse_proposals(lines) -> list[GraspProposal]:
-    """JSON-lines proposals; blank lines are skipped, a bad line is BadUsage."""
-    props = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            props.append(GraspProposal.from_json_line(line))
-        except (ValueError, KeyError, TypeError) as err:
-            raise BadUsage(f"malformed proposal line {line!r}: {err}") from err
-    return props
+def _parse_proposals(lines, source: str) -> list[GraspProposal]:
+    """JSON-lines proposals; blank lines are skipped, and a bad line is an
+    InputError naming source:line."""
+    return [GraspProposal.from_json_line(line, f"{source}:{lineno}")
+            for lineno, line in enumerate(lines, 1) if line.strip()]
 
 
 def cmd_denoise(args, cfg) -> int:
-    if args.now is not None:
-        _finite(args.now, "--now")
-    proposals = _parse_proposals(sys.stdin)
+    proposals = _parse_proposals(sys.stdin, "<stdin>")
     if not proposals:
         print("no proposals on stdin", file=sys.stderr)
         return 1
@@ -126,28 +115,16 @@ def cmd_denoise(args, cfg) -> int:
 
 def _start_pose(args, cfg) -> Pose:
     if args.start:
-        vals = _numbers(args.start, "--start", "PX,PY,PZ,YAW")
-        return Pose(vals[:3], so3.grasp_orientation(vals[3]))
+        return Pose(args.start[:3], so3.grasp_orientation(args.start[3]))
     return kinematics.fk(sim.arm_for(cfg), sim.HOME_Q)
 
 
 def cmd_plan(args, cfg) -> int:
-    tx, ty = _numbers(args.target, "--target", "X,Y")
-    for flag, value in (("--theta", args.theta), ("--grasp-z", args.grasp_z),
-                        ("--ti", args.ti), ("--tf", args.tf),
-                        ("--rate", args.rate)):
-        if value is not None:
-            _finite(value, flag)
-    if args.rate <= 0:
-        raise BadUsage("--rate must be > 0")
     if args.tf <= args.ti:
-        raise BadUsage("--tf must be > --ti")
+        raise InputError("--tf must be > --ti")
     if not (args.tf - args.ti) * args.rate <= config.MAX_CONTROL_STEPS:
-        raise BadUsage(f"(--tf - --ti) * --rate must be <= {config.MAX_CONTROL_STEPS}")
-    try:
-        proposal = GraspProposal(tx, ty, args.theta, args.ti)
-    except ValueError as err:
-        raise BadUsage(f"--theta: {err}") from err
+        raise InputError(f"(--tf - --ti) * --rate must be <= {config.MAX_CONTROL_STEPS}")
+    proposal = GraspProposal(*args.target, args.theta, args.ti)
     traj = trajectory.plan(_start_pose(args, cfg), proposal,
                            args.grasp_z if args.grasp_z is not None else cfg.grasp_z,
                            args.ti, args.tf)
@@ -166,24 +143,23 @@ def cmd_plan(args, cfg) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
-    _at_least(args.seed, 0, "--seed")
-    if args.batch is not None:
-        _at_least(args.batch, 1, "--batch")
     if args.vision == "file":
         if args.batch is not None:
-            raise BadUsage("--vision file runs a single episode; batch episodes "
-                           "run on generated scenes, so drop --batch")
+            raise InputError("--vision file runs a single episode; batch episodes "
+                             "run on generated scenes, so drop --batch")
         if not args.proposals:
-            raise BadUsage("--vision file requires --proposals")
+            raise InputError("--vision file requires --proposals")
+        path = _require_file(args.proposals, "proposals file")
         source = _parse_proposals(
-            _require_file(args.proposals, "proposals file").read_text().splitlines())
+            config.read_text(path, "proposals file").splitlines(), path)
         scene = None
     else:
         params = None
         if args.vision == "learned":
             if not (args.params or cfg.params_path):
-                raise BadUsage("learned vision requires --params or params_path")
-            params = _load_params(args.params or cfg.params_path)
+                raise InputError("learned vision requires --params or params_path")
+            params = learned.load_params(_require_file(args.params or cfg.params_path,
+                                                       "params file"))
         if args.batch is not None:
             _, success_rate, good_rate = sim.run_batch(
                 cfg, args.batch, args.seed, vision=args.vision, params=params,
@@ -200,16 +176,8 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    _at_least(args.epochs, 0, "--epochs")
-    _at_least(args.seed, 0, "--seed")
-    _finite(args.lr, "--lr")
-    if args.lr <= 0:
-        raise BadUsage("--lr must be > 0")
-    try:
-        dataset = learned.load_dataset(_require_file(Path(args.data) / "labels.csv",
-                                                     "labels.csv").parent)
-    except ValueError as err:
-        raise BadUsage(str(err)) from err
+    dataset = learned.load_dataset(_require_file(Path(args.data) / "labels.csv",
+                                                 "labels.csv").parent)
     if not dataset:
         print("dataset is empty", file=sys.stderr)
         return 1
@@ -225,8 +193,6 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_genscenes(args, cfg) -> int:
-    _at_least(args.n, 1, "--n")
-    _at_least(args.seed, 0, "--seed")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["id,px,py,theta"]
@@ -258,32 +224,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth")
     p.add_argument("--params")
     p.add_argument("--overlay")
-    p.add_argument("--t", type=float, default=0.0, help="proposal timestamp")
+    p.add_argument("--t", type=_FINITE, default=0.0, help="proposal timestamp")
     p.set_defaults(func=cmd_vision)
 
     p = sub.add_parser("denoise", help="stdin proposal stream -> one proposal")
     common(p)
-    p.add_argument("--now", type=float, help="window end (default: newest t)")
+    p.add_argument("--now", type=_FINITE, help="window end (default: newest t)")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("plan", help="sampled trajectory CSV for a target")
     common(p)
-    p.add_argument("--target", required=True, metavar="X,Y")
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--grasp-z", type=float, dest="grasp_z")
-    p.add_argument("--ti", type=float, default=0.0)
-    p.add_argument("--tf", type=float, default=5.0)
-    p.add_argument("--rate", type=float, default=100.0)
-    p.add_argument("--start", metavar="PX,PY,PZ,YAW",
+    p.add_argument("--target", type=_numbers("X,Y"), required=True, metavar="X,Y")
+    p.add_argument("--theta", type=_JAW_ANGLE, default=0.0)
+    p.add_argument("--grasp-z", type=_FINITE, dest="grasp_z")
+    p.add_argument("--ti", type=_FINITE, default=0.0)
+    p.add_argument("--tf", type=_FINITE, default=5.0)
+    p.add_argument("--rate", type=_POSITIVE, default=100.0)
+    p.add_argument("--start", type=_numbers("PX,PY,PZ,YAW"), metavar="PX,PY,PZ,YAW",
                    help="start pose (default: arm home)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="run one episode or a batch")
     common(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", help="artifact directory")
-    p.add_argument("--batch", type=int, metavar="N")
+    p.add_argument("--batch", type=_int_at_least(1), metavar="N")
     p.add_argument("--vision", choices=["classical", "learned", "file"],
                    default="classical")
     p.add_argument("--params")
@@ -295,17 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the learned vision model")
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=_int_at_least(0), default=50)
+    p.add_argument("--lr", type=_POSITIVE, default=1e-3)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="params file to write")
     p.add_argument("--loss-out", dest="loss_out", help="per-epoch loss CSV")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("genscenes", help="write a synthetic dataset directory")
     common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--flat", action="store_true")
     p.set_defaults(func=cmd_genscenes)
@@ -321,10 +287,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_cfg(args)
         return args.func(args, cfg)
-    except BadUsage as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (image_io.FormatError, kinematics.ArmFileError) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except VisionError as err:

@@ -2,7 +2,8 @@
 a plain-text key=value config file parser, and flag-override merging.
 
 Unknown keys are rejected at parse time; color thresholds are comma-separated
-RGB triples.
+RGB triples. Every rejected input, here and in the file readers of the other
+modules, is an InputError.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ MAX_FRAMES = 1000
 # most scene pixels (1920 x 1080) an episode may have.
 MAX_CONTROL_STEPS = 100_000
 MAX_SCENE_PIXELS = 1920 * 1080
+
+
+class InputError(ValueError):
+    """Rejected input: a config value, flag or input file (exit code 2)."""
 
 
 @dataclass
@@ -70,46 +75,54 @@ class PipelineConfig:
         # a good value passes.
         for f in dataclasses.fields(self):
             if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+                raise InputError(f"{f.name} must be finite")
         for name in ("sigma", "perimeter_min", "window", "frame_rate", "duration",
                      "control_rate", "k_p", "qdot_max", "pos_tol", "ang_tol_deg",
                      "good_grasp_px"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+                raise InputError(f"{name} must be > 0")
         for name in ("distance_threshold", "noise_sigma", "k_d", "damping",
                      "settle_time"):
             if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise InputError(f"{name} must be >= 0")
         # An episode attempts round(window * frame_rate) frames: at least 1
         # (round(0.5) == 0) and at most MAX_FRAMES (round(1000.5) == 1000).
         if not 0.5 < self.window * self.frame_rate <= MAX_FRAMES + 0.5:
-            raise ValueError(f"window * frame_rate must round to 1 to {MAX_FRAMES} "
+            raise InputError(f"window * frame_rate must round to 1 to {MAX_FRAMES} "
                              "frames")
         steps = (self.duration + self.settle_time) * self.control_rate
         if not steps <= MAX_CONTROL_STEPS + 0.5:
-            raise ValueError("(duration + settle_time) * control_rate must round to "
+            raise InputError("(duration + settle_time) * control_rate must round to "
                              f"at most {MAX_CONTROL_STEPS} control steps")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):
-            raise ValueError("require 0 < canny_low < canny_high <= 1")
+            raise InputError("require 0 < canny_low < canny_high <= 1")
         if self.scale_x == 0 or self.scale_y == 0:
-            raise ValueError("calibration scale components must be nonzero")
+            raise InputError("calibration scale components must be nonzero")
         for name in ("color_low", "color_high"):
             trip = getattr(self, name)
             if len(trip) != 3 or any(not (0 <= int(v) <= 255) for v in trip):
-                raise ValueError(f"{name} must be an RGB triple in 0..255")
+                raise InputError(f"{name} must be an RGB triple in 0..255")
         if any(lo > hi for lo, hi in zip(self.color_low, self.color_high)):
-            raise ValueError("color_low must be componentwise <= color_high")
+            raise InputError("color_low must be componentwise <= color_high")
         if not (min(self.scene_width, self.scene_height) >= 8
                 and self.scene_width * self.scene_height <= MAX_SCENE_PIXELS):
-            raise ValueError("scene_width and scene_height must be >= 8 and "
+            raise InputError("scene_width and scene_height must be >= 8 and "
                              f"scene_width * scene_height <= {MAX_SCENE_PIXELS}")
         # ceil(3 * sigma) <= n exactly when 3 * sigma <= n, for an integer n.
         if not 3 * self.sigma <= max(self.scene_width, self.scene_height):
-            raise ValueError("sigma: blur radius ceil(3 * sigma) must be <= "
+            raise InputError("sigma: blur radius ceil(3 * sigma) must be <= "
                              "max(scene_width, scene_height)")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InputError("batch_size must be >= 1")
         return self
+
+
+def read_text(path, what: str) -> str:
+    """Text of an input file; one that cannot be read is an InputError."""
+    try:
+        return Path(path).read_text()
+    except OSError as err:
+        raise InputError(f"{path}: cannot read {what}: {err.strerror}") from err
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -118,38 +131,38 @@ _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 def _parse_value(name: str, raw: str):
     """Parse raw as the type of config key `name`; every error names the key."""
     if name not in _FIELDS:
-        raise ValueError(f"unknown config key {name!r}")
+        raise InputError(f"unknown config key {name!r}")
     kind = _FIELDS[name].type
     raw = raw.strip()
     try:
         if kind in ("tuple", tuple):
             parts = tuple(int(p) for p in raw.split(",") if p.strip())
             if len(parts) != 3:
-                raise ValueError(f"expected an r,g,b triple, got {raw!r}")
+                raise InputError(f"expected an r,g,b triple, got {raw!r}")
             return parts
         if kind in ("int", int):
             return int(raw)
         if kind in ("float", float):
             return float(raw)
     except ValueError as err:
-        raise ValueError(f"{name}: {err}") from err
+        raise InputError(f"{name}: {err}") from err
     return raw
 
 
 def load_config(path) -> PipelineConfig:
     """Read key=value lines ('#' starts a comment) into a PipelineConfig."""
     cfg = PipelineConfig()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, "config file").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         try:
             if "=" not in line:
-                raise ValueError(f"expected key=value, got {line!r}")
+                raise InputError(f"expected key=value, got {line!r}")
             key, raw = line.split("=", 1)
             setattr(cfg, key.strip(), _parse_value(key.strip(), raw))
         except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from err
+            raise InputError(f"{path}:{lineno}: {err}") from err
     return cfg.validate()
 
 

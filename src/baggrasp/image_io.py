@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import InputError
 
-class FormatError(ValueError):
+
+class FormatError(InputError):
     """Malformed or unsupported image file."""
 
 

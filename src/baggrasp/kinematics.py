@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import so3
+from .config import InputError, read_text
 from .so3 import Pose
 from .trajectory import TrajectorySample
 
@@ -45,23 +46,16 @@ class ArmModel:
         self._W2 = self._W @ self._W
 
 
-class ArmFileError(ValueError):
-    """Malformed or unreadable arm description file."""
-
-
 def load_arm(path) -> ArmModel:
     """Parse an arm description file.
 
     Lines ('#' comments allowed):
       zero_pose px py pz r11 r12 r13 r21 r22 r23 r31 r32 r33
       joint ax ay az px py pz lower upper   (exactly 7 of these, in order)
-    Every number must be finite. Any defect raises ArmFileError naming the
+    Every number must be finite. Any defect raises InputError naming the
     file (and the line, where there is one).
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ArmFileError(f"{path}: cannot read arm file: {err.strerror}") from err
+    text = read_text(path, "arm file")
     zero_pose = None
     axes, points, limits = [], [], []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -73,29 +67,29 @@ def load_arm(path) -> ArmModel:
         try:
             vals = [float(v) for v in parts[1:]]
         except ValueError as err:
-            raise ArmFileError(f"{path}:{lineno}: {err}") from err
+            raise InputError(f"{path}:{lineno}: {err}") from err
         if not all(map(math.isfinite, vals)):
-            raise ArmFileError(f"{path}:{lineno}: numbers must be finite")
+            raise InputError(f"{path}:{lineno}: numbers must be finite")
         if tag == "zero_pose":
             if len(vals) != 12:
-                raise ArmFileError(f"{path}:{lineno}: zero_pose needs 12 numbers")
+                raise InputError(f"{path}:{lineno}: zero_pose needs 12 numbers")
             zero_pose = Pose(vals[:3], np.array(vals[3:]).reshape(3, 3))
         elif tag == "joint":
             if len(vals) != 8:
-                raise ArmFileError(f"{path}:{lineno}: joint needs 8 numbers")
+                raise InputError(f"{path}:{lineno}: joint needs 8 numbers")
             axes.append(vals[0:3])
             points.append(vals[3:6])
             limits.append(vals[6:8])
         else:
-            raise ArmFileError(f"{path}:{lineno}: unknown line tag {tag!r}")
+            raise InputError(f"{path}:{lineno}: unknown line tag {tag!r}")
     if zero_pose is None:
-        raise ArmFileError(f"{path}: missing zero_pose line")
+        raise InputError(f"{path}: missing zero_pose line")
     if len(axes) != N_JOINTS:
-        raise ArmFileError(f"{path}: expected {N_JOINTS} joints, got {len(axes)}")
+        raise InputError(f"{path}: expected {N_JOINTS} joints, got {len(axes)}")
     try:
         return ArmModel(zero_pose, np.array(axes), np.array(points), np.array(limits))
     except ValueError as err:
-        raise ArmFileError(f"{path}: {err}") from err
+        raise InputError(f"{path}: {err}") from err
 
 
 def default_arm_path() -> Path:

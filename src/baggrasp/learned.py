@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import image_io
+from .config import InputError
 from .image_io import DepthImage, RgbImage
 
 IN_H, IN_W = 36, 64
@@ -249,13 +250,13 @@ def save_params(params: dict, path) -> None:
 def load_params(path) -> dict[str, np.ndarray]:
     data = Path(path).read_bytes()
     if data[:8] != _MAGIC:
-        raise ValueError(f"{path}: bad params-file magic")
+        raise InputError(f"{path}: bad params-file magic")
     pos = 8
     try:
         (count,) = struct.unpack_from("<I", data, pos)
         pos += 4
         if count != len(_SHAPES):
-            raise ValueError(f"{path}: expected {len(_SHAPES)} arrays, got {count}")
+            raise InputError(f"{path}: expected {len(_SHAPES)} arrays, got {count}")
         arrays = {}
         for name, shape in _SHAPES.items():
             (ndim,) = struct.unpack_from("<I", data, pos)
@@ -263,14 +264,14 @@ def load_params(path) -> dict[str, np.ndarray]:
             dims = struct.unpack_from(f"<{ndim}I", data, pos)
             pos += 4 * ndim
             if dims != shape:
-                raise ValueError(f"{path}: {name} has shape {dims}, expected {shape}")
+                raise InputError(f"{path}: {name} has shape {dims}, expected {shape}")
             n = int(np.prod(shape))
             if pos + 8 * n > len(data):
-                raise ValueError(f"{path}: truncated params file")
+                raise InputError(f"{path}: truncated params file")
             arrays[name] = np.frombuffer(data, "<f8", n, pos).reshape(shape).copy()
             pos += 8 * n
     except struct.error as err:
-        raise ValueError(f"{path}: truncated params file") from err
+        raise InputError(f"{path}: truncated params file") from err
     return arrays
 
 
@@ -316,7 +317,7 @@ def load_dataset(directory) -> list[LabeledScene]:
     Full-frame scenes are center-cropped and resized to 36x64; labels are
     mapped into the small frame, and rows whose label falls outside the crop
     are skipped. A row with a missing column or scene file, a non-integer id
-    or a non-finite px, py or theta raises ValueError naming its file and line.
+    or a non-finite px, py or theta raises InputError naming its file and line.
     """
     path = Path(directory) / "labels.csv"
     scenes = []
@@ -328,16 +329,16 @@ def load_dataset(directory) -> list[LabeledScene]:
                 idx = int(row["id"])
                 label = [float(row[key]) for key in ("px", "py", "theta")]
             except KeyError as err:
-                raise ValueError(f"{where}: missing column {err}") from err
+                raise InputError(f"{where}: missing column {err}") from err
             except ValueError as err:
-                raise ValueError(f"{where}: bad label row: {err}") from err
+                raise InputError(f"{where}: bad label row: {err}") from err
             if not all(map(math.isfinite, label)):
-                raise ValueError(f"{where}: px, py and theta must be finite")
+                raise InputError(f"{where}: px, py and theta must be finite")
             try:
                 rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
                 depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
             except FileNotFoundError as err:
-                raise ValueError(f"{where}: no scene file {err.filename}") from err
+                raise InputError(f"{where}: no scene file {err.filename}") from err
             rgb_small, dep_small, frame = preprocess(rgb, depth)
             px, py = full_to_net_px(label[0], label[1], frame)
             if not (-0.5 <= px <= IN_W - 0.5 and -0.5 <= py <= IN_H - 0.5):
