@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InputError, PipelineConfig
+from .config import WORKSPACE_LIMIT, InputError, PipelineConfig
 from .image_io import GrayImage, RgbImage, to_gray
 
 
@@ -72,8 +72,8 @@ class GraspProposal:
     t: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("grasp target must be finite")
+        if not (abs(self.x) <= WORKSPACE_LIMIT and abs(self.y) <= WORKSPACE_LIMIT):
+            raise ValueError(f"grasp target must be within +-{WORKSPACE_LIMIT} m")
         if not math.isfinite(self.t):
             raise ValueError(f"timestamp {self.t} must be finite")
         if not (-math.pi / 2 < self.theta <= math.pi / 2):

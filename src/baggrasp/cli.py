@@ -67,11 +67,12 @@ def _int_at_least(low: int):
 
 
 def _numbers(form: str):
-    """Comma-separated finite numbers shaped like form (e.g. X,Y)."""
+    """Comma-separated numbers shaped like form (e.g. X,Y), each within the
+    workspace limit."""
     return _checked(lambda text: [float(v) for v in text.split(",")],
-                    lambda vals: len(vals) == form.count(",") + 1
-                    and all(map(math.isfinite, vals)),
-                    f"{form} as finite numbers", form)
+                    lambda vals: len(vals) == form.count(",") + 1 and all(
+                        abs(v) <= config.WORKSPACE_LIMIT for v in vals),
+                    f"{form} within +-{config.WORKSPACE_LIMIT}", form)
 
 
 def cmd_vision(args, cfg) -> int:
@@ -176,11 +177,10 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    dataset = learned.load_dataset(_require_file(Path(args.data) / "labels.csv",
-                                                 "labels.csv").parent)
+    labels = _require_file(Path(args.data) / "labels.csv", "labels.csv")
+    dataset = learned.load_dataset(labels.parent)
     if not dataset:
-        print("dataset is empty", file=sys.stderr)
-        return 1
+        raise InputError(f"{labels}: dataset is empty (no label inside the crop)")
     params, losses = learned.train(dataset, args.epochs, args.lr, args.seed,
                                    cfg.batch_size)
     learned.save_params(params, args.out)

@@ -21,6 +21,13 @@ MAX_FRAMES = 1000
 # most scene pixels (1920 x 1080) an episode may have.
 MAX_CONTROL_STEPS = 100_000
 MAX_SCENE_PIXELS = 1920 * 1080
+# Farthest a workspace coordinate (m) may lie from the base: a grasp target,
+# the grasp height, an arm point, or where the calibration maps the scene.
+# With |scale| >= MIN_SCALE (m/px) and k_p, k_d and damping at most MAX_GAIN,
+# every pixel <-> workspace map and every control quantity stays finite.
+WORKSPACE_LIMIT = 1e3
+MIN_SCALE = 1e-9
+MAX_GAIN = 1e3
 
 
 class InputError(ValueError):
@@ -96,8 +103,11 @@ class PipelineConfig:
                              f"at most {MAX_CONTROL_STEPS} control steps")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):
             raise InputError("require 0 < canny_low < canny_high <= 1")
-        if self.scale_x == 0 or self.scale_y == 0:
-            raise InputError("calibration scale components must be nonzero")
+        if not abs(self.grasp_z) <= WORKSPACE_LIMIT:
+            raise InputError(f"grasp_z must be within +-{WORKSPACE_LIMIT} m")
+        for name in ("k_p", "k_d", "damping"):
+            if not getattr(self, name) <= MAX_GAIN:
+                raise InputError(f"{name} must be <= {MAX_GAIN}")
         for name in ("color_low", "color_high"):
             trip = getattr(self, name)
             if len(trip) != 3 or any(not (0 <= int(v) <= 255) for v in trip):
@@ -108,6 +118,13 @@ class PipelineConfig:
                 and self.scene_width * self.scene_height <= MAX_SCENE_PIXELS):
             raise InputError("scene_width and scene_height must be >= 8 and "
                              f"scene_width * scene_height <= {MAX_SCENE_PIXELS}")
+        for axis, size in (("x", self.scene_width), ("y", self.scene_height)):
+            scale, shift = getattr(self, "scale_" + axis), getattr(self, "shift_" + axis)
+            if not (abs(scale) >= MIN_SCALE and max(abs(shift), abs(shift + scale * size))
+                    <= WORKSPACE_LIMIT):
+                raise InputError(f"scale_{axis}, shift_{axis}: need |scale_{axis}| >= "
+                                 f"{MIN_SCALE} and the scene mapped within "
+                                 f"+-{WORKSPACE_LIMIT} m")
         # ceil(3 * sigma) <= n exactly when 3 * sigma <= n, for an integer n.
         if not 3 * self.sigma <= max(self.scene_width, self.scene_height):
             raise InputError("sigma: blur radius ceil(3 * sigma) must be <= "
@@ -118,11 +135,13 @@ class PipelineConfig:
 
 
 def read_text(path, what: str) -> str:
-    """Text of an input file; one that cannot be read is an InputError."""
+    """Text of an input file. Undecodable bytes become lone surrogates, so
+    they fail the file's parser with its path:line, not the decoder."""
     try:
-        return Path(path).read_text()
-    except OSError as err:
-        raise InputError(f"{path}: cannot read {what}: {err.strerror}") from err
+        return Path(path).read_text(errors="surrogateescape")
+    except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
+        raise InputError(f"{path}: cannot read {what}: "
+                         f"{getattr(err, 'strerror', None) or err}") from err
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}

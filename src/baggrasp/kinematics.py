@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import so3
-from .config import InputError, read_text
+from .config import WORKSPACE_LIMIT, InputError, read_text
 from .so3 import Pose
 from .trajectory import TrajectorySample
 
@@ -41,6 +41,13 @@ class ArmModel:
             raise ValueError("joint axes must be unit vectors")
         if np.any(self.limits[:, 0] >= self.limits[:, 1]):
             raise ValueError("joint limits must satisfy lower < upper")
+        R = self.zero_pose.R
+        if not (np.allclose(R @ R.T, np.eye(3), rtol=0, atol=1e-9)
+                and np.linalg.det(R) > 0):
+            raise ValueError("zero_pose orientation must be a rotation matrix")
+        if not np.all(np.abs([*self.points, self.zero_pose.p]) <= WORKSPACE_LIMIT):
+            raise ValueError(f"joint points and zero_pose position must lie "
+                             f"within +-{WORKSPACE_LIMIT} m")
         # Constant per-joint skew matrices; reused every control step.
         self._W = so3.hat(self.axes)
         self._W2 = self._W @ self._W

@@ -316,12 +316,13 @@ def load_dataset(directory) -> list[LabeledScene]:
 
     Full-frame scenes are center-cropped and resized to 36x64; labels are
     mapped into the small frame, and rows whose label falls outside the crop
-    are skipped. A row with a missing column or scene file, a non-integer id
-    or a non-finite px, py or theta raises InputError naming its file and line.
+    are skipped. A row with a missing column or scene file, a non-integer id,
+    a non-finite px or py or a theta outside (-pi/2, pi/2] raises InputError
+    naming its file and line.
     """
     path = Path(directory) / "labels.csv"
     scenes = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh, restval="")
         for row in reader:
             where = f"{path}:{reader.line_num}"
@@ -332,8 +333,10 @@ def load_dataset(directory) -> list[LabeledScene]:
                 raise InputError(f"{where}: missing column {err}") from err
             except ValueError as err:
                 raise InputError(f"{where}: bad label row: {err}") from err
-            if not all(map(math.isfinite, label)):
-                raise InputError(f"{where}: px, py and theta must be finite")
+            if not (all(map(math.isfinite, label[:2]))
+                    and -math.pi / 2 < label[2] <= math.pi / 2):
+                raise InputError(f"{where}: px and py must be finite and theta "
+                                 "in (-pi/2, pi/2]")
             try:
                 rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
                 depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")

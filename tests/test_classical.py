@@ -525,6 +525,8 @@ def test_grasp_proposal_validation():
         GraspProposal(float("nan"), 0.2, 0.0)
     with pytest.raises(ValueError):
         GraspProposal(0.1, 0.2, 0.0, float("inf"))
+    with pytest.raises(ValueError, match="within"):
+        GraspProposal(0.1, -1e300, 0.0)
 
 
 def test_pipeline_hits_scene_label(cfg):

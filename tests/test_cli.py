@@ -83,7 +83,9 @@ def test_denoise_empty_stdin_exits_1(monkeypatch, capsys):
 
 
 def test_denoise_malformed_line_exits_2(monkeypatch, capsys):
-    for line in ("not json\n", '{"x": null, "y": 0, "theta": 0, "t": 0}\n'):
+    for line in ("not json\n", '{"x": null, "y": 0, "theta": 0, "t": 0}\n',
+                 '{"x": 1e308, "y": 0, "theta": 0, "t": 0}\n' * 2,
+                 '{"x": 0.5, "y": \udcff, "theta": 0, "t": 0}\n'):
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
         assert main(["denoise"]) == 2
         assert "malformed" in capsys.readouterr().err
@@ -135,7 +137,8 @@ def test_plan_bad_target_exits_2(capsys):
                         (["--rate", "nan"], "--rate"),
                         (["--ti", "5", "--tf", "5"], "--tf"),
                         (["--rate", "1e300"], "--rate"),
-                        (["--tf", "1e9"], "--tf")]:
+                        (["--tf", "1e9"], "--tf"),
+                        (["--target", "2000,0"], "--target")]:
         # A repeated --target overrides the first one.
         assert main(["plan", "--target", "0.6,0.1", *extra]) == 2, extra
         captured = capsys.readouterr()
@@ -208,18 +211,31 @@ def test_bad_seed_count_and_rate_flags_exit_2(tmp_path, capsys, argv, flag):
     ("id,px,py,theta\n1.5,120.0,70.0,0.1\n", "1.5"),
     ("id,px,py\n0,120.0,70.0\n", "theta"),
     ("id,px,py,theta\n7,120.0,70.0,0.1\n", "scene_0007.ppm"),
+    ("id,px,py,theta\n0,120.0,70.0,3\n", "theta"),
+    ("id,px,py,theta\n0,\udcff,70.0,0.1\n", "could not convert"),
 ], ids=["theta=nan", "theta=inf", "px=nan", "id=1.5", "no-theta-column",
-        "no-scene-file"])
+        "no-scene-file", "theta=3", "non-utf8"])
 def test_bad_labels_exit_2(tmp_path, capsys, labels, message):
     data = tmp_path / "data"
     assert main(["genscenes", "--n", "1", "--out", str(data)]) == 0
-    (data / "labels.csv").write_text(labels)
+    (data / "labels.csv").write_text(labels, errors="surrogateescape")
     out = tmp_path / "params.bin"
     assert main(["train", "--data", str(data), "--epochs", "1",
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "labels.csv:2:" in captured.err and message in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_train_empty_dataset_exits_2(tmp_path, capsys):
+    # Flat scenes have no label, so labels.csv holds only its header.
+    data = tmp_path / "data"
+    assert main(["genscenes", "--n", "1", "--flat", "--out", str(data)]) == 0
+    out = tmp_path / "params.bin"
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "dataset is empty" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_train_and_learned_vision(tmp_path, capsys):
@@ -298,15 +314,17 @@ def test_simulate_batch_file_vision_exits_2(tmp_path, capsys):
 
 
 def test_nonfinite_timestamp_exits_2(tmp_path, monkeypatch, capsys):
-    line = '{"x": 0.6, "y": 0.0, "theta": 0.2, "t": NaN}\n'
-    monkeypatch.setattr("sys.stdin", io.StringIO(line))
-    assert main(["denoise"]) == 2
-    assert "malformed proposal line" in capsys.readouterr().err
-    props = tmp_path / "props.jsonl"
-    props.write_text(line)
-    assert main(["simulate", "--seed", "0", "--vision", "file",
-                 "--proposals", str(props)]) == 2
-    assert "malformed proposal line" in capsys.readouterr().err
+    for line in ('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": NaN}\n',
+                 '{"x": 1e300, "y": 0.0, "theta": 0.2, "t": 0.0}\n',
+                 '{"x": 0.6, "y": 0.0, "theta": \udcff, "t": 0.0}\n'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        assert main(["denoise"]) == 2
+        assert "malformed proposal line" in capsys.readouterr().err
+        props = tmp_path / "props.jsonl"
+        props.write_text(line, errors="surrogateescape")
+        assert main(["simulate", "--seed", "0", "--vision", "file",
+                     "--proposals", str(props)]) == 2
+        assert "malformed proposal line" in capsys.readouterr().err
 
 
 def test_config_file_and_overrides(tmp_path, capsys):
@@ -322,8 +340,8 @@ def test_config_file_and_overrides(tmp_path, capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
-    for key in ("not_a_key", "table_z", "epochs", "lr"):
-        cfg_file.write_text(f"{key}=1\n")
+    for key in ("not_a_key", "table_z", "epochs", "lr", "\udcff"):
+        cfg_file.write_text(f"{key}=1\n", errors="surrogateescape")
         rc = main(["simulate", "--seed", "0", "--config", str(cfg_file)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
@@ -338,7 +356,8 @@ def test_bad_set_override_exits_2(capsys):
                  "frame_rate=1e6", "scene_width=12.5", "sigma=abc",
                  "color_low=1,x,3", "color_high=1,2", "duration=1e9",
                  "control_rate=1e6", "scene_width=100000", "scene_height=100000",
-                 "sigma=1e300"):
+                 "sigma=1e300", "scale_y=1e300", "shift_x=1e300", "grasp_z=1e300",
+                 "scale_x=1e-300", "damping=1e300", "k_d=1e308"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""
@@ -353,13 +372,16 @@ ARM_LINES = kinematics.default_arm_path().read_text().splitlines()
     ("joint 0 0 1  0.0 abc 0.0  -2.9 2.9", ":8:", "could not convert"),
     ("zero_pose 0.9 0.0 0.17  -1 0 0  0 1 0  0 0 NaN", ":7:", "finite"),
     ("joint 0 0 1  0.0 0.0 0.0  2.9 -2.9", "arm.txt:", "lower < upper"),
+    ("joint 0 0 1  0.0 \udcff 0.0  -2.9 2.9", ":8:", "could not convert"),
+    ("zero_pose 0.9 0.0 0.17  -1 0 0  0 1 0  0 0 1", "arm.txt:", "rotation"),
+    ("joint 0 0 1  0.0 0.0 1e300  -2.9 2.9", "arm.txt:", "within"),
 ])
 def test_bad_arm_file_exits_2(tmp_path, capsys, bad_line, where, message):
     # Replace the line of the same tag: line 7 is zero_pose, line 8 joint 1.
     lines = list(ARM_LINES)
     lines[6 if bad_line.startswith("zero_pose") else 7] = bad_line
     arm = tmp_path / "arm.txt"
-    arm.write_text("\n".join(lines) + "\n")
+    arm.write_text("\n".join(lines) + "\n", errors="surrogateescape")
     for argv in (["simulate", "--seed", "7"], ["plan", "--target", "0.6,0.1"]):
         assert main([*argv, "--set", f"arm_file={arm}"]) == 2, argv
         captured = capsys.readouterr()

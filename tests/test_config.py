@@ -51,17 +51,20 @@ def test_load_config_rejects_bad_line(tmp_path):
         "sigma=nan", "canny_low=nan", "scale_x=nan", "scale_y=inf",
         "shift_x=inf", "batch_size=0", "duration=1e9", "settle_time=1e9",
         "control_rate=1e6", "control_rate=1e308", "scene_width=100000",
-        "scene_height=100000", "sigma=85.4", "sigma=1e300")],
+        "scene_height=100000", "sigma=85.4", "sigma=1e300", "scale_y=1e300",
+        "shift_x=1e300", "grasp_z=1e300", "scale_x=1e-300", "damping=1e300",
+        "k_p=1e300", "k_d=1e308")],
     # Values that do not parse: the error names the file, line and key.
     pytest.param("sigma = abc\n", r"c\.txt:1: sigma", id="sigma=abc"),
     pytest.param("# ok\nscene_width=12.5\n", r"c\.txt:2: scene_width",
                  id="scene_width=12.5"),
     pytest.param("batch_size=two\n", r"c\.txt:1: batch_size", id="batch_size=two"),
     pytest.param("color_low=1,x,3\n", r"c\.txt:1: color_low", id="color_low=1,x,3"),
+    pytest.param("sigma=\udcff\n", r"c\.txt:1: sigma", id="sigma=non-utf8"),
 ])
 def test_load_config_validates_values(tmp_path, text, match):
     p = tmp_path / "c.txt"
-    p.write_text(text)
+    p.write_text(text, errors="surrogateescape")
     with pytest.raises(ValueError, match=match):
         load_config(p)
 
