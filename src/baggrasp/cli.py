@@ -126,9 +126,12 @@ def cmd_plan(args, cfg) -> int:
     if not (args.tf - args.ti) * args.rate <= config.MAX_CONTROL_STEPS:
         raise InputError(f"(--tf - --ti) * --rate must be <= {config.MAX_CONTROL_STEPS}")
     proposal = GraspProposal(*args.target, args.theta, args.ti)
-    traj = trajectory.plan(_start_pose(args, cfg), proposal,
-                           args.grasp_z if args.grasp_z is not None else cfg.grasp_z,
-                           args.ti, args.tf)
+    try:
+        traj = trajectory.plan(_start_pose(args, cfg), proposal,
+                               args.grasp_z if args.grasp_z is not None else cfg.grasp_z,
+                               args.ti, args.tf)
+    except ValueError as err:  # each flag is valid alone; the pair is not
+        raise InputError(f"--start, --theta: {err}") from err
     lines = ["t,px,py,pz,vx,vy,vz,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
              "wffx,wffy,wffz"]
     ts = trajectory.sample_times(traj, args.rate)

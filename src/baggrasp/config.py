@@ -125,6 +125,8 @@ class PipelineConfig:
                 raise InputError(f"scale_{axis}, shift_{axis}: need |scale_{axis}| >= "
                                  f"{MIN_SCALE} and the scene mapped within "
                                  f"+-{WORKSPACE_LIMIT} m")
+        if not 2 * self.sigma * self.sigma > 0:  # the blur kernel divides by it
+            raise InputError("sigma: 2 * sigma^2 underflows to 0")
         # ceil(3 * sigma) <= n exactly when 3 * sigma <= n, for an integer n.
         if not 3 * self.sigma <= max(self.scene_width, self.scene_height):
             raise InputError("sigma: blur radius ceil(3 * sigma) must be <= "

@@ -22,7 +22,7 @@ from .so3 import Pose
 from .trajectory import TrajectorySample
 
 N_JOINTS = 7
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]  # cyclic index shifts for cross products
+_CYCLIC = np.eye(4)[[0, 1, 2, 0, 1]]  # row picks: cross-product shifts become slices
 
 
 @dataclass
@@ -36,8 +36,7 @@ class ArmModel:
         self.axes = np.asarray(self.axes, dtype=float).reshape(N_JOINTS, 3)
         self.points = np.asarray(self.points, dtype=float).reshape(N_JOINTS, 3)
         self.limits = np.asarray(self.limits, dtype=float).reshape(N_JOINTS, 2)
-        norms = np.linalg.norm(self.axes, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(self.axes, axis=1) - 1.0) > 1e-9):
             raise ValueError("joint axes must be unit vectors")
         if np.any(self.limits[:, 0] >= self.limits[:, 1]):
             raise ValueError("joint limits must satisfy lower < upper")
@@ -48,9 +47,17 @@ class ArmModel:
         if not np.all(np.abs([*self.points, self.zero_pose.p]) <= WORKSPACE_LIMIT):
             raise ValueError(f"joint points and zero_pose position must lie "
                              f"within +-{WORKSPACE_LIMIT} m")
-        # Constant per-joint skew matrices; reused every control step.
-        self._W = so3.hat(self.axes)
-        self._W2 = self._W @ self._W
+        # fk_and_jacobian's constants. Joint j's transform [R_j | (I - R_j) p_j]
+        # is [1, sin q_j, 1 - cos q_j] @ _basis[j], as R_j = I + s W + (1 - c) W^2.
+        W = so3.hat(self.axes)
+        self._W, self._W2 = W, W @ W
+        basis = np.zeros((N_JOINTS, 3, 4, 4))
+        basis[:, 0], basis[:, 1:, :3, :3] = np.eye(4), np.stack([W, self._W2], axis=1)
+        basis[:, 1:, :3, 3] = -np.einsum("jkab,jb->jka", basis[:, 1:, :3, :3], self.points)
+        self._basis = basis.reshape(N_JOINTS, 3, 16)
+        # Columns [axis; 0] and [point; 1]: a frame maps both in one product.
+        self._lines = np.insert(np.stack([self.axes, self.points], -1), 3, (0, 1), axis=1)
+        self._zero_T = np.block([[R, self.zero_pose.p[:, None]], [0, 0, 0, 1]])
 
 
 def load_arm(path) -> ArmModel:
@@ -115,33 +122,41 @@ def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
     """
     q = np.asarray(q, dtype=float)
     lead = q.shape[:-1]
-    s, c = np.sin(q)[..., None, None], np.cos(q)[..., None, None]
-    R = np.eye(3) + s * arm._W + (1.0 - c) * arm._W2       # (..., 7, 3, 3)
-    t = arm.points - (R @ arm.points[:, :, None])[..., 0]  # (..., 7, 3)
-    R_acc = np.empty(lead + (N_JOINTS + 1, 3, 3))
-    R_acc[..., 0, :, :] = np.eye(3)
+    coef = np.stack([np.ones_like(q), np.sin(q), 1.0 - np.cos(q)], axis=-1)
+    T = (coef[..., None, :] @ arm._basis).reshape(lead + (N_JOINTS, 4, 4))
+    # F[j]: rows 0, 1, 2, 0, 1 of the frame ahead of joint j, T[0] ... T[j-1].
+    F = np.empty(lead + (N_JOINTS + 1, 5, 4))
+    F[..., 0, :, :] = _CYCLIC
     for j in range(N_JOINTS):
-        R_acc[..., j + 1, :, :] = R_acc[..., j, :, :] @ R[..., j, :, :]
-    before = R_acc[..., :N_JOINTS, :, :]  # rotation ahead of each joint
-    moved_axes = (before @ arm.axes[:, :, None])[..., 0]
-    # p_acc[j]: translation ahead of joint j, the running sum of R_acc t.
-    p_acc = np.zeros(lead + (N_JOINTS + 1, 3))
-    np.cumsum((before @ t[..., None])[..., 0], axis=-2, out=p_acc[..., 1:, :])
-    moved_points = (before @ arm.points[:, :, None])[..., 0] + p_acc[..., :N_JOINTS, :]
-    R_end, p_end = R_acc[..., N_JOINTS, :, :], p_acc[..., N_JOINTS, :]
-    p_ee = R_end @ arm.zero_pose.p + p_end
-    R_ee = R_end @ arm.zero_pose.R
-    # moved_axes x (p_ee - moved_points): the products np.cross forms,
-    # without its per-call overhead.
-    d = p_ee[..., None, :] - moved_points
-    lin = moved_axes[..., _NEXT] * d[..., _PREV] - moved_axes[..., _PREV] * d[..., _NEXT]
-    J = np.swapaxes(np.concatenate([lin, moved_axes], axis=-1), -1, -2)
-    return Pose(p_ee, R_ee), J
+        np.matmul(F[..., j, :, :], T[..., j, :, :], out=F[..., j + 1, :, :])
+    moved = F[..., :N_JOINTS, :, :] @ arm._lines  # (..., 7, 5, 2)
+    end = F[..., N_JOINTS, :, :] @ arm._zero_T     # (..., 5, 4)
+    # Column j: moved axis a x (p_ee - moved point), np.cross's products.
+    a, d = moved[..., 0], end[..., None, :, 3] - moved[..., 1]
+    lin = a[..., 1:4] * d[..., 2:] - a[..., 2:] * d[..., 1:4]
+    J = np.swapaxes(np.concatenate([lin, a[..., :3]], axis=-1), -1, -2)
+    return Pose(end[..., :3, 3], end[..., :3, :3]), J
 
 
 def fk(arm: ArmModel, q) -> Pose:
     """End-effector pose for joint vector q (product of exponentials)."""
     return fk_and_jacobian(arm, q)[0]
+
+
+def _dls_solve(J: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs for G = J J^T + damping^2 I over a stack J (..., m, n)."""
+    G = J @ np.swapaxes(J, -1, -2)  # new, so contiguous: a strided diagonal
+    G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] += damping * damping
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("J J^T singular; use damping > 0 near singularities") from err
+    # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
+    # healthy configurations sit orders of magnitude above this cut.
+    pivots = np.diagonal(L, axis1=-2, axis2=-1)
+    if (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any():
+        raise ValueError("J J^T singular; use damping > 0 near singularities")
+    return np.linalg.solve(G, rhs)
 
 
 def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
@@ -152,22 +167,9 @@ def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
     (for any slice of a stack).
     """
     J = np.asarray(J, dtype=float)
-    G = J @ np.swapaxes(J, -1, -2)
-    diag = np.arange(G.shape[-1])
-    G[..., diag, diag] += damping * damping
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(
-            "J J^T singular; use damping > 0 near singularities") from err
-    # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
-    # healthy configurations sit orders of magnitude above this cut.
-    pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    if np.any(pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)):
-        raise ValueError("J J^T singular; use damping > 0 near singularities")
     # G is symmetric, so J^T G^-1 = (G^-1 J)^T: one solve of G X = J gives
     # the pseudo-inverse without forming G^-1.
-    return np.swapaxes(np.linalg.solve(G, J), -1, -2)
+    return np.swapaxes(_dls_solve(J, damping, J), -1, -2)
 
 
 def compute_error(current: Pose, desired: TrajectorySample) -> np.ndarray:
@@ -178,26 +180,28 @@ def compute_error(current: Pose, desired: TrajectorySample) -> np.ndarray:
                            so3.rotation_error(desired.R_d, current.R)], axis=-1)
 
 
+def feedforward(sample: TrajectorySample) -> np.ndarray:
+    """Base-frame twist [pdot_d; R_d w_ff] (w_ff is along the moving axis)."""
+    return np.concatenate([sample.pdot_d,
+                           (sample.R_d @ sample.w_ff[..., None])[..., 0]], axis=-1)
+
+
 def control_step(arm: ArmModel, q, sample: TrajectorySample, k_p: float,
                  k_d: float, prev_e, dt: float, damping: float = 1e-3,
-                 qdot_max: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
+                 qdot_max: float = 1.5, v_ff=None) -> tuple[np.ndarray, np.ndarray]:
     """One tick of the workspace PD velocity law; returns (qdot, e).
 
-    qdot = pinv(J) @ (-k_p e - k_d edot + V) with scalar gains on the stacked
-    6-vector error e; edot is its backward difference (zero on the first
-    step, when prev_e is None). The feedforward V stacks the desired linear
-    velocity with the angular rate rotated into the base frame (the
-    trajectory stores it along the moving rotation axis). Output joint
-    velocities are clamped to +-qdot_max. q (..., 7) and the sample may
-    carry a leading episode axis; each episode is computed on its own.
+    qdot = pinv(J, damping) @ u, u = -k_p e - k_d edot + V, as J^T x from one
+    solve of (J J^T + damping^2 I) x = u; e is the stacked 6-vector error,
+    edot its backward difference (zero when prev_e is None), V is v_ff or else
+    feedforward(sample); qdot is clamped to +-qdot_max. q (..., 7) and the
+    sample may carry a leading episode axis; each episode is its own.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     pose, J = fk_and_jacobian(arm, q)
     e = compute_error(pose, sample)
     edot = np.zeros_like(e) if prev_e is None else (e - prev_e) / dt
-    v_ff = np.concatenate([sample.pdot_d,
-                           (sample.R_d @ sample.w_ff[..., None])[..., 0]], axis=-1)
-    u = -k_p * e - k_d * edot + v_ff
-    qdot = (pinv(J, damping) @ u[..., None])[..., 0]
+    u = -k_p * e - k_d * edot + (feedforward(sample) if v_ff is None else v_ff)
+    qdot = (np.swapaxes(J, -1, -2) @ _dls_solve(J, damping, u[..., None]))[..., 0]
     return np.clip(qdot, -qdot_max, qdot_max), e

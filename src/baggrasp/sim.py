@@ -184,13 +184,9 @@ def add_pixel_noise(rng, rgb: RgbImage, depth: DepthImage,
     return RgbImage(noisy(rgb, 255)), DepthImage(noisy(depth, 65535))
 
 
-def step_plant(q, qdot_d, dt: float, limits) -> np.ndarray:
-    """Perfect velocity tracking: q' = q + qdot*dt, clamped to joint limits;
-    q and qdot_d may be stacks (..., 7)."""
-    q = np.asarray(q, dtype=float)
-    limits = np.asarray(limits, dtype=float)
-    return np.clip(q + np.asarray(qdot_d, dtype=float) * dt,
-                   limits[:, 0], limits[:, 1])
+def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
+    """Perfect velocity tracking: q + qdot_d * dt, clamped to [lower, upper]."""
+    return np.clip(q + qdot_d * dt, lower, upper)
 
 
 def draw_overlay(rgb: RgbImage, px, theta: float, half_len: float = 18.0) -> RgbImage:
@@ -255,24 +251,24 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     dt = 1.0 / cfg.control_rate
     n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
     q = np.tile(np.asarray(q0, dtype=float), (len(trajs), 1))
-    prev_e = None
-    series = np.empty((n_steps, len(trajs), 2))
+    lower, upper = arm.limits.T.copy()
+    errors = np.empty((n_steps, len(trajs), 6))  # e of every step
     times = _control_times(traj.t_i, n_steps, cfg)
     for i in range(n_steps):
-        if i % _SAMPLE_BLOCK == 0:
-            # The trajectories are sampled a block of steps at a time: one
-            # call's overhead per block, and memory for one block only.
-            block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
         k = i % _SAMPLE_BLOCK
+        if k == 0:
+            # Trajectories and feedforward come a block of steps at a time:
+            # one call's overhead per block, and memory for one block only.
+            block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
+            v_ff = kinematics.feedforward(block)
         samp = trajectory.TrajectorySample(block.p_d[k], block.pdot_d[k],
                                            block.R_d[k], block.w_ff[k])
-        qdot, e = kinematics.control_step(arm, q, samp, cfg.k_p, cfg.k_d,
-                                          prev_e, dt, cfg.damping, cfg.qdot_max)
-        q = step_plant(q, qdot, dt, arm.limits)
-        prev_e = e
-        series[i, :, 0] = np.linalg.norm(e[:, :3], axis=-1)
-        series[i, :, 1] = np.linalg.norm(e[:, 3:], axis=-1)
-    return q, series
+        qdot, errors[i] = kinematics.control_step(
+            arm, q, samp, cfg.k_p, cfg.k_d, errors[i - 1] if i else None, dt,
+            cfg.damping, cfg.qdot_max, v_ff[k])
+        q = step_plant(q, qdot, dt, lower, upper)
+    return q, np.stack([np.linalg.norm(errors[..., :3], axis=-1),
+                        np.linalg.norm(errors[..., 3:], axis=-1)], axis=-1)
 
 
 def _yaw_error(R_current, R_target) -> float:

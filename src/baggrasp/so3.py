@@ -24,6 +24,7 @@ GRIPPER_DOWN = np.array([
 _HAT_INDEX = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 _HAT_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
+_VEE_PLUS, _VEE_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
 _SMALL_ANGLE = 1e-8
 _ANTIPODE_MARGIN = 1e-6
 
@@ -51,9 +52,9 @@ def hat(v) -> np.ndarray:
 
 def _vee_antisym(M) -> np.ndarray:
     """vee(M - M^T) over leading axes, vee being the inverse of hat; read
-    off the entries without forming M^T."""
-    return np.stack([M[..., 2, 1] - M[..., 1, 2], M[..., 0, 2] - M[..., 2, 0],
-                     M[..., 1, 0] - M[..., 0, 1]], axis=-1)
+    off flat entries (2,1) (0,2) (1,0) less (1,2) (2,0) (0,1), no M^T formed."""
+    M = M.reshape(M.shape[:-2] + (9,))
+    return M.take(_VEE_PLUS, axis=-1) - M.take(_VEE_MINUS, axis=-1)
 
 
 def exp_so3(w) -> np.ndarray:

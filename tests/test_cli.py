@@ -138,7 +138,10 @@ def test_plan_bad_target_exits_2(capsys):
                         (["--ti", "5", "--tf", "5"], "--tf"),
                         (["--rate", "1e300"], "--rate"),
                         (["--tf", "1e9"], "--tf"),
-                        (["--target", "2000,0"], "--target")]:
+                        (["--target", "2000,0"], "--target"),
+                        # Valid flags whose start yaw is half a turn from the grasp.
+                        (["--start", "0.5,0,0.3,3.141592653589793", "--theta", "0"],
+                         "--start, --theta")]:
         # A repeated --target overrides the first one.
         assert main(["plan", "--target", "0.6,0.1", *extra]) == 2, extra
         captured = capsys.readouterr()
@@ -357,7 +360,7 @@ def test_bad_set_override_exits_2(capsys):
                  "color_low=1,x,3", "color_high=1,2", "duration=1e9",
                  "control_rate=1e6", "scene_width=100000", "scene_height=100000",
                  "sigma=1e300", "scale_y=1e300", "shift_x=1e300", "grasp_z=1e300",
-                 "scale_x=1e-300", "damping=1e300", "k_d=1e308"):
+                 "scale_x=1e-300", "damping=1e300", "k_d=1e308", "sigma=1e-300"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""

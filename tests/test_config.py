@@ -53,7 +53,7 @@ def test_load_config_rejects_bad_line(tmp_path):
         "control_rate=1e6", "control_rate=1e308", "scene_width=100000",
         "scene_height=100000", "sigma=85.4", "sigma=1e300", "scale_y=1e300",
         "shift_x=1e300", "grasp_z=1e300", "scale_x=1e-300", "damping=1e300",
-        "k_p=1e300", "k_d=1e308")],
+        "k_p=1e300", "k_d=1e308", "sigma=1e-300")],
     # Values that do not parse: the error names the file, line and key.
     pytest.param("sigma = abc\n", r"c\.txt:1: sigma", id="sigma=abc"),
     pytest.param("# ok\nscene_width=12.5\n", r"c\.txt:2: scene_width",
@@ -73,6 +73,11 @@ def test_control_keys_accept_zero_where_allowed():
     cfg = apply_overrides(PipelineConfig(),
                           {"k_d": "0", "damping": "0", "settle_time": "0"})
     assert (cfg.k_d, cfg.damping, cfg.settle_time) == (0.0, 0.0, 0.0)
+
+
+def test_tiny_sigma_validates_while_its_square_is_positive():
+    # 2 * 1e-150**2 = 2e-300 is still a normal double; sigma=1e-300 is not.
+    assert apply_overrides(PipelineConfig(), {"sigma": "1e-150"}).sigma == 1e-150
 
 
 def test_frame_count_cap_is_inclusive():

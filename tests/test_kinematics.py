@@ -317,6 +317,39 @@ def test_control_step_derivative_term():
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 3, 64])
+def test_control_step_vector_solve_matches_pinv(batch):
+    # With k_p = k_d = 0 and no clamp, control_step's command is
+    # J^T (J J^T + damping^2 I)^-1 v_ff for any v_ff. Two backward-stable
+    # solves of G = J J^T + damping^2 I agree to about eps * cond(G)
+    # relative, so the bound is 1e-12 up to cond(G) = 2.25e3 and 2 eps cond(G)
+    # above; near the stretched-out q = 0 (every other slice) cond(G) reaches
+    # 1e6 at damping 1e-3.
+    rng = np.random.default_rng(10 + batch)
+    eps = np.finfo(float).eps
+    for damping in (1e-3, 1e-2, 1e-1):
+        for _ in range(-(-60 // batch)):
+            qs = random_q(rng, batch)
+            qs[::2] = rng.normal(scale=1e-4, size=qs[::2].shape)
+            pose, J = fk_and_jacobian(ARM, qs)
+            u = rng.normal(size=(batch, 6))
+            qdot, _ = control_step(ARM, qs, _sample_at(pose), 0.0, 0.0, None, 0.01,
+                                   damping, np.inf, u)
+            want = (pinv(J, damping) @ u[..., None])[..., 0]
+            rel = np.linalg.norm(qdot - want, axis=-1) / np.linalg.norm(want, axis=-1)
+            G = J @ np.swapaxes(J, -1, -2) + damping ** 2 * np.eye(6)
+            assert np.all(rel <= np.maximum(1e-12, 2 * eps * np.linalg.cond(G)))
+    # Undamped, one singular slice fails the stack, as pinv does.
+    stack = random_q(rng, 4)
+    stack[2] = 0.0
+    at_pose = _sample_at(fk(ARM, stack), np.zeros((4, 3)), np.zeros((4, 3)))
+    for solve in (lambda: control_step(ARM, stack, at_pose, 0.8, 0.4, None, 0.01,
+                                       damping=0.0),
+                  lambda: pinv(fk_and_jacobian(ARM, stack)[1], 0.0)):
+        with pytest.raises(ValueError, match=r"J J\^T singular"):
+            solve()
+
+
 def test_control_step_propagates_pinv_error():
     with pytest.raises(ValueError, match="damping"):
         control_step(ARM, np.zeros(7), _sample_at(fk(ARM, np.zeros(7))),

@@ -61,7 +61,7 @@ def test_depth_raster_has_ridges(cfg):
 def test_step_plant_zero_velocity():
     q = np.linspace(-1, 1, 7)
     limits = np.tile((-2.0, 2.0), (7, 1))
-    assert np.array_equal(sim.step_plant(q, np.zeros(7), 0.01, limits), q)
+    assert np.array_equal(sim.step_plant(q, np.zeros(7), 0.01, *limits.T), q)
 
 
 def test_step_plant_constant_velocity_exact():
@@ -69,13 +69,13 @@ def test_step_plant_constant_velocity_exact():
     qdot = np.full(7, 0.3)
     limits = np.tile((-10.0, 10.0), (7, 1))
     for _ in range(50):
-        q = sim.step_plant(q, qdot, 0.01, limits)
+        q = sim.step_plant(q, qdot, 0.01, *limits.T)
     assert np.allclose(q, 50 * 0.01 * 0.3, atol=1e-12)
 
 
 def test_step_plant_clamps_at_limits():
     limits = np.tile((-0.1, 0.1), (7, 1))
-    q = sim.step_plant(np.full(7, 0.09), np.full(7, 10.0), 0.01, limits)
+    q = sim.step_plant(np.full(7, 0.09), np.full(7, 10.0), 0.01, *limits.T)
     assert np.allclose(q, 0.1)
 
 
