@@ -188,7 +188,6 @@ def load_config(path) -> PipelineConfig:
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:
-    """Apply key -> string overrides (e.g. from CLI flags) on top of cfg."""
-    for key, raw in overrides.items():
-        setattr(cfg, key, _parse_value(key, str(raw)))
-    return cfg.validate()
+    """A validated copy of cfg with key -> string overrides (e.g. CLI flags)."""
+    parsed = {key: _parse_value(key, str(raw)) for key, raw in overrides.items()}
+    return dataclasses.replace(cfg, **parsed).validate()

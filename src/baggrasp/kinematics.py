@@ -36,7 +36,8 @@ class ArmModel:
         self.axes = np.asarray(self.axes, dtype=float).reshape(N_JOINTS, 3)
         self.points = np.asarray(self.points, dtype=float).reshape(N_JOINTS, 3)
         self.limits = np.asarray(self.limits, dtype=float).reshape(N_JOINTS, 2)
-        if np.any(np.abs(np.linalg.norm(self.axes, axis=1) - 1.0) > 1e-9):
+        if not (np.all(np.abs(self.axes) <= 1 + 1e-9)  # bounded first: no overflow
+                and np.all(np.abs(np.linalg.norm(self.axes, axis=1) - 1.0) <= 1e-9)):
             raise ValueError("joint axes must be unit vectors")
         if np.any(self.limits[:, 0] >= self.limits[:, 1]):
             raise ValueError("joint limits must satisfy lower < upper")
@@ -48,13 +49,15 @@ class ArmModel:
             raise ValueError(f"joint points and zero_pose position must lie "
                              f"within +-{WORKSPACE_LIMIT} m")
         # fk_and_jacobian's constants. Joint j's transform [R_j | (I - R_j) p_j]
-        # is [1, sin q_j, 1 - cos q_j] @ _basis[j], as R_j = I + s W + (1 - c) W^2.
+        # is [1, sin q_j, 1 - cos q_j] @ _basis[j + 1], as R_j = I + s W + (1 - c) W^2;
+        # [1, 0, 0] @ _basis[0] is the identity that starts the chain.
         W = so3.hat(self.axes)
         self._W, self._W2 = W, W @ W
-        basis = np.zeros((N_JOINTS, 3, 4, 4))
-        basis[:, 0], basis[:, 1:, :3, :3] = np.eye(4), np.stack([W, self._W2], axis=1)
-        basis[:, 1:, :3, 3] = -np.einsum("jkab,jb->jka", basis[:, 1:, :3, :3], self.points)
-        self._basis = basis.reshape(N_JOINTS, 3, 16)
+        basis = np.zeros((N_JOINTS + 1, 3, 4, 4))
+        basis[:, 0], joint = np.eye(4), basis[1:, 1:, :3]
+        joint[..., :3] = np.stack([W, self._W2], axis=1)
+        joint[..., 3] = -np.einsum("jkab,jb->jka", joint[..., :3], self.points)
+        self._basis = basis.reshape(N_JOINTS + 1, 3, 16)
         # Columns [axis; 0] and [point; 1]: a frame maps both in one product.
         self._lines = np.insert(np.stack([self.axes, self.points], -1), 3, (0, 1), axis=1)
         self._zero_T = np.block([[R, self.zero_pose.p[:, None]], [0, 0, 0, 1]])
@@ -116,19 +119,21 @@ def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
     q is one joint vector (7,) or a stack (..., 7); the pose and the
     Jacobian (..., 6, 7) carry the same leading axes. Jacobian rows are
     (linear velocity at the end-effector point; angular velocity) in the
-    base frame; column j comes from joint j's moved axis. Every product
-    works slice by slice, so a configuration's result does not depend on
-    what else is in the stack.
+    base frame; column j comes from joint j's moved axis. The frames ahead
+    of the joints are the prefix products of [I, T_0, ..., T_6], in three
+    stacked steps of strides 1, 2, 4 (Hillis & Steele). Every product works
+    slice by slice, so a result does not depend on the rest of the stack.
     """
     q = np.asarray(q, dtype=float)
     lead = q.shape[:-1]
-    coef = np.stack([np.ones_like(q), np.sin(q), 1.0 - np.cos(q)], axis=-1)
-    T = (coef[..., None, :] @ arm._basis).reshape(lead + (N_JOINTS, 4, 4))
-    # F[j]: rows 0, 1, 2, 0, 1 of the frame ahead of joint j, T[0] ... T[j-1].
-    F = np.empty(lead + (N_JOINTS + 1, 5, 4))
-    F[..., 0, :, :] = _CYCLIC
-    for j in range(N_JOINTS):
-        np.matmul(F[..., j, :, :], T[..., j, :, :], out=F[..., j + 1, :, :])
+    coef = np.zeros(lead + (N_JOINTS + 1, 1, 3))  # [1, 0, 0], then [1, s_j, 1 - c_j]
+    coef[..., 0] = 1.0
+    np.sin(q, out=coef[..., 1:, 0, 1])
+    np.subtract(1.0, np.cos(q), out=coef[..., 1:, 0, 2])
+    P = (coef @ arm._basis).reshape(lead + (N_JOINTS + 1, 4, 4))
+    for d in (1, 2, 4):  # P[k] <- P[k - d] @ P[k], from the old P
+        P[..., d:, :, :] = P[..., :-d, :, :] @ P[..., d:, :, :]
+    F = _CYCLIC @ P  # F[j]: rows 0, 1, 2, 0, 1 of the frame ahead of joint j
     moved = F[..., :N_JOINTS, :, :] @ arm._lines  # (..., 7, 5, 2)
     end = F[..., N_JOINTS, :, :] @ arm._zero_T     # (..., 5, 4)
     # Column j: moved axis a x (p_ee - moved point), np.cross's products.
@@ -144,18 +149,23 @@ def fk(arm: ArmModel, q) -> Pose:
 
 
 def _dls_solve(J: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
-    """G^-1 rhs for G = J J^T + damping^2 I over a stack J (..., m, n)."""
+    """G^-1 rhs for G = J J^T + damping^2 I over a stack J (..., m, n); raises
+    when a slice's Cholesky pivots show G singular. Each exact pivot lies in
+    [damping, sqrt(G_ii)], so for damping > 1e-6 sqrt(max G_ii) that check
+    passes with a 10x margin, and the factorisation is skipped."""
     G = J @ np.swapaxes(J, -1, -2)  # new, so contiguous: a strided diagonal
-    G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] += damping * damping
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("J J^T singular; use damping > 0 near singularities") from err
-    # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
-    # healthy configurations sit orders of magnitude above this cut.
-    pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    if (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any():
-        raise ValueError("J J^T singular; use damping > 0 near singularities")
+    diag = G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1]
+    diag += damping * damping
+    if not damping > 1e-6 * math.sqrt(diag.max(initial=0.0)):
+        # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
+        # healthy configurations sit orders of magnitude above this cut.
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(G), axis1=-2, axis2=-1)
+            singular = (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any()
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            raise ValueError("J J^T singular; use damping > 0 near singularities")
     return np.linalg.solve(G, rhs)
 
 
@@ -204,4 +214,4 @@ def control_step(arm: ArmModel, q, sample: TrajectorySample, k_p: float,
     edot = np.zeros_like(e) if prev_e is None else (e - prev_e) / dt
     u = -k_p * e - k_d * edot + (feedforward(sample) if v_ff is None else v_ff)
     qdot = (np.swapaxes(J, -1, -2) @ _dls_solve(J, damping, u[..., None]))[..., 0]
-    return np.clip(qdot, -qdot_max, qdot_max), e
+    return np.minimum(np.maximum(qdot, -qdot_max), qdot_max), e

@@ -102,13 +102,6 @@ def _sample_crease(rng, center, dist: float, length: float, width: int,
     return CreaseSegment(mid - half, mid + half, width, elevation)
 
 
-def _in_bounds(seg: CreaseSegment, w: int, h: int, margin: float) -> bool:
-    for p in (seg.p0, seg.p1):
-        if not (margin <= p[0] < w - margin and margin <= p[1] < h - margin):
-            return False
-    return True
-
-
 def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
     """Render one synthetic scene, deterministically from the seed.
 
@@ -123,7 +116,7 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
     center = np.array([rng.uniform(0.42, 0.58) * w, rng.uniform(0.42, 0.58) * h])
     radius = rng.uniform(16.0, 22.0)
 
-    crop = image_io.crop_window(RgbImage(np.zeros((h, w, 3), dtype=np.uint8)))
+    ox, oy, cw, ch = image_io.crop_window(RgbImage(np.zeros((h, w, 3), dtype=np.uint8)))
     creases: list[CreaseSegment] = []
     if not flat:
         n_creases = int(rng.integers(2, 5))
@@ -135,12 +128,12 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
                                      length=rng.uniform(45.0, 75.0),
                                      width=int(rng.integers(2, 5)),
                                      elevation=rng.uniform(10.0, 20.0))
-                if not _in_bounds(seg, w, h, margin=8.0):
+                if not all(8 <= x < w - 8 and 8 <= y < h - 8  # 8 px margins
+                           for x, y in (seg.p0, seg.p1)):
                     continue
                 if any(_segments_close(seg, other, 6.0) for other in creases):
                     continue
                 if idx == 0:
-                    ox, oy, cw, ch = crop
                     mx, my = seg.midpoint
                     if not (ox + 4 <= mx < ox + cw - 4 and oy + 4 <= my < oy + ch - 4):
                         continue
@@ -152,9 +145,15 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
     rgb[:] = BACKGROUND
     depth = np.full((h, w), BASE_DEPTH_MM)
     for seg in creases:
-        dist = _capsule_dist(xs, ys, seg)
-        rgb[dist <= seg.width / 2.0] = CREASE_COLOR
-        depth -= seg.elevation * np.exp(-(dist * dist) / (2.0 * seg.width ** 2))
+        # Depth stays in [512, 1024) mm, where half an ulp is 5.7e-14; a ridge (20 mm
+        # at most) falls below it past 8.2 widths, so draw within 8.5 widths + 1 px.
+        reach = 8.5 * seg.width + 1.0
+        x0, y0 = np.maximum(np.minimum(seg.p0, seg.p1) - reach, 0).astype(int)
+        x1, y1 = (np.maximum(seg.p0, seg.p1) + reach + 1).astype(int)
+        win = np.s_[y0:y1, x0:x1]
+        dist = _capsule_dist(xs[win], ys[win], seg)
+        rgb[win][dist <= seg.width / 2.0] = CREASE_COLOR
+        depth[win] -= seg.elevation * np.exp(-(dist * dist) / (2.0 * seg.width ** 2))
     ball_dist2 = (xs - center[0]) ** 2 + (ys - center[1]) ** 2
     rgb[ball_dist2 <= radius * radius] = BALL_COLOR
     depth -= BALL_BUMP_MM * np.exp(-ball_dist2 / (2.0 * (0.8 * radius) ** 2))
@@ -186,25 +185,20 @@ def add_pixel_noise(rng, rgb: RgbImage, depth: DepthImage,
 
 def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
     """Perfect velocity tracking: q + qdot_d * dt, clamped to [lower, upper]."""
-    return np.clip(q + qdot_d * dt, lower, upper)
+    return np.minimum(np.maximum(q + qdot_d * dt, lower), upper)
 
 
 def draw_overlay(rgb: RgbImage, px, theta: float, half_len: float = 18.0) -> RgbImage:
     """Copy of rgb with the grasp marked: cyan angle line under a red dot."""
     out = rgb.pixels.copy()
-    h, w = out.shape[:2]
     cx, cy = float(px[0]), float(px[1])
-    for s in np.linspace(-half_len, half_len, int(8 * half_len) + 1):
-        x = int(round(cx + s * math.cos(theta)))
-        y = int(round(cy + s * math.sin(theta)))
-        if 0 <= x < w and 0 <= y < h:
-            out[y, x] = (0, 255, 255)
-    for dy in range(-2, 3):
-        for dx in range(-2, 3):
-            if dx * dx + dy * dy <= 4:
-                x, y = int(round(cx)) + dx, int(round(cy)) + dy
-                if 0 <= x < w and 0 <= y < h:
-                    out[y, x] = (255, 0, 0)
+    s = np.linspace(-half_len, half_len, int(8 * half_len) + 1)
+    line = np.round([cx + s * math.cos(theta), cy + s * math.sin(theta)]).astype(int)
+    off = np.mgrid[-2:3, -2:3].reshape(2, -1)
+    dot = np.round([[cx], [cy]]).astype(int) + off[:, (off * off).sum(0) <= 4]
+    for (x, y), color in ((line, (0, 255, 255)), (dot, (255, 0, 0))):
+        keep = (0 <= x) & (x < rgb.width) & (0 <= y) & (y < rgb.height)
+        out[y[keep], x[keep]] = color
     return RgbImage(out)
 
 
@@ -410,13 +404,10 @@ def write_episode_artifacts(report: EpisodeReport, cfg: PipelineConfig,
     lines += [f"{t!r},{pe!r},{re_!r}" for t, pe, re_ in report.series.tolist()]
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
     if rgb is not None:
-        if report.proposal is not None:
+        if (prop := report.proposal) is not None:
             cal = CameraCalibration.from_config(cfg)
-            px = cal.to_pixel(report.proposal.target)
-            overlay = draw_overlay(rgb, px, report.proposal.theta)
-        else:
-            overlay = RgbImage(rgb.pixels.copy())
-        image_io.save_ppm(overlay, out / "overlay.ppm")
+            rgb = draw_overlay(rgb, cal.to_pixel(prop.target), prop.theta)
+        image_io.save_ppm(rgb, out / "overlay.ppm")
 
 
 SUMMARY_HEADER = "episode,success,pos_err,yaw_err,proposal_px_err"

@@ -108,11 +108,22 @@ def test_control_step_and_scene_caps_are_inclusive():
 
 
 def test_apply_overrides():
-    cfg = PipelineConfig()
-    apply_overrides(cfg, {"k_p": "1.2", "color_high": "200,200,200"})
+    cfg = apply_overrides(PipelineConfig(), {"k_p": "1.2", "color_high": "200,200,200"})
     assert cfg.k_p == 1.2 and cfg.color_high == (200, 200, 200)
     with pytest.raises(ValueError):
         apply_overrides(cfg, {"nope": "1"})
+
+
+def test_apply_overrides_leaves_its_argument_unchanged():
+    # A rejected override set must not leave half of itself behind: each key
+    # here parses, and only validate() rejects the whole (sigma < 0).
+    cfg = PipelineConfig()
+    good = apply_overrides(cfg, {"noise_sigma": "2", "k_p": "1.2"})
+    assert (good.noise_sigma, good.k_p) == (2.0, 1.2) and good is not cfg
+    assert cfg == PipelineConfig()
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        apply_overrides(cfg, {"noise_sigma": "2", "sigma": "-1"})
+    assert cfg == PipelineConfig()
 
 
 def test_bad_color_triple(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from baggrasp import sim, so3, trajectory
 from baggrasp.config import PipelineConfig
 from baggrasp.classical import GraspProposal
-from baggrasp.kinematics import (compute_error, control_step, default_arm_path,
-                                 fk, fk_and_jacobian, load_arm, pinv)
+from baggrasp.kinematics import (_dls_solve, compute_error, control_step,
+                                 default_arm_path, fk, fk_and_jacobian, load_arm, pinv)
 from baggrasp.so3 import Pose
 from baggrasp.trajectory import TrajectorySample
 from conftest import is_rotation
@@ -85,12 +85,14 @@ def test_load_arm_wrong_joint_count(tmp_path):
 
 
 def test_load_arm_non_unit_axis(tmp_path):
+    # A component past 1 is rejected before the norm, which 1e308 overflows.
     p = tmp_path / "arm.txt"
-    p.write_text("zero_pose 0 0 0 1 0 0 0 1 0 0 0 1\n"
-                 + "joint 0 0 2 0 0 0 -1 1\n"
-                 + "joint 0 0 1 0 0 0 -1 1\n" * 6)
-    with pytest.raises(ValueError, match="unit"):
-        load_arm(p)
+    for axis in ("0 0 2", "0 0 1e308", "1e308 1e308 0"):
+        p.write_text("zero_pose 0 0 0 1 0 0 0 1 0 0 0 1\n"
+                     + f"joint {axis} 0 0 0 -1 1\n"
+                     + "joint 0 0 1 0 0 0 -1 1\n" * 6)
+        with pytest.raises(ValueError, match="unit"):
+            load_arm(p)
 
 
 # --- forward kinematics ---
@@ -130,8 +132,10 @@ def test_fk_2pi_periodic():
         assert np.linalg.norm(pose.R - base.R) < 1e-9
 
 
-@pytest.mark.parametrize("batch", [1, 3, 64])
+@pytest.mark.parametrize("batch", [1, 3, 4, 16, 64])
 def test_stacked_fk_and_jacobian_match_joint_by_joint_oracle(batch):
+    # The prefix product reassociates the chain, so the stack matches the
+    # oracle within rounding, and each slice matches its lone call exactly.
     rng = np.random.default_rng(batch)
     worst = 0.0
     for _ in range(-(-200 // batch)):
@@ -142,6 +146,10 @@ def test_stacked_fk_and_jacobian_match_joint_by_joint_oracle(batch):
             p, R, J_k = _fk_and_jacobian_by_joint(ARM, q)
             worst = max(worst, np.abs(pose.p[k] - p).max(),
                         np.abs(pose.R[k] - R).max(), np.abs(J[k] - J_k).max())
+            alone, J_alone = fk_and_jacobian(ARM, q)
+            assert np.array_equal(pose.p[k], alone.p)
+            assert np.array_equal(pose.R[k], alone.R)
+            assert np.array_equal(J[k], J_alone)
     assert worst <= 1e-14
 
 
@@ -241,6 +249,47 @@ def test_pinv_stack_raises_on_one_singular_slice():
     out = pinv(scaled, 0.0)
     assert np.array_equal(out[1], pinv(scaled[1:], 0.0)[0])
     assert np.all(np.isfinite(pinv(stack, 1e-3)))
+
+
+def _dls_solve_checking_every_pivot(J, damping, rhs):
+    """_dls_solve with the Cholesky pivot check run whatever the damping."""
+    G = J @ np.swapaxes(J, -1, -2)
+    G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] += damping * damping
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("J J^T singular") from err
+    pivots = np.diagonal(L, axis1=-2, axis2=-1)
+    if (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any():
+        raise ValueError("J J^T singular")
+    return np.linalg.solve(G, rhs)
+
+
+def test_dls_solve_skips_only_a_pivot_check_that_passes():
+    # Stacks of rank 6 and rank 5 (every third slice), damped from 0 up past
+    # the skip bound damping > 1e-6 sqrt(max G_ii): the solve raises exactly
+    # when the full check does, and otherwise returns np.linalg.solve(G, rhs).
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for trial in range(40):
+        batch = (1, 4, 16)[trial % 3]
+        J = rng.normal(size=(batch, 6, 7)) * 10.0 ** rng.uniform(-3, 3)
+        J[::3] = J[::3, :, :5] @ rng.normal(size=(5, 7))
+        rhs = rng.normal(size=(batch, 6, 1 + trial % 2 * 6))
+        scale = np.sqrt(np.einsum("...ij,...ij->...i", J, J).max())
+        for damping in (0.0, 1e-9 * scale, 2e-7 * scale, 0.99e-6 * scale,
+                        1.01e-6 * scale, 1e-3 * scale, 1e-3):
+            try:
+                want = _dls_solve_checking_every_pivot(J, damping, rhs)
+            except ValueError:
+                with pytest.raises(ValueError, match=r"J J\^T singular"):
+                    _dls_solve(J, damping, rhs)
+                outcomes.add(("raised", damping > 1e-6 * scale))
+                continue
+            assert np.array_equal(_dls_solve(J, damping, rhs), want)
+            outcomes.add(("solved", damping > 1e-6 * scale))
+    # Both outcomes occur below the bound, and above it every check passed.
+    assert outcomes == {("raised", False), ("solved", False), ("solved", True)}
 
 
 def test_pinv_continuity_near_singularity():

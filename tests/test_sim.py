@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,47 @@ def test_depth_raster_has_ridges(cfg):
     assert depth[my, mx] < sim.BASE_DEPTH_MM - 5  # raised crease is closer
     bx, by = int(round(scene.ball_center[0])), int(round(scene.ball_center[1]))
     assert depth[by, bx] < sim.BASE_DEPTH_MM - 20
+
+
+def _render_full_frame(scene, cfg):
+    """generate_scene's rasters drawn with every crease over the whole frame."""
+    h, w = cfg.scene_height, cfg.scene_width
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    rgb = np.empty((h, w, 3), dtype=np.uint8)
+    rgb[:] = sim.BACKGROUND
+    depth = np.full((h, w), sim.BASE_DEPTH_MM)
+    for seg in scene.creases:
+        dist = sim._capsule_dist(xs, ys, seg)
+        rgb[dist <= seg.width / 2.0] = sim.CREASE_COLOR
+        depth -= seg.elevation * np.exp(-(dist * dist) / (2.0 * seg.width ** 2))
+    center, radius = scene.ball_center, scene.ball_radius
+    ball_dist2 = (xs - center[0]) ** 2 + (ys - center[1]) ** 2
+    rgb[ball_dist2 <= radius * radius] = sim.BALL_COLOR
+    depth -= sim.BALL_BUMP_MM * np.exp(-ball_dist2 / (2.0 * (0.8 * radius) ** 2))
+    return rgb, np.clip(np.round(depth), 0, 65535).astype(np.uint16)
+
+
+@pytest.mark.parametrize("size, seeds", [((256, 144), range(400)),
+                                         ((112, 80), range(100))],
+                         ids=["256x144", "112x80"])
+def test_windowed_creases_match_full_frame_oracle(size, seeds):
+    # Each crease is drawn only within 8.5 widths + 1 px of its bounding box;
+    # the scene must still equal the full-frame rendering byte for byte, also
+    # where that window runs past the frame border. Depth is rounded to whole
+    # mm, so these bytes catch a window cut to 4 widths but not one of 5; the
+    # 8.5 bound is what leaves the unrounded depth unchanged too.
+    cfg = PipelineConfig(scene_width=size[0], scene_height=size[1])
+    clipped = 0
+    for seed in seeds:
+        scene = sim.generate_scene(seed, cfg)
+        rgb, depth = _render_full_frame(scene, cfg)
+        assert scene.rgb.pixels.tobytes() == rgb.tobytes(), seed
+        assert scene.depth.pixels.tobytes() == depth.tobytes(), seed
+        for seg in scene.creases:
+            reach = 8.5 * seg.width + 1.0
+            clipped += bool(np.any(np.minimum(seg.p0, seg.p1) - reach < 0)
+                            or np.any(np.maximum(seg.p0, seg.p1) + reach >= size))
+    assert clipped >= 10
 
 
 def test_step_plant_zero_velocity():
@@ -273,6 +315,44 @@ def test_report_json_round_trip(cfg, tmp_path):
                              out_dir=tmp_path)
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded == sim.report_to_dict(report)
+
+
+def _draw_overlay_by_pixel(rgb, px, theta, half_len=18.0):
+    """draw_overlay one pixel at a time: the line's samples, then the dot."""
+    out = rgb.pixels.copy()
+    h, w = out.shape[:2]
+    cx, cy = float(px[0]), float(px[1])
+    for s in np.linspace(-half_len, half_len, int(8 * half_len) + 1):
+        x = int(round(cx + s * math.cos(theta)))
+        y = int(round(cy + s * math.sin(theta)))
+        if 0 <= x < w and 0 <= y < h:
+            out[y, x] = (0, 255, 255)
+    for dy in range(-2, 3):
+        for dx in range(-2, 3):
+            if dx * dx + dy * dy <= 4:
+                x, y = int(round(cx)) + dx, int(round(cy)) + dy
+                if 0 <= x < w and 0 <= y < h:
+                    out[y, x] = (255, 0, 0)
+    return out
+
+
+def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path):
+    scene = sim.generate_scene(8, cfg)
+    rng = np.random.default_rng(8)
+    # Draws inside, across and beyond the frame edges, and half-pixel ties.
+    points = [*rng.uniform((-30, -30), (286, 174), (60, 2)), (10.5, 20.5),
+              (-2.5, 3.5), (255.5, 143.5), (1e6, -1e6)]
+    for k, px in enumerate(points):
+        theta = rng.uniform(-np.pi / 2, np.pi / 2) if k % 4 else np.pi / 4
+        half_len = 18.0 if k % 3 else rng.uniform(0.0, 40.0)
+        got = sim.draw_overlay(scene.rgb, px, theta, half_len)
+        assert got.pixels.tobytes() == _draw_overlay_by_pixel(
+            scene.rgb, px, theta, half_len).tobytes(), k
+    # The artifact writer's overlay.ppm carries the same bytes.
+    report = sim.run_episode(cfg, 8, ARM, classical_source(cfg), scene, out_dir=tmp_path)
+    px = CameraCalibration.from_config(cfg).to_pixel(report.proposal.target)
+    want = _draw_overlay_by_pixel(scene.rgb, px, report.proposal.theta)
+    assert (tmp_path / "overlay.ppm").read_bytes().endswith(want.tobytes())
 
 
 def test_overlay_marks_proposal(cfg):
