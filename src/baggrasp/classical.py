@@ -212,21 +212,21 @@ def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
                          math.sqrt(len(xs) / math.pi))
 
 
-def _trace_boundary(component: set[int], start: int, w: int) -> np.ndarray:
-    """Moore boundary trace of an 8-connected set of flat pixel ids
-    (y+1)*(w+2)+(x+1), clockwise from its topmost-leftmost pixel start.
-    Points are (x, y)."""
+def _trace_boundary(edge: set[int], start: int, w: int, size: int) -> np.ndarray:
+    """Moore boundary trace, clockwise from its topmost-leftmost pixel start,
+    of the 8-connected component of `size` pixels in the set of flat pixel
+    ids (y+1)*(w+2)+(x+1) `edge`. Points are (x, y)."""
     moore = [dy * (w + 2) + dx for dx, dy in _COMPASS]  # clockwise
     # Enter from the west; that neighbor is background by choice of start.
     backtrack = start - 1
     path = [start]
     current = start
     first_move = None
-    for _ in range(4 * len(component) + 8):
+    for _ in range(4 * size + 8):
         base = moore.index(backtrack - current)
         for k in range(1, 9):
             nxt = current + moore[(base + k) % 8]
-            if nxt in component:
+            if nxt in edge:
                 backtrack = current + moore[(base + k - 1) % 8]
                 break
         else:
@@ -251,13 +251,13 @@ def find_contours(mask: np.ndarray) -> list[np.ndarray]:
     """
     w = np.shape(mask)[1]
     ids = np.flatnonzero(np.pad(mask, 1))
-    label = _label8(ids, w)
-    # Pixels sorted by label and cut per component, each from its first pixel.
-    ends = np.cumsum(np.bincount(label, minlength=len(label)))
-    groups = np.split(np.argsort(label, kind="stable"),
-                      ends[label == np.arange(len(label))][:-1])
-    return [_trace_boundary(set(ids[g].tolist()), int(ids[g[0]]), w)
-            for g in groups if len(g) >= 3]
+    # A label is the index of its component's first pixel, so size[k] is
+    # the size of the component that starts at pixel k. A trace only visits
+    # the 8-neighbours of its own component, so one set serves every trace.
+    size = np.bincount(_label8(ids, w))
+    edge = set(ids.tolist())
+    return [_trace_boundary(edge, int(ids[k]), w, int(size[k]))
+            for k in np.flatnonzero(size >= 3)]
 
 
 def polygon_mean(polygon: np.ndarray) -> np.ndarray:

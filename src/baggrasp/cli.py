@@ -35,11 +35,10 @@ def _load_cfg(args) -> config.PipelineConfig:
     return config.apply_overrides(cfg, overrides)
 
 
-def _require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"{what} not found: {p}")
-    return p
+def _learned_params(args) -> dict:
+    if not args.params:
+        raise InputError("learned vision requires --params")
+    return learned.load_params(args.params)
 
 
 # argparse types: each declares a flag's domain, so a bad value exits 2
@@ -76,16 +75,13 @@ def _numbers(form: str):
 
 
 def cmd_vision(args, cfg) -> int:
-    rgb = image_io.load_ppm(_require_file(args.rgb, "rgb image"))
+    rgb = image_io.load_ppm(args.rgb)
     depth = params = None
     if args.mode == "learned":
         if not args.depth:
             raise InputError("learned mode requires --depth")
-        if not (args.params or cfg.params_path):
-            raise InputError("learned mode requires --params or params_path")
-        depth = image_io.load_pgm(_require_file(args.depth, "depth image"))
-        params = learned.load_params(_require_file(args.params or cfg.params_path,
-                                                   "params file"))
+        params = _learned_params(args)
+        depth = image_io.load_pgm(args.depth)
     proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth, args.t)
     print(proposal.to_json_line())
     if args.overlay:
@@ -126,8 +122,9 @@ def cmd_plan(args, cfg) -> int:
     if not (args.tf - args.ti) * args.rate <= config.MAX_CONTROL_STEPS:
         raise InputError(f"(--tf - --ti) * --rate must be <= {config.MAX_CONTROL_STEPS}")
     proposal = GraspProposal(*args.target, args.theta, args.ti)
+    start = _start_pose(args, cfg)
     try:
-        traj = trajectory.plan(_start_pose(args, cfg), proposal,
+        traj = trajectory.plan(start, proposal,
                                args.grasp_z if args.grasp_z is not None else cfg.grasp_z,
                                args.ti, args.tf)
     except ValueError as err:  # each flag is valid alone; the pair is not
@@ -153,17 +150,11 @@ def cmd_simulate(args, cfg) -> int:
                              "run on generated scenes, so drop --batch")
         if not args.proposals:
             raise InputError("--vision file requires --proposals")
-        path = _require_file(args.proposals, "proposals file")
-        source = _parse_proposals(
-            config.read_text(path, "proposals file").splitlines(), path)
+        source = _parse_proposals(config.read_text(
+            args.proposals, "proposals file").splitlines(), args.proposals)
         scene = None
     else:
-        params = None
-        if args.vision == "learned":
-            if not (args.params or cfg.params_path):
-                raise InputError("learned vision requires --params or params_path")
-            params = learned.load_params(_require_file(args.params or cfg.params_path,
-                                                       "params file"))
+        params = _learned_params(args) if args.vision == "learned" else None
         if args.batch is not None:
             _, success_rate, good_rate = sim.run_batch(
                 cfg, args.batch, args.seed, vision=args.vision, params=params,
@@ -180,10 +171,9 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    labels = _require_file(Path(args.data) / "labels.csv", "labels.csv")
-    dataset = learned.load_dataset(labels.parent)
+    dataset = learned.load_dataset(args.data)
     if not dataset:
-        raise InputError(f"{labels}: dataset is empty (no label inside the crop)")
+        raise InputError(f"{args.data}: dataset is empty (no label inside the crop)")
     params, losses = learned.train(dataset, args.epochs, args.lr, args.seed,
                                    cfg.batch_size)
     learned.save_params(params, args.out)

@@ -2,8 +2,8 @@
 a plain-text key=value config file parser, and flag-override merging.
 
 Unknown keys are rejected at parse time; color thresholds are comma-separated
-RGB triples. Every rejected input, here and in the file readers of the other
-modules, is an InputError.
+RGB triples. Every input file is read through read_bytes here, and every
+rejected input, here and in the other modules' parsers, is an InputError.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class PipelineConfig:
     ang_tol_deg: float = 2.0
     good_grasp_px: float = 10.0
     arm_file: str = ""
-    params_path: str = ""
     # Learned vision training.
     batch_size: int = 4
 
@@ -136,14 +135,20 @@ class PipelineConfig:
         return self
 
 
-def read_text(path, what: str) -> str:
-    """Text of an input file. Undecodable bytes become lone surrogates, so
-    they fail the file's parser with its path:line, not the decoder."""
+def read_bytes(path, what: str) -> bytes:
+    """Contents of an input file (the one place one is opened) or InputError."""
     try:
-        return Path(path).read_text(errors="surrogateescape")
+        return Path(path).read_bytes()
     except (OSError, ValueError) as err:  # ValueError: a NUL byte in the path
         raise InputError(f"{path}: cannot read {what}: "
                          f"{getattr(err, 'strerror', None) or err}") from err
+
+
+def read_text(path, what: str) -> str:
+    """Text of an input file; callers split it with str.splitlines, which
+    ends a line at a CR LF or a lone CR too. Undecodable bytes become lone
+    surrogates, so they fail the file's parser with its path:line."""
+    return read_bytes(path, what).decode(errors="surrogateescape")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}

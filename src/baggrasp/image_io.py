@@ -8,12 +8,13 @@ maxval 65535 and big-endian 16-bit samples (depth in millimeters).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import InputError
+from .config import InputError, read_bytes
 
 
 class FormatError(InputError):
@@ -70,42 +71,35 @@ class GrayImage(_Raster):
             raise ValueError("GrayImage values must lie in [0, 1]")
 
 
+# A header field, after any whitespace and '#' comments (each to its line's end).
+_FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*([^\s#]*)")
+
+
 def _parse_header(data: bytes, magic: bytes, path) -> tuple[list[int], int]:
     """Parse a netpbm header; returns ([width, height, maxval], payload offset)."""
     if data[:2] != magic:
         raise FormatError(f"{path}: bad magic, expected {magic.decode()}")
     pos = 2
     fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data):
-            c = data[pos:pos + 1]
-            if c == b"#":
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
-            pos += 1
-        token = data[start:pos]
+    for _ in range(3):
+        match = _FIELD.match(data, pos)
+        token, pos = match[1], match.end()
         if not token:
             raise FormatError(f"{path}: truncated header")
         if not token.isdigit():
             raise FormatError(f"{path}: non-numeric header field {token!r}")
         fields.append(int(token))
     # Exactly one whitespace byte separates the header from the payload.
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
+    if not data[pos:pos + 1].isspace():
         raise FormatError(f"{path}: missing separator after header")
     return fields, pos + 1
 
 
-def _load_netpbm(path, magic: bytes, maxval: int, channels: int,
+def _load_netpbm(path, what: str, magic: bytes, maxval: int, channels: int,
                  dtype: str) -> np.ndarray:
     """Pixels (height, width, channels) of a binary netpbm file whose header
     must carry this magic and maxval, samples stored as dtype."""
-    data = Path(path).read_bytes()
+    data = read_bytes(path, what)
     (width, height, got), offset = _parse_header(data, magic, path)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: bad dimensions {width}x{height}")
@@ -120,7 +114,7 @@ def _load_netpbm(path, magic: bytes, maxval: int, channels: int,
 
 def load_ppm(path) -> RgbImage:
     """Load a binary (P6) PPM file."""
-    return RgbImage(_load_netpbm(path, b"P6", 255, 3, "u1").copy())
+    return RgbImage(_load_netpbm(path, "PPM image", b"P6", 255, 3, "u1").copy())
 
 
 def save_ppm(image: RgbImage, path) -> None:
@@ -130,7 +124,7 @@ def save_ppm(image: RgbImage, path) -> None:
 
 def load_pgm(path) -> DepthImage:
     """Load a binary (P5) PGM file with 16-bit big-endian samples."""
-    return DepthImage(_load_netpbm(path, b"P5", 65535, 1, ">u2")[:, :, 0])
+    return DepthImage(_load_netpbm(path, "PGM image", b"P5", 65535, 1, ">u2")[:, :, 0])
 
 
 def save_pgm(image: DepthImage, path) -> None:
@@ -153,13 +147,12 @@ def crop_center_quarter(image):
     w, h = image.width, image.height
     if w < 4 or h < 4:
         raise ValueError(f"image too small to crop: {w}x{h}")
-    ox, oy, cw, ch = crop_window(image)
+    ox, oy, cw, ch = crop_window(w, h)
     return type(image)(image.pixels[oy:oy + ch, ox:ox + cw].copy())
 
 
-def crop_window(image) -> tuple[int, int, int, int]:
-    """(ox, oy, cw, ch) of the central-quarter crop for this image's size."""
-    w, h = image.width, image.height
+def crop_window(w: int, h: int) -> tuple[int, int, int, int]:
+    """(ox, oy, cw, ch) of the central-quarter crop of a w x h image."""
     cw, ch = w // 2, h // 2
     return (w - cw) // 2, (h - ch) // 2, cw, ch
 

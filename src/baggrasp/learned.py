@@ -14,6 +14,7 @@ by pi/2. `predict` converts raw head outputs back to pixels/radians.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import image_io
-from .config import InputError
+from .config import InputError, read_bytes, read_text
 from .image_io import DepthImage, RgbImage
 
 IN_H, IN_W = 36, 64
@@ -70,7 +71,6 @@ _SHAPES = {
     "pos_w": (2, 1920), "pos_b": (2,),
     "theta_w": (1, 1920), "theta_b": (1,),
 }
-EMBED_DIM = 16 * 8 * 15
 STRIDE = 2
 
 
@@ -248,7 +248,7 @@ def save_params(params: dict, path) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
+    data = read_bytes(path, "params file")
     if data[:8] != _MAGIC:
         raise InputError(f"{path}: bad params-file magic")
     pos = 8
@@ -278,7 +278,7 @@ def load_params(path) -> dict[str, np.ndarray]:
 def preprocess(rgb: RgbImage, depth: DepthImage):
     """Full-frame pair -> network tensors plus the 36x64 -> full-frame
     pixel map (crop offsets and per-axis scales)."""
-    ox, oy, cw, ch = image_io.crop_window(rgb)
+    ox, oy, cw, ch = image_io.crop_window(rgb.width, rgb.height)
     rgb_small = image_io.resize_bilinear(image_io.crop_center_quarter(rgb), IN_W, IN_H)
     dep_small = image_io.resize_bilinear(image_io.crop_center_quarter(depth), IN_W, IN_H)
     sx, sy = cw / IN_W, ch / IN_H
@@ -316,35 +316,35 @@ def load_dataset(directory) -> list[LabeledScene]:
 
     Full-frame scenes are center-cropped and resized to 36x64; labels are
     mapped into the small frame, and rows whose label falls outside the crop
-    are skipped. A row with a missing column or scene file, a non-integer id,
-    a non-finite px or py or a theta outside (-pi/2, pi/2] raises InputError
-    naming its file and line.
+    are skipped. A row with a missing column, a scene file that cannot be
+    read or parsed, a non-integer id, a non-finite px or py or a theta
+    outside (-pi/2, pi/2] raises InputError naming its file and line.
     """
     path = Path(directory) / "labels.csv"
     scenes = []
-    with open(path, newline="", errors="surrogateescape") as fh:
-        reader = csv.DictReader(fh, restval="")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            try:
-                idx = int(row["id"])
-                label = [float(row[key]) for key in ("px", "py", "theta")]
-            except KeyError as err:
-                raise InputError(f"{where}: missing column {err}") from err
-            except ValueError as err:
-                raise InputError(f"{where}: bad label row: {err}") from err
-            if not (all(map(math.isfinite, label[:2]))
-                    and -math.pi / 2 < label[2] <= math.pi / 2):
-                raise InputError(f"{where}: px and py must be finite and theta "
-                                 "in (-pi/2, pi/2]")
-            try:
-                rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
-                depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
-            except FileNotFoundError as err:
-                raise InputError(f"{where}: no scene file {err.filename}") from err
-            rgb_small, dep_small, frame = preprocess(rgb, depth)
-            px, py = full_to_net_px(label[0], label[1], frame)
-            if not (-0.5 <= px <= IN_W - 0.5 and -0.5 <= py <= IN_H - 0.5):
-                continue
-            scenes.append(LabeledScene(rgb_small, dep_small, (px, py), label[2]))
+    reader = csv.DictReader(io.StringIO(read_text(path, "labels file"), newline=""),
+                            restval="")
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        try:
+            idx = int(row["id"])
+            label = [float(row[key]) for key in ("px", "py", "theta")]
+        except KeyError as err:
+            raise InputError(f"{where}: missing column {err}") from err
+        except ValueError as err:
+            raise InputError(f"{where}: bad label row: {err}") from err
+        if not (all(map(math.isfinite, label[:2]))
+                and -math.pi / 2 < label[2] <= math.pi / 2):
+            raise InputError(f"{where}: px and py must be finite and theta "
+                             "in (-pi/2, pi/2]")
+        try:
+            rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
+            depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
+        except InputError as err:
+            raise InputError(f"{where}: {err}") from err
+        rgb_small, dep_small, frame = preprocess(rgb, depth)
+        px, py = full_to_net_px(label[0], label[1], frame)
+        if not (-0.5 <= px <= IN_W - 0.5 and -0.5 <= py <= IN_H - 0.5):
+            continue
+        scenes.append(LabeledScene(rgb_small, dep_small, (px, py), label[2]))
     return scenes

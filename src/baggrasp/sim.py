@@ -116,7 +116,7 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
     center = np.array([rng.uniform(0.42, 0.58) * w, rng.uniform(0.42, 0.58) * h])
     radius = rng.uniform(16.0, 22.0)
 
-    ox, oy, cw, ch = image_io.crop_window(RgbImage(np.zeros((h, w, 3), dtype=np.uint8)))
+    ox, oy, cw, ch = image_io.crop_window(w, h)
     creases: list[CreaseSegment] = []
     if not flat:
         n_creases = int(rng.integers(2, 5))

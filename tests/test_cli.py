@@ -36,7 +36,8 @@ def test_vision_classical_matches_library(scene_files, capsys):
 def test_vision_missing_file_exits_2(tmp_path, capsys):
     rc = main(["vision", "--rgb", str(tmp_path / "nope.ppm")])
     assert rc == 2
-    assert "not found" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(tmp_path / "nope.ppm") in err and "cannot read" in err
 
 
 def test_vision_blank_scene_exits_1(scene_files, capsys):
@@ -389,7 +390,7 @@ def test_bad_arm_file_exits_2(tmp_path, capsys, bad_line, where, message):
         assert main([*argv, "--set", f"arm_file={arm}"]) == 2, argv
         captured = capsys.readouterr()
         assert where in captured.err and message in captured.err, argv
-        assert captured.out == "", argv
+        assert captured.out == "" and "--start" not in captured.err, argv
 
 
 def test_missing_arm_file_exits_2(tmp_path, capsys):
@@ -399,3 +400,4 @@ def test_missing_arm_file_exits_2(tmp_path, capsys):
         assert main([*argv, "--set", f"arm_file={arm}"]) == 2, argv
         captured = capsys.readouterr()
         assert "nope.txt" in captured.err and captured.out == "", argv
+        assert "--start" not in captured.err, argv

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from baggrasp import config
 from baggrasp.config import (MAX_CONTROL_STEPS, MAX_SCENE_PIXELS, PipelineConfig,
                              apply_overrides, load_config)
 
@@ -131,3 +135,22 @@ def test_bad_color_triple(tmp_path):
     p.write_text("color_low=1,2\n")
     with pytest.raises(ValueError, match="triple"):
         load_config(p)
+
+
+def test_only_config_reads_files():
+    """Every input file is opened by config.read_bytes: no other module calls
+    the builtin open, or a read_bytes()/read_text() method of anything but
+    the config module. Writes are free."""
+    reads = []
+    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in ("read_bytes", "read_text")
+                    and not (isinstance(func.value, ast.Name)
+                             and func.value.id == "config")):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

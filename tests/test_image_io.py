@@ -1,9 +1,14 @@
+import collections
+import random
+
 import numpy as np
 import pytest
 
+from baggrasp.config import InputError
 from baggrasp.image_io import (DepthImage, FormatError, GrayImage, RgbImage,
-                               crop_center_quarter, load_pgm, load_ppm,
-                               resize_bilinear, save_pgm, save_ppm, to_gray)
+                               _parse_header, crop_center_quarter, load_pgm,
+                               load_ppm, resize_bilinear, save_pgm, save_ppm,
+                               to_gray)
 
 
 def _random_rgb(rng, w, h):
@@ -97,6 +102,86 @@ def test_pgm_wrong_maxval(tmp_path):
     p.write_bytes(b"P5\n1 1\n255\n\x00")
     with pytest.raises(FormatError, match="maxval"):
         load_pgm(p)
+
+
+# --- netpbm header ---
+
+def _scan_header(data: bytes, magic: bytes, path) -> tuple[list[int], int]:
+    """_parse_header as first written, a byte-by-byte scanner: the oracle."""
+    if data[:2] != magic:
+        raise FormatError(f"{path}: bad magic, expected {magic.decode()}")
+    pos = 2
+    fields: list[int] = []
+    while len(fields) < 3:
+        while pos < len(data):
+            c = data[pos:pos + 1]
+            if c == b"#":
+                nl = data.find(b"\n", pos)
+                pos = len(data) if nl < 0 else nl + 1
+            elif c.isspace():
+                pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace() and data[pos:pos + 1] != b"#":
+            pos += 1
+        token = data[start:pos]
+        if not token:
+            raise FormatError(f"{path}: truncated header")
+        if not token.isdigit():
+            raise FormatError(f"{path}: non-numeric header field {token!r}")
+        fields.append(int(token))
+    if pos >= len(data) or not data[pos:pos + 1].isspace():
+        raise FormatError(f"{path}: missing separator after header")
+    return fields, pos + 1
+
+
+_WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]  # all six bytes.isspace()
+_OTHER = [b"\x00", b"\x80", b"\xff", b"\xa0", b"\x85", b"x", b"-", b"+", b"P", b"6"]
+
+
+def _random_header(rng: random.Random) -> bytes:
+    """Magic, then digits, non-digits, whitespace and '#' comments (with and
+    without their newline), NUL and high bytes, in random order."""
+    parts = [rng.choice([b"P6"] * 18 + [b"P5", b"P"])]
+    for _ in range(rng.randrange(12)):
+        r = rng.random()
+        if r < 0.4:
+            parts.append("".join(rng.choices("0123456789", k=rng.randint(1, 4))).encode())
+        elif r < 0.75:
+            parts += rng.choices(_WHITESPACE, k=rng.randint(1, 2))
+        elif r < 0.87:
+            body = rng.choices(_WHITESPACE[:1] + _OTHER + [b"#", b"7"], k=rng.randrange(4))
+            parts += [b"#", *body] + ([b"\n"] if rng.random() < 0.7 else [])
+        else:
+            parts.append(rng.choice(_OTHER + _WHITESPACE[2:3]))
+    return b"".join(parts)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data, b"P6", "h.ppm")
+    except FormatError as err:
+        return str(err)
+
+
+def test_header_regex_matches_byte_scanner_oracle():
+    rng = random.Random(12)
+    seen = collections.Counter()
+    for _ in range(100_000):
+        data = _random_header(rng)
+        want = _outcome(_scan_header, data)
+        assert _outcome(_parse_header, data) == want, data
+        seen[want.split(": ")[1].split(" ")[0] if isinstance(want, str) else "ok"] += 1
+    # Every outcome is drawn often: a good header and each of the four errors.
+    assert set(seen) == {"ok", "bad", "truncated", "non-numeric", "missing"}
+    assert min(seen.values()) >= 1000, seen
+
+
+def test_netpbm_missing_path_is_input_error(tmp_path):
+    for load in (load_ppm, load_pgm):
+        with pytest.raises(InputError, match="nope.pnm: cannot read"):
+            load(tmp_path / "nope.pnm")
 
 
 # --- grayscale ---

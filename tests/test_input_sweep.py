@@ -1,17 +1,19 @@
 """Seeded sweeps over every kind of input the CLI reads: config values,
-proposal lines, arm files and labels.csv rows. Each input must work (exit 0)
-or be rejected (exit 2 with empty stdout); never exit 1 or raise, and every
-JSON written must be strict (no NaN or Infinity)."""
+proposal lines, arm files and labels.csv rows, and every input file given as
+a missing path or a directory. Each input must work (exit 0) or be rejected
+(exit 2 with empty stdout); never exit 1 or raise, and every JSON written
+must be strict (no NaN or Infinity)."""
 
 import dataclasses
 import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from baggrasp import config, kinematics
+from baggrasp import config, kinematics, learned
 from baggrasp.cli import main
 
 # Ten control steps per episode, so each draw costs milliseconds.
@@ -144,3 +146,57 @@ def test_labels_rows(tmp_path, capsys):
                         "--out", str(tmp_path / "params.bin")], capsys)
         if rc == 0:
             assert math.isfinite(float(out)), rows
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("good")
+    assert main(["genscenes", "--n", "1", "--seed", "0", "--out", str(root)]) == 0
+    learned.save_params(learned.init_params(0), root / "params.bin")
+    return root
+
+
+# Each file input: its CLI argv around a bad path `bad` inside an existing
+# directory, given the good inputs `good`.
+FILE_INPUTS = {
+    "--config": lambda good, bad: ["plan", "--target", "0.6,0.1",
+                                   "--config", str(bad)],
+    "arm_file": lambda good, bad: ["plan", "--target", "0.6,0.1",
+                                   "--set", f"arm_file={bad}"],
+    "--proposals": lambda good, bad: ["simulate", "--seed", "0", "--vision", "file",
+                                      "--proposals", str(bad)],
+    "--rgb": lambda good, bad: ["vision", "--rgb", str(bad)],
+    "--depth": lambda good, bad: ["vision", "--mode", "learned",
+                                  "--rgb", str(good / "scene_0000.ppm"),
+                                  "--depth", str(bad),
+                                  "--params", str(good / "params.bin")],
+    "--params": lambda good, bad: ["vision", "--mode", "learned",
+                                   "--rgb", str(good / "scene_0000.ppm"),
+                                   "--depth", str(good / "scene_0000.pgm"),
+                                   "--params", str(bad)],
+    "simulate --params": lambda good, bad: ["simulate", "--seed", "0",
+                                            "--vision", "learned",
+                                            "--params", str(bad)],
+    "--data": lambda good, bad: ["train", "--data", str(bad.parent),
+                                 "--out", str(bad.parent / "out.bin")],
+    "scene file": lambda good, bad: ["train", "--data", str(bad.parent),
+                                     "--out", str(bad.parent / "out.bin")],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("name", FILE_INPUTS)
+def test_unreadable_input_files(good_inputs, tmp_path, capsys, name, kind):
+    bad = tmp_path / "in" / {"--data": "labels.csv",
+                             "scene file": "scene_0000.ppm"}.get(name, "input")
+    bad.parent.mkdir()
+    if name == "scene file":  # labels.csv names scene 0; only its .pgm is there
+        for other in ("labels.csv", "scene_0000.pgm"):
+            shutil.copy(good_inputs / other, bad.parent)
+    if kind == "directory":
+        bad.mkdir()
+    assert main(FILE_INPUTS[name](good_inputs, bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(bad) in captured.err
+    if name == "scene file":
+        assert "labels.csv:2:" in captured.err

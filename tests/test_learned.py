@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from baggrasp import learned
+from baggrasp.config import InputError
 from baggrasp.learned import (backward, batch_tensors, forward_batch,
                               init_params, l1_loss, load_params, save_params,
                               train)
@@ -234,6 +235,11 @@ def test_params_bad_magic(tmp_path):
     p.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="magic"):
         load_params(p)
+
+
+def test_params_missing_path_is_input_error(tmp_path):
+    with pytest.raises(InputError, match="nope.bin: cannot read params file"):
+        load_params(tmp_path / "nope.bin")
 
 
 def test_params_truncated(tmp_path):
