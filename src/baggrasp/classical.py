@@ -166,6 +166,11 @@ def _label8(ids: np.ndarray, w: int) -> np.ndarray:
     return connected_components(len(ids), np.nonzero(hit)[0] // 4, k[hit])
 
 
+# canny's last kept pixels, [w, sorted flat ids, their `_label8` labels], so
+# find_contours on its mask takes hysteresis' labels and makes none.
+_kept = [0, np.zeros(0, int), np.zeros(0, int)]
+
+
 def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     """Canny edge mask: Sobel -> non-maximum suppression -> hysteresis.
 
@@ -192,8 +197,11 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     at = at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])]
 
     label = _label8(at, w)
+    kept = np.isin(label, label[padded[at] >= high])
+    # A kept component's first pixel is kept, so labels re-index into the kept.
+    _kept[:] = w, at[kept], (np.cumsum(kept) - 1)[label[kept]]
     keep = np.zeros(padded.size, dtype=bool)
-    keep[at[np.isin(label, label[padded[at] >= high])]] = True
+    keep[_kept[1]] = True
     return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
 
 
@@ -254,7 +262,9 @@ def find_contours(mask: np.ndarray) -> list[np.ndarray]:
     # A label is the index of its component's first pixel, so size[k] is
     # the size of the component that starts at pixel k. A trace only visits
     # the 8-neighbours of its own component, so one set serves every trace.
-    size = np.bincount(_label8(ids, w))
+    last_w, last_ids, last_label = _kept
+    same = last_w == w and np.array_equal(ids, last_ids)
+    size = np.bincount(last_label if same else _label8(ids, w))
     edge = set(ids.tolist())
     return [_trace_boundary(edge, int(ids[k]), w, int(size[k]))
             for k in np.flatnonzero(size >= 3)]

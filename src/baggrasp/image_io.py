@@ -88,7 +88,10 @@ def _parse_header(data: bytes, magic: bytes, path) -> tuple[list[int], int]:
             raise FormatError(f"{path}: truncated header")
         if not token.isdigit():
             raise FormatError(f"{path}: non-numeric header field {token!r}")
-        fields.append(int(token))
+        try:
+            fields.append(int(token))
+        except ValueError as err:  # more digits than int() converts (4,300)
+            raise FormatError(f"{path}: header field too long ({len(token)} digits)") from err
     # Exactly one whitespace byte separates the header from the payload.
     if not data[pos:pos + 1].isspace():
         raise FormatError(f"{path}: missing separator after header")
@@ -160,21 +163,18 @@ def crop_window(w: int, h: int) -> tuple[int, int, int, int]:
 def _bilinear(src: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Pixel-center-aligned bilinear resample of a float array (h, w[, c])."""
     in_h, in_w = src.shape[:2]
-    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
-    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
-    xs = np.clip(xs, 0.0, in_w - 1.0)
-    ys = np.clip(ys, 0.0, in_h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
     x0 = np.floor(xs).astype(int)
     y0 = np.floor(ys).astype(int)
     x1 = np.minimum(x0 + 1, in_w - 1)
     y1 = np.minimum(y0 + 1, in_h - 1)
-    fx = xs - x0
-    fy = ys - y0
     channels = (1,) * (src.ndim - 2)
-    fx = fx.reshape(1, -1, *channels)
-    fy = fy.reshape(-1, 1, *channels)
-    top = src[y0[:, None], x0[None, :]] * (1 - fx) + src[y0[:, None], x1[None, :]] * fx
-    bot = src[y1[:, None], x0[None, :]] * (1 - fx) + src[y1[:, None], x1[None, :]] * fx
+    fx = (xs - x0).reshape(1, -1, *channels)
+    fy = (ys - y0).reshape(-1, 1, *channels)
+    top, bot = src[y0], src[y1]  # rows, then the columns of those rows
+    top = top[:, x0] * (1 - fx) + top[:, x1] * fx
+    bot = bot[:, x0] * (1 - fx) + bot[:, x1] * fx
     return top * (1 - fy) + bot * fy
 
 

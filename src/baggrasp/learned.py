@@ -9,6 +9,11 @@ three outputs with plain SGD.
 The network operates on normalized quantities throughout: inputs scaled to
 roughly [0, 1], pixel labels divided by (width-1, height-1), angles divided
 by pi/2. `predict` converts raw head outputs back to pixels/radians.
+
+Conv internals are channel-last: a branch makes its (n, c, h, w) input
+(n, h, w, c) once, so im2col copies contiguous runs and a conv's output is
+its product's rows as they come. Kernels stay (oc, ic, kh, kw), the
+embedding is still flattened in (c, y, x) order, and params files are unchanged.
 """
 
 from __future__ import annotations
@@ -88,65 +93,64 @@ def init_params(seed: int) -> dict[str, np.ndarray]:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    n, c, h, w = x.shape
+    """Patches of a channel-last x (n, h, w, c) as rows (n, oh*ow, kh*kw*c)."""
+    n, h, w, c = x.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(f"kernel {kh}x{kw} does not fit input {h}x{w}")
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, (n, c, out_h, out_w, kh, kw),
-        (s0, s1, s2 * stride, s3 * stride, s2, s3), writeable=False)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(n, out_h * out_w, c * kh * kw), out_h, out_w
+        x, (n, out_h, out_w, kh, kw, c),
+        (s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
+    return windows.reshape(n, out_h * out_w, kh * kw * c), out_h, out_w
 
 
 def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                   stride: int):
-    n = x.shape[0]
+    """Channel-last valid convolution: (out (n, oh, ow, oc), patch rows)."""
     oc, ic, kh, kw = kernel.shape
-    if x.shape[1] != ic:
-        raise ValueError(f"input has {x.shape[1]} channels, kernel expects {ic}")
+    if x.shape[-1] != ic:
+        raise ValueError(f"input has {x.shape[-1]} channels, kernel expects {ic}")
     cols, out_h, out_w = _im2col(x, kh, kw, stride)
-    flat = cols @ kernel.reshape(oc, -1).T + bias
-    out = flat.transpose(0, 2, 1).reshape(n, oc, out_h, out_w)
-    return out, cols
+    flat = cols @ kernel.transpose(2, 3, 1, 0).reshape(-1, oc) + bias
+    return flat.reshape(x.shape[0], out_h, out_w, oc), cols
 
 
 def _conv_backward(dout: np.ndarray, cols: np.ndarray, x_shape,
                    kernel: np.ndarray, stride: int):
-    n, oc, out_h, out_w = dout.shape
+    """(dx, dkernel, dbias) of `_conv_forward`; dx is None when x_shape is."""
+    n, out_h, out_w, oc = dout.shape
     _, ic, kh, kw = kernel.shape
-    dflat = dout.reshape(n, oc, out_h * out_w).transpose(0, 2, 1)
-    dkernel = np.einsum("npo,npk->ok", dflat, cols).reshape(kernel.shape)
-    dbias = dflat.sum(axis=(0, 1))
-    dcols = dflat @ kernel.reshape(oc, -1)
+    dflat = dout.reshape(-1, oc)
+    dkernel = (dflat.T @ cols.reshape(len(dflat), -1)).reshape(oc, kh, kw, ic)
+    dkernel = dkernel.transpose(0, 3, 1, 2)
+    dbias = dflat.sum(axis=0)
+    if x_shape is None:
+        return None, dkernel, dbias
+    dcols = dflat @ kernel.transpose(0, 2, 3, 1).reshape(oc, -1)
+    dcols = dcols.reshape(n, out_h, out_w, kh, kw, ic)
     dx = np.zeros(x_shape)
-    dcols = dcols.reshape(n, out_h, out_w, ic, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + out_h * stride:stride, j:j + out_w * stride:stride] \
-                += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    for i, j in np.ndindex(kh, kw):
+        dx[:, i:i + out_h * stride:stride, j:j + out_w * stride:stride] += dcols[:, :, :, i, j]
     return dx, dkernel, dbias
 
 
 def _branch_forward(x: np.ndarray, k1, b1, k2, b2):
-    h1, cols1 = _conv_forward(x, k1, b1, STRIDE)
-    a1 = np.maximum(h1, 0.0)
-    h2, cols2 = _conv_forward(a1, k2, b2, STRIDE)
-    a2 = np.maximum(h2, 0.0)
-    emb = a2.reshape(x.shape[0], -1)
-    cache = (x.shape, cols1, h1, a1.shape, cols2, h2, a2.shape)
-    return emb, cache
+    h1, cols1 = _conv_forward(np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
+                              k1, b1, STRIDE)
+    h2, cols2 = _conv_forward(np.maximum(h1, 0.0), k2, b2, STRIDE)
+    # The embedding keeps the (c, y, x) order that pos_w and theta_w expect.
+    emb = np.maximum(h2, 0.0).transpose(0, 3, 1, 2).reshape(len(x), -1)
+    return emb, (cols1, h1, cols2, h2)
 
 
 def _branch_backward(demb: np.ndarray, cache, k1, k2):
-    x_shape, cols1, h1, a1_shape, cols2, h2, a2_shape = cache
-    da2 = demb.reshape(a2_shape)
-    dh2 = da2 * (h2 > 0.0)
-    da1, dk2, db2 = _conv_backward(dh2, cols2, a1_shape, k2, STRIDE)
-    dh1 = da1 * (h1 > 0.0)
-    _, dk1, db1 = _conv_backward(dh1, cols1, x_shape, k1, STRIDE)
+    cols1, h1, cols2, h2 = cache
+    dh2 = demb.reshape(len(demb), -1, *h2.shape[1:3]).transpose(0, 2, 3, 1) * (h2 > 0.0)
+    da1, dk2, db2 = _conv_backward(dh2, cols2, h1.shape, k2, STRIDE)
+    # Nothing reads the input's gradient, so the input layer makes none.
+    _, dk1, db1 = _conv_backward(da1 * (h1 > 0.0), cols1, None, k1, STRIDE)
     return dk1, db1, dk2, db2
 
 
@@ -189,15 +193,11 @@ def backward(params: dict, rgb: np.ndarray, dep: np.ndarray,
     pred = np.concatenate([pos, theta], axis=1)
     loss, dpred = l1_loss(pred, labels)
     dpos, dtheta = dpred[:, :2], dpred[:, 2:]
-    dpos_w = dpos.T @ emb
-    dpos_b = dpos.sum(axis=0)
-    dtheta_w = dtheta.T @ emb
-    dtheta_b = dtheta.sum(axis=0)
     demb = dpos @ params["pos_w"] + dtheta @ params["theta_w"]
     grads_rgb = _branch_backward(demb, cache_rgb, params["rgb_k1"], params["rgb_k2"])
     grads_dep = _branch_backward(demb, cache_dep, params["dep_k1"], params["dep_k2"])
-    return loss, dict(zip(_SHAPES, (*grads_rgb, *grads_dep,
-                                    dpos_w, dpos_b, dtheta_w, dtheta_b)))
+    return loss, dict(zip(_SHAPES, (*grads_rgb, *grads_dep, dpos.T @ emb, dpos.sum(axis=0),
+                                    dtheta.T @ emb, dtheta.sum(axis=0))))
 
 
 def batch_tensors(scenes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

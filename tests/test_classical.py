@@ -377,6 +377,32 @@ def test_canny_matches_fixpoint_oracle_on_random_images():
         assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
 
 
+def test_find_contours_takes_canny_labels_only_for_its_mask():
+    # canny keeps its kept pixels' labels for find_contours: they must be the
+    # labels find_contours would make, and a changed mask must be labelled anew.
+    rng = np.random.default_rng(7)
+    images = [GrayImage(rng.random(rng.integers(2, 30, size=2))) for _ in range(30)]
+    cfg = config.PipelineConfig()
+    for seed in range(4):
+        scene = sim.generate_scene(seed, cfg)
+        noisy = sim.add_pixel_noise(rng, scene.rgb, scene.depth, 2.0)[0]
+        images += [gaussian_blur(to_gray(rgb), cfg.sigma) for rgb in (scene.rgb, noisy)]
+    for img in images:
+        h, w = img.pixels.shape
+        for low, high in ((cfg.canny_low, cfg.canny_high), (0.02, 0.05), (0.3, 0.9)):
+            edges = canny(img, low, high)
+            kept_w, ids, label = classical._kept
+            want = np.flatnonzero(np.pad(edges, 1))
+            assert kept_w == w and np.array_equal(ids, want)
+            assert np.array_equal(label, classical._label8(want, w))
+            assert _same_polygons(find_contours(edges), _dfs_find_contours(edges))
+            # Move one edge pixel: same count, other pixels, so other labels.
+            on, off = np.flatnonzero(edges), np.flatnonzero(~edges)
+            if len(on) and len(off):
+                edges.flat[[on[rng.integers(len(on))], off[rng.integers(len(off))]]] = False, True
+                assert _same_polygons(find_contours(edges), _dfs_find_contours(edges))
+
+
 # --- polygon operations ---
 
 def test_polygon_mean_square():

@@ -6,7 +6,7 @@ import pytest
 
 from baggrasp.config import InputError
 from baggrasp.image_io import (DepthImage, FormatError, GrayImage, RgbImage,
-                               _parse_header, crop_center_quarter, load_pgm,
+                               _bilinear, _parse_header, crop_center_quarter, load_pgm,
                                load_ppm, resize_bilinear, save_pgm, save_ppm,
                                to_gray)
 
@@ -178,6 +178,22 @@ def test_header_regex_matches_byte_scanner_oracle():
     assert min(seen.values()) >= 1000, seen
 
 
+def test_oversized_header_field_is_format_error(tmp_path):
+    # int() converts at most 4,300 digits; a longer field is a FormatError
+    # naming the file, in any of the three places.
+    big = b"1" * 5000
+    for header in (b"P6\n%s 1\n255\n" % big, b"P6\n1 %s\n255\n" % big,
+                   b"P6\n1 1\n%s\n" % big):
+        p = tmp_path / "big.ppm"
+        p.write_bytes(header + b"\0\0\0")
+        with pytest.raises(FormatError, match="big.ppm: header field too long"):
+            load_ppm(p)
+    p = tmp_path / "big.pgm"
+    p.write_bytes(b"P5\n%s 1\n65535\n\0\0" % big)
+    with pytest.raises(FormatError, match="big.pgm: header field too long"):
+        load_pgm(p)
+
+
 def test_netpbm_missing_path_is_input_error(tmp_path):
     for load in (load_ppm, load_pgm):
         with pytest.raises(InputError, match="nope.pnm: cannot read"):
@@ -239,6 +255,38 @@ def _bilinear_oracle(src, out_w, out_h):
             out[yo, xo] = ((1 - fy) * ((1 - fx) * src[y0, x0] + fx * src[y0, x1])
                            + fy * ((1 - fx) * src[y1, x0] + fx * src[y1, x1]))
     return out
+
+
+def _bilinear_four_gathers(src, out_w, out_h):
+    """_bilinear as first written, with four 2-D gathers: the oracle."""
+    in_h, in_w = src.shape[:2]
+    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
+    xs = np.clip(xs, 0.0, in_w - 1.0)
+    ys = np.clip(ys, 0.0, in_h - 1.0)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    channels = (1,) * (src.ndim - 2)
+    fx = fx.reshape(1, -1, *channels)
+    fy = fy.reshape(-1, 1, *channels)
+    top = src[y0[:, None], x0[None, :]] * (1 - fx) + src[y0[:, None], x1[None, :]] * fx
+    bot = src[y1[:, None], x0[None, :]] * (1 - fx) + src[y1[:, None], x1[None, :]] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def test_separable_resize_is_bit_identical_to_four_gathers():
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        h, w = rng.integers(1, 40, 2)
+        out_h, out_w = rng.integers(1, 80, 2)
+        for src in (rng.uniform(0, 255, (h, w, 3)), rng.uniform(500, 1100, (h, w))):
+            got = _bilinear(src, out_w, out_h)
+            want = _bilinear_four_gathers(src, out_w, out_h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_resize_constant():

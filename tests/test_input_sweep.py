@@ -200,3 +200,18 @@ def test_unreadable_input_files(good_inputs, tmp_path, capsys, name, kind):
     assert captured.out == "" and str(bad) in captured.err
     if name == "scene file":
         assert "labels.csv:2:" in captured.err
+
+
+@pytest.mark.parametrize("name", ["--rgb", "--depth", "scene file"])
+def test_oversized_netpbm_header_field(good_inputs, tmp_path, capsys, name):
+    # A field longer than int() converts (4,300 digits) is rejected input.
+    bad = tmp_path / "in" / ("scene_0000.ppm" if name == "scene file" else "input")
+    bad.parent.mkdir()
+    if name == "scene file":
+        for other in ("labels.csv", "scene_0000.pgm"):
+            shutil.copy(good_inputs / other, bad.parent)
+    magic, maxval = (b"P5", b"65535") if name == "--depth" else (b"P6", b"255")
+    bad.write_bytes(magic + b"\n" + b"7" * 5000 + b" 1\n" + maxval + b"\n\0\0\0")
+    assert main(FILE_INPUTS[name](good_inputs, bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{bad}: header field too long" in captured.err

@@ -15,7 +15,8 @@ from conftest import make_dataset
 
 def conv2d_forward(x, kernel, bias, stride=1):
     """The model's batched convolution applied to one (channels, h, w) input."""
-    return learned._conv_forward(x[None], kernel, bias, stride)[0][0]
+    out, _ = learned._conv_forward(x.transpose(1, 2, 0)[None], kernel, bias, stride)
+    return out[0].transpose(2, 0, 1)
 
 
 def test_conv_ones():
@@ -67,6 +68,139 @@ def test_conv_shape_mismatch():
         conv2d_forward(np.zeros((2, 5, 5)), np.zeros((1, 3, 3, 3)), np.zeros(1))
     with pytest.raises(ValueError):
         conv2d_forward(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+
+
+def test_conv_shape_mismatch_names_its_check():
+    with pytest.raises(ValueError, match="2 channels, kernel expects 3"):
+        conv2d_forward(np.zeros((2, 5, 5)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+    with pytest.raises(ValueError, match="kernel 3x3 does not fit input 2x2"):
+        conv2d_forward(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+
+
+def _conv_backward_oracle(x, k, dout, stride):
+    """Loops over every output and tap of a channel-last convolution:
+    (dx, dkernel, dbias) for x (n, h, w, ic) and dout (n, oh, ow, oc)."""
+    n, oh, ow, oc = dout.shape
+    _, ic, kh, kw = k.shape
+    dx, dk = np.zeros(x.shape), np.zeros(k.shape)
+    for b in range(n):
+        for yo in range(oh):
+            for xo in range(ow):
+                for o in range(oc):
+                    g = dout[b, yo, xo, o]
+                    for dy in range(kh):
+                        for dxx in range(kw):
+                            y, xx = yo * stride + dy, xo * stride + dxx
+                            dk[o, :, dy, dxx] += g * x[b, y, xx]
+                            dx[b, y, xx] += g * k[o, :, dy, dxx]
+    return dx, dk, dout.sum(axis=(0, 1, 2))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_backward_against_loops(stride):
+    rng = np.random.default_rng(10 + stride)
+    x = rng.normal(size=(2, 9, 11, 3))
+    k = rng.normal(size=(4, 3, 3, 3))
+    out, cols = learned._conv_forward(x, k, rng.normal(size=4), stride)
+    dout = rng.normal(size=out.shape)
+    want = _conv_backward_oracle(x, k, dout, stride)
+    got = learned._conv_backward(dout, cols, x.shape, k, stride)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.allclose(g, w, rtol=1e-12, atol=1e-12)
+    dx, dk, db = learned._conv_backward(dout, cols, None, k, stride)
+    assert dx is None
+    assert np.array_equal(dk, got[1]) and np.array_equal(db, got[2])
+
+
+# The model's channel-first (NCHW) convolution and branch code before its
+# internals went channel-last, with an einsum weight gradient: the oracle
+# that the channel-last `backward` must match.
+
+def _nchw_im2col(x, kh, kw, stride):
+    n, c, h, w = x.shape
+    out_h = (h - kh) // stride + 1
+    out_w = (w - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (n, c, out_h, out_w, kh, kw),
+        (s0, s1, s2 * stride, s3 * stride, s2, s3), writeable=False)
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    return cols.reshape(n, out_h * out_w, c * kh * kw), out_h, out_w
+
+
+def _nchw_conv_forward(x, kernel, bias, stride):
+    n = x.shape[0]
+    oc, ic, kh, kw = kernel.shape
+    cols, out_h, out_w = _nchw_im2col(x, kh, kw, stride)
+    flat = cols @ kernel.reshape(oc, -1).T + bias
+    return flat.transpose(0, 2, 1).reshape(n, oc, out_h, out_w), cols
+
+
+def _nchw_conv_backward(dout, cols, x_shape, kernel, stride):
+    n, oc, out_h, out_w = dout.shape
+    _, ic, kh, kw = kernel.shape
+    dflat = dout.reshape(n, oc, out_h * out_w).transpose(0, 2, 1)
+    dkernel = np.einsum("npo,npk->ok", dflat, cols).reshape(kernel.shape)
+    dbias = dflat.sum(axis=(0, 1))
+    dcols = (dflat @ kernel.reshape(oc, -1)).reshape(n, out_h, out_w, ic, kh, kw)
+    dx = np.zeros(x_shape)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, :, i:i + out_h * stride:stride, j:j + out_w * stride:stride] \
+                += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx, dkernel, dbias
+
+
+def _nchw_branch(x, k1, b1, k2, b2):
+    """(embedding, backward function of the embedding's gradient)."""
+    h1, cols1 = _nchw_conv_forward(x, k1, b1, learned.STRIDE)
+    a1 = np.maximum(h1, 0.0)
+    h2, cols2 = _nchw_conv_forward(a1, k2, b2, learned.STRIDE)
+    a2 = np.maximum(h2, 0.0)
+
+    def back(demb):
+        dh2 = demb.reshape(a2.shape) * (h2 > 0.0)
+        da1, dk2, db2 = _nchw_conv_backward(dh2, cols2, a1.shape, k2, learned.STRIDE)
+        _, dk1, db1 = _nchw_conv_backward(da1 * (h1 > 0.0), cols1, x.shape, k1,
+                                          learned.STRIDE)
+        return dk1, db1, dk2, db2
+
+    return a2.reshape(x.shape[0], -1), back
+
+
+def _nchw_backward(params, rgb, dep, labels):
+    emb_rgb, back_rgb = _nchw_branch(rgb, *(params[f"rgb_{k}"] for k in ("k1", "b1", "k2", "b2")))
+    emb_dep, back_dep = _nchw_branch(dep, *(params[f"dep_{k}"] for k in ("k1", "b1", "k2", "b2")))
+    emb = emb_rgb + emb_dep
+    pos = emb @ params["pos_w"].T + params["pos_b"]
+    theta = emb @ params["theta_w"].T + params["theta_b"]
+    loss, dpred = l1_loss(np.concatenate([pos, theta], axis=1), labels)
+    dpos, dtheta = dpred[:, :2], dpred[:, 2:]
+    demb = dpos @ params["pos_w"] + dtheta @ params["theta_w"]
+    grads = (*back_rgb(demb), *back_dep(demb), dpos.T @ emb, dpos.sum(axis=0),
+             dtheta.T @ emb, dtheta.sum(axis=0))
+    return loss, dict(zip(learned._SHAPES, grads))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backward_matches_channel_first_oracle(seed):
+    rng = np.random.default_rng(20 + seed)
+    params = init_params(seed)
+    for name in ("rgb_b1", "rgb_b2", "dep_b1", "dep_b2"):
+        params[name][:] = rng.normal(0.0, 0.1, params[name].shape)
+    n = 1 + seed * 3
+    rgb = rng.uniform(0, 1, (n, 3, 36, 64))
+    dep = rng.uniform(0.5, 1, (n, 1, 36, 64))
+    labels = rng.uniform(-1, 1, (n, 3))
+    loss, grads = backward(params, rgb, dep, labels)
+    want_loss, want = _nchw_backward(params, rgb, dep, labels)
+    assert np.isclose(loss, want_loss, rtol=1e-12, atol=0)
+    for name, shape in learned._SHAPES.items():
+        assert grads[name].shape == shape
+        # Entries that cancel to near zero are held to 1e-12 of the largest.
+        np.testing.assert_allclose(grads[name], want[name], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want[name]).max(), err_msg=name)
 
 
 # --- model forward ---
