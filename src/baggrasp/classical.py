@@ -184,15 +184,19 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     if not (0.0 < low < high <= 1.0):
         raise ValueError("require 0 < low < high <= 1")
     gx, gy = sobel_gradients(image)
-    mag = np.hypot(gx, gy)
-    # Only pixels at or above low can be weak, so only they are suppressed:
-    # against their sector's neighbours in the zero-padded magnitude at +-step.
-    h, w = mag.shape
-    padded = np.pad(mag, 1).ravel()
-    ys, xs = np.nonzero(mag >= low)
-    at = (ys + 1) * (w + 2) + xs + 1
-    sector = np.round(np.arctan2(gy[ys, xs], gx[ys, xs])
-                      / (np.pi / 4.0)).astype(int) % 8
+    h, w = gx.shape
+    # |g| <= sqrt(2) max(|gx|, |gy|): a pixel under 0.7 low is under 0.99 low,
+    # neither weak nor a neighbour as large as one, so it stays 0 in the
+    # zero-padded magnitude. Only weak pixels (>= low) are suppressed: against
+    # their sector's neighbours in it at +-step.
+    near = np.flatnonzero(np.maximum(np.abs(gx), np.abs(gy)) >= 0.7 * low)
+    gx, gy = gx.ravel()[near], gy.ravel()[near]
+    at = near + 2 * (near // w) + w + 3  # flat id (y+1)*(w+2) + x+1
+    padded = np.zeros((h + 2) * (w + 2))
+    padded[at] = mag = np.hypot(gx, gy)
+    weak = mag >= low
+    at = at[weak]
+    sector = np.round(np.arctan2(gy[weak], gx[weak]) / (np.pi / 4.0)).astype(int) % 8
     step = np.array([dy * (w + 2) + dx for dx, dy in _COMPASS])[sector]
     at = at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])]
 

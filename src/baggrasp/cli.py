@@ -82,7 +82,10 @@ def cmd_vision(args, cfg) -> int:
             raise InputError("learned mode requires --depth")
         params = _learned_params(args)
         depth = image_io.load_pgm(args.depth)
-    proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth, args.t)
+    try:
+        proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth, args.t)
+    except InputError as err:  # the pair's sizes
+        raise InputError(f"{args.rgb}, {args.depth}: {err}") from err
     print(proposal.to_json_line())
     if args.overlay:
         cal = CameraCalibration.from_config(cfg)

@@ -149,7 +149,7 @@ def crop_center_quarter(image):
     """
     w, h = image.width, image.height
     if w < 4 or h < 4:
-        raise ValueError(f"image too small to crop: {w}x{h}")
+        raise InputError(f"image too small to crop: {w}x{h}")
     ox, oy, cw, ch = crop_window(w, h)
     return type(image)(image.pixels[oy:oy + ch, ox:ox + cw].copy())
 

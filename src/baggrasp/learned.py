@@ -278,6 +278,9 @@ def load_params(path) -> dict[str, np.ndarray]:
 def preprocess(rgb: RgbImage, depth: DepthImage):
     """Full-frame pair -> network tensors plus the 36x64 -> full-frame
     pixel map (crop offsets and per-axis scales)."""
+    if rgb.pixels.shape[:2] != depth.pixels.shape:
+        raise InputError(f"RGB image is {rgb.width}x{rgb.height} but depth image "
+                         f"is {depth.width}x{depth.height}")
     ox, oy, cw, ch = image_io.crop_window(rgb.width, rgb.height)
     rgb_small = image_io.resize_bilinear(image_io.crop_center_quarter(rgb), IN_W, IN_H)
     dep_small = image_io.resize_bilinear(image_io.crop_center_quarter(depth), IN_W, IN_H)
@@ -317,8 +320,9 @@ def load_dataset(directory) -> list[LabeledScene]:
     Full-frame scenes are center-cropped and resized to 36x64; labels are
     mapped into the small frame, and rows whose label falls outside the crop
     are skipped. A row with a missing column, a scene file that cannot be
-    read or parsed, a non-integer id, a non-finite px or py or a theta
-    outside (-pi/2, pi/2] raises InputError naming its file and line.
+    read or parsed, a scene pair of two sizes or under 4x4, a non-integer
+    id, a non-finite px or py or a theta outside (-pi/2, pi/2] raises
+    InputError naming its file and line.
     """
     path = Path(directory) / "labels.csv"
     scenes = []
@@ -340,9 +344,9 @@ def load_dataset(directory) -> list[LabeledScene]:
         try:
             rgb = image_io.load_ppm(path.parent / f"scene_{idx:04d}.ppm")
             depth = image_io.load_pgm(path.parent / f"scene_{idx:04d}.pgm")
+            rgb_small, dep_small, frame = preprocess(rgb, depth)
         except InputError as err:
             raise InputError(f"{where}: {err}") from err
-        rgb_small, dep_small, frame = preprocess(rgb, depth)
         px, py = full_to_net_px(label[0], label[1], frame)
         if not (-0.5 <= px <= IN_W - 0.5 and -0.5 <= py <= IN_H - 0.5):
             continue

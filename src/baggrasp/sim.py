@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -175,12 +176,47 @@ def add_pixel_noise(rng, rgb: RgbImage, depth: DepthImage,
     """Per-frame Gaussian pixel noise (intensity levels / millimeters)."""
     if sigma <= 0:
         return rgb, depth
+    return _noisy_frame(rng, rgb, depth, sigma, np.empty(depth.pixels.size))
 
-    def noisy(image, top):  # in the draws' buffer: no float copy of the image
-        out = rng.normal(0.0, sigma, image.pixels.shape)
-        out += image.pixels
-        return np.clip(np.round(out, out=out), 0, top, out=out).astype(image.pixels.dtype)
-    return RgbImage(noisy(rgb, 255)), DepthImage(noisy(depth, 65535))
+
+def _noisy_frame(rng, rgb: RgbImage, depth: DepthImage, sigma: float,
+                 buf: np.ndarray) -> tuple[RgbImage, DepthImage]:
+    """add_pixel_noise for sigma > 0, drawn in runs through the float buffer
+    buf: the runs draw numpy normal's values in its order, and sigma * z is
+    its 0 + sigma * z once a pixel is added."""
+    frame = []
+    for image, top in ((rgb, 255), (depth, 65535)):
+        src = image.pixels.reshape(-1)
+        out = np.empty_like(src)
+        for i in range(0, src.size, buf.size):
+            run = rng.standard_normal(out=buf[:src.size - i])
+            run *= sigma
+            run += src[i:i + run.size]
+            out[i:i + run.size] = np.clip(np.round(run, out=run), 0, top, out=run)
+        frame.append(type(image)(out.reshape(image.pixels.shape)))
+    return tuple(frame)
+
+
+class _DrawAhead(threading.Thread):
+    """draw() run on its own thread from construction; result() joins it and
+    returns draw()'s value or raises its exception."""
+
+    def __init__(self, draw):
+        super().__init__()
+        self._draw, self._value, self._error = draw, None, None
+        self.start()
+
+    def run(self):
+        try:
+            self._value = self._draw()
+        except BaseException as err:  # raised again by result() in the caller
+            self._error = err
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
@@ -276,26 +312,40 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     """The denoiser's proposals from the proposal source: a fixed proposal
     list, or a vision function run on the scene's per-frame noisy images.
 
+    Noisy frames are drawn one ahead on a second thread, the only one to touch
+    the episode's rng, in frame order: they are add_pixel_noise's bit for bit,
+    and no draw outlives the call. The source runs on the calling thread.
+    Noise-free frames differ only in their timestamps, so the source runs on
+    the first and its proposal is restamped for the rest.
+
     Returns (proposals, window end, frames attempted, last vision error).
     """
     if not callable(source):
         return list(source), max((p.t for p in source), default=cfg.window), 0, ""
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
+    buf = np.empty(scene.depth.pixels.size)
+
+    def draw():
+        return _noisy_frame(rng, scene.rgb, scene.depth, cfg.noise_sigma, buf)
+    noisy = cfg.noise_sigma > 0
+    ahead = _DrawAhead(draw) if noisy and n_frames else None
     proposals, last_error, prop = [], "", None
-    for k in range(n_frames):
-        t = k / cfg.frame_rate
-        # add_pixel_noise hands back the scene itself when noise-free, so the
-        # frames differ only in their timestamps: the source runs on the
-        # first and its proposal is restamped for the rest.
-        if k == 0 or cfg.noise_sigma > 0:
-            rgb, depth = add_pixel_noise(rng, scene.rgb, scene.depth, cfg.noise_sigma)
-            try:
-                prop = source(rgb, depth, t)
-            except VisionError as err:
-                prop, last_error = None, str(err)
-        if prop is not None:
-            proposals.append(replace(prop, t=t))
+    try:
+        for k in range(n_frames):
+            t = k / cfg.frame_rate
+            if k == 0 or noisy:
+                rgb, depth = ahead.result() if noisy else (scene.rgb, scene.depth)
+                ahead = _DrawAhead(draw) if noisy and k + 1 < n_frames else None
+                try:
+                    prop = source(rgb, depth, t)
+                except VisionError as err:
+                    prop, last_error = None, str(err)
+            if prop is not None:
+                proposals.append(replace(prop, t=t))
+    finally:
+        if ahead is not None:
+            ahead.join()
     return proposals, cfg.window, n_frames, last_error
 
 
@@ -381,15 +431,7 @@ def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
 
 
 def report_to_dict(report: EpisodeReport) -> dict:
-    return {
-        "success": report.success,
-        "reason": report.reason,
-        "proposal": asdict(report.proposal) if report.proposal is not None else None,
-        "final_pos_err": report.final_pos_err,
-        "final_yaw_err": report.final_yaw_err,
-        "proposal_px_err": report.proposal_px_err,
-        "stats": report.stats,
-    }
+    return {k: v for k, v in asdict(report).items() if k != "series"}
 
 
 def write_episode_artifacts(report: EpisodeReport, cfg: PipelineConfig,

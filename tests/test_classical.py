@@ -377,6 +377,38 @@ def test_canny_matches_fixpoint_oracle_on_random_images():
         assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
 
 
+@pytest.mark.parametrize("low", [3 * 5e-324, 1e-300, 1e-3])
+def test_canny_matches_fixpoint_oracle_at_small_thresholds(low):
+    # Gradients of a few lows: many pixels sit on either side of 0.7 low.
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        h, w = rng.integers(2, 30, size=2)
+        img = GrayImage(rng.integers(0, 9, (h, w)) * (low * rng.uniform(0.5, 3.0)))
+        high = low * rng.integers(2, 7)
+        assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
+
+
+@pytest.mark.parametrize("low", [0.1, 1e-300])
+@pytest.mark.parametrize("share", [0.71, "just under 0.7"])
+def test_canny_neighbour_near_magnitude_cutoff(monkeypatch, low, share):
+    # Strong pixel S at (2, 1) above weak pixel P at (2, 2), whose gradient
+    # points at N (3, 2). N's gradient has both components share * low: under
+    # 0.7 low its magnitude (0.99 low) is below P's, at 0.71 low it is above.
+    v = np.nextafter(0.7 * low, 0.0) if isinstance(share, str) else share * low
+    gx, gy = np.zeros((5, 5)), np.zeros((5, 5))
+    gx[1, 2], gx[2, 2] = 5.0 * low, low
+    gx[2, 3], gy[2, 3] = v, -v
+    fake = lambda image: (gx.copy(), gy.copy())  # noqa: E731
+    monkeypatch.setattr(classical, "sobel_gradients", fake)
+    monkeypatch.setitem(globals(), "sobel_gradients", fake)
+    img = GrayImage(np.zeros((5, 5)))
+    want = np.zeros((5, 5), dtype=bool)
+    want[1, 2] = True
+    want[2, 2 if isinstance(share, str) else 3] = True  # P, or N over P
+    assert np.array_equal(_fixpoint_canny(img, low, 4.0 * low), want)
+    assert np.array_equal(canny(img, low, 4.0 * low), want)
+
+
 def test_find_contours_takes_canny_labels_only_for_its_mask():
     # canny keeps its kept pixels' labels for find_contours: they must be the
     # labels find_contours would make, and a changed mask must be labelled anew.

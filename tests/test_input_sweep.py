@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from baggrasp import config, kinematics, learned
+from baggrasp import config, image_io, kinematics, learned
 from baggrasp.cli import main
 
 # Ten control steps per episode, so each draw costs milliseconds.
@@ -215,3 +215,27 @@ def test_oversized_netpbm_header_field(good_inputs, tmp_path, capsys, name):
     assert main(FILE_INPUTS[name](good_inputs, bad)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{bad}: header field too long" in captured.err
+
+
+@pytest.mark.parametrize("command", ["vision", "train"])
+@pytest.mark.parametrize("rgb_size, depth_size", [((256, 144), (128, 72)),
+                                                   ((2, 2), (2, 2))],
+                         ids=["mismatched", "2x2"])
+def test_learned_image_pair_sizes(good_inputs, tmp_path, capsys, command,
+                                  rgb_size, depth_size):
+    # A pair of two sizes, or one too small to crop, is rejected input.
+    (w, h), (dw, dh) = rgb_size, depth_size
+    rgb, depth = tmp_path / "scene_0000.ppm", tmp_path / "scene_0000.pgm"
+    image_io.save_ppm(image_io.RgbImage(np.full((h, w, 3), 100, np.uint8)), rgb)
+    image_io.save_pgm(image_io.DepthImage(np.full((dh, dw), 800, np.uint16)), depth)
+    if command == "vision":
+        argv = ["vision", "--mode", "learned", "--rgb", str(rgb), "--depth", str(depth),
+                "--params", str(good_inputs / "params.bin")]
+    else:
+        (tmp_path / "labels.csv").write_text("id,px,py,theta\n0,1.0,1.0,0.1\n")
+        argv = ["train", "--data", str(tmp_path), "--out", str(tmp_path / "out.bin")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    named = [rgb, depth] if command == "vision" else [tmp_path / "labels.csv:2:"]
+    assert all(str(path) in captured.err for path in named), captured.err

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from baggrasp import classical, sim
+from baggrasp import classical, learned, sim
 from baggrasp.classical import CameraCalibration, GraspProposal
 from baggrasp.config import PipelineConfig
+from baggrasp.image_io import DepthImage, RgbImage
 
 ARM = sim.arm_for(PipelineConfig())
 
@@ -222,6 +225,120 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
             want_error = str(err)
     assert proposals == want and error == want_error
     assert (len(want) == 0) == flat and (error != "") == flat
+
+
+def _seen_frames(source):
+    """source wrapped to record the exact bytes of every frame it is given."""
+    seen = []
+
+    def recorded(rgb, depth, t):
+        seen.append((t, rgb.pixels.tobytes(), depth.pixels.tobytes()))
+        return source(rgb, depth, t)
+    return recorded, seen
+
+
+@pytest.mark.parametrize("vision", ["classical", "learned"])
+@pytest.mark.parametrize("frame_rate", [1.0, 4.0])
+@pytest.mark.parametrize("noise_sigma", [2.0, 32.0])
+def test_collect_sources_see_add_pixel_noise_frames(cfg, vision, frame_rate,
+                                                    noise_sigma):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=frame_rate)
+    scene = sim.generate_scene(6, run_cfg)
+    params = learned.init_params(0) if vision == "learned" else None
+    source, seen = _seen_frames(sim.vision_source(vision, run_cfg, params))
+    threads = threading.active_count()
+    proposals, _, frames, error = sim._collect(source, scene, run_cfg, 6)
+    assert threading.active_count() == threads
+    # Oracle: add_pixel_noise as first written, inline, frame after frame
+    # from the episode's rng.
+    rng = np.random.default_rng([6, 1])
+    want, want_props, want_error = [], [], ""
+    for k in range(frames):
+        noisy_rgb, noisy_dep = _float_copy_pixel_noise(rng, scene.rgb, scene.depth,
+                                                       noise_sigma)
+        rgb, depth = RgbImage(noisy_rgb), DepthImage(noisy_dep)
+        want.append((k / frame_rate, rgb.pixels.tobytes(), depth.pixels.tobytes()))
+        try:
+            want_props.append(sim.vision_source(vision, run_cfg, params)(
+                rgb, depth, k / frame_rate))
+        except classical.VisionError as err:
+            want_error = str(err)
+    assert frames == 10 * frame_rate and seen == want
+    assert proposals == want_props and error == want_error
+
+
+def _counted_thread_starts(monkeypatch):
+    """Patch Thread.start to record each started thread, and whether any
+    thread it started earlier was still alive then."""
+    started, overlapped = [], []
+    start = threading.Thread.start
+
+    def counted(thread):
+        overlapped.append(any(t.is_alive() for t in started))
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started, overlapped
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
+def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, noise_sigma):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=2.0)
+    scene = sim.generate_scene(4, run_cfg)
+    started, overlapped = _counted_thread_starts(monkeypatch)
+    threads = threading.active_count()
+    _, _, frames, _ = sim._collect(classical_source(run_cfg), scene, run_cfg, 4)
+    assert threading.active_count() == threads
+    assert len(started) == (frames if noise_sigma else 0)
+    assert not any(overlapped)  # at most one draw in flight
+
+
+def test_collect_raises_a_failed_draw(cfg, monkeypatch):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
+    scene = sim.generate_scene(4, run_cfg)
+    draws = []
+    noisy_frame = sim._noisy_frame
+
+    def failing(*args):
+        draws.append(threading.current_thread())
+        if len(draws) == 4:
+            raise MemoryError("draw of frame 3")
+        return noisy_frame(*args)
+    monkeypatch.setattr(sim, "_noisy_frame", failing)
+    source, seen = _seen_frames(classical_source(run_cfg))
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="draw of frame 3"):
+        sim._collect(source, scene, run_cfg, 4)
+    assert threading.active_count() == threads
+    assert [t for t, _, _ in seen] == [0.0, 1.0, 2.0]
+    assert threading.main_thread() not in draws
+
+
+def test_collect_propagates_a_source_error(cfg):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
+    scene = sim.generate_scene(4, run_cfg)
+    calls = []
+
+    def broken(rgb, depth, t):
+        calls.append(t)
+        if len(calls) == 2:
+            raise RuntimeError("source broke")
+        return classical_source(run_cfg)(rgb, depth, t)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="source broke"):
+        sim._collect(broken, scene, run_cfg, 4)
+    assert threading.active_count() == threads and len(calls) == 2
+
+
+def test_run_batch_noisy_rows_repeat(cfg):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=2.0)
+    rows = sim.run_batch(run_cfg, 2, 13)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade turns as often as they can
+    try:
+        assert sim.run_batch(run_cfg, 2, 13) == rows
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _float_copy_pixel_noise(rng, rgb, depth, sigma):
