@@ -84,7 +84,7 @@ def init_params(seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in _SHAPES.items():
-        if name.endswith("_b1") or name.endswith("_b2") or name.endswith("_b"):
+        if len(shape) == 1:
             arrays[name] = np.zeros(shape)
         else:
             fan_in = int(np.prod(shape[1:]))
@@ -210,14 +210,15 @@ def train(dataset, epochs: int, lr: float = 1e-3, seed: int = 0,
           batch_size: int = 4):
     """Plain SGD over shuffled mini-batches; deterministic given the seed.
 
-    Returns (params, per-epoch mean losses).
+    Returns (params, per-epoch mean losses). Raises FloatingPointError once
+    an epoch's mean loss or the parameters after it are not finite.
     """
     if not dataset:
         raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     params = init_params(seed)
     losses = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(len(dataset))
         epoch_losses = []
         for begin in range(0, len(dataset), batch_size):
@@ -228,6 +229,10 @@ def train(dataset, epochs: int, lr: float = 1e-3, seed: int = 0,
                 params[name] -= lr * grad
             epoch_losses.append(loss)
         losses.append(float(np.mean(epoch_losses)))
+        if not (math.isfinite(losses[-1])
+                and all(np.isfinite(arr).all() for arr in params.values())):
+            raise FloatingPointError(f"training diverged in epoch {epoch}: "
+                                     "non-finite mean loss or parameters")
     return params, losses
 
 
@@ -269,6 +274,8 @@ def load_params(path) -> dict[str, np.ndarray]:
             if pos + 8 * n > len(data):
                 raise InputError(f"{path}: truncated params file")
             arrays[name] = np.frombuffer(data, "<f8", n, pos).reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise InputError(f"{path}: {name} holds non-finite values")
             pos += 8 * n
     except struct.error as err:
         raise InputError(f"{path}: truncated params file") from err

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -197,28 +197,6 @@ def _noisy_frame(rng, rgb: RgbImage, depth: DepthImage, sigma: float,
     return tuple(frame)
 
 
-class _DrawAhead(threading.Thread):
-    """draw() run on its own thread from construction; result() joins it and
-    returns draw()'s value or raises its exception."""
-
-    def __init__(self, draw):
-        super().__init__()
-        self._draw, self._value, self._error = draw, None, None
-        self.start()
-
-    def run(self):
-        try:
-            self._value = self._draw()
-        except BaseException as err:  # raised again by result() in the caller
-            self._error = err
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
     """Perfect velocity tracking: q + qdot_d * dt, clamped to [lower, upper]."""
     return np.minimum(np.maximum(q + qdot_d * dt, lower), upper)
@@ -312,11 +290,11 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     """The denoiser's proposals from the proposal source: a fixed proposal
     list, or a vision function run on the scene's per-frame noisy images.
 
-    Noisy frames are drawn one ahead on a second thread, the only one to touch
-    the episode's rng, in frame order: they are add_pixel_noise's bit for bit,
-    and no draw outlives the call. The source runs on the calling thread.
-    Noise-free frames differ only in their timestamps, so the source runs on
-    the first and its proposal is restamped for the rest.
+    Noisy frames are drawn one ahead on one worker thread, the only one to
+    touch the episode's rng, in frame order: they are add_pixel_noise's bit
+    for bit, and no draw outlives the call. The source runs on the calling
+    thread. Noise-free frames differ only in their timestamps, so the source
+    runs on the first and its proposal is restamped for the rest.
 
     Returns (proposals, window end, frames attempted, last vision error).
     """
@@ -325,27 +303,25 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
     buf = np.empty(scene.depth.pixels.size)
-
-    def draw():
-        return _noisy_frame(rng, scene.rgb, scene.depth, cfg.noise_sigma, buf)
     noisy = cfg.noise_sigma > 0
-    ahead = _DrawAhead(draw) if noisy and n_frames else None
     proposals, last_error, prop = [], "", None
-    try:
+    # The worker starts at the first submit; leaving the block waits for it.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def draw():
+            return pool.submit(_noisy_frame, rng, scene.rgb, scene.depth,
+                               cfg.noise_sigma, buf)
+        ahead = draw() if noisy and n_frames else None
         for k in range(n_frames):
             t = k / cfg.frame_rate
             if k == 0 or noisy:
                 rgb, depth = ahead.result() if noisy else (scene.rgb, scene.depth)
-                ahead = _DrawAhead(draw) if noisy and k + 1 < n_frames else None
+                ahead = draw() if noisy and k + 1 < n_frames else None
                 try:
                     prop = source(rgb, depth, t)
                 except VisionError as err:
                     prop, last_error = None, str(err)
             if prop is not None:
                 proposals.append(replace(prop, t=t))
-    finally:
-        if ahead is not None:
-            ahead.join()
     return proposals, cfg.window, n_frames, last_error
 
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +243,25 @@ def test_train_empty_dataset_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "dataset is empty" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_train_divergence_exits_1_and_writes_nothing(tmp_path):
+    data = tmp_path / "data"
+    assert main(["genscenes", "--n", "8", "--seed", "0", "--out", str(data)]) == 0
+    out, loss_csv = tmp_path / "params.bin", tmp_path / "loss.csv"
+    # In a child process with numpy's overflow warnings ignored, only the
+    # divergence check can set the exit code.
+    src = str(Path(learned.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "baggrasp", "train",
+         "--data", str(data), "--lr", "1e300", "--epochs", "4",
+         "--out", str(out), "--loss-out", str(loss_csv)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "training diverged in epoch 0" in proc.stderr
+    assert not out.exists() and not loss_csv.exists()
 
 
 def test_train_and_learned_vision(tmp_path, capsys):

@@ -202,6 +202,25 @@ def test_unreadable_input_files(good_inputs, tmp_path, capsys, name, kind):
         assert "labels.csv:2:" in captured.err
 
 
+@pytest.mark.parametrize("command", ["vision", "simulate", "simulate --batch"])
+@pytest.mark.parametrize("name, value", [("pos_b", math.nan), ("theta_w", math.inf),
+                                         ("rgb_k1", -math.inf)])
+def test_non_finite_params(good_inputs, tmp_path, capsys, command, name, value):
+    # A params file holding NaN or inf is rejected input.
+    params = learned.init_params(0)
+    params[name].flat[1] = value
+    bad = tmp_path / "params.bin"
+    learned.save_params(params, bad)
+    argv = FILE_INPUTS["--params" if command == "vision" else "simulate --params"](
+        good_inputs, bad)
+    if command == "simulate --batch":
+        argv += ["--batch", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: {name} holds non-finite values" in captured.err
+
+
 @pytest.mark.parametrize("name", ["--rgb", "--depth", "scene file"])
 def test_oversized_netpbm_header_field(good_inputs, tmp_path, capsys, name):
     # A field longer than int() converts (4,300 digits) is rejected input.

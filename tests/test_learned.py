@@ -351,6 +351,37 @@ def test_train_empty_dataset():
         train([], epochs=1)
 
 
+def test_init_params_matches_bias_names_oracle():
+    # The biases are the 1-d entries, named *_b1, *_b2 and *_b.
+    for seed in (0, 7):
+        rng = np.random.default_rng(seed)
+        for name, arr in init_params(seed).items():
+            shape = learned._SHAPES[name]
+            if name.endswith(("_b1", "_b2", "_b")):
+                want = np.zeros(shape)
+            else:
+                want = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), shape)
+            assert np.array_equal(arr, want), name
+
+
+@pytest.mark.parametrize("n, epochs, lr", [(8, 4, 1e300), (4, 1, math.inf)],
+                         ids=["lr=1e300", "lr=inf"])
+def test_train_divergence_raises(n, epochs, lr):
+    # lr=1e300 makes epoch 0's mean loss NaN; lr=inf keeps the one batch's
+    # loss finite but leaves non-finite parameters.
+    with np.errstate(all="ignore"):  # no RuntimeWarning to raise instead
+        with pytest.raises(FloatingPointError,
+                           match="training diverged in epoch 0"):
+            train(make_dataset(0, n), epochs=epochs, lr=lr)
+
+
+def test_train_non_finite_loss_with_finite_params_raises(monkeypatch):
+    zero_grads = {name: np.zeros(shape) for name, shape in learned._SHAPES.items()}
+    monkeypatch.setattr(learned, "backward", lambda *args: (math.inf, zero_grads))
+    with pytest.raises(FloatingPointError, match="training diverged in epoch 0"):
+        train(make_dataset(0, 4), epochs=2)
+
+
 # --- params file ---
 
 def test_params_round_trip_bytes(tmp_path):

@@ -1,13 +1,15 @@
 import dataclasses
+import inspect
 import json
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from baggrasp import classical, learned, sim
+from baggrasp import classical, image_io, learned, sim
 from baggrasp.classical import CameraCalibration, GraspProposal
 from baggrasp.config import PipelineConfig
 from baggrasp.image_io import DepthImage, RgbImage
@@ -267,30 +269,83 @@ def test_collect_sources_see_add_pixel_noise_frames(cfg, vision, frame_rate,
     assert proposals == want_props and error == want_error
 
 
-def _counted_thread_starts(monkeypatch):
-    """Patch Thread.start to record each started thread, and whether any
-    thread it started earlier was still alive then."""
-    started, overlapped = [], []
+def _thread_starts(monkeypatch):
+    """Patch Thread.start to record each thread started."""
+    started = []
     start = threading.Thread.start
 
     def counted(thread):
-        overlapped.append(any(t.is_alive() for t in started))
         started.append(thread)
         start(thread)
     monkeypatch.setattr(threading.Thread, "start", counted)
-    return started, overlapped
+    return started
 
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
 def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, noise_sigma):
     run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=2.0)
     scene = sim.generate_scene(4, run_cfg)
-    started, overlapped = _counted_thread_starts(monkeypatch)
+    started = _thread_starts(monkeypatch)
+    draws, leads = [], []
+    noisy_frame = sim._noisy_frame
+
+    def counted_draw(*args):
+        draws.append(threading.current_thread())
+        return noisy_frame(*args)
+    monkeypatch.setattr(sim, "_noisy_frame", counted_draw)
+
+    def slow(rgb, depth, t):
+        time.sleep(0.005)  # room for draws queued too far ahead to start
+        leads.append(len(draws) - round(t * run_cfg.frame_rate))
+        return classical_source(run_cfg)(rgb, depth, t)
     threads = threading.active_count()
-    _, _, frames, _ = sim._collect(classical_source(run_cfg), scene, run_cfg, 4)
+    _, _, frames, _ = sim._collect(slow, scene, run_cfg, 4)
     assert threading.active_count() == threads
-    assert len(started) == (frames if noise_sigma else 0)
-    assert not any(overlapped)  # at most one draw in flight
+    assert len(started) == (1 if noise_sigma else 0)
+    assert draws == started * frames  # every frame drawn on the one worker
+    assert max(leads) <= 2  # frame k is seen with at most k + 2 draws started
+
+
+def _record_public_calls(monkeypatch, modules):
+    """Wrap every public function of modules, wherever the package holds
+    it, to record (name, thread) of each call."""
+    calls, wrapped = [], {}
+
+    def recording(fn):
+        def recorded(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recorded
+    for mod in modules:
+        for name, fn in vars(mod).items():
+            if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                    and not name.startswith("_")):
+                wrapped[id(fn)] = (fn, recording(fn))
+    for mod_name, holder in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "baggrasp":
+            for name, obj in list(vars(holder).items()):
+                hit = wrapped.get(id(obj))
+                if hit is not None and hit[0] is obj:
+                    monkeypatch.setattr(holder, name, hit[1])
+    return calls
+
+
+@pytest.mark.parametrize("vision", ["classical", "learned"])
+def test_collect_runs_public_functions_on_the_calling_thread(cfg, monkeypatch,
+                                                             vision):
+    # perfbench's tracer keeps one span stack, so the draw worker may run
+    # only private code.
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=2.0)
+    scene = sim.generate_scene(4, run_cfg)
+    params = learned.init_params(0) if vision == "learned" else None
+    source = sim.vision_source(vision, run_cfg, params)
+    calls = _record_public_calls(monkeypatch, (sim, classical, image_io))
+    sim._collect(source, scene, run_cfg, 4)
+    names = {name for name, _ in calls}
+    assert ({"classical_pipeline", "canny", "to_gray"} if vision == "classical"
+            else {"pixel_to_workspace", "resize_bilinear"}) <= names
+    assert [name for name, thread in calls
+            if thread is not threading.current_thread()] == []
 
 
 def test_collect_raises_a_failed_draw(cfg, monkeypatch):
