@@ -161,7 +161,8 @@ def crop_window(w: int, h: int) -> tuple[int, int, int, int]:
 
 
 def _bilinear(src: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resample of a float array (h, w[, c])."""
+    """Pixel-center-aligned bilinear resample of a float array (h, w[, c]): x over
+    every source row, then y, so each value is the four-gather form's, bit for bit."""
     in_h, in_w = src.shape[:2]
     xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
     ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
@@ -172,10 +173,8 @@ def _bilinear(src: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     channels = (1,) * (src.ndim - 2)
     fx = (xs - x0).reshape(1, -1, *channels)
     fy = (ys - y0).reshape(-1, 1, *channels)
-    top, bot = src[y0], src[y1]  # rows, then the columns of those rows
-    top = top[:, x0] * (1 - fx) + top[:, x1] * fx
-    bot = bot[:, x0] * (1 - fx) + bot[:, x1] * fx
-    return top * (1 - fy) + bot * fy
+    cols = src.take(x0, axis=1) * (1 - fx) + src.take(x1, axis=1) * fx
+    return cols[y0] * (1 - fy) + cols[y1] * fy  # take's C order: whole-row copies
 
 
 def resize_bilinear(image, out_w: int, out_h: int):

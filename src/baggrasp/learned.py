@@ -10,10 +10,10 @@ The network operates on normalized quantities throughout: inputs scaled to
 roughly [0, 1], pixel labels divided by (width-1, height-1), angles divided
 by pi/2. `predict` converts raw head outputs back to pixels/radians.
 
-Conv internals are channel-last: a branch makes its (n, c, h, w) input
-(n, h, w, c) once, so im2col copies contiguous runs and a conv's output is
-its product's rows as they come. Kernels stay (oc, ic, kh, kw), the
-embedding is still flattened in (c, y, x) order, and params files are unchanged.
+Conv internals are channel-last: the (n, c, h, w) inputs are views of the
+(n, h, w, c) floats made from the pixels, so im2col copies contiguous runs and
+a conv's output is its product's rows as they come. Kernels stay (oc, ic, kh, kw),
+the embedding is still flattened in (c, y, x) order, and params files are unchanged.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ class LabeledScene:
                          self.label_theta / (math.pi / 2)])
 
 
-def image_tensors(rgb: RgbImage, depth: DepthImage) -> tuple[np.ndarray, np.ndarray]:
-    """Network inputs: RGB scaled to [0, 1] (3,h,w), depth in meters (1,h,w)."""
-    r = rgb.pixels.astype(float).transpose(2, 0, 1) / 255.0
-    d = depth.pixels.astype(float)[None, :, :] / DEPTH_SCALE
-    return r, d
+def image_tensors(rgbs, depths) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs of n image pairs: RGB in [0, 1] (n,3,h,w), depth in m (n,1,h,w)."""
+    r = np.stack([img.pixels for img in rgbs]).astype(float) / 255.0
+    d = np.stack([img.pixels for img in depths])[..., None].astype(float) / DEPTH_SCALE
+    return r.transpose(0, 3, 1, 2), d.transpose(0, 3, 1, 2)
 
 
 # Model parameters (and their gradients) are a name -> array dict in this
@@ -113,7 +113,8 @@ def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     if x.shape[-1] != ic:
         raise ValueError(f"input has {x.shape[-1]} channels, kernel expects {ic}")
     cols, out_h, out_w = _im2col(x, kh, kw, stride)
-    flat = cols @ kernel.transpose(2, 3, 1, 0).reshape(-1, oc) + bias
+    flat = cols @ kernel.transpose(2, 3, 1, 0).reshape(-1, oc)
+    flat += bias
     return flat.reshape(x.shape[0], out_h, out_w, oc), cols
 
 
@@ -125,7 +126,7 @@ def _conv_backward(dout: np.ndarray, cols: np.ndarray, x_shape,
     dflat = dout.reshape(-1, oc)
     dkernel = (dflat.T @ cols.reshape(len(dflat), -1)).reshape(oc, kh, kw, ic)
     dkernel = dkernel.transpose(0, 3, 1, 2)
-    dbias = dflat.sum(axis=0)
+    dbias = np.ones(len(dflat)) @ dflat
     if x_shape is None:
         return None, dkernel, dbias
     dcols = dflat @ kernel.transpose(0, 2, 3, 1).reshape(oc, -1)
@@ -201,9 +202,8 @@ def backward(params: dict, rgb: np.ndarray, dep: np.ndarray,
 
 
 def batch_tensors(scenes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rgb, dep = zip(*(image_tensors(s.rgb, s.depth) for s in scenes))
-    labels = np.stack([s.normalized_label() for s in scenes])
-    return np.stack(rgb), np.stack(dep), labels
+    rgb, dep = image_tensors([s.rgb for s in scenes], [s.depth for s in scenes])
+    return rgb, dep, np.stack([s.normalized_label() for s in scenes])
 
 
 def train(dataset, epochs: int, lr: float = 1e-3, seed: int = 0,
@@ -223,8 +223,7 @@ def train(dataset, epochs: int, lr: float = 1e-3, seed: int = 0,
         epoch_losses = []
         for begin in range(0, len(dataset), batch_size):
             batch = [dataset[i] for i in order[begin:begin + batch_size]]
-            rgb, dep, labels = batch_tensors(batch)
-            loss, grads = backward(params, rgb, dep, labels)
+            loss, grads = backward(params, *batch_tensors(batch))
             for name, grad in grads.items():
                 params[name] -= lr * grad
             epoch_losses.append(loss)
@@ -313,8 +312,7 @@ def predict(params: dict, rgb: RgbImage, depth: DepthImage):
     from .classical import wrap_half_pi
 
     rgb_small, dep_small, frame = preprocess(rgb, depth)
-    t_rgb, t_dep = image_tensors(rgb_small, dep_small)
-    pos, theta, _ = forward_batch(params, t_rgb[None], t_dep[None])
+    pos, theta, _ = forward_batch(params, *image_tensors([rgb_small], [dep_small]))
     px = float(pos[0, 0]) * (IN_W - 1)
     py = float(pos[0, 1]) * (IN_H - 1)
     full = net_to_full_px(px, py, frame)

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -303,10 +303,11 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
     buf = np.empty(scene.depth.pixels.size)
-    noisy = cfg.noise_sigma > 0
+    if noisy := cfg.noise_sigma > 0:  # imported here: noise-free runs never load it
+        from concurrent.futures import ThreadPoolExecutor
     proposals, last_error, prop = [], "", None
     # The worker starts at the first submit; leaving the block waits for it.
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with ThreadPoolExecutor(max_workers=1) if noisy else nullcontext() as pool:
         def draw():
             return pool.submit(_noisy_frame, rng, scene.rgb, scene.depth,
                                cfg.noise_sigma, buf)
@@ -407,7 +408,9 @@ def run_episode(cfg: PipelineConfig, seed: int, arm: kinematics.ArmModel,
 
 
 def report_to_dict(report: EpisodeReport) -> dict:
-    return {k: v for k, v in asdict(report).items() if k != "series"}
+    prop = None if report.proposal is None else asdict(report.proposal)
+    return {f.name: getattr(report, f.name) for f in fields(report)
+            if f.name != "series"} | {"proposal": prop, "stats": dict(report.stats)}
 
 
 def write_episode_artifacts(report: EpisodeReport, cfg: PipelineConfig,

@@ -289,6 +289,45 @@ def test_separable_resize_is_bit_identical_to_four_gathers():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _bilinear_rows_first(src, out_w, out_h):
+    """_bilinear before it interpolated along x first: it gathered the two
+    source rows of every output row, then their columns (six gathers)."""
+    in_h, in_w = src.shape[:2]
+    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    channels = (1,) * (src.ndim - 2)
+    fx = (xs - x0).reshape(1, -1, *channels)
+    fy = (ys - y0).reshape(-1, 1, *channels)
+    top, bot = src[y0], src[y1]
+    top = top[:, x0] * (1 - fx) + top[:, x1] * fx
+    bot = bot[:, x0] * (1 - fx) + bot[:, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+@pytest.mark.parametrize("kind", ["rgb", "depth", "gray"])
+@pytest.mark.parametrize("in_wh, out_wh", [
+    ((128, 72), (64, 36)),  # the learned path's crop, halved
+    ((37, 50), (19, 23)), ((64, 36), (27, 31)),  # non-integer ratios
+    ((5, 7), (21, 30)), ((2, 2), (9, 4)),  # up-sampling
+    ((30, 20), (1, 9)), ((30, 20), (11, 1)), ((3, 8), (1, 1)),  # 1 pixel wide or tall
+    ((1, 6), (4, 3)), ((6, 1), (2, 5)),  # from a single column or row
+])
+def test_bilinear_matches_rows_first_oracle(kind, in_wh, out_wh):
+    rng = np.random.default_rng(sum(in_wh) * 100 + sum(out_wh))
+    (w, h), (out_w, out_h) = in_wh, out_wh
+    src = {"rgb": lambda: rng.integers(0, 256, (h, w, 3)).astype(float),
+           "depth": lambda: rng.integers(500, 1100, (h, w)).astype(float),
+           "gray": lambda: rng.uniform(0.0, 1.0, (h, w))}[kind]()
+    got = _bilinear(src, out_w, out_h)
+    want = _bilinear_rows_first(src, out_w, out_h)
+    assert got.shape == want.shape == (out_h, out_w, *src.shape[2:])
+    assert np.array_equal(got, want)
+
+
 def test_resize_constant():
     img = GrayImage(np.full((5, 7), 0.6))
     out = resize_bilinear(img, 11, 3)

@@ -441,6 +441,23 @@ def test_pixel_frame_round_trip():
         assert abs(bx - px) < 1e-12 and abs(by - py) < 1e-12
 
 
+def test_batch_tensors_match_per_scene_oracle():
+    scenes = make_dataset(30, 5)
+    rgb, dep, labels = batch_tensors(scenes)
+    assert rgb.shape == (5, 3, 36, 64) and dep.shape == (5, 1, 36, 64)
+    assert labels.shape == (5, 3) and rgb.dtype == dep.dtype == np.float64
+    for i, s in enumerate(scenes):
+        assert np.array_equal(rgb[i], s.rgb.pixels.astype(float).transpose(2, 0, 1) / 255.0)
+        assert np.array_equal(dep[i], s.depth.pixels.astype(float)[None] / learned.DEPTH_SCALE)
+        assert np.array_equal(labels[i], s.normalized_label())
+        one_rgb, one_dep = learned.image_tensors([s.rgb], [s.depth])
+        assert np.array_equal(one_rgb, rgb[i:i + 1]) and np.array_equal(one_dep, dep[i:i + 1])
+    # The branches' channel-last layout is the tensors' own: making it copies nothing.
+    assert rgb.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert dep.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert one_rgb.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 def test_normalized_label_ranges():
     scenes = make_dataset(0, 3)
     for s in scenes:

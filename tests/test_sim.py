@@ -2,9 +2,12 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +490,37 @@ def test_report_json_round_trip(cfg, tmp_path):
                              out_dir=tmp_path)
     loaded = json.loads((tmp_path / "report.json").read_text())
     assert loaded == sim.report_to_dict(report)
+
+
+@pytest.mark.parametrize("seed, flat", [(6, False), (9, True)])
+def test_report_to_dict_is_asdict_without_series(cfg, seed, flat):
+    scene = sim.generate_scene(seed, cfg, flat=flat)
+    report = sim.run_episode(cfg, seed, ARM, classical_source(cfg), scene)
+    assert (report.proposal is None) == flat
+    steps = report.stats["control_steps"]
+    want = {k: v for k, v in dataclasses.asdict(report).items() if k != "series"}
+    got = sim.report_to_dict(report)
+    assert got == want and list(got) == list(want)
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+    got["stats"]["control_steps"] = -1  # a copy, as asdict's is
+    assert report.stats["control_steps"] == steps
+
+
+def test_importing_the_cli_leaves_the_executor_out():
+    # Only a noisy collection imports concurrent.futures: its dozen modules
+    # would raise the peak memory of runs that draw no noise.
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, baggrasp.cli\n"
+            "from baggrasp import config, sim\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "cfg = config.PipelineConfig()\n"
+            "sim._collect(sim.vision_source('classical', cfg), sim.generate_scene(4, cfg), cfg, 4)\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0 and proc.stdout == "False\nFalse\n", proc.stderr
 
 
 def _draw_overlay_by_pixel(rgb, px, theta, half_len=18.0):
