@@ -4,6 +4,10 @@ Blur the grayscale image, run Canny edge detection, trace edge contours into
 polygons, locate the ball by color thresholding, then pick the large contour
 whose mean sits closest to 1.1 ball radii from the ball center. The winning
 mean and its regression angle are scaled/shifted into workspace coordinates.
+
+Each per-pixel stage is bit for bit its plain formula (over np.pad-ed copies
+and a float copy of the frame): the same float operations in the same order,
+made with fewer passes and temporaries. Tests keep those formulas as oracles.
 """
 
 from __future__ import annotations
@@ -105,6 +109,17 @@ def wrap_half_pi(theta: float) -> float:
     return math.pi / 2 if a == -math.pi / 2 else a
 
 
+def _edge_pad(src: np.ndarray, ry: int, rx: int) -> np.ndarray:
+    """np.pad(src, ((ry, ry), (rx, rx)), mode="edge") in one allocation."""
+    h, w = src.shape
+    out = np.empty((h + 2 * ry, w + 2 * rx))
+    mid = out[ry:ry + h]
+    mid[:, rx:rx + w] = src
+    mid[:, :rx], mid[:, rx + w:] = src[:, :1], src[:, -1:]
+    out[:ry], out[ry + h:] = mid[0], mid[-1]
+    return out
+
+
 def gaussian_blur(image: GrayImage, sigma: float) -> GrayImage:
     """Separable Gaussian blur, kernel radius ceil(3 sigma), clamped borders."""
     if sigma <= 0:
@@ -114,25 +129,32 @@ def gaussian_blur(image: GrayImage, sigma: float) -> GrayImage:
     kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
     src = image.pixels
-    padded = np.pad(src, ((0, 0), (radius, radius)), mode="edge")
-    out = np.zeros_like(src)
+    out, tmp = np.zeros_like(src), np.empty_like(src)
+    padded = _edge_pad(src, 0, radius)
     for k in range(2 * radius + 1):
-        out += kernel[k] * padded[:, k:k + src.shape[1]]
-    padded = np.pad(out, ((radius, radius), (0, 0)), mode="edge")
-    out = np.zeros_like(src)
+        out += np.multiply(kernel[k], padded[:, k:k + src.shape[1]], out=tmp)
+    padded = _edge_pad(out, radius, 0)
+    out[:] = 0.0
     for k in range(2 * radius + 1):
-        out += kernel[k] * padded[k:k + src.shape[0], :]
-    return GrayImage(np.clip(out, 0.0, 1.0))
+        out += np.multiply(kernel[k], padded[k:k + src.shape[0], :], out=tmp)
+    return GrayImage(np.clip(out, 0.0, 1.0, out=out))
 
 
 def sobel_gradients(image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     """Sobel x/y gradients, scaled so a unit step edge has magnitude 1."""
-    p = np.pad(image.pixels, 1, mode="edge")
-    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]
-          - p[:-2, :-2] - 2.0 * p[1:-1, :-2] - p[2:, :-2]) / 4.0
-    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]
-          - p[:-2, :-2] - 2.0 * p[:-2, 1:-1] - p[:-2, 2:]) / 4.0
-    return gx, gy
+    p = _edge_pad(image.pixels, 1, 1)
+    tmp = np.empty_like(image.pixels)
+
+    def grad(a, b, c, d, e, f):  # (a + 2b + c - d - 2e - f) / 4; 2b + a == a + 2b
+        g = np.multiply(b, 2.0)
+        g += a
+        g += c
+        g -= d
+        g -= np.multiply(e, 2.0, out=tmp)
+        g -= f
+        return np.divide(g, 4.0, out=g)
+    return (grad(p[:-2, 2:], p[1:-1, 2:], p[2:, 2:], p[:-2, :-2], p[1:-1, :-2], p[2:, :-2]),
+            grad(p[2:, :-2], p[2:, 1:-1], p[2:, 2:], p[:-2, :-2], p[:-2, 1:-1], p[:-2, 2:]))
 
 
 # Offsets (dx, dy) of the 8 compass directions, index = round(angle / 45deg).
@@ -189,7 +211,8 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     # neither weak nor a neighbour as large as one, so it stays 0 in the
     # zero-padded magnitude. Only weak pixels (>= low) are suppressed: against
     # their sector's neighbours in it at +-step.
-    near = np.flatnonzero(np.maximum(np.abs(gx), np.abs(gy)) >= 0.7 * low)
+    big = np.abs(gx)
+    near = np.flatnonzero(np.maximum(big, np.abs(gy), out=big) >= 0.7 * low)
     gx, gy = gx.ravel()[near], gy.ravel()[near]
     at = near + 2 * (near // w) + w + 3  # flat id (y+1)*(w+2) + x+1
     padded = np.zeros((h + 2) * (w + 2))
@@ -215,9 +238,11 @@ def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
     hi = np.asarray(color_high, dtype=np.uint8)
     if np.any(lo > hi):
         raise ValueError("color_low must be componentwise <= color_high")
-    px = image.pixels
-    ys, xs = np.nonzero(np.logical_and.reduce(
-        [(px[..., c] >= lo[c]) & (px[..., c] <= hi[c]) for c in range(3)]))
+    red = image.pixels[..., 0].ravel()  # a copy; green and blue only on its hits
+    ids = np.flatnonzero((red >= lo[0]) & (red <= hi[0]))  # row-major order
+    g, b = image.pixels.reshape(-1, 3)[ids, 1:].T
+    ys, xs = np.divmod(ids[(g >= lo[1]) & (g <= hi[1]) & (b >= lo[2]) & (b <= hi[2])],
+                       image.width)
     if len(xs) == 0:
         raise BallNotFound("ball not found: no pixels inside the color range")
     return BallDetection(np.array([xs.mean(), ys.mean()]),
@@ -262,7 +287,8 @@ def find_contours(mask: np.ndarray) -> list[np.ndarray]:
     array of (x, y) vertices in trace order, components in row-major order.
     """
     w = np.shape(mask)[1]
-    ids = np.flatnonzero(np.pad(mask, 1))
+    ids = np.flatnonzero(mask)
+    ids += 2 * (ids // w) + w + 3  # flat id (y+1)*(w+2) + x+1, as in canny
     # A label is the index of its component's first pixel, so size[k] is
     # the size of the component that starts at pixel k. A trace only visits
     # the 8-neighbours of its own component, so one set serves every trace.

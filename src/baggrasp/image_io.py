@@ -137,9 +137,11 @@ def save_pgm(image: DepthImage, path) -> None:
 
 def to_gray(image: RgbImage) -> GrayImage:
     """Luminance 0.299 R + 0.587 G + 0.114 B, scaled to [0, 1]."""
-    rgb = image.pixels.astype(float)
-    lum = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    return GrayImage(lum / 255.0)
+    px = image.pixels  # uint8 channels: no float copy of the frame
+    lum, tmp = np.multiply(px[..., 0], 0.299), np.empty(px.shape[:2])
+    lum += np.multiply(px[..., 1], 0.587, out=tmp)
+    lum += np.multiply(px[..., 2], 0.114, out=tmp)
+    return GrayImage(np.divide(lum, 255.0, out=lum))
 
 
 def crop_center_quarter(image):

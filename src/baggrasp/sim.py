@@ -86,12 +86,19 @@ def _capsule_dist(xg: np.ndarray, yg: np.ndarray, seg: CreaseSegment) -> np.ndar
 
 
 def _segments_close(a: CreaseSegment, b: CreaseSegment, min_gap: float) -> bool:
+    reach = min_gap + 0.5 * (a.width + b.width)
+    # Boxes apart by reach + 1 px on an axis (1 px covers the sampled points'
+    # rounding) hold no sampled pair closer than reach.
+    gap = np.maximum(np.minimum(a.p0, a.p1) - np.maximum(b.p0, b.p1),
+                     np.minimum(b.p0, b.p1) - np.maximum(a.p0, a.p1))
+    if gap.max() >= reach + 1.0:
+        return False
     ta = np.linspace(0.0, 1.0, max(2, int(a.length)))
     tb = np.linspace(0.0, 1.0, max(2, int(b.length)))
     pa = a.p0 + ta[:, None] * (a.p1 - a.p0)
     pb = b.p0 + tb[:, None] * (b.p1 - b.p0)
     dists = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    return bool(dists.min() < min_gap + 0.5 * (a.width + b.width))
+    return bool(dists.min() < reach)
 
 
 def _sample_crease(rng, center, dist: float, length: float, width: int,

@@ -134,32 +134,51 @@ def test_detect_ball_ignores_out_of_range_disc():
 
 
 def test_detect_ball_matches_all_channels_formula():
-    # Oracle: the (H, W, 3) box test reduced with np.all over the channels.
+    # Oracle: the (H, W, 3) box test reduced with np.all over the channels,
+    # on noisy scenes and on the tiny and 0/255 frames of _oracle_frames.
     cfg = config.PipelineConfig()
     rng = np.random.default_rng(8)
+    scenes = [sim.generate_scene(seed, cfg) for seed in range(6)]
+    frames = [sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)[0]
+              for scene in scenes for sigma in (0.0, 2.0, 32.0)]
     found = []
-    for seed in range(6):
-        scene = sim.generate_scene(seed, cfg)
-        for sigma in (0.0, 2.0, 32.0):
-            rgb = sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)[0]
-            boxes = [(cfg.color_low, cfg.color_high), ((0, 0, 0), (255, 255, 255)),
-                     ((255, 255, 255), (255, 255, 255)), ((0, 0, 0), (0, 0, 0))]
-            for _ in range(4):
-                a, b = rng.integers(0, 256, size=(2, 3))
-                boxes.append((np.minimum(a, b), np.maximum(a, b)))
-            for lo, hi in boxes:
-                lo8, hi8 = np.asarray(lo, np.uint8), np.asarray(hi, np.uint8)
-                ys, xs = np.nonzero(np.all((rgb.pixels >= lo8)
-                                           & (rgb.pixels <= hi8), axis=2))
-                found.append(len(xs) > 0)
-                if len(xs) == 0:
-                    with pytest.raises(BallNotFound):
-                        detect_ball(rgb, lo, hi)
-                    continue
-                ball = detect_ball(rgb, lo, hi)
-                assert np.array_equal(ball.center, [xs.mean(), ys.mean()])
-                assert ball.radius == math.sqrt(len(xs) / math.pi)
+    for rgb in frames + [RgbImage(px) for px in _oracle_frames()]:
+        boxes = [(cfg.color_low, cfg.color_high), ((0, 0, 0), (255, 255, 255)),
+                 ((255, 255, 255), (255, 255, 255)), ((0, 0, 0), (0, 0, 0))]
+        for _ in range(4):
+            a, b = rng.integers(0, 256, size=(2, 3))
+            boxes.append((np.minimum(a, b), np.maximum(a, b)))
+        for lo, hi in boxes:
+            lo8, hi8 = np.asarray(lo, np.uint8), np.asarray(hi, np.uint8)
+            ys, xs = np.nonzero(np.all((rgb.pixels >= lo8)
+                                       & (rgb.pixels <= hi8), axis=2))
+            found.append(len(xs) > 0)
+            if len(xs) == 0:
+                with pytest.raises(BallNotFound):
+                    detect_ball(rgb, lo, hi)
+                continue
+            ball = detect_ball(rgb, lo, hi)
+            assert np.array_equal(ball.center, [xs.mean(), ys.mean()])
+            assert ball.radius == math.sqrt(len(xs) / math.pi)
     assert any(found) and not all(found)  # both outcomes were checked
+
+
+def test_detect_ball_needs_green_and_blue_inside_the_box():
+    # The red channel alone matches every pixel: only the green and blue
+    # tests decide, on a ball whose mean is off the frame's centre.
+    px = np.zeros((40, 50, 3), dtype=np.uint8)
+    px[..., 0] = 180
+    px[..., 1:] = (200, 200)
+    px[5:15, 30:44, 1:] = (70, 30)
+    px[20, 10] = (180, 70, 200)  # green inside, blue outside
+    px[21, 11] = (180, 200, 30)  # blue inside, green outside
+    lo, hi = (150, 40, 0), (215, 105, 60)
+    ball = detect_ball(RgbImage(px), lo, hi)
+    assert np.array_equal(ball.center, [36.5, 9.5])
+    assert ball.radius == math.sqrt(140 / math.pi)
+    px[5:15, 30:44, 2] = 61
+    with pytest.raises(BallNotFound):
+        detect_ball(RgbImage(px), lo, hi)
 
 
 # --- contours ---
@@ -605,3 +624,115 @@ def test_pipeline_deterministic(cfg):
     a = classical_pipeline(scene.rgb, cfg, 1.0)
     b = classical_pipeline(scene.rgb, cfg, 1.0)
     assert (a.x, a.y, a.theta, a.t) == (b.x, b.y, b.theta, b.t)
+
+
+# --- bit-for-bit oracles: the np.pad / float-copy formulas of each stage ---
+
+def _to_gray_oracle(px):
+    rgb = px.astype(float)
+    return (0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]) / 255.0
+
+
+def _blur_oracle(src, sigma):
+    radius = int(np.ceil(3.0 * sigma))
+    xs = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    kernel /= kernel.sum()
+    padded = np.pad(src, ((0, 0), (radius, radius)), mode="edge")
+    out = np.zeros_like(src)
+    for k in range(2 * radius + 1):
+        out += kernel[k] * padded[:, k:k + src.shape[1]]
+    padded = np.pad(out, ((radius, radius), (0, 0)), mode="edge")
+    out = np.zeros_like(src)
+    for k in range(2 * radius + 1):
+        out += kernel[k] * padded[k:k + src.shape[0], :]
+    return np.clip(out, 0.0, 1.0)
+
+
+def _sobel_oracle(src):
+    p = np.pad(src, 1, mode="edge")
+    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]
+          - p[:-2, :-2] - 2.0 * p[1:-1, :-2] - p[2:, :-2]) / 4.0
+    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]
+          - p[:-2, :-2] - 2.0 * p[:-2, 1:-1] - p[:-2, 2:]) / 4.0
+    return gx, gy
+
+
+def _canny_oracle(src, low, high):
+    """canny's mask and its [w, ids, labels] record, from _sobel_oracle and a
+    full-frame max(|gx|, |gy|)."""
+    gx, gy = _sobel_oracle(src)
+    h, w = gx.shape
+    near = np.flatnonzero(np.maximum(np.abs(gx), np.abs(gy)) >= 0.7 * low)
+    gx, gy = gx.ravel()[near], gy.ravel()[near]
+    at = near + 2 * (near // w) + w + 3
+    padded = np.zeros((h + 2) * (w + 2))
+    padded[at] = mag = np.hypot(gx, gy)
+    weak = mag >= low
+    at = at[weak]
+    sector = np.round(np.arctan2(gy[weak], gx[weak]) / (np.pi / 4.0)).astype(int) % 8
+    step = np.array([dy * (w + 2) + dx for dx, dy in classical._COMPASS])[sector]
+    at = at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])]
+    label = classical._label8(at, w)
+    kept = np.isin(label, label[padded[at] >= high])
+    ids, labels = at[kept], (np.cumsum(kept) - 1)[label[kept]]
+    keep = np.zeros(padded.size, dtype=bool)
+    keep[ids] = True
+    return keep.reshape(h + 2, w + 2)[1:-1, 1:-1], w, ids, labels
+
+
+def _oracle_frames():
+    """Noisy scene frames at sigma 0, 2 and 8; tiny random frames, where the
+    edge padding is most of the frame; frames of only 0 and 255."""
+    cfg = config.PipelineConfig()
+    rng = np.random.default_rng(17)
+    for seed in range(3):
+        scene = sim.generate_scene(seed, cfg)
+        for sigma in (0.0, 2.0, 8.0):
+            yield sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)[0].pixels
+    for h, w in [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (9, 4)]:
+        yield rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        yield rng.choice(np.array([0, 255], dtype=np.uint8), size=(h, w, 3))
+    for value in (0, 255):
+        yield np.full((6, 5, 3), value, dtype=np.uint8)
+    yield np.where(rng.random((20, 30, 1)) < 0.5, 255, 0).astype(np.uint8).repeat(3, 2)
+
+
+def test_stages_match_pad_and_float_copy_oracles_bit_for_bit():
+    cfg = config.PipelineConfig()
+    for px in _oracle_frames():
+        gray = to_gray(RgbImage(px))
+        assert np.array_equal(gray.pixels, _to_gray_oracle(px))
+        for sigma in (0.3, 1.0, cfg.sigma, 3.3):
+            assert np.array_equal(gaussian_blur(gray, sigma).pixels,
+                                  _blur_oracle(gray.pixels, sigma))
+        blurred = gaussian_blur(gray, cfg.sigma)
+        for src in (gray.pixels, blurred.pixels):
+            gx, gy = sobel_gradients(GrayImage(src))
+            ox, oy = _sobel_oracle(src)
+            assert np.array_equal(gx, ox) and np.array_equal(gy, oy)
+            for low, high in [(cfg.canny_low, cfg.canny_high), (0.01, 0.02), (1e-3, 1.0)]:
+                mask, w, ids, labels = _canny_oracle(src, low, high)
+                assert np.array_equal(canny(GrayImage(src), low, high), mask)
+                assert classical._kept[0] == w
+                assert np.array_equal(classical._kept[1], ids)
+                assert np.array_equal(classical._kept[2], labels)
+
+
+def test_classical_pipeline_allocates_at_most_five_and_a_half_frames():
+    # One noisy 256x144 frame; a float64 copy of it is 288 KiB. The pipeline's
+    # traced peak, 1514 KiB when written, stays under 5.5 frames (1584 KiB).
+    import tracemalloc
+    cfg = config.PipelineConfig()
+    assert (cfg.scene_width, cfg.scene_height) == (256, 144)
+    scene = sim.generate_scene(0, cfg)
+    rgb = sim.add_pixel_noise(np.random.default_rng(0), scene.rgb, scene.depth, 2.0)[0]
+    classical_pipeline(rgb, cfg)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        classical_pipeline(rgb, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 256 * 144 * 8, f"peak {peak / 1024:.0f} KiB"

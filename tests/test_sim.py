@@ -108,6 +108,60 @@ def test_windowed_creases_match_full_frame_oracle(size, seeds):
     assert clipped >= 10
 
 
+def _segments_close_oracle(a, b, min_gap):
+    """Sampled-distance test without the bounding-box early exit."""
+    ta = np.linspace(0.0, 1.0, max(2, int(a.length)))
+    tb = np.linspace(0.0, 1.0, max(2, int(b.length)))
+    pa = a.p0 + ta[:, None] * (a.p1 - a.p0)
+    pb = b.p0 + tb[:, None] * (b.p1 - b.p0)
+    dists = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    return bool(dists.min() < min_gap + 0.5 * (a.width + b.width))
+
+
+def _segment_pairs(rng, n):
+    """Random pairs: anywhere, crossing, short or zero-length, and b moved
+    off a so the box gap or the closest distance lies near its bound."""
+    for _ in range(n):
+        a = sim.CreaseSegment(rng.uniform(0, 256, 2), rng.uniform(0, 144, 2),
+                              int(rng.integers(2, 5)), 10.0)
+        kind = int(rng.integers(5))
+        if kind == 1:  # crossing a at its midpoint
+            half = rng.uniform(-40, 40, 2)
+            b = sim.CreaseSegment(a.midpoint - half, a.midpoint + half, 3, 10.0)
+        elif kind == 2:  # short, possibly a single point
+            p = rng.uniform(0, 200, 2)
+            b = sim.CreaseSegment(p, p + rng.choice([0.0, 0.3, 1.7]) * rng.normal(size=2),
+                                  int(rng.integers(2, 5)), 10.0)
+        elif kind >= 3:  # a shifted by the bound, plus a little, along an axis
+            width = int(rng.integers(2, 5))
+            bound = 6.0 + 0.5 * (a.width + width) + (1.0 if kind == 3 else 0.0)
+            if kind == 4:  # parallel: the shift is also the closest distance
+                a = sim.CreaseSegment(a.p0, (a.p1[0], a.p0[1]), a.width, 10.0)
+            lo, hi = np.minimum(a.p0, a.p1), np.maximum(a.p0, a.p1)
+            shift = np.zeros(2)
+            shift[1] = hi[1] - lo[1] + bound + rng.choice([-1e-9, 0.0, 1e-9, rng.normal()])
+            b = sim.CreaseSegment(a.p0 + shift, a.p1 + shift, width, 10.0)
+        else:
+            b = sim.CreaseSegment(rng.uniform(0, 256, 2), rng.uniform(0, 144, 2),
+                                  int(rng.integers(2, 5)), 10.0)
+        yield a, b
+
+
+def test_segments_close_matches_sampled_oracle():
+    # The early exit on bounding boxes apart by more than the bound + 1 px
+    # must never change the answer of the sampled distance matrix.
+    rng = np.random.default_rng(31)
+    seen = set()
+    for a, b in _segment_pairs(rng, 1000):
+        for x, y in ((a, b), (b, a)):
+            want = _segments_close_oracle(x, y, 6.0)
+            assert sim._segments_close(x, y, 6.0) == want
+            gap = np.maximum(np.minimum(x.p0, x.p1) - np.maximum(y.p0, y.p1),
+                             np.minimum(y.p0, y.p1) - np.maximum(x.p0, x.p1)).max()
+            seen.add((want, bool(gap >= 6.0 + 0.5 * (x.width + y.width) + 1.0)))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
 def test_step_plant_zero_velocity():
     q = np.linspace(-1, 1, 7)
     limits = np.tile((-2.0, 2.0), (7, 1))
