@@ -71,18 +71,21 @@ class EpisodeReport:
     final_pos_err: float | None
     final_yaw_err: float | None
     proposal_px_err: float | None
+    # |wrap_half_pi(theta - label theta)|, rad; None without a label.
+    proposal_theta_err: float | None = None
     # One (t, ||e_p||, ||e_o||) row per control step.
     series: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     stats: dict = field(default_factory=dict)
 
 
-def _capsule_dist(xg: np.ndarray, yg: np.ndarray, seg: CreaseSegment) -> np.ndarray:
+def _capsule_dist(x: np.ndarray, y: np.ndarray, seg: CreaseSegment) -> np.ndarray:
+    """Distance to the segment from the points (x, y), broadcast together."""
     d = seg.p1 - seg.p0
-    len2 = float(d @ d)
-    px = xg - seg.p0[0]
-    py = yg - seg.p0[1]
-    t = np.clip((px * d[0] + py * d[1]) / len2, 0.0, 1.0)
-    return np.hypot(px - t * d[0], py - t * d[1])
+    px, py = x - seg.p0[0], y - seg.p0[1]
+    t = px * d[0] + py * d[1]
+    np.clip(np.divide(t, float(d @ d), out=t), 0.0, 1.0, out=t)
+    ex = px - t * d[0]
+    return np.hypot(ex, np.subtract(py, np.multiply(t, d[1], out=t), out=t), out=ex)
 
 
 def _segments_close(a: CreaseSegment, b: CreaseSegment, min_gap: float) -> bool:
@@ -93,12 +96,11 @@ def _segments_close(a: CreaseSegment, b: CreaseSegment, min_gap: float) -> bool:
                      np.minimum(b.p0, b.p1) - np.maximum(a.p0, a.p1))
     if gap.max() >= reach + 1.0:
         return False
-    ta = np.linspace(0.0, 1.0, max(2, int(a.length)))
-    tb = np.linspace(0.0, 1.0, max(2, int(b.length)))
-    pa = a.p0 + ta[:, None] * (a.p1 - a.p0)
-    pb = b.p0 + tb[:, None] * (b.p1 - b.p0)
-    dists = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-    return bool(dists.min() < reach)
+    pa, pb = (s.p0 + np.linspace(0.0, 1.0, max(2, int(s.length)))[:, None]
+              * (s.p1 - s.p0) for s in (a, b))
+    # The least norm sqrt(dx * dx + dy * dy), bit for bit: sqrt is monotonic.
+    dx, dy = pa[:, :1] - pb[:, 0], pa[:, 1:] - pb[:, 1]
+    return math.sqrt((dx * dx + dy * dy).min()) < reach
 
 
 def _sample_crease(rng, center, dist: float, length: float, width: int,
@@ -114,10 +116,10 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
     """Render one synthetic scene, deterministically from the seed.
 
     The ball sits near the frame center; crease segments are bright raised
-    strokes placed around it without touching it or each other. The labeled
-    best grasp is the crease whose midpoint distance to the ball center is
-    nearest 1.1 radii (the first crease is always generated in that band).
-    A flat scene has no creases and no label.
+    strokes placed around it without touching it or each other. The label is
+    the crease whose midpoint is nearest 1.1 radii from the ball center: the
+    first is placed 1.5-1.9 radii out and the rest 2.6-3.4, so whenever the
+    first crease exists, it is the label. A flat scene has no creases and no label.
     """
     rng = np.random.default_rng(seed)
     w, h = cfg.scene_width, cfg.scene_height
@@ -127,12 +129,10 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
     ox, oy, cw, ch = image_io.crop_window(w, h)
     creases: list[CreaseSegment] = []
     if not flat:
-        n_creases = int(rng.integers(2, 5))
-        for idx in range(n_creases):
+        for idx in range(int(rng.integers(2, 5))):
             band = (1.5, 1.9) if idx == 0 else (2.6, 3.4)
             for _ in range(200):
-                dist = rng.uniform(*band) * radius
-                seg = _sample_crease(rng, center, dist,
+                seg = _sample_crease(rng, center, rng.uniform(*band) * radius,
                                      length=rng.uniform(45.0, 75.0),
                                      width=int(rng.integers(2, 5)),
                                      elevation=rng.uniform(10.0, 20.0))
@@ -148,9 +148,12 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
                 creases.append(seg)
                 break
 
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    y, x = np.ogrid[:h, :w]  # an (h, 1) column and a (1, w) row, broadcast
     rgb = np.empty((h, w, 3), dtype=np.uint8)
-    rgb[:] = BACKGROUND
+    rgb[:1] = BACKGROUND  # one row, copied down: numpy repeats 3 values slowly
+    rgb[1:] = rgb[:1]
+    pixels = rgb.view("V3")[..., 0]  # (h, w) items of 3 bytes: fast masked writes
+    crease_px, ball_px = np.array([CREASE_COLOR, BALL_COLOR], np.uint8).view("V3")
     depth = np.full((h, w), BASE_DEPTH_MM)
     for seg in creases:
         # Depth stays in [512, 1024) mm, where half an ulp is 5.7e-14; a ridge (20 mm
@@ -159,22 +162,21 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
         x0, y0 = np.maximum(np.minimum(seg.p0, seg.p1) - reach, 0).astype(int)
         x1, y1 = (np.maximum(seg.p0, seg.p1) + reach + 1).astype(int)
         win = np.s_[y0:y1, x0:x1]
-        dist = _capsule_dist(xs[win], ys[win], seg)
-        rgb[win][dist <= seg.width / 2.0] = CREASE_COLOR
+        dist = _capsule_dist(x[:, x0:x1], y[y0:y1], seg)
+        pixels[win][dist <= seg.width / 2.0] = crease_px
         depth[win] -= seg.elevation * np.exp(-(dist * dist) / (2.0 * seg.width ** 2))
-    ball_dist2 = (xs - center[0]) ** 2 + (ys - center[1]) ** 2
-    rgb[ball_dist2 <= radius * radius] = BALL_COLOR
-    depth -= BALL_BUMP_MM * np.exp(-ball_dist2 / (2.0 * (0.8 * radius) ** 2))
+    d2 = (x - center[0]) ** 2 + (y - center[1]) ** 2  # to the ball center
+    pixels[d2 <= radius * radius] = ball_px
+    np.divide(np.negative(d2, out=d2), 2.0 * (0.8 * radius) ** 2, out=d2)  # in place
+    depth -= np.multiply(np.exp(d2, out=d2), BALL_BUMP_MM, out=d2)
+    np.clip(np.round(depth, out=depth), 0, 65535, out=depth)
 
     label = None
     if creases:
-        best = min(
-            creases,
-            key=lambda s: (abs(np.linalg.norm(s.midpoint - center) - 1.1 * radius),
-                           -s.length))
+        best = min(creases, key=lambda s: (
+            abs(np.linalg.norm(s.midpoint - center) - 1.1 * radius), -s.length))
         label = (best.midpoint.copy(), best.angle)
-    return Scene(RgbImage(rgb), DepthImage(np.clip(np.round(depth), 0, 65535)
-                                           .astype(np.uint16)),
+    return Scene(RgbImage(rgb), DepthImage(depth.astype(np.uint16)),
                  center, radius, creases, label)
 
 
@@ -352,12 +354,14 @@ def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
     except ValueError as err:
         return EpisodeReport(final_prop, False, f"planning failed: {err}",
                              None, None, None, stats=stats), None
-    px_err = None
+    px_err = theta_err = None
     if scene is not None and scene.label is not None:
         cal = CameraCalibration.from_config(cfg)
         px_err = float(np.linalg.norm(cal.to_pixel(final_prop.target)
                                       - scene.label[0]))
-    return EpisodeReport(final_prop, False, "", None, None, px_err, stats=stats), traj
+        theta_err = abs(wrap_half_pi(final_prop.theta - scene.label[1]))
+    return EpisodeReport(final_prop, False, "", None, None, px_err, theta_err,
+                         stats=stats), traj
 
 
 def _score(cfg: PipelineConfig, report: EpisodeReport, traj, pose: so3.Pose,
@@ -459,7 +463,8 @@ def run_batch(cfg: PipelineConfig, n: int, seed: int, vision: str = "classical",
              "success": report.success,
              "pos_err": report.final_pos_err,
              "yaw_err": report.final_yaw_err,
-             "proposal_px_err": report.proposal_px_err}
+             "proposal_px_err": report.proposal_px_err,
+             "proposal_theta_err": report.proposal_theta_err}
             for i, report in enumerate(_run_episodes(cfg, arm, episodes))]
     success_rate = float(np.mean([r["success"] for r in rows])) if rows else 0.0
     good = [r["proposal_px_err"] is not None

@@ -108,6 +108,145 @@ def test_windowed_creases_match_full_frame_oracle(size, seeds):
     assert clipped >= 10
 
 
+def _capsule_dist_oracle(xg, yg, seg):
+    d = seg.p1 - seg.p0
+    len2 = float(d @ d)
+    px = xg - seg.p0[0]
+    py = yg - seg.p0[1]
+    t = np.clip((px * d[0] + py * d[1]) / len2, 0.0, 1.0)
+    return np.hypot(px - t * d[0], py - t * d[1])
+
+
+def _generate_scene_oracle(seed, cfg, flat=False):
+    """Reference generate_scene: the pixel grid as two np.mgrid float grids,
+    a full-frame temporary per step, colors written channel by channel, and
+    the sampled crease-gap test without its early exit."""
+    rng = np.random.default_rng(seed)
+    w, h = cfg.scene_width, cfg.scene_height
+    center = np.array([rng.uniform(0.42, 0.58) * w, rng.uniform(0.42, 0.58) * h])
+    radius = rng.uniform(16.0, 22.0)
+    ox, oy, cw, ch = image_io.crop_window(w, h)
+    creases = []
+    if not flat:
+        n_creases = int(rng.integers(2, 5))
+        for idx in range(n_creases):
+            band = (1.5, 1.9) if idx == 0 else (2.6, 3.4)
+            for _ in range(200):
+                dist = rng.uniform(*band) * radius
+                seg = sim._sample_crease(rng, center, dist,
+                                         length=rng.uniform(45.0, 75.0),
+                                         width=int(rng.integers(2, 5)),
+                                         elevation=rng.uniform(10.0, 20.0))
+                if not all(8 <= x < w - 8 and 8 <= y < h - 8
+                           for x, y in (seg.p0, seg.p1)):
+                    continue
+                if any(_segments_close_oracle(seg, other, 6.0) for other in creases):
+                    continue
+                if idx == 0:
+                    mx, my = seg.midpoint
+                    if not (ox + 4 <= mx < ox + cw - 4 and oy + 4 <= my < oy + ch - 4):
+                        continue
+                creases.append(seg)
+                break
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    rgb = np.empty((h, w, 3), dtype=np.uint8)
+    rgb[:] = sim.BACKGROUND
+    depth = np.full((h, w), sim.BASE_DEPTH_MM)
+    for seg in creases:
+        reach = 8.5 * seg.width + 1.0
+        x0, y0 = np.maximum(np.minimum(seg.p0, seg.p1) - reach, 0).astype(int)
+        x1, y1 = (np.maximum(seg.p0, seg.p1) + reach + 1).astype(int)
+        win = np.s_[y0:y1, x0:x1]
+        dist = _capsule_dist_oracle(xs[win], ys[win], seg)
+        rgb[win][dist <= seg.width / 2.0] = sim.CREASE_COLOR
+        depth[win] -= seg.elevation * np.exp(-(dist * dist) / (2.0 * seg.width ** 2))
+    ball_dist2 = (xs - center[0]) ** 2 + (ys - center[1]) ** 2
+    rgb[ball_dist2 <= radius * radius] = sim.BALL_COLOR
+    depth -= sim.BALL_BUMP_MM * np.exp(-ball_dist2 / (2.0 * (0.8 * radius) ** 2))
+    label = None
+    if creases:
+        best = min(
+            creases,
+            key=lambda s: (abs(np.linalg.norm(s.midpoint - center) - 1.1 * radius),
+                           -s.length))
+        label = (best.midpoint.copy(), best.angle)
+    return sim.Scene(RgbImage(rgb), DepthImage(np.clip(np.round(depth), 0, 65535)
+                                               .astype(np.uint16)),
+                     center, radius, creases, label)
+
+
+def _assert_same_scene(got, want, where):
+    assert got.rgb.pixels.tobytes() == want.rgb.pixels.tobytes(), where
+    assert got.depth.pixels.tobytes() == want.depth.pixels.tobytes(), where
+    assert got.depth.pixels.dtype == want.depth.pixels.dtype == np.uint16, where
+    assert got.ball_center.tobytes() == want.ball_center.tobytes(), where
+    assert got.ball_radius == want.ball_radius, where
+    assert (got.label is None) == (want.label is None), where
+    if want.label is not None:
+        assert got.label[0].tobytes() == want.label[0].tobytes(), where
+        assert got.label[1] == want.label[1], where
+    assert len(got.creases) == len(want.creases), where
+    for a, b in zip(got.creases, want.creases):
+        assert a.p0.tobytes() == b.p0.tobytes() and a.p1.tobytes() == b.p1.tobytes(), where
+        assert (a.width, a.elevation) == (b.width, b.elevation), where
+
+
+@pytest.mark.parametrize("size, seeds, flat", [
+    ((256, 144), range(5000, 5100), False),
+    ((256, 144), range(5000, 5010), True),
+    ((8, 8), range(6), False),
+    ((33, 17), range(6), False),
+    ((160, 160), range(10), False),
+    ((160, 160), range(3), True),
+    ((512, 288), range(8), False),
+], ids=["256x144", "256x144-flat", "8x8", "33x17", "160x160", "160x160-flat",
+        "512x288"])
+def test_generate_scene_matches_mgrid_oracle(size, seeds, flat):
+    # Broadcast row and column coordinates, in-place chains and 3-byte pixel
+    # writes must leave every output bit as the full-grid rendering drew it.
+    cfg = PipelineConfig(scene_width=size[0], scene_height=size[1])
+    labels = 0
+    for seed in seeds:
+        want = _generate_scene_oracle(seed, cfg, flat)
+        _assert_same_scene(sim.generate_scene(seed, cfg, flat), want, seed)
+        labels += want.label is not None
+    assert labels == (0 if flat or size in ((8, 8), (33, 17)) else len(seeds))
+
+
+def test_genscenes_files_match_mgrid_oracle(tmp_path, monkeypatch):
+    from baggrasp import cli
+    for flat in ([], ["--flat"]):
+        argv = ["genscenes", "--n", "4", "--seed", "5000", *flat]
+        assert cli.main(argv + ["--out", str(tmp_path / "new")]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(sim, "generate_scene", _generate_scene_oracle)
+            assert cli.main(argv + ["--out", str(tmp_path / "old")]) == 0
+        names = sorted(f.name for f in (tmp_path / "old").iterdir())
+        assert len(names) == 9
+        assert sorted(f.name for f in (tmp_path / "new").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "new" / name).read_bytes() \
+                == (tmp_path / "old" / name).read_bytes(), (flat, name)
+
+
+def test_generate_scene_allocates_at_most_three_and_a_half_frames():
+    # One frame of float64 depth, one of squared ball distance, the RGB and a
+    # mask: no full-frame coordinate grids and no temporary per step.
+    import tracemalloc
+    cfg = PipelineConfig()
+    assert (cfg.scene_width, cfg.scene_height) == (256, 144)
+    sim.generate_scene(0, cfg)  # warm up lazy imports and caches
+    for seed in (0, 5065):  # 5065 peaked highest of 300 seeds, in a crease window
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sim.generate_scene(seed, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 256 * 144 * 8, f"seed {seed}: peak {peak / 1024:.0f} KiB"
+
+
 def _segments_close_oracle(a, b, min_gap):
     """Sampled-distance test without the bounding-box early exit."""
     ta = np.linspace(0.0, 1.0, max(2, int(a.length)))
@@ -200,6 +339,8 @@ def test_episode_file_vision_converges(cfg):
     report = sim.run_episode(cfg, 0, ARM, proposals)
     assert report.success
     assert report.final_pos_err < 1e-3
+    assert report.proposal_px_err is None and report.proposal_theta_err is None
+    assert report.proposal_px_err is None and report.proposal_theta_err is None
 
 
 def test_episode_accepts_bare_image_pair(cfg):
@@ -208,6 +349,38 @@ def test_episode_accepts_bare_image_pair(cfg):
                              dataclasses.replace(scene, label=None))
     assert report.success
     assert report.proposal_px_err is None  # no ground truth available
+    assert report.proposal_theta_err is None
+
+
+def test_proposal_theta_err_scores_the_angle_against_the_label(cfg, tmp_path):
+    # A top-level report key and a run_batch row key; stats and summary.csv
+    # keep their fields.
+    rows = sim.run_batch(cfg, 3, 20, out_dir=tmp_path)[0]
+    for i, row in enumerate(rows):
+        label_theta = sim.generate_scene(20 + i, cfg).label[1]
+        rep = json.loads((tmp_path / f"episode_{i:03d}" / "report.json").read_text())
+        want = abs(classical.wrap_half_pi(rep["proposal"]["theta"] - label_theta))
+        assert row["proposal_theta_err"] == rep["proposal_theta_err"] == want
+        assert 0.0 <= want <= math.pi / 2
+        assert set(rep["stats"]) == {"frames_attempted", "proposals_collected",
+                                     "control_steps"}
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[0] == sim.SUMMARY_HEADER and len(summary[1].split(",")) == 5
+
+
+def test_proposal_theta_err_wraps_and_is_null_without_a_proposal(cfg):
+    # A jaw at -pi/2 + 0.02 is 0.03 rad from a label at pi/2 - 0.01; a flat
+    # scene gives no proposal, so neither error.
+    scene = sim.generate_scene(6, cfg)
+    scene = dataclasses.replace(scene, label=(scene.label[0], math.pi / 2 - 0.01))
+    props = [GraspProposal(0.6, 0.05, -math.pi / 2 + 0.02, float(t)) for t in range(3)]
+    report = sim.run_episode(cfg, 6, ARM, props, scene)
+    assert report.proposal_theta_err == pytest.approx(0.03, abs=1e-12)
+    flat = sim.run_episode(cfg, 9, ARM, classical_source(cfg),
+                           sim.generate_scene(9, cfg, flat=True))
+    assert flat.proposal is None
+    assert flat.proposal_px_err is None and flat.proposal_theta_err is None
+    assert sim.report_to_dict(flat)["proposal_theta_err"] is None
 
 
 def test_episode_unreachable_target_fails(cfg):
