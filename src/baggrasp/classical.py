@@ -46,27 +46,6 @@ class BallDetection:
 
 
 @dataclass
-class CameraCalibration:
-    """Per-axis affine pixel -> workspace map: meters = scale * px + shift."""
-
-    scale: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        self.scale = np.asarray(self.scale, dtype=float).reshape(2)
-        self.shift = np.asarray(self.shift, dtype=float).reshape(2)
-        if np.any(self.scale == 0.0):
-            raise ValueError("calibration scale components must be nonzero")
-
-    @classmethod
-    def from_config(cls, cfg: PipelineConfig) -> "CameraCalibration":
-        return cls((cfg.scale_x, cfg.scale_y), (cfg.shift_x, cfg.shift_y))
-
-    def to_pixel(self, target) -> np.ndarray:
-        return (np.asarray(target, dtype=float) - self.shift) / self.scale
-
-
-@dataclass
 class GraspProposal:
     """Candidate grasp: workspace target (m), gripper yaw (rad), timestamp (s)."""
 
@@ -356,12 +335,19 @@ def select_grasp(polygons, ball: BallDetection, perimeter_min: float):
     return best[1], polygon_theta(best[2])
 
 
-def pixel_to_workspace(point, theta: float, cal: CameraCalibration,
+def pixel_to_workspace(point, theta: float, cfg: PipelineConfig,
                        timestamp: float = 0.0) -> GraspProposal:
-    """Affine-map a pixel point into workspace meters; theta passes through."""
+    """Map a pixel point into workspace meters, per axis scale * px + shift
+    (cfg's scale_x, shift_x, scale_y, shift_y); theta passes through."""
     p = np.asarray(point, dtype=float).reshape(2)
-    target = cal.scale * p + cal.shift
+    target = p * (cfg.scale_x, cfg.scale_y) + (cfg.shift_x, cfg.shift_y)
     return GraspProposal(float(target[0]), float(target[1]), theta, timestamp)
+
+
+def workspace_to_pixel(target, cfg: PipelineConfig) -> np.ndarray:
+    """The pixel that pixel_to_workspace maps to the workspace point target."""
+    return ((np.asarray(target, dtype=float) - (cfg.shift_x, cfg.shift_y))
+            / (cfg.scale_x, cfg.scale_y))
 
 
 def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig,
@@ -372,4 +358,4 @@ def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig,
     polygons = find_contours(edges)
     ball = detect_ball(rgb, cfg.color_low, cfg.color_high)
     mean, theta = select_grasp(polygons, ball, cfg.perimeter_min)
-    return pixel_to_workspace(mean, theta, CameraCalibration.from_config(cfg), timestamp)
+    return pixel_to_workspace(mean, theta, cfg, timestamp)

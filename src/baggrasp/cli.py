@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config, denoise, image_io, kinematics, learned, sim, so3, trajectory
-from .classical import CameraCalibration, GraspProposal, VisionError
+from .classical import GraspProposal, VisionError, workspace_to_pixel
 from .config import InputError
 # Kept as a cli attribute: perfbench's tracer test checks that this alias
 # of a traced function is wrapped and restored.
@@ -88,8 +88,7 @@ def cmd_vision(args, cfg) -> int:
         raise InputError(f"{args.rgb}, {args.depth}: {err}") from err
     print(proposal.to_json_line())
     if args.overlay:
-        cal = CameraCalibration.from_config(cfg)
-        overlay = sim.draw_overlay(rgb, cal.to_pixel(proposal.target),
+        overlay = sim.draw_overlay(rgb, workspace_to_pixel(proposal.target, cfg),
                                    proposal.theta)
         image_io.save_ppm(overlay, args.overlay)
     return 0

@@ -21,6 +21,8 @@ MAX_FRAMES = 1000
 # most scene pixels (1920 x 1080) an episode may have.
 MAX_CONTROL_STEPS = 100_000
 MAX_SCENE_PIXELS = 1920 * 1080
+# Largest pixel noise sigma: the 16-bit depth range, past which all saturates.
+MAX_NOISE_SIGMA = 65535.0
 # Farthest a workspace coordinate (m) may lie from the base: a grasp target,
 # the grasp height, an arm point, or where the calibration maps the scene.
 # With |scale| >= MIN_SCALE (m/px) and k_p, k_d and damping at most MAX_GAIN,
@@ -97,9 +99,11 @@ class PipelineConfig:
             raise InputError(f"window * frame_rate must round to 1 to {MAX_FRAMES} "
                              "frames")
         steps = (self.duration + self.settle_time) * self.control_rate
-        if not steps <= MAX_CONTROL_STEPS + 0.5:
+        if not 0.5 < steps <= MAX_CONTROL_STEPS + 0.5:
             raise InputError("(duration + settle_time) * control_rate must round to "
-                             f"at most {MAX_CONTROL_STEPS} control steps")
+                             f"1 to {MAX_CONTROL_STEPS} control steps")
+        if not self.noise_sigma <= MAX_NOISE_SIGMA:
+            raise InputError(f"noise_sigma must be <= {MAX_NOISE_SIGMA:g}")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):
             raise InputError("require 0 < canny_low < canny_high <= 1")
         if not abs(self.grasp_z) <= WORKSPACE_LIMIT:

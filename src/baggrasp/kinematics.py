@@ -169,19 +169,6 @@ def _dls_solve(J: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, rhs)
 
 
-def pinv(J: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """Damped least-squares pseudo-inverse J^T (J J^T + damping^2 I)^-1.
-
-    J may be one matrix or a stack (..., m, n). damping = 0 recovers the
-    Moore-Penrose inverse when J J^T is invertible and raises otherwise
-    (for any slice of a stack).
-    """
-    J = np.asarray(J, dtype=float)
-    # G is symmetric, so J^T G^-1 = (G^-1 J)^T: one solve of G X = J gives
-    # the pseudo-inverse without forming G^-1.
-    return np.swapaxes(_dls_solve(J, damping, J), -1, -2)
-
-
 def compute_error(current: Pose, desired: TrajectorySample) -> np.ndarray:
     """Stacked 6-vector error [p - p_d; e_o] of the current pose w.r.t. the
     trajectory sample, e_o being the cross-product orientation error; both
@@ -201,9 +188,9 @@ def control_step(arm: ArmModel, q, sample: TrajectorySample, k_p: float,
                  qdot_max: float = 1.5, v_ff=None) -> tuple[np.ndarray, np.ndarray]:
     """One tick of the workspace PD velocity law; returns (qdot, e).
 
-    qdot = pinv(J, damping) @ u, u = -k_p e - k_d edot + V, as J^T x from one
-    solve of (J J^T + damping^2 I) x = u; e is the stacked 6-vector error,
-    edot its backward difference (zero when prev_e is None), V is v_ff or else
+    qdot = J^T (J J^T + damping^2 I)^-1 u, from one solve of that system, with
+    u = -k_p e - k_d edot + V; e is the stacked 6-vector error, edot its
+    backward difference (zero when prev_e is None), V is v_ff or else
     feedforward(sample); qdot is clamped to +-qdot_max. q (..., 7) and the
     sample may carry a leading episode axis; each episode is its own.
     """

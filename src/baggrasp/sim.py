@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, denoise, image_io, kinematics, learned, so3, trajectory
-from .classical import CameraCalibration, GraspProposal, VisionError, wrap_half_pi
+from .classical import GraspProposal, VisionError, workspace_to_pixel, wrap_half_pi
 from .config import PipelineConfig
 from .image_io import DepthImage, RgbImage
 
@@ -128,7 +128,9 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
 
     ox, oy, cw, ch = image_io.crop_window(w, h)
     creases: list[CreaseSegment] = []
-    if not flat:
+    # A crease is >= 45 px long, both ends in [8, w - 8) x [8, h - 8); where none
+    # fits (1 px spare), skip its 200 tries: nothing after this draws from rng.
+    if not flat and min(w, h) > 16 and math.hypot(w - 16, h - 16) > 44:
         for idx in range(int(rng.integers(2, 5))):
             band = (1.5, 1.9) if idx == 0 else (2.6, 3.4)
             for _ in range(200):
@@ -180,19 +182,12 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
                  center, radius, creases, label)
 
 
-def add_pixel_noise(rng, rgb: RgbImage, depth: DepthImage,
-                    sigma: float) -> tuple[RgbImage, DepthImage]:
-    """Per-frame Gaussian pixel noise (intensity levels / millimeters)."""
-    if sigma <= 0:
-        return rgb, depth
-    return _noisy_frame(rng, rgb, depth, sigma, np.empty(depth.pixels.size))
-
-
 def _noisy_frame(rng, rgb: RgbImage, depth: DepthImage, sigma: float,
                  buf: np.ndarray) -> tuple[RgbImage, DepthImage]:
-    """add_pixel_noise for sigma > 0, drawn in runs through the float buffer
-    buf: the runs draw numpy normal's values in its order, and sigma * z is
-    its 0 + sigma * z once a pixel is added."""
+    """One frame's per-pixel Gaussian noise of sigma > 0 (levels, mm), bit for
+    bit a float copy plus rng.normal(0, sigma), rounded, clipped and cast: runs
+    through the float buffer buf draw numpy normal's values in its order, and
+    sigma * z is its 0 + sigma * z once a pixel is added."""
     frame = []
     for image, top in ((rgb, 255), (depth, 65535)):
         src = image.pixels.reshape(-1)
@@ -238,12 +233,8 @@ def vision_source(vision: str, cfg: PipelineConfig, params=None):
     if vision == "learned":
         if params is None:
             raise ValueError("learned vision requires params")
-        cal = CameraCalibration.from_config(cfg)
-
-        def learned_source(rgb, depth, t):
-            px, theta = learned.predict(params, rgb, depth)
-            return classical.pixel_to_workspace(px, theta, cal, t)
-        return learned_source
+        return lambda rgb, depth, t: classical.pixel_to_workspace(
+            *learned.predict(params, rgb, depth), cfg, t)
     raise ValueError(f"no image vision mode {vision!r}")
 
 
@@ -299,11 +290,11 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     """The denoiser's proposals from the proposal source: a fixed proposal
     list, or a vision function run on the scene's per-frame noisy images.
 
-    Noisy frames are drawn one ahead on one worker thread, the only one to
-    touch the episode's rng, in frame order: they are add_pixel_noise's bit
-    for bit, and no draw outlives the call. The source runs on the calling
-    thread. Noise-free frames differ only in their timestamps, so the source
-    runs on the first and its proposal is restamped for the rest.
+    Noisy frames (_noisy_frame's) are drawn one ahead on one worker thread,
+    the only one to touch the episode's rng, in frame order, so they do not
+    depend on thread timing, and no draw outlives the call. The source runs
+    on the calling thread. Noise-free frames differ only in their timestamps,
+    so the source runs on the first and its proposal is restamped for the rest.
 
     Returns (proposals, window end, frames attempted, last vision error).
     """
@@ -356,8 +347,7 @@ def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
                              None, None, None, stats=stats), None
     px_err = theta_err = None
     if scene is not None and scene.label is not None:
-        cal = CameraCalibration.from_config(cfg)
-        px_err = float(np.linalg.norm(cal.to_pixel(final_prop.target)
+        px_err = float(np.linalg.norm(workspace_to_pixel(final_prop.target, cfg)
                                       - scene.label[0]))
         theta_err = abs(wrap_half_pi(final_prop.theta - scene.label[1]))
     return EpisodeReport(final_prop, False, "", None, None, px_err, theta_err,
@@ -437,8 +427,7 @@ def write_episode_artifacts(report: EpisodeReport, cfg: PipelineConfig,
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
     if rgb is not None:
         if (prop := report.proposal) is not None:
-            cal = CameraCalibration.from_config(cfg)
-            rgb = draw_overlay(rgb, cal.to_pixel(prop.target), prop.theta)
+            rgb = draw_overlay(rgb, workspace_to_pixel(prop.target, cfg), prop.theta)
         image_io.save_ppm(rgb, out / "overlay.ppm")
 
 

@@ -27,6 +27,15 @@ def make_dataset(seed0: int, n: int, cfg=None) -> list:
     return out
 
 
+def noisy_frame(rng, scene, sigma: float):
+    """The scene's (rgb, depth) with sim._noisy_frame's pixel noise of sigma
+    drawn from rng; sigma = 0 draws nothing and gives the scene's own images."""
+    if sigma == 0:
+        return scene.rgb, scene.depth
+    return sim._noisy_frame(rng, scene.rgb, scene.depth, sigma,
+                            np.empty(scene.depth.pixels.size))
+
+
 def is_rotation(R, tol=1e-9) -> bool:
     """True if R is orthonormal with determinant +1 within tol."""
     R = np.asarray(R, dtype=float)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from baggrasp import classical, config, sim
-from baggrasp.classical import (BallDetection, BallNotFound, CameraCalibration,
-                                GraspProposal, NoViableContour, canny,
-                                classical_pipeline, connected_components,
-                                detect_ball, find_contours,
+from baggrasp.classical import (BallDetection, BallNotFound, GraspProposal,
+                                NoViableContour, canny, classical_pipeline,
+                                connected_components, detect_ball, find_contours,
                                 gaussian_blur, perimeter, pixel_to_workspace,
                                 polygon_mean, polygon_theta, select_grasp,
-                                sobel_gradients)
+                                sobel_gradients, workspace_to_pixel)
 from baggrasp.image_io import GrayImage, RgbImage, to_gray
+from conftest import noisy_frame
 
 
 # --- gaussian blur ---
@@ -139,7 +139,7 @@ def test_detect_ball_matches_all_channels_formula():
     cfg = config.PipelineConfig()
     rng = np.random.default_rng(8)
     scenes = [sim.generate_scene(seed, cfg) for seed in range(6)]
-    frames = [sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)[0]
+    frames = [noisy_frame(rng, scene, sigma)[0]
               for scene in scenes for sigma in (0.0, 2.0, 32.0)]
     found = []
     for rgb in frames + [RgbImage(px) for px in _oracle_frames()]:
@@ -372,8 +372,7 @@ def test_canny_and_contours_match_oracles_on_scenes():
     for seed in range(20):
         scene = sim.generate_scene(seed, cfg)
         rng = np.random.default_rng([seed, 1])
-        frames = [scene.rgb] + [sim.add_pixel_noise(rng, scene.rgb, scene.depth,
-                                                    noise)[0]
+        frames = [scene.rgb] + [noisy_frame(rng, scene, noise)[0]
                                 for noise in (2.0, 2.0, 8.0, 32.0)]
         for rgb in frames:
             for sigma in (1.4, 0.6):
@@ -436,7 +435,7 @@ def test_find_contours_takes_canny_labels_only_for_its_mask():
     cfg = config.PipelineConfig()
     for seed in range(4):
         scene = sim.generate_scene(seed, cfg)
-        noisy = sim.add_pixel_noise(rng, scene.rgb, scene.depth, 2.0)[0]
+        noisy = noisy_frame(rng, scene, 2.0)[0]
         images += [gaussian_blur(to_gray(rgb), cfg.sigma) for rgb in (scene.rgb, noisy)]
     for img in images:
         h, w = img.pixels.shape
@@ -576,23 +575,28 @@ def test_select_grasp_matches_brute_force():
 
 # --- calibration / pipeline ---
 
+def _calibrated(scale, shift) -> config.PipelineConfig:
+    return config.PipelineConfig(scale_x=scale[0], scale_y=scale[1],
+                                 shift_x=shift[0], shift_y=shift[1])
+
+
 def test_pixel_to_workspace_identity():
-    cal = CameraCalibration((1, 1), (0, 0))
-    prop = pixel_to_workspace((12.0, 34.0), 0.3, cal, 1.5)
+    cfg = _calibrated((1, 1), (0, 0))
+    prop = pixel_to_workspace((12.0, 34.0), 0.3, cfg, 1.5)
     assert (prop.x, prop.y, prop.theta, prop.t) == (12.0, 34.0, 0.3, 1.5)
 
 
 def test_pixel_to_workspace_arithmetic():
-    cal = CameraCalibration((0.001, 0.001), (0.2, -0.1))
-    prop = pixel_to_workspace((100.0, 50.0), 0.0, cal)
+    cfg = _calibrated((0.001, 0.001), (0.2, -0.1))
+    prop = pixel_to_workspace((100.0, 50.0), 0.0, cfg)
     assert abs(prop.x - 0.3) < 1e-12 and abs(prop.y - -0.05) < 1e-12
 
 
 def test_pixel_to_workspace_inverse_round_trip():
-    cal = CameraCalibration((0.0012, -0.002), (0.4, 0.3))
+    cfg = _calibrated((0.0012, -0.002), (0.4, 0.3))
     p = np.array([37.0, 91.0])
-    prop = pixel_to_workspace(p, 0.1, cal)
-    assert np.allclose(cal.to_pixel(prop.target), p, atol=1e-9)
+    prop = pixel_to_workspace(p, 0.1, cfg)
+    assert np.allclose(workspace_to_pixel(prop.target, cfg), p, atol=1e-9)
 
 
 def test_grasp_proposal_validation():
@@ -609,8 +613,7 @@ def test_grasp_proposal_validation():
 def test_pipeline_hits_scene_label(cfg):
     scene = sim.generate_scene(11, cfg)
     prop = classical_pipeline(scene.rgb, cfg)
-    cal = CameraCalibration.from_config(cfg)
-    assert np.linalg.norm(cal.to_pixel(prop.target) - scene.label[0]) <= 10.0
+    assert np.linalg.norm(workspace_to_pixel(prop.target, cfg) - scene.label[0]) <= 10.0
 
 
 def test_pipeline_blank_scene_errors(cfg):
@@ -689,7 +692,7 @@ def _oracle_frames():
     for seed in range(3):
         scene = sim.generate_scene(seed, cfg)
         for sigma in (0.0, 2.0, 8.0):
-            yield sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)[0].pixels
+            yield noisy_frame(rng, scene, sigma)[0].pixels
     for h, w in [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (9, 4)]:
         yield rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         yield rng.choice(np.array([0, 255], dtype=np.uint8), size=(h, w, 3))
@@ -726,7 +729,7 @@ def test_classical_pipeline_allocates_at_most_five_and_a_half_frames():
     cfg = config.PipelineConfig()
     assert (cfg.scene_width, cfg.scene_height) == (256, 144)
     scene = sim.generate_scene(0, cfg)
-    rgb = sim.add_pixel_noise(np.random.default_rng(0), scene.rgb, scene.depth, 2.0)[0]
+    rgb = noisy_frame(np.random.default_rng(0), scene, 2.0)[0]
     classical_pipeline(rgb, cfg)  # warm up lazy imports and caches
     tracemalloc.start()
     try:

@@ -1,8 +1,10 @@
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from baggrasp import config, image_io, kinematics, learned, sim
 from baggrasp.cli import main
-from baggrasp.classical import CameraCalibration, classical_pipeline
+from baggrasp.classical import classical_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -383,10 +385,16 @@ def test_bad_set_override_exits_2(capsys):
                  "color_low=1,x,3", "color_high=1,2", "duration=1e9",
                  "control_rate=1e6", "scene_width=100000", "scene_height=100000",
                  "sigma=1e300", "scale_y=1e300", "shift_x=1e300", "grasp_z=1e300",
-                 "scale_x=1e-300", "damping=1e300", "k_d=1e308", "sigma=1e-300"):
+                 "scale_x=1e-300", "damping=1e300", "k_d=1e308", "sigma=1e-300",
+                 "control_rate=0.01", "noise_sigma=65535.5", "noise_sigma=1e308"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""
+    # A control loop of 0 steps.
+    assert main(["simulate", "--seed", "7", "--set", "settle_time=0",
+                 "--set", "duration=1e-9"]) == 2
+    captured = capsys.readouterr()
+    assert "duration + settle_time" in captured.err and captured.out == ""
 
 
 ARM_LINES = kinematics.default_arm_path().read_text().splitlines()
@@ -423,3 +431,23 @@ def test_missing_arm_file_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "nope.txt" in captured.err and captured.out == "", argv
         assert "--start" not in captured.err, argv
+
+
+def _names_used(tree) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_src_name_has_a_src_caller():
+    # A public module-level function or class that only tests call is dead
+    # weight: each must be named somewhere in src outside its own definition
+    # (an import alone does not count).
+    src = Path(sim.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    used = sum(map(_names_used, trees.values()), Counter())
+    uncalled = [f"{module}.{node.name}" for module, tree in trees.items()
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and used[node.name] == _names_used(node)[node.name]]
+    assert uncalled == []

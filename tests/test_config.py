@@ -57,7 +57,11 @@ def test_load_config_rejects_bad_line(tmp_path):
         "control_rate=1e6", "control_rate=1e308", "scene_width=100000",
         "scene_height=100000", "sigma=85.4", "sigma=1e300", "scale_y=1e300",
         "shift_x=1e300", "grasp_z=1e300", "scale_x=1e-300", "damping=1e300",
-        "k_p=1e300", "k_d=1e308", "sigma=1e-300")],
+        "k_p=1e300", "k_d=1e308", "sigma=1e-300", "control_rate=0.01",
+        "noise_sigma=65535.5", "noise_sigma=1e308")],
+    # A control loop of 0 steps: round(1e-7) == 0.
+    pytest.param("settle_time=0\nduration=1e-9\n", r"duration \+ settle_time",
+                 id="settle_time=0,duration=1e-9"),
     # Values that do not parse: the error names the file, line and key.
     pytest.param("sigma = abc\n", r"c\.txt:1: sigma", id="sigma=abc"),
     pytest.param("# ok\nscene_width=12.5\n", r"c\.txt:2: scene_width",
@@ -102,6 +106,11 @@ def test_control_step_and_scene_caps_are_inclusive():
     assert apply_overrides(PipelineConfig(), {"duration": "998.005"})
     with pytest.raises(ValueError, match="duration \\+ settle_time"):
         apply_overrides(PipelineConfig(), {"duration": "998.01"})
+    # At least one step: 0.6 rounds to 1, 0.5 to 0.
+    assert apply_overrides(PipelineConfig(), {"duration": "0.006", "settle_time": "0"})
+    with pytest.raises(ValueError, match="duration \\+ settle_time"):
+        apply_overrides(PipelineConfig(), {"duration": "0.005", "settle_time": "0"})
+    assert apply_overrides(PipelineConfig(), {"noise_sigma": "65535"})
     assert apply_overrides(PipelineConfig(), {"scene_width": "1920",
                                               "scene_height": "1080"})
     with pytest.raises(ValueError, match="scene_width \\* scene_height"):

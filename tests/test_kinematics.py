@@ -5,12 +5,18 @@ from baggrasp import sim, so3, trajectory
 from baggrasp.config import PipelineConfig
 from baggrasp.classical import GraspProposal
 from baggrasp.kinematics import (_dls_solve, compute_error, control_step,
-                                 default_arm_path, fk, fk_and_jacobian, load_arm, pinv)
+                                 default_arm_path, fk, fk_and_jacobian, load_arm)
 from baggrasp.so3 import Pose
 from baggrasp.trajectory import TrajectorySample
 from conftest import is_rotation
 
 ARM = load_arm(default_arm_path())
+
+
+def pinv(J, damping):
+    """The damped pseudo-inverse J^T (J J^T + damping^2 I)^-1, as (G^-1 J)^T:
+    G is symmetric, so one solve of G X = J gives it."""
+    return np.swapaxes(_dls_solve(J, damping, J), -1, -2)
 
 
 def random_q(rng, size=None):

@@ -8,8 +8,8 @@ import pytest
 
 from baggrasp import config, sim
 from baggrasp import denoise as denoise_mod
-from baggrasp.classical import (CameraCalibration, GraspProposal, VisionError,
-                                classical_pipeline, wrap_half_pi)
+from baggrasp.classical import (GraspProposal, VisionError, classical_pipeline,
+                                workspace_to_pixel, wrap_half_pi)
 from baggrasp.denoise import denoise
 from baggrasp.image_io import RgbImage
 
@@ -21,7 +21,7 @@ def _pixel_grasp(px, cfg):
         prop = classical_pipeline(RgbImage(np.ascontiguousarray(px)), cfg)
     except VisionError as err:
         return type(err)
-    return CameraCalibration.from_config(cfg).to_pixel(prop.target), prop.theta
+    return workspace_to_pixel(prop.target, cfg), prop.theta
 
 
 @pytest.mark.parametrize("size", [(256, 144), (160, 160)], ids=["256x144", "160x160"])

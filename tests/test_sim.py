@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from baggrasp import classical, image_io, learned, sim
-from baggrasp.classical import CameraCalibration, GraspProposal
+from baggrasp.classical import GraspProposal, workspace_to_pixel
 from baggrasp.config import PipelineConfig
 from baggrasp.image_io import DepthImage, RgbImage
+from conftest import noisy_frame
 
 ARM = sim.arm_for(PipelineConfig())
 
@@ -211,6 +212,36 @@ def test_generate_scene_matches_mgrid_oracle(size, seeds, flat):
         _assert_same_scene(sim.generate_scene(seed, cfg, flat), want, seed)
         labels += want.label is not None
     assert labels == (0 if flat or size in ((8, 8), (33, 17)) else len(seeds))
+
+
+@pytest.mark.parametrize("size", [(8, 8), (16, 40), (40, 16), (17, 17), (33, 17),
+                                  (40, 40)])
+def test_generate_scene_samples_no_crease_where_none_fits(size, monkeypatch):
+    # A crease is at least 45 px long with both ends in [8, w - 8) x [8, h - 8),
+    # so none fits these frames: the loop is skipped, and the scene is the flat one.
+    cfg = PipelineConfig(scene_width=size[0], scene_height=size[1])
+    flat = [sim.generate_scene(seed, cfg, flat=True) for seed in range(5)]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a crease was sampled")
+    monkeypatch.setattr(sim, "_sample_crease", never)
+    for seed, want in enumerate(flat):
+        _assert_same_scene(sim.generate_scene(seed, cfg), want, (size, seed))
+
+
+def test_generate_scene_samples_creases_where_one_may_fit(monkeypatch):
+    # Just past the bound (hypot(48 - 16, 48 - 16) = 45.3 > 44) the loop runs.
+    calls = []
+    sample_crease = sim._sample_crease
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_crease(*args, **kwargs)
+    monkeypatch.setattr(sim, "_sample_crease", counted)
+    for size in ((48, 48), (17, 61), (61, 17)):
+        del calls[:]
+        sim.generate_scene(0, PipelineConfig(scene_width=size[0], scene_height=size[1]))
+        assert calls, size
 
 
 def test_genscenes_files_match_mgrid_oracle(tmp_path, monkeypatch):
@@ -450,7 +481,7 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
     rng = np.random.default_rng([seed, 1])
     want, want_error = [], ""
     for k in range(frames):
-        rgb, depth = sim.add_pixel_noise(rng, scene.rgb, scene.depth, noise_sigma)
+        rgb, depth = noisy_frame(rng, scene, noise_sigma)
         try:
             want.append(classical_source(run_cfg)(rgb, depth, k / run_cfg.frame_rate))
         except classical.VisionError as err:
@@ -481,7 +512,7 @@ def test_collect_sources_see_add_pixel_noise_frames(cfg, vision, frame_rate,
     threads = threading.active_count()
     proposals, _, frames, error = sim._collect(source, scene, run_cfg, 6)
     assert threading.active_count() == threads
-    # Oracle: add_pixel_noise as first written, inline, frame after frame
+    # Oracle: the frame noise as first written, inline, frame after frame
     # from the episode's rng.
     rng = np.random.default_rng([6, 1])
     want, want_props, want_error = [], [], ""
@@ -627,7 +658,7 @@ def test_run_batch_noisy_rows_repeat(cfg):
 
 
 def _float_copy_pixel_noise(rng, rgb, depth, sigma):
-    """add_pixel_noise as first written: a float copy of each image plus its
+    """Frame noise as first written: a float copy of each image plus its
     draws, then round, clip and cast."""
     noisy_rgb = np.clip(np.round(rgb.pixels.astype(float)
                                  + rng.normal(0.0, sigma, rgb.pixels.shape)),
@@ -639,14 +670,15 @@ def _float_copy_pixel_noise(rng, rgb, depth, sigma):
 
 
 @pytest.mark.parametrize("sigma", [0.5, 2.0, 32.0])
-def test_add_pixel_noise_matches_float_copy_formula(cfg, sigma):
+def test_noisy_frame_matches_float_copy_formula(cfg, sigma):
     # One seeded stream of frames each: the draws keep their order and values.
     scenes = [sim.generate_scene(seed, cfg) for seed in (3, 4)]
     before = [(s.rgb.pixels.copy(), s.depth.pixels.copy()) for s in scenes]
     rng, rng_want = np.random.default_rng(11), np.random.default_rng(11)
     for k in range(6):
         scene = scenes[k % 2]
-        rgb, depth = sim.add_pixel_noise(rng, scene.rgb, scene.depth, sigma)
+        rgb, depth = sim._noisy_frame(rng, scene.rgb, scene.depth, sigma,
+                                      np.empty(scene.depth.pixels.size))
         want_rgb, want_dep = _float_copy_pixel_noise(rng_want, scene.rgb,
                                                      scene.depth, sigma)
         assert rgb.pixels.dtype == np.uint8 and depth.pixels.dtype == np.uint16
@@ -783,7 +815,7 @@ def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path):
             scene.rgb, px, theta, half_len).tobytes(), k
     # The artifact writer's overlay.ppm carries the same bytes.
     report = sim.run_episode(cfg, 8, ARM, classical_source(cfg), scene, out_dir=tmp_path)
-    px = CameraCalibration.from_config(cfg).to_pixel(report.proposal.target)
+    px = workspace_to_pixel(report.proposal.target, cfg)
     want = _draw_overlay_by_pixel(scene.rgb, px, report.proposal.theta)
     assert (tmp_path / "overlay.ppm").read_bytes().endswith(want.tobytes())
 
@@ -791,8 +823,7 @@ def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path):
 def test_overlay_marks_proposal(cfg):
     scene = sim.generate_scene(8, cfg)
     prop = classical.classical_pipeline(scene.rgb, cfg)
-    cal = CameraCalibration.from_config(cfg)
-    px = cal.to_pixel(prop.target)
+    px = workspace_to_pixel(prop.target, cfg)
     overlay = sim.draw_overlay(scene.rgb, px, prop.theta)
     x, y = int(round(px[0])), int(round(px[1]))
     assert tuple(overlay.pixels[y, x]) == (255, 0, 0)
