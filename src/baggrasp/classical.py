@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WORKSPACE_LIMIT, InputError, PipelineConfig
+from .config import MAX_TIMESTAMP, WORKSPACE_LIMIT, InputError, PipelineConfig
 from .image_io import GrayImage, RgbImage, to_gray
 
 
@@ -57,8 +57,8 @@ class GraspProposal:
     def __post_init__(self):
         if not (abs(self.x) <= WORKSPACE_LIMIT and abs(self.y) <= WORKSPACE_LIMIT):
             raise ValueError(f"grasp target must be within +-{WORKSPACE_LIMIT} m")
-        if not math.isfinite(self.t):
-            raise ValueError(f"timestamp {self.t} must be finite")
+        if not abs(self.t) <= MAX_TIMESTAMP:
+            raise ValueError(f"timestamp {self.t} must be within +-{MAX_TIMESTAMP:g} s")
         if not (-math.pi / 2 < self.theta <= math.pi / 2):
             raise ValueError(f"theta {self.theta} outside (-pi/2, pi/2]")
 

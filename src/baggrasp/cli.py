@@ -57,6 +57,8 @@ def _checked(convert, test, domain: str, name: str = ""):
 
 _FINITE = _checked(float, math.isfinite, "a finite number")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_TIME = _checked(float, lambda v: abs(v) <= config.MAX_TIMESTAMP,
+                 f"a time within +-{config.MAX_TIMESTAMP:g} s")
 _JAW_ANGLE = _checked(float, lambda v: -math.pi / 2 < v <= math.pi / 2,
                       "an angle in (-pi/2, pi/2]")
 
@@ -123,12 +125,10 @@ def cmd_plan(args, cfg) -> int:
         raise InputError("--tf must be > --ti")
     if not (args.tf - args.ti) * args.rate <= config.MAX_CONTROL_STEPS:
         raise InputError(f"(--tf - --ti) * --rate must be <= {config.MAX_CONTROL_STEPS}")
-    proposal = GraspProposal(*args.target, args.theta, args.ti)
     start = _start_pose(args, cfg)
+    p_f = (*args.target, args.grasp_z if args.grasp_z is not None else cfg.grasp_z)
     try:
-        traj = trajectory.plan(start, proposal,
-                               args.grasp_z if args.grasp_z is not None else cfg.grasp_z,
-                               args.ti, args.tf)
+        traj = trajectory.plan(start, p_f, args.theta, args.ti, args.tf)
     except ValueError as err:  # each flag is valid alone; the pair is not
         raise InputError(f"--start, --theta: {err}") from err
     lines = ["t,px,py,pz,vx,vy,vz,r11,r12,r13,r21,r22,r23,r31,r32,r33,"
@@ -219,12 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth")
     p.add_argument("--params")
     p.add_argument("--overlay")
-    p.add_argument("--t", type=_FINITE, default=0.0, help="proposal timestamp")
+    p.add_argument("--t", type=_TIME, default=0.0, help="proposal timestamp")
     p.set_defaults(func=cmd_vision)
 
     p = sub.add_parser("denoise", help="stdin proposal stream -> one proposal")
     common(p)
-    p.add_argument("--now", type=_FINITE, help="window end (default: newest t)")
+    p.add_argument("--now", type=_TIME, help="window end (default: newest t)")
     p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("plan", help="sampled trajectory CSV for a target")
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_numbers("X,Y"), required=True, metavar="X,Y")
     p.add_argument("--theta", type=_JAW_ANGLE, default=0.0)
     p.add_argument("--grasp-z", type=_FINITE, dest="grasp_z")
-    p.add_argument("--ti", type=_FINITE, default=0.0)
-    p.add_argument("--tf", type=_FINITE, default=5.0)
+    p.add_argument("--ti", type=_TIME, default=0.0)
+    p.add_argument("--tf", type=_TIME, default=5.0)
     p.add_argument("--rate", type=_POSITIVE, default=100.0)
     p.add_argument("--start", type=_numbers("PX,PY,PZ,YAW"), metavar="PX,PY,PZ,YAW",
                    help="start pose (default: arm home)")

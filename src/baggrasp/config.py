@@ -30,6 +30,10 @@ MAX_NOISE_SIGMA = 65535.0
 WORKSPACE_LIMIT = 1e3
 MIN_SCALE = 1e-9
 MAX_GAIN = 1e3
+# Largest |time| (s) of a proposal, a window end or the window: Unix-epoch
+# seconds fit, and a float step there is 1.9e-6 s, so a window end plus a
+# plan duration above that step still lies past the window end.
+MAX_TIMESTAMP = 1e10
 
 
 class InputError(ValueError):
@@ -102,6 +106,8 @@ class PipelineConfig:
         if not 0.5 < steps <= MAX_CONTROL_STEPS + 0.5:
             raise InputError("(duration + settle_time) * control_rate must round to "
                              f"1 to {MAX_CONTROL_STEPS} control steps")
+        if not self.window <= MAX_TIMESTAMP:
+            raise InputError(f"window must be <= {MAX_TIMESTAMP:g} s")
         if not self.noise_sigma <= MAX_NOISE_SIGMA:
             raise InputError(f"noise_sigma must be <= {MAX_NOISE_SIGMA:g}")
         if not (0.0 < self.canny_low < self.canny_high <= 1.0):

@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import so3
-from .config import WORKSPACE_LIMIT, InputError, read_text
+from .config import WORKSPACE_LIMIT, InputError, PipelineConfig, read_text
 from .so3 import Pose
-from .trajectory import TrajectorySample
 
 N_JOINTS = 7
 _CYCLIC = np.eye(4)[[0, 1, 2, 0, 1]]  # row picks: cross-product shifts become slices
@@ -52,10 +51,9 @@ class ArmModel:
         # is [1, sin q_j, 1 - cos q_j] @ _basis[j + 1], as R_j = I + s W + (1 - c) W^2;
         # [1, 0, 0] @ _basis[0] is the identity that starts the chain.
         W = so3.hat(self.axes)
-        self._W, self._W2 = W, W @ W
         basis = np.zeros((N_JOINTS + 1, 3, 4, 4))
         basis[:, 0], joint = np.eye(4), basis[1:, 1:, :3]
-        joint[..., :3] = np.stack([W, self._W2], axis=1)
+        joint[..., :3] = np.stack([W, W @ W], axis=1)
         joint[..., 3] = -np.einsum("jkab,jb->jka", joint[..., :3], self.points)
         self._basis = basis.reshape(N_JOINTS + 1, 3, 16)
         # Columns [axis; 0] and [point; 1]: a frame maps both in one product.
@@ -169,36 +167,29 @@ def _dls_solve(J: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, rhs)
 
 
-def compute_error(current: Pose, desired: TrajectorySample) -> np.ndarray:
-    """Stacked 6-vector error [p - p_d; e_o] of the current pose w.r.t. the
-    trajectory sample, e_o being the cross-product orientation error; both
-    may carry the same leading axes."""
-    return np.concatenate([current.p - desired.p_d,
-                           so3.rotation_error(desired.R_d, current.R)], axis=-1)
+def compute_error(pose: Pose, p_d, R_d) -> np.ndarray:
+    """Stacked 6-vector error [p - p_d; e_o] of the pose w.r.t. the desired
+    position p_d and orientation R_d, e_o being the cross-product orientation
+    error; all may carry the same leading axes."""
+    return np.concatenate([pose.p - p_d, so3.rotation_error(R_d, pose.R)], axis=-1)
 
 
-def feedforward(sample: TrajectorySample) -> np.ndarray:
-    """Base-frame twist [pdot_d; R_d w_ff] (w_ff is along the moving axis)."""
-    return np.concatenate([sample.pdot_d,
-                           (sample.R_d @ sample.w_ff[..., None])[..., 0]], axis=-1)
-
-
-def control_step(arm: ArmModel, q, sample: TrajectorySample, k_p: float,
-                 k_d: float, prev_e, dt: float, damping: float = 1e-3,
-                 qdot_max: float = 1.5, v_ff=None) -> tuple[np.ndarray, np.ndarray]:
+def control_step(arm: ArmModel, q, p_d, R_d, v_ff, prev_e,
+                 cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """One tick of the workspace PD velocity law; returns (qdot, e).
 
     qdot = J^T (J J^T + damping^2 I)^-1 u, from one solve of that system, with
-    u = -k_p e - k_d edot + V; e is the stacked 6-vector error, edot its
-    backward difference (zero when prev_e is None), V is v_ff or else
-    feedforward(sample); qdot is clamped to +-qdot_max. q (..., 7) and the
-    sample may carry a leading episode axis; each episode is its own.
+    u = -k_p e - k_d edot + v_ff; e is the stacked 6-vector error to (p_d, R_d),
+    edot its backward difference over dt = 1 / control_rate (zero when prev_e
+    is None), v_ff the base-frame feedforward twist; qdot is clamped to
+    +-qdot_max. Gains, damping, qdot_max and control_rate come from cfg. q
+    (..., 7) and the targets may carry a leading episode axis; each episode
+    is its own.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    dt = 1.0 / cfg.control_rate
     pose, J = fk_and_jacobian(arm, q)
-    e = compute_error(pose, sample)
+    e = compute_error(pose, p_d, R_d)
     edot = np.zeros_like(e) if prev_e is None else (e - prev_e) / dt
-    u = -k_p * e - k_d * edot + (feedforward(sample) if v_ff is None else v_ff)
-    qdot = (np.swapaxes(J, -1, -2) @ _dls_solve(J, damping, u[..., None]))[..., 0]
-    return np.minimum(np.maximum(qdot, -qdot_max), qdot_max), e
+    u = -cfg.k_p * e - cfg.k_d * edot + v_ff
+    qdot = (np.swapaxes(J, -1, -2) @ _dls_solve(J, cfg.damping, u[..., None]))[..., 0]
+    return np.minimum(np.maximum(qdot, -cfg.qdot_max), cfg.qdot_max), e

@@ -241,10 +241,6 @@ def vision_source(vision: str, cfg: PipelineConfig, params=None):
 _SAMPLE_BLOCK = 100  # control steps per trajectory.sample call
 
 
-def _control_times(t_i: float, n_steps: int, cfg: PipelineConfig) -> np.ndarray:
-    return t_i + np.arange(n_steps) * (1.0 / cfg.control_rate)
-
-
 def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     """Run the PD loop for a stack of episodes over their trajectories plus
     settle time, starting each from q0.
@@ -253,7 +249,8 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     episode the same window end and duration), so one loop steps all of them
     as one joint state Q (B, 7). Every step works episode by episode, so an
     episode's numbers do not depend on what else is in the stack. Returns
-    (final Q (B, 7), series (steps, B, 2) of ||e_p||, ||e_o|| per step).
+    (final Q (B, 7), step times (steps,), series (steps, B, 2) of ||e_p||,
+    ||e_o|| per step).
     """
     traj = trajectory.stack(trajs)
     dt = 1.0 / cfg.control_rate
@@ -261,22 +258,20 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     q = np.tile(np.asarray(q0, dtype=float), (len(trajs), 1))
     lower, upper = arm.limits.T.copy()
     errors = np.empty((n_steps, len(trajs), 6))  # e of every step
-    times = _control_times(traj.t_i, n_steps, cfg)
+    times = traj.t_i + np.arange(n_steps) * dt
     for i in range(n_steps):
         k = i % _SAMPLE_BLOCK
         if k == 0:
             # Trajectories and feedforward come a block of steps at a time:
             # one call's overhead per block, and memory for one block only.
             block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
-            v_ff = kinematics.feedforward(block)
-        samp = trajectory.TrajectorySample(block.p_d[k], block.pdot_d[k],
-                                           block.R_d[k], block.w_ff[k])
+            v_ff = trajectory.feedforward(block)
         qdot, errors[i] = kinematics.control_step(
-            arm, q, samp, cfg.k_p, cfg.k_d, errors[i - 1] if i else None, dt,
-            cfg.damping, cfg.qdot_max, v_ff[k])
+            arm, q, block.p_d[k], block.R_d[k], v_ff[k],
+            errors[i - 1] if i else None, cfg)
         q = step_plant(q, qdot, dt, lower, upper)
-    return q, np.stack([np.linalg.norm(errors[..., :3], axis=-1),
-                        np.linalg.norm(errors[..., 3:], axis=-1)], axis=-1)
+    return q, times, np.stack([np.linalg.norm(errors[..., :3], axis=-1),
+                               np.linalg.norm(errors[..., 3:], axis=-1)], axis=-1)
 
 
 def _yaw_error(R_current, R_target) -> float:
@@ -340,8 +335,8 @@ def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
         return EpisodeReport(None, False, reason, None, None, None, stats=stats), None
     final_prop = denoise.denoise(proposals, now, cfg.window, cfg.distance_threshold)
     try:
-        traj = trajectory.plan(start, final_prop, cfg.grasp_z,
-                               now, now + cfg.duration)
+        traj = trajectory.plan(start, (final_prop.x, final_prop.y, cfg.grasp_z),
+                               final_prop.theta, now, now + cfg.duration)
     except ValueError as err:
         return EpisodeReport(final_prop, False, f"planning failed: {err}",
                              None, None, None, stats=stats), None
@@ -354,18 +349,17 @@ def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
                          stats=stats), traj
 
 
-def _score(cfg: PipelineConfig, report: EpisodeReport, traj, pose: so3.Pose,
-           series: np.ndarray) -> None:
-    """Fill in a controlled episode's report from its final pose and
-    (steps, 2) series."""
+def _score(cfg: PipelineConfig, report: EpisodeReport, pose: so3.Pose,
+           times: np.ndarray, series: np.ndarray) -> None:
+    """Fill in a controlled episode's report from its final pose, step times
+    and (steps, 2) series."""
     prop = report.proposal
     pos_err = float(np.linalg.norm(pose.p - np.array([prop.x, prop.y, cfg.grasp_z])))
     yaw_err = _yaw_error(pose.R, so3.grasp_orientation(prop.theta))
     report.final_pos_err, report.final_yaw_err = pos_err, yaw_err
     report.success = pos_err < cfg.pos_tol and yaw_err < cfg.ang_tol
     report.reason = "" if report.success else "tracking tolerance not met"
-    report.series = np.column_stack([_control_times(traj.t_i, len(series), cfg),
-                                     series])
+    report.series = np.column_stack([times, series])
     report.stats["control_steps"] = len(series)
 
 
@@ -385,10 +379,10 @@ def _run_episodes(cfg: PipelineConfig, arm: kinematics.ArmModel,
             outputs.append((report, out_dir, scene.rgb if scene is not None else None))
     planned = [i for i, traj in enumerate(trajs) if traj is not None]
     if planned:
-        q, series = run_control(arm, HOME_Q, [trajs[i] for i in planned], cfg)
+        q, times, series = run_control(arm, HOME_Q, [trajs[i] for i in planned], cfg)
         poses = kinematics.fk(arm, q)
         for k, i in enumerate(planned):
-            _score(cfg, reports[i], trajs[i], so3.Pose(poses.p[k], poses.R[k]),
+            _score(cfg, reports[i], so3.Pose(poses.p[k], poses.R[k]), times,
                    series[:, k])
     for report, out_dir, rgb in outputs:
         write_episode_artifacts(report, cfg, out_dir, rgb)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import so3
-from .classical import GraspProposal
 from .so3 import Pose
 
 _ARRAYS = ("p_start", "p_delta", "w_final", "R_start")
@@ -50,21 +49,19 @@ class TrajectorySample:
     w_ff: np.ndarray     # rotation-vector rate (angular feedforward), rad/s
 
 
-def plan(start: Pose, target: GraspProposal, grasp_z: float,
-         t_i: float, t_f: float) -> CubicTrajectory:
-    """Plan a grasp approach from `start` to the proposal at height grasp_z.
+def plan(start: Pose, p_f, theta: float, t_i: float, t_f: float) -> CubicTrajectory:
+    """Plan a grasp approach from `start` to the position p_f (3,).
 
-    The final orientation is the gripper-down frame yawed by the proposal's
-    theta; the rotation-vector boundary is 0 -> log(R_start^T R_final).
-    Rotations of half a turn or more cannot be planned (log singularity).
+    The final orientation is the gripper-down frame yawed by theta; the
+    rotation-vector boundary is 0 -> log(R_start^T R_final). Rotations of
+    half a turn or more cannot be planned (log singularity).
     """
-    p_f = np.array([target.x, target.y, grasp_z])
-    R_f = so3.grasp_orientation(target.theta)
+    R_f = so3.grasp_orientation(theta)
     try:
         w_final = so3.log_so3(start.R.T @ R_f)
     except ValueError as err:
         raise ValueError(f"cannot plan rotation: {err}") from err
-    return CubicTrajectory(t_i, t_f, start.p, p_f - start.p, w_final, start.R)
+    return CubicTrajectory(t_i, t_f, start.p, np.subtract(p_f, start.p), w_final, start.R)
 
 
 def stack(trajs) -> CubicTrajectory:
@@ -91,6 +88,12 @@ def sample(traj: CubicTrajectory, t) -> TrajectorySample:
     R_d = traj.R_start @ so3.exp_so3(s * traj.w_final)
     return TrajectorySample(traj.p_start + s * traj.p_delta, s_dot * traj.p_delta,
                             R_d, s_dot * traj.w_final)
+
+
+def feedforward(sample: TrajectorySample) -> np.ndarray:
+    """Base-frame twist [pdot_d; R_d w_ff] (w_ff is along the moving axis)."""
+    return np.concatenate([sample.pdot_d,
+                           (sample.R_d @ sample.w_ff[..., None])[..., 0]], axis=-1)
 
 
 def sample_times(traj: CubicTrajectory, rate: float) -> np.ndarray:

@@ -53,7 +53,7 @@ def test_trajectory_suite():
         t_i = rng.uniform(0.0, 3.0)
         t_f = t_i + rng.uniform(0.5, 8.0)
         gz = rng.uniform(0.0, 0.4)
-        traj = trajectory.plan(start, prop, gz, t_i, t_f)
+        traj = trajectory.plan(start, (prop.x, prop.y, gz), prop.theta, t_i, t_f)
         s0, s1 = trajectory.sample(traj, t_i), trajectory.sample(traj, t_f)
         worst_bc = max(
             worst_bc,
@@ -107,9 +107,9 @@ def test_closed_loop_convergence():
     targets = [GraspProposal(rng.uniform(0.48, 0.75), rng.uniform(-0.15, 0.15),
                              rng.uniform(-np.pi / 2 + 0.01, np.pi / 2), 0.0)
                for _ in range(100)]
-    trajs = [trajectory.plan(start, target, cfg.grasp_z, 0.0, cfg.duration)
-             for target in targets]
-    q_final, _ = sim.run_control(ARM, sim.HOME_Q, trajs, cfg)
+    trajs = [trajectory.plan(start, (target.x, target.y, cfg.grasp_z), target.theta,
+                             0.0, cfg.duration) for target in targets]
+    q_final, _, _ = sim.run_control(ARM, sim.HOME_Q, trajs, cfg)
     for target, q in zip(targets, q_final):
         pose = kinematics.fk(ARM, q)
         pos_err = float(np.linalg.norm(

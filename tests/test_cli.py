@@ -144,6 +144,8 @@ def test_plan_bad_target_exits_2(capsys):
                         (["--ti", "5", "--tf", "5"], "--tf"),
                         (["--rate", "1e300"], "--rate"),
                         (["--tf", "1e9"], "--tf"),
+                        (["--tf", "1.0000001e10"], "--tf"),
+                        (["--ti", "-1e11"], "--ti"),
                         (["--target", "2000,0"], "--target"),
                         # Valid flags whose start yaw is half a turn from the grasp.
                         (["--start", "0.5,0,0.3,3.141592653589793", "--theta", "0"],
@@ -355,6 +357,43 @@ def test_nonfinite_timestamp_exits_2(tmp_path, monkeypatch, capsys):
         assert "malformed proposal line" in capsys.readouterr().err
 
 
+def test_times_beyond_max_timestamp_exit_2(tmp_path, capsys):
+    # Past MAX_TIMESTAMP, now + duration can round back to now, and the
+    # episode failed planning with exit 0; each such time names its input
+    # (test_plan_bad_target_exits_2 has --ti and --tf).
+    props = tmp_path / "props.jsonl"
+    props.write_text('{"x": 0.6, "y": 0.1, "theta": 0.2, "t": 1e17}\n')
+    for argv, where in [
+            (["simulate", "--seed", "1", "--vision", "file", "--proposals", str(props)],
+             f"{props}:1"),
+            (["simulate", "--seed", "1", "--set", "window=1e17",
+              "--set", "frame_rate=1e-17"], "window"),
+            (["vision", "--rgb", str(tmp_path / "none.ppm"), "--t", "1e17"], "--t"),
+            (["denoise", "--now", "-1e17"], "--now")]:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert where in captured.err and captured.out == "", argv
+
+
+def test_times_at_max_timestamp_run(tmp_path, monkeypatch, capsys):
+    assert config.MAX_TIMESTAMP == 1e10
+    line = '{"x": 0.6, "y": 0.1, "theta": 0.2, "t": 1e10}\n'
+    props = tmp_path / "props.jsonl"
+    props.write_text(line)
+    for argv in (["--vision", "file", "--proposals", str(props)],
+                 ["--set", "window=1e10", "--set", "frame_rate=1e-10"]):
+        assert main(["simulate", "--seed", "1", *argv]) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] and report["stats"]["control_steps"] == 700, argv
+    out = tmp_path / "traj.csv"
+    assert main(["plan", "--target", "0.6,0.1", "--ti", "9999999995", "--tf", "1e10",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("10000000000.0,")
+    monkeypatch.setattr("sys.stdin", io.StringIO(line))
+    assert main(["denoise", "--now", "1e10"]) == 0
+    assert json.loads(capsys.readouterr().out)["t"] == 1e10
+
+
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("sigma=1.2\ncolor_low=150,40,0\n# comment\n")
@@ -451,3 +490,28 @@ def test_every_public_src_name_has_a_src_caller():
                 and not node.name.startswith("_")
                 and used[node.name] == _names_used(node)[node.name]]
     assert uncalled == []
+
+
+def _package_imports(path) -> set:
+    """The baggrasp modules a source file imports, relative or absolute."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["baggrasp" if node.level else "",
+                                            node.module]))
+            mods = ([f"{module}.{a.name}" for a in node.names] if module == "baggrasp"
+                    else [module])
+        elif isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        else:
+            continue
+        names |= {m.split(".")[1] for m in mods if m.startswith("baggrasp.")}
+    return names
+
+
+def test_control_layer_imports_only_so3_and_config():
+    # so3 -> trajectory -> kinematics pass arrays and the config: no vision,
+    # simulator or CLI type reaches the control law.
+    src = Path(sim.__file__).parent
+    for module in ("so3", "trajectory", "kinematics"):
+        assert _package_imports(src / f"{module}.py") <= {"so3", "config"}, module

@@ -3,11 +3,9 @@ import pytest
 
 from baggrasp import sim, so3, trajectory
 from baggrasp.config import PipelineConfig
-from baggrasp.classical import GraspProposal
 from baggrasp.kinematics import (_dls_solve, compute_error, control_step,
                                  default_arm_path, fk, fk_and_jacobian, load_arm)
 from baggrasp.so3 import Pose
-from baggrasp.trajectory import TrajectorySample
 from conftest import is_rotation
 
 ARM = load_arm(default_arm_path())
@@ -29,6 +27,8 @@ def random_q(rng, size=None):
 def _fk_and_jacobian_by_joint(arm, q):
     """Product of exponentials composed one joint at a time, with the
     Jacobian columns from each joint's moved axis."""
+    W = so3.hat(arm.axes)
+    W2 = W @ W
     R_acc = np.eye(3)
     p_acc = np.zeros(3)
     moved_axes = np.empty((7, 3))
@@ -37,7 +37,7 @@ def _fk_and_jacobian_by_joint(arm, q):
         moved_axes[j] = R_acc @ arm.axes[j]
         moved_points[j] = R_acc @ arm.points[j] + p_acc
         s, c = np.sin(q[j]), np.cos(q[j])
-        R_j = np.eye(3) + s * arm._W[j] + (1.0 - c) * arm._W2[j]
+        R_j = np.eye(3) + s * W[j] + (1.0 - c) * W2[j]
         p_acc = R_acc @ (arm.points[j] - R_j @ arm.points[j]) + p_acc
         R_acc = R_acc @ R_j
     p_ee = R_acc @ arm.zero_pose.p + p_acc
@@ -307,39 +307,29 @@ def test_pinv_continuity_near_singularity():
 
 # --- error and control ---
 
-def _sample_at(pose, pdot=(0, 0, 0), w_ff=(0, 0, 0)):
-    return TrajectorySample(np.array(pose.p, dtype=float),
-                            np.asarray(pdot, dtype=float),
-                            np.array(pose.R, dtype=float),
-                            np.asarray(w_ff, dtype=float))
-
-
 def test_compute_error_zero_at_match():
     pose = fk(ARM, np.zeros(7))
-    e = compute_error(pose, _sample_at(pose))
+    e = compute_error(pose, pose.p, pose.R)
     assert np.allclose(e, 0.0, atol=1e-12)
 
 
 def test_compute_error_position_offset():
     pose = Pose((0.5, 0.0, 0.2), so3.GRIPPER_DOWN)
-    desired = TrajectorySample(np.array([0.49, 0.0, 0.2]), np.zeros(3),
-                               so3.GRIPPER_DOWN.copy(), np.zeros(3))
-    e = compute_error(pose, desired)
+    e = compute_error(pose, np.array([0.49, 0.0, 0.2]), so3.GRIPPER_DOWN.copy())
     assert np.allclose(e, (0.01, 0, 0, 0, 0, 0), atol=1e-12)
 
 
 def test_compute_error_yaw_offset():
     pose = Pose((0, 0, 0), np.eye(3))
-    desired = TrajectorySample(np.zeros(3), np.zeros(3), so3.rot_z(np.pi / 2),
-                               np.zeros(3))
-    e = compute_error(pose, desired)
+    e = compute_error(pose, np.zeros(3), so3.rot_z(np.pi / 2))
     assert np.allclose(e[3:], (0, 0, -2), atol=1e-12)
 
 
 def test_control_step_zero_error_zero_command():
     q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
     pose = fk(ARM, q)
-    qdot, e = control_step(ARM, q, _sample_at(pose), 0.8, 0.4, None, 0.01)
+    qdot, e = control_step(ARM, q, pose.p, pose.R, np.zeros(6), None,
+                           PipelineConfig(k_p=0.8, k_d=0.4))
     assert np.allclose(qdot, 0.0, atol=1e-9)
     assert np.allclose(e, 0.0, atol=1e-12)
 
@@ -347,12 +337,11 @@ def test_control_step_zero_error_zero_command():
 def test_control_step_proportional_in_kp():
     q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
     pose = fk(ARM, q)
-    desired = TrajectorySample(pose.p + (0.01, -0.02, 0.005), np.zeros(3),
-                               pose.R @ so3.rot_z(0.05), np.zeros(3))
-    qdot1, _ = control_step(ARM, q, desired, 0.8, 0.0, None, 0.01,
-                            qdot_max=100.0)
-    qdot2, _ = control_step(ARM, q, desired, 1.6, 0.0, None, 0.01,
-                            qdot_max=100.0)
+    p_d, R_d = pose.p + (0.01, -0.02, 0.005), pose.R @ so3.rot_z(0.05)
+    qdot1, _ = control_step(ARM, q, p_d, R_d, np.zeros(6), None,
+                            PipelineConfig(k_p=0.8, k_d=0.0, qdot_max=100.0))
+    qdot2, _ = control_step(ARM, q, p_d, R_d, np.zeros(6), None,
+                            PipelineConfig(k_p=1.6, k_d=0.0, qdot_max=100.0))
     assert np.allclose(qdot2, 2.0 * qdot1, atol=1e-9)
 
 
@@ -360,12 +349,11 @@ def test_control_step_derivative_term():
     # With k_p = 0 and no feedforward, the command is -k_d (e - prev_e) / dt.
     q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
     pose = fk(ARM, q)
-    desired = TrajectorySample(pose.p + (0.01, -0.02, 0.005), np.zeros(3),
-                               pose.R @ so3.rot_z(0.05), np.zeros(3))
-    e = compute_error(pose, desired)
+    p_d, R_d = pose.p + (0.01, -0.02, 0.005), pose.R @ so3.rot_z(0.05)
+    e = compute_error(pose, p_d, R_d)
     prev_e = e - np.array([0.001, 0.0, -0.002, 0.0005, 0.0, 0.001])
-    qdot, e_out = control_step(ARM, q, desired, 0.0, 0.4, prev_e, 0.01,
-                               qdot_max=100.0)
+    qdot, e_out = control_step(ARM, q, p_d, R_d, np.zeros(6), prev_e,
+                               PipelineConfig(k_p=0.0, k_d=0.4, qdot_max=100.0))
     J = fk_and_jacobian(ARM, q)[1]
     assert np.array_equal(e_out, e)
     assert np.allclose(qdot, pinv(J, 1e-3) @ (-0.4 * (e - prev_e) / 0.01),
@@ -388,8 +376,8 @@ def test_control_step_vector_solve_matches_pinv(batch):
             qs[::2] = rng.normal(scale=1e-4, size=qs[::2].shape)
             pose, J = fk_and_jacobian(ARM, qs)
             u = rng.normal(size=(batch, 6))
-            qdot, _ = control_step(ARM, qs, _sample_at(pose), 0.0, 0.0, None, 0.01,
-                                   damping, np.inf, u)
+            qdot, _ = control_step(ARM, qs, pose.p, pose.R, u, None, PipelineConfig(
+                k_p=0.0, k_d=0.0, damping=damping, qdot_max=np.inf))
             want = (pinv(J, damping) @ u[..., None])[..., 0]
             rel = np.linalg.norm(qdot - want, axis=-1) / np.linalg.norm(want, axis=-1)
             G = J @ np.swapaxes(J, -1, -2) + damping ** 2 * np.eye(6)
@@ -397,9 +385,9 @@ def test_control_step_vector_solve_matches_pinv(batch):
     # Undamped, one singular slice fails the stack, as pinv does.
     stack = random_q(rng, 4)
     stack[2] = 0.0
-    at_pose = _sample_at(fk(ARM, stack), np.zeros((4, 3)), np.zeros((4, 3)))
-    for solve in (lambda: control_step(ARM, stack, at_pose, 0.8, 0.4, None, 0.01,
-                                       damping=0.0),
+    at = fk(ARM, stack)
+    for solve in (lambda: control_step(ARM, stack, at.p, at.R, np.zeros((4, 6)), None,
+                                       PipelineConfig(damping=0.0)),
                   lambda: pinv(fk_and_jacobian(ARM, stack)[1], 0.0)):
         with pytest.raises(ValueError, match=r"J J\^T singular"):
             solve()
@@ -407,26 +395,25 @@ def test_control_step_vector_solve_matches_pinv(batch):
 
 def test_control_step_propagates_pinv_error():
     with pytest.raises(ValueError, match="damping"):
-        control_step(ARM, np.zeros(7), _sample_at(fk(ARM, np.zeros(7))),
-                     0.8, 0.4, None, 0.01, damping=0.0)
+        at = fk(ARM, np.zeros(7))
+        control_step(ARM, np.zeros(7), at.p, at.R, np.zeros(6), None,
+                     PipelineConfig(damping=0.0))
 
 
 def test_control_step_clamps_joint_velocity():
     q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
     pose = fk(ARM, q)
-    desired = TrajectorySample(pose.p + (0.5, 0.5, -0.1), np.zeros(3),
-                               pose.R.copy(), np.zeros(3))
-    qdot, _ = control_step(ARM, q, desired, 50.0, 0.0, None, 0.01,
-                           qdot_max=1.5)
+    qdot, _ = control_step(ARM, q, pose.p + (0.5, 0.5, -0.1), pose.R.copy(),
+                           np.zeros(6), None,
+                           PipelineConfig(k_p=50.0, k_d=0.0, qdot_max=1.5))
     assert np.abs(qdot).max() <= 1.5 + 1e-12
 
 
 def test_closed_loop_converges_quickly():
     cfg = PipelineConfig()
     start = fk(ARM, sim.HOME_Q)
-    traj = trajectory.plan(start, GraspProposal(0.55, -0.1, 0.7, 0.0), 0.01,
-                           0.0, 2.0)
-    q, series = sim.run_control(ARM, sim.HOME_Q, [traj], cfg)
+    traj = trajectory.plan(start, (0.55, -0.1, 0.01), 0.7, 0.0, 2.0)
+    q, _, series = sim.run_control(ARM, sim.HOME_Q, [traj], cfg)
     pose = fk(ARM, q[0])
     assert np.linalg.norm(pose.p - (0.55, -0.1, 0.01)) < 1e-3
     assert np.linalg.norm(so3.log_so3(pose.R.T @ so3.grasp_orientation(0.7))) \
@@ -436,11 +423,10 @@ def test_closed_loop_converges_quickly():
 def test_stacked_control_loop_matches_scalar_oracle():
     cfg = PipelineConfig(duration=2.0)
     start = fk(ARM, sim.HOME_Q)
-    targets = [GraspProposal(0.55, -0.1, 0.7, 0.0), GraspProposal(0.7, 0.12, -1.2, 0.0),
-               GraspProposal(0.5, 0.0, 0.05, 0.0)]
-    trajs = [trajectory.plan(start, t, cfg.grasp_z, 0.0, cfg.duration)
-             for t in targets]
-    q, series = sim.run_control(ARM, sim.HOME_Q, trajs, cfg)
+    targets = [(0.55, -0.1, 0.7), (0.7, 0.12, -1.2), (0.5, 0.0, 0.05)]
+    trajs = [trajectory.plan(start, (x, y, cfg.grasp_z), theta, 0.0, cfg.duration)
+             for x, y, theta in targets]
+    q, _, series = sim.run_control(ARM, sim.HOME_Q, trajs, cfg)
     assert q.shape == (3, 7) and series.shape == (400, 3, 2)
     for k, traj in enumerate(trajs):
         q_k, series_k = _run_control_one_by_one(ARM, sim.HOME_Q, traj, cfg)
@@ -450,9 +436,8 @@ def test_stacked_control_loop_matches_scalar_oracle():
 
 def test_run_control_rejects_trajectories_on_other_windows():
     start = fk(ARM, sim.HOME_Q)
-    target = GraspProposal(0.55, -0.1, 0.7, 0.0)
-    base = trajectory.plan(start, target, 0.01, 0.0, 2.0)
+    base = trajectory.plan(start, (0.55, -0.1, 0.01), 0.7, 0.0, 2.0)
     for t_i, t_f in ((0.5, 2.0), (0.0, 2.5)):
-        other = trajectory.plan(start, target, 0.01, t_i, t_f)
+        other = trajectory.plan(start, (0.55, -0.1, 0.01), 0.7, t_i, t_f)
         with pytest.raises(ValueError, match="share t_i and t_f"):
             sim.run_control(ARM, sim.HOME_Q, [base, other], PipelineConfig())

@@ -721,6 +721,25 @@ def test_run_batch_mixes_failed_and_controlled_episodes(cfg, tmp_path):
     assert (tmp_path / "a" / "overlay.ppm").exists()
 
 
+def test_trace_has_one_row_per_control_step_at_its_time(cfg, tmp_path):
+    # trace.csv's t column is the window end plus the step count over the
+    # control rate, bit for bit: cfg.window for image vision, the newest
+    # proposal's t for a proposal list.
+    sim.run_episode(cfg, 7, ARM, classical_source(cfg), sim.generate_scene(7, cfg),
+                    out_dir=tmp_path / "image")
+    sim.run_episode(cfg, 0, ARM, [GraspProposal(0.6, 0.05, 0.3, t) for t in (0.3, 2.7)],
+                    out_dir=tmp_path / "file")
+    sim.run_batch(cfg, 2, 20, out_dir=tmp_path / "batch")
+    for out, now in ((tmp_path / "image", cfg.window), (tmp_path / "file", 2.7),
+                     (tmp_path / "batch" / "episode_000", cfg.window),
+                     (tmp_path / "batch" / "episode_001", cfg.window)):
+        n = json.loads((out / "report.json").read_text())["stats"]["control_steps"]
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "t,pos_err,rot_err" and len(lines) == n + 1 and n > 0, out
+        t = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        assert np.array_equal(t, now + np.arange(n) * (1 / cfg.control_rate)), out
+
+
 def test_run_batch_empty(cfg, tmp_path):
     rows, success_rate, good_rate = sim.run_batch(cfg, 0, 0, out_dir=tmp_path)
     assert rows == [] and success_rate == 0.0 and good_rate == 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from baggrasp import so3
-from baggrasp.classical import GraspProposal
 from baggrasp.so3 import Pose
 from baggrasp.trajectory import plan, sample, sample_times, stack
 from conftest import is_rotation
@@ -123,8 +122,7 @@ def test_closed_form_exact_far_from_origin():
 
 def _plan(start_p, start_theta, target, theta, grasp_z=0.01, t_i=0.0, t_f=5.0):
     start = Pose(start_p, so3.grasp_orientation(start_theta))
-    prop = GraspProposal(target[0], target[1], theta, t_i)
-    return plan(start, prop, grasp_z, t_i, t_f)
+    return plan(start, (target[0], target[1], grasp_z), theta, t_i, t_f)
 
 
 def test_plan_stationary_target():
@@ -154,9 +152,8 @@ def test_plan_reaches_final_orientation():
 
 def test_plan_rejects_half_turn():
     start = Pose((0.5, 0, 0.3), so3.exp_so3((np.pi - 1e-9, 0, 0)))
-    prop = GraspProposal(0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="cannot plan"):
-        plan(start, prop, 0.01, 0.0, 5.0)
+        plan(start, (0.5, 0.0, 0.01), 0.0, 0.0, 5.0)
 
 
 def test_sample_at_start():
