@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_TIMESTAMP, WORKSPACE_LIMIT, InputError, PipelineConfig
-from .image_io import GrayImage, RgbImage, to_gray
+from .image_io import RgbImage, to_gray
 
 
 class VisionError(RuntimeError):
@@ -32,17 +32,6 @@ class BallNotFound(VisionError):
 
 class NoViableContour(VisionError):
     pass
-
-
-@dataclass
-class BallDetection:
-    center: np.ndarray  # (x, y) pixels
-    radius: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(2)
-        if self.radius <= 0:
-            raise ValueError("ball radius must be > 0")
 
 
 @dataclass
@@ -99,7 +88,7 @@ def _edge_pad(src: np.ndarray, ry: int, rx: int) -> np.ndarray:
     return out
 
 
-def gaussian_blur(image: GrayImage, sigma: float) -> GrayImage:
+def gaussian_blur(gray: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel radius ceil(3 sigma), clamped borders."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
@@ -107,22 +96,21 @@ def gaussian_blur(image: GrayImage, sigma: float) -> GrayImage:
     xs = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
-    src = image.pixels
-    out, tmp = np.zeros_like(src), np.empty_like(src)
-    padded = _edge_pad(src, 0, radius)
+    out, tmp = np.zeros_like(gray), np.empty_like(gray)
+    padded = _edge_pad(gray, 0, radius)
     for k in range(2 * radius + 1):
-        out += np.multiply(kernel[k], padded[:, k:k + src.shape[1]], out=tmp)
+        out += np.multiply(kernel[k], padded[:, k:k + gray.shape[1]], out=tmp)
     padded = _edge_pad(out, radius, 0)
     out[:] = 0.0
     for k in range(2 * radius + 1):
-        out += np.multiply(kernel[k], padded[k:k + src.shape[0], :], out=tmp)
-    return GrayImage(np.clip(out, 0.0, 1.0, out=out))
+        out += np.multiply(kernel[k], padded[k:k + gray.shape[0], :], out=tmp)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def sobel_gradients(image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
+def sobel_gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sobel x/y gradients, scaled so a unit step edge has magnitude 1."""
-    p = _edge_pad(image.pixels, 1, 1)
-    tmp = np.empty_like(image.pixels)
+    p = _edge_pad(gray, 1, 1)
+    tmp = np.empty_like(gray)
 
     def grad(a, b, c, d, e, f):  # (a + 2b + c - d - 2e - f) / 4; 2b + a == a + 2b
         g = np.multiply(b, 2.0)
@@ -172,7 +160,7 @@ def _label8(ids: np.ndarray, w: int) -> np.ndarray:
 _kept = [0, np.zeros(0, int), np.zeros(0, int)]
 
 
-def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
+def canny(gray: np.ndarray, low: float, high: float) -> np.ndarray:
     """Canny edge mask: Sobel -> non-maximum suppression -> hysteresis.
 
     Gradient directions are quantized to the 8 compass sectors; a pixel
@@ -184,7 +172,7 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     """
     if not (0.0 < low < high <= 1.0):
         raise ValueError("require 0 < low < high <= 1")
-    gx, gy = sobel_gradients(image)
+    gx, gy = sobel_gradients(gray)
     h, w = gx.shape
     # |g| <= sqrt(2) max(|gx|, |gy|): a pixel under 0.7 low is under 0.99 low,
     # neither weak nor a neighbour as large as one, so it stays 0 in the
@@ -211,8 +199,8 @@ def canny(image: GrayImage, low: float, high: float) -> np.ndarray:
     return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
 
 
-def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
-    """Centroid and equivalent-area-disc radius of pixels inside a color box."""
+def detect_ball(image: RgbImage, color_low, color_high) -> tuple[np.ndarray, float]:
+    """Centroid (x, y) and equivalent-area-disc radius of pixels in a color box."""
     lo = np.asarray(color_low, dtype=np.uint8)
     hi = np.asarray(color_high, dtype=np.uint8)
     if np.any(lo > hi):
@@ -224,8 +212,7 @@ def detect_ball(image: RgbImage, color_low, color_high) -> BallDetection:
                        image.width)
     if len(xs) == 0:
         raise BallNotFound("ball not found: no pixels inside the color range")
-    return BallDetection(np.array([xs.mean(), ys.mean()]),
-                         math.sqrt(len(xs) / math.pi))
+    return np.array([xs.mean(), ys.mean()]), math.sqrt(len(xs) / math.pi)
 
 
 def _trace_boundary(edge: set[int], start: int, w: int, size: int) -> np.ndarray:
@@ -312,8 +299,8 @@ def perimeter(polygon: np.ndarray) -> float:
     return float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
 
 
-def select_grasp(polygons, ball: BallDetection, perimeter_min: float):
-    """Pick the contour mean nearest 1.1 radii from the ball center.
+def select_grasp(polygons, center, radius: float, perimeter_min: float):
+    """Pick the contour mean nearest 1.1 radii from the ball center (x, y) px.
 
     Only polygons with perimeter > perimeter_min compete; ties go to the
     larger perimeter, then to input order. Returns (mean point, angle).
@@ -326,7 +313,7 @@ def select_grasp(polygons, ball: BallDetection, perimeter_min: float):
         if per <= perimeter_min:
             continue
         mean = polygon_mean(poly)
-        score = abs(np.linalg.norm(mean - ball.center) - 1.1 * ball.radius)
+        score = abs(np.linalg.norm(mean - center) - 1.1 * radius)
         key = (score, -per, idx)
         if best is None or key < best[0]:
             best = (key, mean, poly)
@@ -335,13 +322,12 @@ def select_grasp(polygons, ball: BallDetection, perimeter_min: float):
     return best[1], polygon_theta(best[2])
 
 
-def pixel_to_workspace(point, theta: float, cfg: PipelineConfig,
-                       timestamp: float = 0.0) -> GraspProposal:
+def pixel_to_workspace(point, theta: float, cfg: PipelineConfig) -> GraspProposal:
     """Map a pixel point into workspace meters, per axis scale * px + shift
-    (cfg's scale_x, shift_x, scale_y, shift_y); theta passes through."""
+    (cfg's scale_x, shift_x, scale_y, shift_y); theta passes through, t is 0."""
     p = np.asarray(point, dtype=float).reshape(2)
     target = p * (cfg.scale_x, cfg.scale_y) + (cfg.shift_x, cfg.shift_y)
-    return GraspProposal(float(target[0]), float(target[1]), theta, timestamp)
+    return GraspProposal(float(target[0]), float(target[1]), theta)
 
 
 def workspace_to_pixel(target, cfg: PipelineConfig) -> np.ndarray:
@@ -350,12 +336,12 @@ def workspace_to_pixel(target, cfg: PipelineConfig) -> np.ndarray:
             / (cfg.scale_x, cfg.scale_y))
 
 
-def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig,
-                       timestamp: float = 0.0) -> GraspProposal:
-    """Full classical path: blur, Canny, contours, ball, selection, calibration."""
+def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig) -> GraspProposal:
+    """Full classical path: blur, Canny, contours, ball, selection, calibration.
+    The proposal's t is 0; its caller stamps the frame's time."""
     gray = gaussian_blur(to_gray(rgb), cfg.sigma)
     edges = canny(gray, cfg.canny_low, cfg.canny_high)
     polygons = find_contours(edges)
-    ball = detect_ball(rgb, cfg.color_low, cfg.color_high)
-    mean, theta = select_grasp(polygons, ball, cfg.perimeter_min)
-    return pixel_to_workspace(mean, theta, cfg, timestamp)
+    center, radius = detect_ball(rgb, cfg.color_low, cfg.color_high)
+    mean, theta = select_grasp(polygons, center, radius, cfg.perimeter_min)
+    return pixel_to_workspace(mean, theta, cfg)

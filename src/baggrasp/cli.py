@@ -8,6 +8,7 @@ payload (JSON lines or CSV) and diagnostics go to stderr. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -55,7 +56,8 @@ def _checked(convert, test, domain: str, name: str = ""):
     return parse
 
 
-_FINITE = _checked(float, math.isfinite, "a finite number")
+_GRASP_Z = _checked(float, lambda v: abs(v) <= config.WORKSPACE_LIMIT,
+                    f"a height within +-{config.WORKSPACE_LIMIT} m")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _TIME = _checked(float, lambda v: abs(v) <= config.MAX_TIMESTAMP,
                  f"a time within +-{config.MAX_TIMESTAMP:g} s")
@@ -85,9 +87,10 @@ def cmd_vision(args, cfg) -> int:
         params = _learned_params(args)
         depth = image_io.load_pgm(args.depth)
     try:
-        proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth, args.t)
+        proposal = sim.vision_source(args.mode, cfg, params)(rgb, depth)
     except InputError as err:  # the pair's sizes
         raise InputError(f"{args.rgb}, {args.depth}: {err}") from err
+    proposal = dataclasses.replace(proposal, t=args.t)
     print(proposal.to_json_line())
     if args.overlay:
         overlay = sim.draw_overlay(rgb, workspace_to_pixel(proposal.target, cfg),
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", type=_numbers("X,Y"), required=True, metavar="X,Y")
     p.add_argument("--theta", type=_JAW_ANGLE, default=0.0)
-    p.add_argument("--grasp-z", type=_FINITE, dest="grasp_z")
+    p.add_argument("--grasp-z", type=_GRASP_Z, dest="grasp_z")
     p.add_argument("--ti", type=_TIME, default=0.0)
     p.add_argument("--tf", type=_TIME, default=5.0)
     p.add_argument("--rate", type=_POSITIVE, default=100.0)

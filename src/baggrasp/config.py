@@ -106,6 +106,10 @@ class PipelineConfig:
         if not 0.5 < steps <= MAX_CONTROL_STEPS + 0.5:
             raise InputError("(duration + settle_time) * control_rate must round to "
                              f"1 to {MAX_CONTROL_STEPS} control steps")
+        # Window ends lie within +-MAX_TIMESTAMP, where a float step is largest
+        # (1.9e-6 s): a duration that moves that end moves all, so t_f > t_i.
+        if not MAX_TIMESTAMP + self.duration > MAX_TIMESTAMP:
+            raise InputError(f"duration must exceed a float step at {MAX_TIMESTAMP:g} s")
         if not self.window <= MAX_TIMESTAMP:
             raise InputError(f"window must be <= {MAX_TIMESTAMP:g} s")
         if not self.noise_sigma <= MAX_NOISE_SIGMA:

@@ -1,5 +1,5 @@
-"""Raster containers, binary PPM/PGM file I/O, and the grayscale / crop /
-resize preprocessing shared by the vision paths.
+"""RGB and depth raster containers, binary PPM/PGM file I/O, and the
+grayscale / crop / resize preprocessing shared by the vision paths.
 
 Wire formats: PPM is binary P6 with maxval 255; PGM is binary P5 with
 maxval 65535 and big-endian 16-bit samples (depth in millimeters).
@@ -26,7 +26,6 @@ class _Raster:
     """Pixel array shaped (height, width) plus the subclass's CHANNELS axes."""
 
     pixels: np.ndarray
-    DTYPE = float
     CHANNELS = ()
 
     def __post_init__(self):
@@ -59,16 +58,6 @@ class DepthImage(_Raster):
     """16-bit depth raster in millimeters, pixels shaped (height, width)."""
 
     DTYPE = np.uint16
-
-
-@dataclass
-class GrayImage(_Raster):
-    """Real-valued intensities in [0, 1], pixels shaped (height, width)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise ValueError("GrayImage values must lie in [0, 1]")
 
 
 # A header field, after any whitespace and '#' comments (each to its line's end).
@@ -135,19 +124,20 @@ def save_pgm(image: DepthImage, path) -> None:
     Path(path).write_bytes(header + image.pixels.astype(">u2").tobytes())
 
 
-def to_gray(image: RgbImage) -> GrayImage:
-    """Luminance 0.299 R + 0.587 G + 0.114 B, scaled to [0, 1]."""
+def to_gray(image: RgbImage) -> np.ndarray:
+    """Luminance 0.299 R + 0.587 G + 0.114 B, scaled to [0, 1]: a float
+    array shaped (height, width)."""
     px = image.pixels  # uint8 channels: no float copy of the frame
     lum, tmp = np.multiply(px[..., 0], 0.299), np.empty(px.shape[:2])
     lum += np.multiply(px[..., 1], 0.587, out=tmp)
     lum += np.multiply(px[..., 2], 0.114, out=tmp)
-    return GrayImage(np.divide(lum, 255.0, out=lum))
+    return np.divide(lum, 255.0, out=lum)
 
 
 def crop_center_quarter(image):
     """Central crop of half the width and half the height (1/4 of the area).
 
-    Accepts RgbImage, DepthImage, or GrayImage and returns the same type.
+    Accepts RgbImage or DepthImage and returns the same type.
     """
     w, h = image.width, image.height
     if w < 4 or h < 4:
@@ -184,8 +174,6 @@ def resize_bilinear(image, out_w: int, out_h: int):
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
     out = _bilinear(image.pixels.astype(float), out_w, out_h)
-    if isinstance(image, GrayImage):
-        return GrayImage(np.clip(out, 0.0, 1.0))
     if isinstance(image, RgbImage):
         return RgbImage(np.clip(np.round(out), 0, 255).astype(np.uint8))
     return DepthImage(np.clip(np.round(out), 0, 65535).astype(np.uint16))

@@ -24,6 +24,7 @@ BALL_COLOR = (183, 72, 27)    # same luminance as the background: the ball is
 CREASE_COLOR = (255, 255, 255)
 BASE_DEPTH_MM = 800.0
 BALL_BUMP_MM = 40.0
+OVERLAY_HALF_LEN = 18.0  # px, half the length of the overlay's angle line
 
 HOME_Q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
 
@@ -206,11 +207,11 @@ def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
     return np.minimum(np.maximum(q + qdot_d * dt, lower), upper)
 
 
-def draw_overlay(rgb: RgbImage, px, theta: float, half_len: float = 18.0) -> RgbImage:
+def draw_overlay(rgb: RgbImage, px, theta: float) -> RgbImage:
     """Copy of rgb with the grasp marked: cyan angle line under a red dot."""
     out = rgb.pixels.copy()
     cx, cy = float(px[0]), float(px[1])
-    s = np.linspace(-half_len, half_len, int(8 * half_len) + 1)
+    s = np.linspace(-OVERLAY_HALF_LEN, OVERLAY_HALF_LEN, int(8 * OVERLAY_HALF_LEN) + 1)
     line = np.round([cx + s * math.cos(theta), cy + s * math.sin(theta)]).astype(int)
     off = np.mgrid[-2:3, -2:3].reshape(2, -1)
     dot = np.round([[cx], [cy]]).astype(int) + off[:, (off * off).sum(0) <= 4]
@@ -227,14 +228,14 @@ def arm_for(cfg: PipelineConfig) -> kinematics.ArmModel:
 
 def vision_source(vision: str, cfg: PipelineConfig, params=None):
     """Frame -> proposal function for an image vision mode, cfg and params
-    bound: source(rgb, depth, timestamp) -> GraspProposal or VisionError."""
+    bound: source(rgb, depth) -> GraspProposal at t = 0, or VisionError."""
     if vision == "classical":
-        return lambda rgb, depth, t: classical.classical_pipeline(rgb, cfg, t)
+        return lambda rgb, depth: classical.classical_pipeline(rgb, cfg)
     if vision == "learned":
         if params is None:
             raise ValueError("learned vision requires params")
-        return lambda rgb, depth, t: classical.pixel_to_workspace(
-            *learned.predict(params, rgb, depth), cfg, t)
+        return lambda rgb, depth: classical.pixel_to_workspace(
+            *learned.predict(params, rgb, depth), cfg)
     raise ValueError(f"no image vision mode {vision!r}")
 
 
@@ -288,8 +289,8 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     Noisy frames (_noisy_frame's) are drawn one ahead on one worker thread,
     the only one to touch the episode's rng, in frame order, so they do not
     depend on thread timing, and no draw outlives the call. The source runs
-    on the calling thread. Noise-free frames differ only in their timestamps,
-    so the source runs on the first and its proposal is restamped for the rest.
+    on the calling thread; each proposal is stamped here with its frame's time,
+    so the proposal from the first noise-free frame, made once, serves them all.
 
     Returns (proposals, window end, frames attempted, last vision error).
     """
@@ -313,7 +314,7 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
                 rgb, depth = ahead.result() if noisy else (scene.rgb, scene.depth)
                 ahead = draw() if noisy and k + 1 < n_frames else None
                 try:
-                    prop = source(rgb, depth, t)
+                    prop = source(rgb, depth)
                 except VisionError as err:
                     prop, last_error = None, str(err)
             if prop is not None:

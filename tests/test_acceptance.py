@@ -2,6 +2,7 @@
 PASS/FAIL line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,23 +140,21 @@ def test_classical_vision():
 
     step = np.zeros((20, 30))
     step[:, 15:] = 1.0
-    cols = np.unique(np.nonzero(classical.canny(
-        image_io.GrayImage(step), 0.1, 0.2))[1])
+    cols = np.unique(np.nonzero(classical.canny(step, 0.1, 0.2))[1])
     edge_ok = len(cols) == 1 and abs(int(cols[0]) - 15) <= 1
 
     from test_classical import _poly_with, _select_grasp_oracle
     rng = np.random.default_rng(104)
     brute_ok = True
     for _ in range(200):
-        ball = classical.BallDetection(rng.uniform(20, 80, 2),
-                                       rng.uniform(5, 25))
+        center, radius = rng.uniform(20, 80, 2), rng.uniform(5, 25)
         polys = [_poly_with(rng.uniform(0, 100, 2), rng.uniform(20, 150))
                  for _ in range(rng.integers(1, 50))]
         try:
-            got = classical.select_grasp(polys, ball, 60.0)
+            got = classical.select_grasp(polys, center, radius, 60.0)
         except classical.NoViableContour:
             continue
-        want = _select_grasp_oracle(polys, ball, 60.0)
+        want = _select_grasp_oracle(polys, center, radius, 60.0)
         brute_ok &= bool(np.allclose(got[0], want[0], atol=1e-12)
                          and got[1] == want[1])
     _report("classical vision: >= 45/50 within 10 px; step edge +-1 px; "
@@ -185,7 +184,7 @@ def test_denoiser():
         for k in range(10):
             rgb, _ = noisy_frame(rng_noise, scene, 2.0)
             try:
-                p = classical.classical_pipeline(rgb, cfg, float(k))
+                p = replace(classical.classical_pipeline(rgb, cfg), t=float(k))
             except classical.VisionError:
                 continue
             stream.append(p)

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from baggrasp import classical, config, sim
-from baggrasp.classical import (BallDetection, BallNotFound, GraspProposal,
+from baggrasp.classical import (BallNotFound, GraspProposal,
                                 NoViableContour, canny, classical_pipeline,
                                 connected_components, detect_ball, find_contours,
                                 gaussian_blur, perimeter, pixel_to_workspace,
                                 polygon_mean, polygon_theta, select_grasp,
                                 sobel_gradients, workspace_to_pixel)
-from baggrasp.image_io import GrayImage, RgbImage, to_gray
+from baggrasp.image_io import RgbImage, to_gray
 from conftest import noisy_frame
 
 
 # --- gaussian blur ---
 
 def test_blur_constant_unchanged():
-    img = GrayImage(np.full((12, 15), 0.4))
-    assert np.allclose(gaussian_blur(img, 1.4).pixels, 0.4, atol=1e-9)
+    img = np.full((12, 15), 0.4)
+    assert np.allclose(gaussian_blur(img, 1.4), 0.4, atol=1e-9)
 
 
 def _dense_blur_oracle(src, sigma):
@@ -40,11 +40,11 @@ def _dense_blur_oracle(src, sigma):
 def test_blur_single_pixel_against_direct_convolution():
     src = np.zeros((15, 15))
     src[7, 7] = 1.0
-    out = gaussian_blur(GrayImage(src), 1.0)
-    assert np.allclose(out.pixels, _dense_blur_oracle(src, 1.0), atol=1e-9)
+    out = gaussian_blur(src, 1.0)
+    assert np.allclose(out, _dense_blur_oracle(src, 1.0), atol=1e-9)
     # interior impulse: normalized kernel preserves total mass
-    assert abs(out.pixels.sum() - 1.0) < 1e-6
-    assert np.allclose(out.pixels, out.pixels.T, atol=1e-12)
+    assert abs(out.sum() - 1.0) < 1e-6
+    assert np.allclose(out, out.T, atol=1e-12)
 
 
 def test_blur_semigroup():
@@ -53,25 +53,25 @@ def test_blur_semigroup():
     gray = to_gray(sim.generate_scene(0, config.PipelineConfig()).rgb)
     two = gaussian_blur(gaussian_blur(gray, 1.4), 1.4)
     one = gaussian_blur(gray, 1.4 * math.sqrt(2.0))
-    assert np.abs(two.pixels - one.pixels).max() < 1e-3
+    assert np.abs(two - one).max() < 1e-3
 
 
 def test_blur_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        gaussian_blur(GrayImage(np.zeros((4, 4))), 0.0)
+        gaussian_blur(np.zeros((4, 4)), 0.0)
 
 
 # --- canny ---
 
 def test_canny_constant_empty():
-    img = GrayImage(np.full((10, 10), 0.7))
+    img = np.full((10, 10), 0.7)
     assert not canny(img, 0.1, 0.2).any()
 
 
 def test_canny_vertical_step_edge():
     step = np.zeros((20, 30))
     step[:, 15:] = 1.0
-    edges = canny(GrayImage(step), 0.1, 0.2)
+    edges = canny(step, 0.1, 0.2)
     cols = np.unique(np.nonzero(edges)[1])
     assert len(cols) == 1 and abs(int(cols[0]) - 15) <= 1
     # one-pixel-wide line spanning the image height
@@ -81,7 +81,7 @@ def test_canny_vertical_step_edge():
 def test_canny_weak_speckle_absent():
     img = np.full((11, 11), 0.5)
     img[5, 5] = 0.52  # gradient well below the low threshold
-    assert not canny(GrayImage(img), 0.1, 0.2).any()
+    assert not canny(img, 0.1, 0.2).any()
 
 
 def test_canny_mask_subset_of_low_threshold():
@@ -95,7 +95,7 @@ def test_canny_mask_subset_of_low_threshold():
 
 def test_canny_requires_ordered_thresholds():
     with pytest.raises(ValueError):
-        canny(GrayImage(np.zeros((4, 4))), 0.3, 0.2)
+        canny(np.zeros((4, 4)), 0.3, 0.2)
 
 
 # --- ball detection ---
@@ -113,9 +113,9 @@ ORANGE_LO, ORANGE_HI = (200, 80, 0), (255, 160, 80)
 
 def test_detect_ball_synthetic_disc():
     img = _disc_image(100, 100, 20, (230, 120, 40))
-    ball = detect_ball(img, ORANGE_LO, ORANGE_HI)
-    assert np.linalg.norm(ball.center - (100, 100)) < 1.0
-    assert abs(ball.radius - 20) / 20 < 0.05
+    center, radius = detect_ball(img, ORANGE_LO, ORANGE_HI)
+    assert np.linalg.norm(center - (100, 100)) < 1.0
+    assert abs(radius - 20) / 20 < 0.05
 
 
 def test_detect_ball_no_pixels():
@@ -129,8 +129,8 @@ def test_detect_ball_ignores_out_of_range_disc():
     px = img.pixels.copy()
     ys, xs = np.mgrid[0:200, 0:200]
     px[(xs - 150) ** 2 + (ys - 150) ** 2 <= 400] = (0, 0, 255)  # distractor
-    ball = detect_ball(RgbImage(px), ORANGE_LO, ORANGE_HI)
-    assert np.linalg.norm(ball.center - (60, 60)) < 1.0
+    center, _ = detect_ball(RgbImage(px), ORANGE_LO, ORANGE_HI)
+    assert np.linalg.norm(center - (60, 60)) < 1.0
 
 
 def test_detect_ball_matches_all_channels_formula():
@@ -157,9 +157,9 @@ def test_detect_ball_matches_all_channels_formula():
                 with pytest.raises(BallNotFound):
                     detect_ball(rgb, lo, hi)
                 continue
-            ball = detect_ball(rgb, lo, hi)
-            assert np.array_equal(ball.center, [xs.mean(), ys.mean()])
-            assert ball.radius == math.sqrt(len(xs) / math.pi)
+            center, radius = detect_ball(rgb, lo, hi)
+            assert np.array_equal(center, [xs.mean(), ys.mean()])
+            assert radius == math.sqrt(len(xs) / math.pi)
     assert any(found) and not all(found)  # both outcomes were checked
 
 
@@ -173,9 +173,9 @@ def test_detect_ball_needs_green_and_blue_inside_the_box():
     px[20, 10] = (180, 70, 200)  # green inside, blue outside
     px[21, 11] = (180, 200, 30)  # blue inside, green outside
     lo, hi = (150, 40, 0), (215, 105, 60)
-    ball = detect_ball(RgbImage(px), lo, hi)
-    assert np.array_equal(ball.center, [36.5, 9.5])
-    assert ball.radius == math.sqrt(140 / math.pi)
+    center, radius = detect_ball(RgbImage(px), lo, hi)
+    assert np.array_equal(center, [36.5, 9.5])
+    assert radius == math.sqrt(140 / math.pi)
     px[5:15, 30:44, 2] = 61
     with pytest.raises(BallNotFound):
         detect_ball(RgbImage(px), lo, hi)
@@ -389,7 +389,7 @@ def test_canny_matches_fixpoint_oracle_on_random_images():
     rng = np.random.default_rng(5)
     for _ in range(30):
         h, w = rng.integers(2, 30, size=2)
-        img = GrayImage(rng.random((h, w)))
+        img = rng.random((h, w))
         low = rng.uniform(0.01, 0.5)
         high = rng.uniform(low + 1e-3, 1.0)
         assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
@@ -401,7 +401,7 @@ def test_canny_matches_fixpoint_oracle_at_small_thresholds(low):
     rng = np.random.default_rng(9)
     for _ in range(30):
         h, w = rng.integers(2, 30, size=2)
-        img = GrayImage(rng.integers(0, 9, (h, w)) * (low * rng.uniform(0.5, 3.0)))
+        img = rng.integers(0, 9, (h, w)) * (low * rng.uniform(0.5, 3.0))
         high = low * rng.integers(2, 7)
         assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
 
@@ -419,7 +419,7 @@ def test_canny_neighbour_near_magnitude_cutoff(monkeypatch, low, share):
     fake = lambda image: (gx.copy(), gy.copy())  # noqa: E731
     monkeypatch.setattr(classical, "sobel_gradients", fake)
     monkeypatch.setitem(globals(), "sobel_gradients", fake)
-    img = GrayImage(np.zeros((5, 5)))
+    img = np.zeros((5, 5))
     want = np.zeros((5, 5), dtype=bool)
     want[1, 2] = True
     want[2, 2 if isinstance(share, str) else 3] = True  # P, or N over P
@@ -431,14 +431,14 @@ def test_find_contours_takes_canny_labels_only_for_its_mask():
     # canny keeps its kept pixels' labels for find_contours: they must be the
     # labels find_contours would make, and a changed mask must be labelled anew.
     rng = np.random.default_rng(7)
-    images = [GrayImage(rng.random(rng.integers(2, 30, size=2))) for _ in range(30)]
+    images = [rng.random(rng.integers(2, 30, size=2)) for _ in range(30)]
     cfg = config.PipelineConfig()
     for seed in range(4):
         scene = sim.generate_scene(seed, cfg)
         noisy = noisy_frame(rng, scene, 2.0)[0]
         images += [gaussian_blur(to_gray(rgb), cfg.sigma) for rgb in (scene.rgb, noisy)]
     for img in images:
-        h, w = img.pixels.shape
+        h, w = img.shape
         for low, high in ((cfg.canny_low, cfg.canny_high), (0.02, 0.05), (0.3, 0.9)):
             edges = canny(img, low, high)
             kept_w, ids, label = classical._kept
@@ -520,35 +520,32 @@ def _poly_with(mean, per_target, n=16):
 
 
 def test_select_grasp_prefers_distance_band():
-    ball = BallDetection((0, 0), 20.0)
     near = _poly_with((22.0, 0.0), 80)   # |22 - 22| = 0
     far = _poly_with((30.0, 0.0), 80)    # |30 - 22| = 8
-    mean, _ = select_grasp([far, near], ball, 60.0)
+    mean, _ = select_grasp([far, near], (0, 0), 20.0, 60.0)
     assert np.allclose(mean, polygon_mean(near), atol=1e-9)
 
 
 def test_select_grasp_all_below_threshold():
-    ball = BallDetection((0, 0), 10.0)
     with pytest.raises(NoViableContour):
-        select_grasp([_poly_with((5, 5), 30)], ball, 60.0)
+        select_grasp([_poly_with((5, 5), 30)], (0, 0), 10.0, 60.0)
 
 
 def test_select_grasp_singleton():
-    ball = BallDetection((0, 0), 10.0)
     poly = _poly_with((400, 400), 100)
-    mean, theta = select_grasp([poly], ball, 60.0)
+    mean, theta = select_grasp([poly], (0, 0), 10.0, 60.0)
     assert np.allclose(mean, polygon_mean(poly), atol=1e-9)
     assert theta == polygon_theta(poly)
 
 
-def _select_grasp_oracle(polygons, ball, perimeter_min):
+def _select_grasp_oracle(polygons, center, radius, perimeter_min):
     candidates = []
     for idx, poly in enumerate(polygons):
         per = perimeter(poly)
         if per <= perimeter_min:
             continue
         mean = polygon_mean(poly)
-        score = abs(np.linalg.norm(mean - ball.center) - 1.1 * ball.radius)
+        score = abs(np.linalg.norm(mean - center) - 1.1 * radius)
         candidates.append((score, -per, idx, mean, poly))
     if not candidates:
         raise NoViableContour("none")
@@ -559,16 +556,16 @@ def _select_grasp_oracle(polygons, ball, perimeter_min):
 def test_select_grasp_matches_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        ball = BallDetection(rng.uniform(20, 80, 2), rng.uniform(5, 25))
+        center, radius = rng.uniform(20, 80, 2), rng.uniform(5, 25)
         polys = [_poly_with(rng.uniform(0, 100, 2), rng.uniform(20, 150))
                  for _ in range(rng.integers(1, 50))]
         try:
-            got = select_grasp(polys, ball, 60.0)
+            got = select_grasp(polys, center, radius, 60.0)
         except NoViableContour:
             with pytest.raises(NoViableContour):
-                _select_grasp_oracle(polys, ball, 60.0)
+                _select_grasp_oracle(polys, center, radius, 60.0)
             continue
-        want = _select_grasp_oracle(polys, ball, 60.0)
+        want = _select_grasp_oracle(polys, center, radius, 60.0)
         assert np.allclose(got[0], want[0], atol=1e-12)
         assert got[1] == want[1]
 
@@ -582,8 +579,8 @@ def _calibrated(scale, shift) -> config.PipelineConfig:
 
 def test_pixel_to_workspace_identity():
     cfg = _calibrated((1, 1), (0, 0))
-    prop = pixel_to_workspace((12.0, 34.0), 0.3, cfg, 1.5)
-    assert (prop.x, prop.y, prop.theta, prop.t) == (12.0, 34.0, 0.3, 1.5)
+    prop = pixel_to_workspace((12.0, 34.0), 0.3, cfg)
+    assert (prop.x, prop.y, prop.theta, prop.t) == (12.0, 34.0, 0.3, 0.0)
 
 
 def test_pixel_to_workspace_arithmetic():
@@ -624,8 +621,8 @@ def test_pipeline_blank_scene_errors(cfg):
 
 def test_pipeline_deterministic(cfg):
     scene = sim.generate_scene(5, cfg)
-    a = classical_pipeline(scene.rgb, cfg, 1.0)
-    b = classical_pipeline(scene.rgb, cfg, 1.0)
+    a = classical_pipeline(scene.rgb, cfg)
+    b = classical_pipeline(scene.rgb, cfg)
     assert (a.x, a.y, a.theta, a.t) == (b.x, b.y, b.theta, b.t)
 
 
@@ -705,21 +702,34 @@ def test_stages_match_pad_and_float_copy_oracles_bit_for_bit():
     cfg = config.PipelineConfig()
     for px in _oracle_frames():
         gray = to_gray(RgbImage(px))
-        assert np.array_equal(gray.pixels, _to_gray_oracle(px))
+        assert np.array_equal(gray, _to_gray_oracle(px))
         for sigma in (0.3, 1.0, cfg.sigma, 3.3):
-            assert np.array_equal(gaussian_blur(gray, sigma).pixels,
-                                  _blur_oracle(gray.pixels, sigma))
+            assert np.array_equal(gaussian_blur(gray, sigma), _blur_oracle(gray, sigma))
         blurred = gaussian_blur(gray, cfg.sigma)
-        for src in (gray.pixels, blurred.pixels):
-            gx, gy = sobel_gradients(GrayImage(src))
+        for src in (gray, blurred):
+            gx, gy = sobel_gradients(src)
             ox, oy = _sobel_oracle(src)
             assert np.array_equal(gx, ox) and np.array_equal(gy, oy)
             for low, high in [(cfg.canny_low, cfg.canny_high), (0.01, 0.02), (1e-3, 1.0)]:
                 mask, w, ids, labels = _canny_oracle(src, low, high)
-                assert np.array_equal(canny(GrayImage(src), low, high), mask)
+                assert np.array_equal(canny(src, low, high), mask)
                 assert classical._kept[0] == w
                 assert np.array_equal(classical._kept[1], ids)
                 assert np.array_equal(classical._kept[2], labels)
+
+
+def test_gray_and_blur_stay_in_unit_interval():
+    # canny's thresholds are fractions of a unit step, so its input must lie in
+    # [0, 1]. to_gray's rounded products and sums are monotone in each channel,
+    # so the all-0 and all-255 frames among _oracle_frames bound every frame.
+    for px in _oracle_frames():
+        gray = to_gray(RgbImage(px))
+        assert gray.dtype == np.float64 and gray.shape == px.shape[:2]
+        assert 0.0 <= gray.min() and gray.max() <= 1.0
+        for sigma in (0.3, 1.4, 3.3):
+            blurred = gaussian_blur(gray, sigma)
+            assert 0.0 <= blurred.min() and blurred.max() <= 1.0
+    assert to_gray(RgbImage(np.full((1, 1, 3), 255, np.uint8)))[0, 0] == 1.0
 
 
 def test_classical_pipeline_allocates_at_most_five_and_a_half_frames():

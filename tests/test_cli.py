@@ -27,6 +27,27 @@ def scene_files(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("mode", ["classical", "learned"])
+def test_vision_stamps_the_t_flag_on_the_library_proposal(scene_files, tmp_path,
+                                                          capsys, mode):
+    # The vision sources give proposals at t = 0; the command stamps --t.
+    cfg, params = config.PipelineConfig(), None
+    argv = ["vision", "--mode", mode, "--rgb", str(scene_files / "scene.ppm"),
+            "--t", "3.5"]
+    if mode == "learned":
+        learned.save_params(learned.init_params(0), tmp_path / "params.bin")
+        params = learned.load_params(tmp_path / "params.bin")
+        argv += ["--depth", str(scene_files / "scene.pgm"),
+                 "--params", str(tmp_path / "params.bin")]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = sim.vision_source(mode, cfg, params)(
+        image_io.load_ppm(scene_files / "scene.ppm"),
+        image_io.load_pgm(scene_files / "scene.pgm"))
+    assert want.t == 0.0
+    assert got == {"x": want.x, "y": want.y, "theta": want.theta, "t": 3.5}
+
+
 def test_vision_classical_matches_library(scene_files, capsys):
     rc = main(["vision", "--mode", "classical", "--rgb",
                str(scene_files / "scene.ppm")])
@@ -135,6 +156,7 @@ def test_plan_bad_target_exits_2(capsys):
                         (["--start", "a,b,c,d"], "--start"),
                         (["--start", "0.5,0,0.3"], "--start"),
                         (["--grasp-z", "nan"], "--grasp-z"),
+                        (["--grasp-z", "1e300"], "--grasp-z"),
                         (["--tf", "nan"], "--tf"),
                         (["--ti", "inf"], "--ti"),
                         (["--theta", "nan"], "--theta"),
@@ -392,6 +414,11 @@ def test_times_at_max_timestamp_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(line))
     assert main(["denoise", "--now", "1e10"]) == 0
     assert json.loads(capsys.readouterr().out)["t"] == 1e10
+    # A duration just over half a float step at 1e10 s still moves that
+    # window end (test_bad_set_override_exits_2 has the shorter ones).
+    assert main(["simulate", "--seed", "1", "--set", "window=1e10", "--set",
+                 "frame_rate=1e-10", "--set", "duration=9.6e-7"]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["control_steps"] == 200
 
 
 def test_config_file_and_overrides(tmp_path, capsys):
@@ -425,7 +452,10 @@ def test_bad_set_override_exits_2(capsys):
                  "control_rate=1e6", "scene_width=100000", "scene_height=100000",
                  "sigma=1e300", "scale_y=1e300", "shift_x=1e300", "grasp_z=1e300",
                  "scale_x=1e-300", "damping=1e300", "k_d=1e308", "sigma=1e-300",
-                 "control_rate=0.01", "noise_sigma=65535.5", "noise_sigma=1e308"):
+                 "control_rate=0.01", "noise_sigma=65535.5", "noise_sigma=1e308",
+                 # Half a float step at MAX_TIMESTAMP or less: now + duration
+                 # rounded back to now, and planning failed with exit 0.
+                 "duration=1e-17", "duration=9e-7"):
         assert main(["simulate", "--seed", "7", "--set", item]) == 2, item
         captured = capsys.readouterr()
         assert item.split("=")[0] in captured.err and captured.out == ""
@@ -490,6 +520,49 @@ def test_every_public_src_name_has_a_src_caller():
                 and not node.name.startswith("_")
                 and used[node.name] == _names_used(node)[node.name]]
     assert uncalled == []
+
+
+def _calls_by_name(trees) -> dict:
+    calls = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, index, name) -> bool:
+    """Whether call passes the parameter name, at positional index (None for a
+    keyword-only one); *args and **kwargs count as passing it."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or index is not None and (len(call.args) > index or any(
+                isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_every_defaulted_src_parameter_is_set_by_a_caller():
+    # A default that no call overrides is a constant in disguise. Callers are
+    # src and perfbench (it drives the CLI through cli.main(argv)), matched by
+    # the function's name.
+    src = sorted(Path(sim.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert bench
+    calls = _calls_by_name(ast.parse(p.read_text()) for p in src + bench)
+    unset = []
+    for path in src:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(None, a.arg) for a, default in zip(args.kwonlyargs,
+                                                           args.kw_defaults)
+                       if default is not None]
+            unset += [f"{path.stem}.{node.name}({name})" for index, name in params
+                      if not any(_sets(call, index, name)
+                                 for call in calls.get(node.name, []))]
+    assert unset == []
 
 
 def _package_imports(path) -> set:

@@ -43,8 +43,8 @@ def test_generate_scene_flat(cfg):
 def test_generated_ball_recovered_by_color(cfg):
     for seed in range(10):
         scene = sim.generate_scene(seed, cfg)
-        ball = classical.detect_ball(scene.rgb, cfg.color_low, cfg.color_high)
-        assert np.linalg.norm(ball.center - scene.ball_center) < 1.0
+        center, _ = classical.detect_ball(scene.rgb, cfg.color_low, cfg.color_high)
+        assert np.linalg.norm(center - scene.ball_center) < 1.0
 
 
 def test_generated_creases_avoid_ball_and_stay_in_frame(cfg):
@@ -462,9 +462,9 @@ def test_episode_noisy_stream_collects_frames(cfg):
 def _counting(source):
     calls = []
 
-    def counted(rgb, depth, t):
-        calls.append(t)
-        return source(rgb, depth, t)
+    def counted(rgb, depth):
+        calls.append(rgb)
+        return source(rgb, depth)
     return counted, calls
 
 
@@ -477,13 +477,15 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
     proposals, now, frames, error = sim._collect(source, scene, run_cfg, seed)
     assert frames == 20 and now == run_cfg.window
     assert len(calls) == (1 if noise_sigma == 0 else frames)
-    # Oracle: every frame through the source in turn, as noisy frames are.
+    # Oracle: every frame through the source in turn, as noisy frames are,
+    # each proposal stamped with its frame's time.
     rng = np.random.default_rng([seed, 1])
     want, want_error = [], ""
     for k in range(frames):
         rgb, depth = noisy_frame(rng, scene, noise_sigma)
         try:
-            want.append(classical_source(run_cfg)(rgb, depth, k / run_cfg.frame_rate))
+            want.append(dataclasses.replace(classical_source(run_cfg)(rgb, depth),
+                                            t=k / run_cfg.frame_rate))
         except classical.VisionError as err:
             want_error = str(err)
     assert proposals == want and error == want_error
@@ -494,9 +496,9 @@ def _seen_frames(source):
     """source wrapped to record the exact bytes of every frame it is given."""
     seen = []
 
-    def recorded(rgb, depth, t):
-        seen.append((t, rgb.pixels.tobytes(), depth.pixels.tobytes()))
-        return source(rgb, depth, t)
+    def recorded(rgb, depth):
+        seen.append((rgb.pixels.tobytes(), depth.pixels.tobytes()))
+        return source(rgb, depth)
     return recorded, seen
 
 
@@ -520,10 +522,10 @@ def test_collect_sources_see_add_pixel_noise_frames(cfg, vision, frame_rate,
         noisy_rgb, noisy_dep = _float_copy_pixel_noise(rng, scene.rgb, scene.depth,
                                                        noise_sigma)
         rgb, depth = RgbImage(noisy_rgb), DepthImage(noisy_dep)
-        want.append((k / frame_rate, rgb.pixels.tobytes(), depth.pixels.tobytes()))
+        want.append((rgb.pixels.tobytes(), depth.pixels.tobytes()))
         try:
-            want_props.append(sim.vision_source(vision, run_cfg, params)(
-                rgb, depth, k / frame_rate))
+            want_props.append(dataclasses.replace(sim.vision_source(
+                vision, run_cfg, params)(rgb, depth), t=k / frame_rate))
         except classical.VisionError as err:
             want_error = str(err)
     assert frames == 10 * frame_rate and seen == want
@@ -555,10 +557,10 @@ def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, noise_s
         return noisy_frame(*args)
     monkeypatch.setattr(sim, "_noisy_frame", counted_draw)
 
-    def slow(rgb, depth, t):
+    def slow(rgb, depth):
         time.sleep(0.005)  # room for draws queued too far ahead to start
-        leads.append(len(draws) - round(t * run_cfg.frame_rate))
-        return classical_source(run_cfg)(rgb, depth, t)
+        leads.append(len(draws) - len(leads))  # this is frame len(leads)
+        return classical_source(run_cfg)(rgb, depth)
     threads = threading.active_count()
     _, _, frames, _ = sim._collect(slow, scene, run_cfg, 4)
     assert threading.active_count() == threads
@@ -626,7 +628,7 @@ def test_collect_raises_a_failed_draw(cfg, monkeypatch):
     with pytest.raises(MemoryError, match="draw of frame 3"):
         sim._collect(source, scene, run_cfg, 4)
     assert threading.active_count() == threads
-    assert [t for t, _, _ in seen] == [0.0, 1.0, 2.0]
+    assert len(seen) == 3  # frames 0, 1 and 2
     assert threading.main_thread() not in draws
 
 
@@ -635,11 +637,11 @@ def test_collect_propagates_a_source_error(cfg):
     scene = sim.generate_scene(4, run_cfg)
     calls = []
 
-    def broken(rgb, depth, t):
-        calls.append(t)
+    def broken(rgb, depth):
+        calls.append(rgb)
         if len(calls) == 2:
             raise RuntimeError("source broke")
-        return classical_source(run_cfg)(rgb, depth, t)
+        return classical_source(run_cfg)(rgb, depth)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="source broke"):
         sim._collect(broken, scene, run_cfg, 4)
@@ -801,7 +803,7 @@ def test_importing_the_cli_leaves_the_executor_out():
     assert proc.returncode == 0 and proc.stdout == "False\nFalse\n", proc.stderr
 
 
-def _draw_overlay_by_pixel(rgb, px, theta, half_len=18.0):
+def _draw_overlay_by_pixel(rgb, px, theta, half_len=sim.OVERLAY_HALF_LEN):
     """draw_overlay one pixel at a time: the line's samples, then the dot."""
     out = rgb.pixels.copy()
     h, w = out.shape[:2]
@@ -820,7 +822,7 @@ def _draw_overlay_by_pixel(rgb, px, theta, half_len=18.0):
     return out
 
 
-def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path):
+def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path, monkeypatch):
     scene = sim.generate_scene(8, cfg)
     rng = np.random.default_rng(8)
     # Draws inside, across and beyond the frame edges, and half-pixel ties.
@@ -828,8 +830,10 @@ def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path):
               (-2.5, 3.5), (255.5, 143.5), (1e6, -1e6)]
     for k, px in enumerate(points):
         theta = rng.uniform(-np.pi / 2, np.pi / 2) if k % 4 else np.pi / 4
-        half_len = 18.0 if k % 3 else rng.uniform(0.0, 40.0)
-        got = sim.draw_overlay(scene.rgb, px, theta, half_len)
+        half_len = sim.OVERLAY_HALF_LEN if k % 3 else rng.uniform(0.0, 40.0)
+        with monkeypatch.context() as patch:  # other line lengths, as a constant
+            patch.setattr(sim, "OVERLAY_HALF_LEN", half_len)
+            got = sim.draw_overlay(scene.rgb, px, theta)
         assert got.pixels.tobytes() == _draw_overlay_by_pixel(
             scene.rgb, px, theta, half_len).tobytes(), k
     # The artifact writer's overlay.ppm carries the same bytes.
