@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_TIMESTAMP, WORKSPACE_LIMIT, InputError, PipelineConfig
-from .image_io import RgbImage, to_gray
+from .image_io import RgbImage, Workspace, to_gray
 
 
 class VisionError(RuntimeError):
@@ -77,10 +77,10 @@ def wrap_half_pi(theta: float) -> float:
     return math.pi / 2 if a == -math.pi / 2 else a
 
 
-def _edge_pad(src: np.ndarray, ry: int, rx: int) -> np.ndarray:
-    """np.pad(src, ((ry, ry), (rx, rx)), mode="edge") in one allocation."""
+def _edge_pad(src: np.ndarray, ry: int, rx: int, ws: Workspace) -> np.ndarray:
+    """np.pad(src, ((ry, ry), (rx, rx)), mode="edge"), in ws's pad buffer."""
     h, w = src.shape
-    out = np.empty((h + 2 * ry, w + 2 * rx))
+    out = ws.flat("pad", (h + 2 * ry) * (w + 2 * rx)).reshape(h + 2 * ry, w + 2 * rx)
     mid = out[ry:ry + h]
     mid[:, rx:rx + w] = src
     mid[:, :rx], mid[:, rx + w:] = src[:, :1], src[:, -1:]
@@ -88,40 +88,53 @@ def _edge_pad(src: np.ndarray, ry: int, rx: int) -> np.ndarray:
     return out
 
 
-def gaussian_blur(gray: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur, kernel radius ceil(3 sigma), clamped borders."""
+def gaussian_blur(gray: np.ndarray, sigma: float, ws: Workspace | None = None) -> np.ndarray:
+    """Separable Gaussian blur, kernel radius ceil(3 sigma), clamped borders;
+    in ws's frame 1 (frame 2 and the pad are scratch)."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
+    ws = Workspace.for_frame(ws, gray.shape)
     radius = int(np.ceil(3.0 * sigma))
     xs = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
-    out, tmp = np.zeros_like(gray), np.empty_like(gray)
-    padded = _edge_pad(gray, 0, radius)
-    for k in range(2 * radius + 1):
-        out += np.multiply(kernel[k], padded[:, k:k + gray.shape[1]], out=tmp)
-    padded = _edge_pad(out, radius, 0)
-    out[:] = 0.0
-    for k in range(2 * radius + 1):
-        out += np.multiply(kernel[k], padded[k:k + gray.shape[0], :], out=tmp)
+    h, w = gray.shape
+    out, tmp = ws.frame(1), ws.frame(2)
+    # One pad buffer, made at its largest at once, serves both passes and Sobel.
+    ws.flat("pad", max(h * (w + 2 * radius), (h + 2 * radius) * w, (h + 2) * (w + 2)))
+    # A pass sums its taps from 0.0; the first is a kernel value > 0 times a
+    # value >= +0, so 0.0 + it is itself and it is written as it is.
+    padded = _edge_pad(gray, 0, radius, ws)
+    np.multiply(kernel[0], padded[:, :w], out=out)
+    for k in range(1, 2 * radius + 1):
+        out += np.multiply(kernel[k], padded[:, k:k + w], out=tmp)
+    padded = _edge_pad(out, radius, 0, ws)
+    np.multiply(kernel[0], padded[:h], out=out)
+    for k in range(1, 2 * radius + 1):
+        out += np.multiply(kernel[k], padded[k:k + h], out=tmp)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def sobel_gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel x/y gradients, scaled so a unit step edge has magnitude 1."""
-    p = _edge_pad(gray, 1, 1)
-    tmp = np.empty_like(gray)
+def sobel_gradients(gray: np.ndarray, ws: Workspace | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Sobel x/y gradients, scaled so a unit step edge has magnitude 1; in
+    ws's frames 0 and 2 (frame 1 and the pad are scratch)."""
+    ws = Workspace.for_frame(ws, gray.shape)
+    p = _edge_pad(gray, 1, 1, ws)
+    tmp = ws.frame(1)
 
-    def grad(a, b, c, d, e, f):  # (a + 2b + c - d - 2e - f) / 4; 2b + a == a + 2b
-        g = np.multiply(b, 2.0)
+    def grad(g, a, b, c, d, e, f):  # (a + 2b + c - d - 2e - f) / 4; 2b + a == a + 2b
+        np.multiply(b, 2.0, out=g)
         g += a
         g += c
         g -= d
         g -= np.multiply(e, 2.0, out=tmp)
         g -= f
         return np.divide(g, 4.0, out=g)
-    return (grad(p[:-2, 2:], p[1:-1, 2:], p[2:, 2:], p[:-2, :-2], p[1:-1, :-2], p[2:, :-2]),
-            grad(p[2:, :-2], p[2:, 1:-1], p[2:, 2:], p[:-2, :-2], p[:-2, 1:-1], p[:-2, 2:]))
+    return (grad(ws.frame(0), p[:-2, 2:], p[1:-1, 2:], p[2:, 2:], p[:-2, :-2], p[1:-1, :-2],
+                 p[2:, :-2]),
+            grad(ws.frame(2), p[2:, :-2], p[2:, 1:-1], p[2:, 2:], p[:-2, :-2], p[:-2, 1:-1],
+                 p[:-2, 2:]))
 
 
 # Offsets (dx, dy) of the 8 compass directions, index = round(angle / 45deg).
@@ -160,7 +173,42 @@ def _label8(ids: np.ndarray, w: int) -> np.ndarray:
 _kept = [0, np.zeros(0, int), np.zeros(0, int)]
 
 
-def canny(gray: np.ndarray, low: float, high: float) -> np.ndarray:
+def _cleared(ws: Workspace, name: str, size: int, dtype, ids) -> np.ndarray:
+    """ws's buffer name, zero but where its last user set items: those are
+    zeroed, and ids, which the caller sets next, are recorded in their place."""
+    buf = ws.flat(name, size, dtype)
+    buf[ws.marks.get(name, [])] = 0
+    ws.marks[name] = ids
+    return buf
+
+
+def _thin(gx: np.ndarray, gy: np.ndarray, low: float, ws: Workspace):
+    """Non-maximum suppression of the weak pixels (magnitude >= low): the
+    flat ids (y+1)*(w+2) + x+1 of those that survive, and the zero-padded
+    magnitude, in ws, that they were judged on.
+
+    |g| <= sqrt(2) max(|gx|, |gy|): a pixel under 0.7 low is under 0.99 low,
+    neither weak nor a neighbour as large as one, so it stays 0 in the
+    magnitude. Only weak pixels are suppressed: against their sector's
+    neighbours in it at +-step.
+    """
+    h, w = gx.shape
+    gx, gy = gx.ravel(), gy.ravel()
+    big = np.abs(gx, out=ws.frame(1).ravel())
+    near = np.flatnonzero(np.maximum(big, np.abs(gy, out=ws.flat("pad", h * w)), out=big)
+                          >= 0.7 * low)
+    at = near + 2 * (near // w) + w + 3
+    padded = _cleared(ws, "magnitude", (h + 2) * (w + 2), float, at)
+    padded[at] = np.hypot(gx[near], gy[near])
+    weak = padded[at] >= low
+    near, at = near[weak], at[weak]
+    sector = np.round(np.arctan2(gy[near], gx[near]) / (np.pi / 4.0)).astype(int) % 8
+    step = np.array([dy * (w + 2) + dx for dx, dy in _COMPASS])[sector]
+    return at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])], padded
+
+
+def canny(gray: np.ndarray, low: float, high: float,
+          ws: Workspace | None = None) -> np.ndarray:
     """Canny edge mask: Sobel -> non-maximum suppression -> hysteresis.
 
     Gradient directions are quantized to the 8 compass sectors; a pixel
@@ -168,33 +216,19 @@ def canny(gray: np.ndarray, low: float, high: float) -> np.ndarray:
     against the gradient and is >= the neighbor along it (the asymmetry
     thins symmetric two-pixel ridges to one pixel). Strong pixels have
     magnitude >= high; weak ones (>= low) are kept only when their
-    8-connected component of weak pixels holds a strong pixel.
+    8-connected component of weak pixels holds a strong pixel. The mask is
+    a view of ws's keep buffer (frames 0-2 and the pad are scratch).
     """
     if not (0.0 < low < high <= 1.0):
         raise ValueError("require 0 < low < high <= 1")
-    gx, gy = sobel_gradients(gray)
-    h, w = gx.shape
-    # |g| <= sqrt(2) max(|gx|, |gy|): a pixel under 0.7 low is under 0.99 low,
-    # neither weak nor a neighbour as large as one, so it stays 0 in the
-    # zero-padded magnitude. Only weak pixels (>= low) are suppressed: against
-    # their sector's neighbours in it at +-step.
-    big = np.abs(gx)
-    near = np.flatnonzero(np.maximum(big, np.abs(gy), out=big) >= 0.7 * low)
-    gx, gy = gx.ravel()[near], gy.ravel()[near]
-    at = near + 2 * (near // w) + w + 3  # flat id (y+1)*(w+2) + x+1
-    padded = np.zeros((h + 2) * (w + 2))
-    padded[at] = mag = np.hypot(gx, gy)
-    weak = mag >= low
-    at = at[weak]
-    sector = np.round(np.arctan2(gy[weak], gx[weak]) / (np.pi / 4.0)).astype(int) % 8
-    step = np.array([dy * (w + 2) + dx for dx, dy in _COMPASS])[sector]
-    at = at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])]
-
+    ws = Workspace.for_frame(ws, gray.shape)
+    h, w = gray.shape
+    at, padded = _thin(*sobel_gradients(gray, ws), low, ws)
     label = _label8(at, w)
     kept = np.isin(label, label[padded[at] >= high])
     # A kept component's first pixel is kept, so labels re-index into the kept.
     _kept[:] = w, at[kept], (np.cumsum(kept) - 1)[label[kept]]
-    keep = np.zeros(padded.size, dtype=bool)
+    keep = _cleared(ws, "keep", padded.size, bool, _kept[1])
     keep[_kept[1]] = True
     return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
 
@@ -336,11 +370,15 @@ def workspace_to_pixel(target, cfg: PipelineConfig) -> np.ndarray:
             / (cfg.scale_x, cfg.scale_y))
 
 
-def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig) -> GraspProposal:
-    """Full classical path: blur, Canny, contours, ball, selection, calibration.
-    The proposal's t is 0; its caller stamps the frame's time."""
-    gray = gaussian_blur(to_gray(rgb), cfg.sigma)
-    edges = canny(gray, cfg.canny_low, cfg.canny_high)
+def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig,
+                       ws: Workspace | None = None) -> GraspProposal:
+    """Full classical path: blur, Canny, contours, ball, selection, calibration,
+    the per-pixel stages in ws (or a fresh workspace). The proposal's t is 0;
+    its caller stamps the frame's time."""
+    ws = Workspace.for_frame(ws, (rgb.height, rgb.width))
+    edges = canny(gaussian_blur(to_gray(rgb, ws), cfg.sigma, ws), cfg.canny_low,
+                  cfg.canny_high, ws)
+    del ws  # a fresh workspace is freed here, but for the buffer under edges
     polygons = find_contours(edges)
     center, radius = detect_ball(rgb, cfg.color_low, cfg.color_high)
     mean, theta = select_grasp(polygons, center, radius, cfg.perimeter_min)

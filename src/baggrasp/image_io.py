@@ -124,11 +124,52 @@ def save_pgm(image: DepthImage, path) -> None:
     Path(path).write_bytes(header + image.pixels.astype(">u2").tobytes())
 
 
-def to_gray(image: RgbImage) -> np.ndarray:
+class Workspace:
+    """Buffers that the per-pixel stages (to_gray; classical's gaussian_blur,
+    sobel_gradients and canny) reuse frame after frame, for frames of one
+    (height, width). Each buffer is made, zeroed, at its first use, so a run
+    of frames through one workspace makes no frame-sized array after the
+    first. A stage output made in a workspace is one of its buffers: it is
+    valid only until the next stage call on the workspace, so never past
+    the workspace's next frame, and is not to be written into. A stage
+    given no workspace makes a fresh one."""
+
+    def __init__(self, height: int, width: int):
+        self.shape = (height, width)
+        self.marks: dict = {}  # a stage's record of what it left in a buffer
+        self._buffers: dict = {}
+
+    @classmethod
+    def for_frame(cls, ws: "Workspace | None", shape) -> "Workspace":
+        """ws, which must be for frames of shape (height, width), or a fresh one."""
+        shape = tuple(shape)
+        if ws is None:
+            return cls(*shape)
+        if ws.shape != shape:
+            raise ValueError(f"workspace for {ws.shape[0]}x{ws.shape[1]} frames "
+                             f"given a {shape[0]}x{shape[1]} frame")
+        return ws
+
+    def flat(self, name: str, size: int, dtype=float) -> np.ndarray:
+        """The first size items of the buffer called name, made when missing
+        or smaller."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.zeros(size, dtype)
+        return buf[:size]
+
+    def frame(self, k: int) -> np.ndarray:
+        """Float frame buffer k, shaped (height, width)."""
+        return self.flat(f"frame{k}", self.shape[0] * self.shape[1]).reshape(self.shape)
+
+
+def to_gray(image: RgbImage, ws: Workspace | None = None) -> np.ndarray:
     """Luminance 0.299 R + 0.587 G + 0.114 B, scaled to [0, 1]: a float
-    array shaped (height, width)."""
+    array shaped (height, width), in ws's frame 0 (frame 1 is scratch)."""
     px = image.pixels  # uint8 channels: no float copy of the frame
-    lum, tmp = np.multiply(px[..., 0], 0.299), np.empty(px.shape[:2])
+    ws = Workspace.for_frame(ws, px.shape[:2])
+    lum = np.multiply(px[..., 0], 0.299, out=ws.frame(0))
+    tmp = ws.frame(1)
     lum += np.multiply(px[..., 1], 0.587, out=tmp)
     lum += np.multiply(px[..., 2], 0.114, out=tmp)
     return np.divide(lum, 255.0, out=lum)

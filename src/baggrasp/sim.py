@@ -5,10 +5,12 @@ perfect-velocity-tracking plant, and the end-to-end episode runner
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -184,21 +186,21 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
 
 
 def _noisy_frame(rng, rgb: RgbImage, depth: DepthImage, sigma: float,
-                 buf: np.ndarray) -> tuple[RgbImage, DepthImage]:
-    """One frame's per-pixel Gaussian noise of sigma > 0 (levels, mm), bit for
-    bit a float copy plus rng.normal(0, sigma), rounded, clipped and cast: runs
-    through the float buffer buf draw numpy normal's values in its order, and
-    sigma * z is its 0 + sigma * z once a pixel is added."""
+                 buf: np.ndarray, out) -> tuple[RgbImage, DepthImage]:
+    """One frame's per-pixel Gaussian noise of sigma > 0 (levels, mm), into
+    out's pixel arrays (rgb's, depth's), bit for bit a float copy plus
+    rng.normal(0, sigma), rounded, clipped and cast: runs through the float
+    buffer buf draw numpy normal's values in its order, and sigma * z is its
+    0 + sigma * z once a pixel is added."""
     frame = []
-    for image, top in ((rgb, 255), (depth, 65535)):
-        src = image.pixels.reshape(-1)
-        out = np.empty_like(src)
+    for image, top, pixels in zip((rgb, depth), (255, 65535), out):
+        src, dst = image.pixels.reshape(-1), pixels.reshape(-1)
         for i in range(0, src.size, buf.size):
             run = rng.standard_normal(out=buf[:src.size - i])
             run *= sigma
             run += src[i:i + run.size]
-            out[i:i + run.size] = np.clip(np.round(run, out=run), 0, top, out=run)
-        frame.append(type(image)(out.reshape(image.pixels.shape)))
+            dst[i:i + run.size] = np.clip(np.round(run, out=run), 0, top, out=run)
+        frame.append(type(image)(pixels))
     return tuple(frame)
 
 
@@ -228,9 +230,10 @@ def arm_for(cfg: PipelineConfig) -> kinematics.ArmModel:
 
 def vision_source(vision: str, cfg: PipelineConfig, params=None):
     """Frame -> proposal function for an image vision mode, cfg and params
-    bound: source(rgb, depth) -> GraspProposal at t = 0, or VisionError."""
+    bound: source(rgb, depth) -> GraspProposal at t = 0, or VisionError. The
+    classical source also takes a frame workspace, source(rgb, depth, ws)."""
     if vision == "classical":
-        return lambda rgb, depth: classical.classical_pipeline(rgb, cfg)
+        return lambda rgb, depth, ws=None: classical.classical_pipeline(rgb, cfg, ws)
     if vision == "learned":
         if params is None:
             raise ValueError("learned vision requires params")
@@ -288,9 +291,13 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
 
     Noisy frames (_noisy_frame's) are drawn one ahead on one worker thread,
     the only one to touch the episode's rng, in frame order, so they do not
-    depend on thread timing, and no draw outlives the call. The source runs
-    on the calling thread; each proposal is stamped here with its frame's time,
-    so the proposal from the first noise-free frame, made once, serves them all.
+    depend on thread timing, and no draw outlives the call. A noisy episode
+    has one frame workspace, freed on return: the draw's float buffer, two
+    (rgb, depth) pairs that the draws fill in turn, so a frame is valid
+    until the source returns, and an image_io.Workspace for a source with a
+    `ws` parameter. The source runs on the calling thread; each proposal is
+    stamped here with its frame's time, so the proposal from the first
+    noise-free frame, made once, serves them all.
 
     Returns (proposals, window end, frames attempted, last vision error).
     """
@@ -298,23 +305,28 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
         return list(source), max((p.t for p in source), default=cfg.window), 0, ""
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
-    buf = np.empty(scene.depth.pixels.size)
+    call = source
     if noisy := cfg.noise_sigma > 0:  # imported here: noise-free runs never load it
         from concurrent.futures import ThreadPoolExecutor
+        buf = np.empty(scene.depth.pixels.size)
+        pairs = [(np.empty_like(scene.rgb.pixels), np.empty_like(scene.depth.pixels))
+                 for _ in range(2)]
+        if "ws" in inspect.signature(source).parameters:
+            call = partial(source, ws=image_io.Workspace(*scene.depth.pixels.shape))
     proposals, last_error, prop = [], "", None
     # The worker starts at the first submit; leaving the block waits for it.
     with ThreadPoolExecutor(max_workers=1) if noisy else nullcontext() as pool:
-        def draw():
+        def draw(k):
             return pool.submit(_noisy_frame, rng, scene.rgb, scene.depth,
-                               cfg.noise_sigma, buf)
-        ahead = draw() if noisy and n_frames else None
+                               cfg.noise_sigma, buf, pairs[k % 2])
+        ahead = draw(0) if noisy and n_frames else None
         for k in range(n_frames):
             t = k / cfg.frame_rate
             if k == 0 or noisy:
                 rgb, depth = ahead.result() if noisy else (scene.rgb, scene.depth)
-                ahead = draw() if noisy and k + 1 < n_frames else None
+                ahead = draw(k + 1) if noisy and k + 1 < n_frames else None
                 try:
-                    prop = source(rgb, depth)
+                    prop = call(rgb, depth)
                 except VisionError as err:
                     prop, last_error = None, str(err)
             if prop is not None:

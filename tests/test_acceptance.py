@@ -215,19 +215,29 @@ def test_learned_vision():
     eps = 1e-4
     worst = 0.0
 
-    def loss_only():
-        pos, theta, _ = learned.forward_batch(params, rgb, dep)
+    # The branches do not read the head's parameters: perturbing one of them
+    # moves only forward_batch's two head expressions, run here on its emb.
+    emb = learned.forward_batch(params, rgb, dep)[2][2]
+    head = {"pos_w", "pos_b", "theta_w", "theta_b"}
+
+    def loss_only(name):
+        if name in head:
+            pos = emb @ params["pos_w"].T + params["pos_b"]
+            theta = emb @ params["theta_w"].T + params["theta_b"]
+        else:
+            pos, theta, _ = learned.forward_batch(params, rgb, dep)
         return learned.l1_loss(np.concatenate([pos, theta], axis=1), labels)[0]
 
+    assert head < set(learned._SHAPES) and loss_only("pos_w") == loss_only("rgb_k1")
     for name in learned._SHAPES:
         arr = params[name].reshape(-1)
         g = grads[name].reshape(-1)
         for i in range(arr.size):
             old = arr[i]
             arr[i] = old + eps
-            lp = loss_only()
+            lp = loss_only(name)
             arr[i] = old - eps
-            lm = loss_only()
+            lm = loss_only(name)
             arr[i] = old
             num = (lp - lm) / (2 * eps)
             worst = max(worst, abs(num - g[i])

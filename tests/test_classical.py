@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from baggrasp.classical import (BallNotFound, GraspProposal,
                                 gaussian_blur, perimeter, pixel_to_workspace,
                                 polygon_mean, polygon_theta, select_grasp,
                                 sobel_gradients, workspace_to_pixel)
-from baggrasp.image_io import RgbImage, to_gray
+from baggrasp.image_io import RgbImage, Workspace, to_gray
 from conftest import noisy_frame
 
 
@@ -416,7 +417,7 @@ def test_canny_neighbour_near_magnitude_cutoff(monkeypatch, low, share):
     gx, gy = np.zeros((5, 5)), np.zeros((5, 5))
     gx[1, 2], gx[2, 2] = 5.0 * low, low
     gx[2, 3], gy[2, 3] = v, -v
-    fake = lambda image: (gx.copy(), gy.copy())  # noqa: E731
+    fake = lambda image, ws=None: (gx.copy(), gy.copy())  # noqa: E731
     monkeypatch.setattr(classical, "sobel_gradients", fake)
     monkeypatch.setitem(globals(), "sobel_gradients", fake)
     img = np.zeros((5, 5))
@@ -749,3 +750,65 @@ def test_classical_pipeline_allocates_at_most_five_and_a_half_frames():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 256 * 144 * 8, f"peak {peak / 1024:.0f} KiB"
+
+
+def _outcome(run):
+    """run()'s proposal, or the class and message of its VisionError."""
+    try:
+        return run()
+    except classical.VisionError as err:
+        return type(err), str(err)
+
+
+def test_one_workspace_over_frames_matches_fresh_workspaces_bit_for_bit():
+    # Canny resets its magnitude and keep buffers only where the last frame
+    # set them, so a frame after one with many more edges shows any stale
+    # magnitude or keep bit. A and A2 are noisy frames of one scene; B is A
+    # with all but the quadrant above and left of the ball painted over, so
+    # it has far fewer edges, all among A's; blank has none.
+    cfg = config.PipelineConfig()
+    scene = sim.generate_scene(5, cfg)
+    rng = np.random.default_rng(21)
+    a, a2 = (noisy_frame(rng, scene, 8.0)[0] for _ in range(2))
+    cx, cy = scene.ball_center.astype(int)
+    b = a.pixels.copy()
+    b[:, cx:] = b[cy:] = sim.BACKGROUND
+    blank = RgbImage(np.full_like(b, 100))
+    frames = [a, RgbImage(b), a2, blank, a]
+    counts = [np.count_nonzero(canny(gaussian_blur(to_gray(rgb), cfg.sigma),
+                                     cfg.canny_low, cfg.canny_high)) for rgb in frames]
+    assert 0 < counts[1] < counts[0] / 3 and counts[2] > 3 * counts[1] and counts[3] == 0
+    ws = Workspace(cfg.scene_height, cfg.scene_width)
+    for rgb in frames:
+        gray = to_gray(rgb)
+        blurred = gaussian_blur(gray, cfg.sigma)
+        gx, gy = sobel_gradients(blurred)
+        want_prop = _outcome(lambda: classical_pipeline(rgb, cfg))
+        # Each output is read before the next stage call on ws may reuse it.
+        assert np.array_equal(to_gray(rgb, ws), gray)
+        assert np.array_equal(gaussian_blur(gray, cfg.sigma, ws), blurred)
+        got_x, got_y = sobel_gradients(blurred, ws)
+        assert np.array_equal(got_x, gx) and np.array_equal(got_y, gy)
+        # Unblurred, noise puts large magnitudes beside weak pixels.
+        for src, (low, high) in itertools.product(
+                (gray, blurred), ((cfg.canny_low, cfg.canny_high), (0.02, 0.05))):
+            want = canny(src, low, high)
+            want_kept = classical._kept[:]
+            assert np.array_equal(canny(src, low, high, ws), want)
+            assert all(np.array_equal(k, w) for k, w in zip(classical._kept, want_kept))
+        assert _outcome(lambda: classical_pipeline(rgb, cfg, ws)) == want_prop
+
+
+def test_a_workspace_serves_frames_of_one_size_only():
+    cfg = config.PipelineConfig()
+    ws = Workspace(cfg.scene_height, cfg.scene_width)
+    small = sim.generate_scene(1, config.PipelineConfig(scene_width=128,
+                                                        scene_height=96)).rgb
+    gray = to_gray(small)
+    calls = [lambda: to_gray(small, ws), lambda: gaussian_blur(gray, cfg.sigma, ws),
+             lambda: sobel_gradients(gray, ws), lambda: canny(gray, 0.1, 0.2, ws),
+             lambda: classical_pipeline(small, cfg, ws),
+             lambda: gaussian_blur(gray.T, cfg.sigma, Workspace(*gray.shape))]
+    for call in calls:
+        with pytest.raises(ValueError, match="workspace for"):
+            call()
