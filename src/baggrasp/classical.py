@@ -168,24 +168,10 @@ def _label8(ids: np.ndarray, w: int) -> np.ndarray:
     return connected_components(len(ids), np.nonzero(hit)[0] // 4, k[hit])
 
 
-# canny's last kept pixels, [w, sorted flat ids, their `_label8` labels], so
-# find_contours on its mask takes hysteresis' labels and makes none.
-_kept = [0, np.zeros(0, int), np.zeros(0, int)]
-
-
-def _cleared(ws: Workspace, name: str, size: int, dtype, ids) -> np.ndarray:
-    """ws's buffer name, zero but where its last user set items: those are
-    zeroed, and ids, which the caller sets next, are recorded in their place."""
-    buf = ws.flat(name, size, dtype)
-    buf[ws.marks.get(name, [])] = 0
-    ws.marks[name] = ids
-    return buf
-
-
 def _thin(gx: np.ndarray, gy: np.ndarray, low: float, ws: Workspace):
     """Non-maximum suppression of the weak pixels (magnitude >= low): the
     flat ids (y+1)*(w+2) + x+1 of those that survive, and the zero-padded
-    magnitude, in ws, that they were judged on.
+    magnitude, in ws's pad, that they were judged on.
 
     |g| <= sqrt(2) max(|gx|, |gy|): a pixel under 0.7 low is under 0.99 low,
     neither weak nor a neighbour as large as one, so it stays 0 in the
@@ -198,7 +184,8 @@ def _thin(gx: np.ndarray, gy: np.ndarray, low: float, ws: Workspace):
     near = np.flatnonzero(np.maximum(big, np.abs(gy, out=ws.flat("pad", h * w)), out=big)
                           >= 0.7 * low)
     at = near + 2 * (near // w) + w + 3
-    padded = _cleared(ws, "magnitude", (h + 2) * (w + 2), float, at)
+    padded = ws.flat("pad", (h + 2) * (w + 2))
+    padded.fill(0.0)
     padded[at] = np.hypot(gx[near], gy[near])
     weak = padded[at] >= low
     near, at = near[weak], at[weak]
@@ -216,8 +203,8 @@ def canny(gray: np.ndarray, low: float, high: float,
     against the gradient and is >= the neighbor along it (the asymmetry
     thins symmetric two-pixel ridges to one pixel). Strong pixels have
     magnitude >= high; weak ones (>= low) are kept only when their
-    8-connected component of weak pixels holds a strong pixel. The mask is
-    a view of ws's keep buffer (frames 0-2 and the pad are scratch).
+    8-connected component of weak pixels holds a strong pixel. The mask is a new
+    array; ws.kept records its pixels' flat ids and labels (ws's buffers are scratch).
     """
     if not (0.0 < low < high <= 1.0):
         raise ValueError("require 0 < low < high <= 1")
@@ -227,9 +214,9 @@ def canny(gray: np.ndarray, low: float, high: float,
     label = _label8(at, w)
     kept = np.isin(label, label[padded[at] >= high])
     # A kept component's first pixel is kept, so labels re-index into the kept.
-    _kept[:] = w, at[kept], (np.cumsum(kept) - 1)[label[kept]]
-    keep = _cleared(ws, "keep", padded.size, bool, _kept[1])
-    keep[_kept[1]] = True
+    ws.kept = at[kept], (np.cumsum(kept) - 1)[label[kept]]
+    keep = np.zeros((h + 2) * (w + 2), dtype=bool)
+    keep[ws.kept[0]] = True
     return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
 
 
@@ -280,8 +267,9 @@ def _trace_boundary(edge: set[int], start: int, w: int, size: int) -> np.ndarray
     return np.column_stack([ids % (w + 2) - 1, ids // (w + 2) - 1]).astype(float)
 
 
-def find_contours(mask: np.ndarray) -> list[np.ndarray]:
-    """Boundary polygons of the 8-connected components of an edge mask.
+def find_contours(mask: np.ndarray, ws: Workspace | None = None) -> list[np.ndarray]:
+    """Boundary polygons of the 8-connected components of an edge mask, by
+    the labels in ws.kept when canny recorded this mask there.
 
     Components smaller than 3 pixels are dropped. Each polygon is an (N, 2)
     array of (x, y) vertices in trace order, components in row-major order.
@@ -292,9 +280,8 @@ def find_contours(mask: np.ndarray) -> list[np.ndarray]:
     # A label is the index of its component's first pixel, so size[k] is
     # the size of the component that starts at pixel k. A trace only visits
     # the 8-neighbours of its own component, so one set serves every trace.
-    last_w, last_ids, last_label = _kept
-    same = last_w == w and np.array_equal(ids, last_ids)
-    size = np.bincount(last_label if same else _label8(ids, w))
+    kept_ids, label = Workspace.for_frame(ws, np.shape(mask)).kept
+    size = np.bincount(label if np.array_equal(ids, kept_ids) else _label8(ids, w))
     edge = set(ids.tolist())
     return [_trace_boundary(edge, int(ids[k]), w, int(size[k]))
             for k in np.flatnonzero(size >= 3)]
@@ -378,8 +365,7 @@ def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig,
     ws = Workspace.for_frame(ws, (rgb.height, rgb.width))
     edges = canny(gaussian_blur(to_gray(rgb, ws), cfg.sigma, ws), cfg.canny_low,
                   cfg.canny_high, ws)
-    del ws  # a fresh workspace is freed here, but for the buffer under edges
-    polygons = find_contours(edges)
+    polygons = find_contours(edges, ws)
     center, radius = detect_ball(rgb, cfg.color_low, cfg.color_high)
     mean, theta = select_grasp(polygons, center, radius, cfg.perimeter_min)
     return pixel_to_workspace(mean, theta, cfg)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-# Most frames an episode may attempt: 100 Hz over the default 10 s window.
-# The denoiser compares every pair of an episode's proposals, so this also
-# bounds its n x n distance matrix (16 MB at the cap).
+# Most frames an episode may attempt (100 Hz over the default 10 s window), and
+# most proposals denoise clusters at once: its n x n arrays peak near 47 MiB.
 MAX_FRAMES = 1000
 # Most control steps (1000 s at 100 Hz; the trace keeps a row per step) and
 # most scene pixels (1920 x 1080) an episode may have.

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from .classical import GraspProposal, connected_components
+from .config import MAX_FRAMES, InputError
 
 THETA_BIN = math.radians(5.0)
 
@@ -55,6 +56,8 @@ def select(clusters) -> GraspProposal:
 
 def denoise(proposals, now: float, window: float, threshold: float) -> GraspProposal:
     """Sort stably by timestamp, keep proposals with now - t <= window
-    (closed), then cluster and select."""
+    (closed), at most MAX_FRAMES of them, then cluster and select."""
     kept = [p for p in sorted(proposals, key=lambda p: p.t) if now - p.t <= window]
+    if len(kept) > MAX_FRAMES:
+        raise InputError(f"{len(kept)} proposals in the window; at most {MAX_FRAMES}")
     return select(cluster(kept, threshold))

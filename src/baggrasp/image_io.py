@@ -125,24 +125,23 @@ def save_pgm(image: DepthImage, path) -> None:
 
 
 class Workspace:
-    """Buffers that the per-pixel stages (to_gray; classical's gaussian_blur,
-    sobel_gradients and canny) reuse frame after frame, for frames of one
-    (height, width). Each buffer is made, zeroed, at its first use, so a run
-    of frames through one workspace makes no frame-sized array after the
-    first. A stage output made in a workspace is one of its buffers: it is
-    valid only until the next stage call on the workspace, so never past
-    the workspace's next frame, and is not to be written into. A stage
-    given no workspace makes a fresh one."""
+    """A frame's state, reused frame after frame for frames of one (height,
+    width): float buffers for the per-pixel stages (to_gray; classical's
+    gaussian_blur, sobel_gradients and canny), each made, zeroed, at its
+    first use, so a run of frames makes no frame-sized array after the
+    first, and `kept`, canny's record of its mask for find_contours. A stage
+    output made in a workspace is one of its buffers: valid only until the
+    next stage call on it, never past its next frame, and not to be written
+    into. A stage given no workspace makes a fresh one."""
 
     def __init__(self, height: int, width: int):
         self.shape = (height, width)
-        self.marks: dict = {}  # a stage's record of what it left in a buffer
+        self.kept = (np.zeros(0, int), np.zeros(0, int))
         self._buffers: dict = {}
 
     @classmethod
     def for_frame(cls, ws: "Workspace | None", shape) -> "Workspace":
         """ws, which must be for frames of shape (height, width), or a fresh one."""
-        shape = tuple(shape)
         if ws is None:
             return cls(*shape)
         if ws.shape != shape:
@@ -150,12 +149,12 @@ class Workspace:
                              f"given a {shape[0]}x{shape[1]} frame")
         return ws
 
-    def flat(self, name: str, size: int, dtype=float) -> np.ndarray:
-        """The first size items of the buffer called name, made when missing
-        or smaller."""
+    def flat(self, name: str, size: int) -> np.ndarray:
+        """The first size items of the float buffer called name, made when
+        missing or smaller."""
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.zeros(size, dtype)
+            buf = self._buffers[name] = np.zeros(size)
         return buf[:size]
 
     def frame(self, k: int) -> np.ndarray:

@@ -5,12 +5,10 @@ perfect-velocity-tracking plant, and the end-to-end episode runner
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -230,14 +228,14 @@ def arm_for(cfg: PipelineConfig) -> kinematics.ArmModel:
 
 def vision_source(vision: str, cfg: PipelineConfig, params=None):
     """Frame -> proposal function for an image vision mode, cfg and params
-    bound: source(rgb, depth) -> GraspProposal at t = 0, or VisionError. The
-    classical source also takes a frame workspace, source(rgb, depth, ws)."""
+    bound: source(rgb, depth, ws=None) -> GraspProposal at t = 0, or
+    VisionError; ws, a frame workspace, serves the classical source only."""
     if vision == "classical":
         return lambda rgb, depth, ws=None: classical.classical_pipeline(rgb, cfg, ws)
     if vision == "learned":
         if params is None:
             raise ValueError("learned vision requires params")
-        return lambda rgb, depth: classical.pixel_to_workspace(
+        return lambda rgb, depth, ws=None: classical.pixel_to_workspace(
             *learned.predict(params, rgb, depth), cfg)
     raise ValueError(f"no image vision mode {vision!r}")
 
@@ -291,11 +289,11 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
 
     Noisy frames (_noisy_frame's) are drawn one ahead on one worker thread,
     the only one to touch the episode's rng, in frame order, so they do not
-    depend on thread timing, and no draw outlives the call. A noisy episode
-    has one frame workspace, freed on return: the draw's float buffer, two
-    (rgb, depth) pairs that the draws fill in turn, so a frame is valid
-    until the source returns, and an image_io.Workspace for a source with a
-    `ws` parameter. The source runs on the calling thread; each proposal is
+    depend on thread timing, and no draw outlives the call. Frame state is
+    freed on return: the image_io.Workspace that every source(rgb, depth,
+    ws) call gets, and a noisy episode's draw buffer and two (rgb, depth)
+    pairs that the draws fill in turn, so a frame is valid until the source
+    returns. The source runs on the calling thread; each proposal is
     stamped here with its frame's time, so the proposal from the first
     noise-free frame, made once, serves them all.
 
@@ -305,14 +303,12 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
         return list(source), max((p.t for p in source), default=cfg.window), 0, ""
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
-    call = source
+    ws = image_io.Workspace(*scene.depth.pixels.shape)
     if noisy := cfg.noise_sigma > 0:  # imported here: noise-free runs never load it
         from concurrent.futures import ThreadPoolExecutor
         buf = np.empty(scene.depth.pixels.size)
         pairs = [(np.empty_like(scene.rgb.pixels), np.empty_like(scene.depth.pixels))
                  for _ in range(2)]
-        if "ws" in inspect.signature(source).parameters:
-            call = partial(source, ws=image_io.Workspace(*scene.depth.pixels.shape))
     proposals, last_error, prop = [], "", None
     # The worker starts at the first submit; leaving the block waits for it.
     with ThreadPoolExecutor(max_workers=1) if noisy else nullcontext() as pool:
@@ -326,7 +322,7 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
                 rgb, depth = ahead.result() if noisy else (scene.rgb, scene.depth)
                 ahead = draw(k + 1) if noisy and k + 1 < n_frames else None
                 try:
-                    prop = call(rgb, depth)
+                    prop = source(rgb, depth, ws)
                 except VisionError as err:
                     prop, last_error = None, str(err)
             if prop is not None:

@@ -365,6 +365,34 @@ def test_simulate_batch_file_vision_exits_2(tmp_path, capsys):
     assert not (tmp_path / "batch").exists()
 
 
+def test_more_than_max_frames_proposals_in_the_window_exit_2(tmp_path, monkeypatch,
+                                                            capsys):
+    # The denoiser's pairwise arrays grow as n^2 (about 47 MiB at the cap), so
+    # it takes at most MAX_FRAMES proposals inside its window, from either
+    # input; one older than the window does not count.
+    assert config.MAX_FRAMES == 1000
+    line = '{{"x": 0.6, "y": 0.1, "theta": 0.2, "t": {}}}\n'
+    old = line.format(-20.0)
+    for n, older, rc in ((1000, "", 0), (1000, old, 0), (1001, "", 2)):
+        lines = older + "".join(line.format(k / 1000) for k in range(n))
+        props, out = tmp_path / "props.jsonl", tmp_path / f"ep{n}{bool(older)}"
+        props.write_text(lines)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["denoise"]) == rc
+        denoised = capsys.readouterr()
+        assert main(["simulate", "--seed", "0", "--vision", "file", "--proposals",
+                     str(props), "--out", str(out)]) == rc
+        simulated = capsys.readouterr()
+        if rc:
+            for captured in (denoised, simulated):
+                assert captured.out == "" and "1001 proposals" in captured.err
+        else:
+            assert json.loads(denoised.out)["t"] == (n - 1) / 1000
+            report = json.loads(simulated.out)
+            assert report["stats"]["proposals_collected"] == n + bool(older)
+        assert out.exists() == (rc == 0)
+
+
 def test_nonfinite_timestamp_exits_2(tmp_path, monkeypatch, capsys):
     for line in ('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": NaN}\n',
                  '{"x": 1e300, "y": 0.0, "theta": 0.2, "t": 0.0}\n',
@@ -588,3 +616,57 @@ def test_control_layer_imports_only_so3_and_config():
     src = Path(sim.__file__).parent
     for module in ("so3", "trajectory", "kinematics"):
         assert _package_imports(src / f"{module}.py") <= {"so3", "config"}, module
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "update",
+             "setdefault", "popitem", "add", "discard", "sort", "reverse", "fill",
+             "put", "resize"}
+
+
+def _root_name(node):
+    """The name at the root of a chain of subscripts and attributes, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_writes(tree) -> list:
+    """(function, line) of each write, inside a function, into a name that
+    the module binds: an item, slice or attribute assignment or deletion, an
+    augmented assignment, a mutating method call or an out= argument on it,
+    or a global statement."""
+    bound = {n.id for stmt in tree.body
+             if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+             for n in ast.walk(stmt) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Store)}
+    writes = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+        shared = bound - local
+        for node in ast.walk(fn):
+            hits = []
+            if isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(
+                    node.ctx, ast.Load):
+                hits = [node]
+            elif isinstance(node, ast.AugAssign):
+                hits = [node.target]
+            elif isinstance(node, ast.Call):
+                hits = [k.value for k in node.keywords if k.arg == "out"]
+                if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                    hits.append(node.func.value)
+            if isinstance(node, ast.Global) or any(_root_name(h) in shared for h in hits):
+                writes.append((getattr(fn, "name", "<lambda>"), node.lineno))
+    return sorted(set(writes))
+
+
+def test_no_src_function_writes_module_state():
+    # A frame's state has one owner, the workspace its caller passes: no
+    # src function keeps state between calls in a module-level name.
+    src = Path(sim.__file__).parent
+    writes = {path.stem: _module_state_writes(ast.parse(path.read_text()))
+              for path in sorted(src.glob("*.py"))}
+    assert {module: w for module, w in writes.items() if w} == {}

@@ -462,9 +462,9 @@ def test_episode_noisy_stream_collects_frames(cfg):
 def _counting(source):
     calls = []
 
-    def counted(rgb, depth):
+    def counted(rgb, depth, ws):
         calls.append(rgb)
-        return source(rgb, depth)
+        return source(rgb, depth, ws)
     return counted, calls
 
 
@@ -496,9 +496,9 @@ def _seen_frames(source):
     """source wrapped to record the exact bytes of every frame it is given."""
     seen = []
 
-    def recorded(rgb, depth):
+    def recorded(rgb, depth, ws):
         seen.append((rgb.pixels.tobytes(), depth.pixels.tobytes()))
-        return source(rgb, depth)
+        return source(rgb, depth, ws)
     return recorded, seen
 
 
@@ -557,10 +557,10 @@ def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, noise_s
         return noisy_frame(*args)
     monkeypatch.setattr(sim, "_noisy_frame", counted_draw)
 
-    def slow(rgb, depth):
+    def slow(rgb, depth, ws):
         time.sleep(0.005)  # room for draws queued too far ahead to start
         leads.append(len(draws) - len(leads))  # this is frame len(leads)
-        return classical_source(run_cfg)(rgb, depth)
+        return classical_source(run_cfg)(rgb, depth, ws)
     threads = threading.active_count()
     _, _, frames, _ = sim._collect(slow, scene, run_cfg, 4)
     assert threading.active_count() == threads
@@ -657,11 +657,11 @@ def test_collect_propagates_a_source_error(cfg):
     scene = sim.generate_scene(4, run_cfg)
     calls = []
 
-    def broken(rgb, depth):
+    def broken(rgb, depth, ws):
         calls.append(rgb)
         if len(calls) == 2:
             raise RuntimeError("source broke")
-        return classical_source(run_cfg)(rgb, depth)
+        return classical_source(run_cfg)(rgb, depth, ws)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="source broke"):
         sim._collect(broken, scene, run_cfg, 4)
