@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_TIMESTAMP, WORKSPACE_LIMIT, InputError, PipelineConfig
-from .image_io import RgbImage, Workspace, to_gray
+from .image_io import Workspace, to_gray
 
 
 class VisionError(RuntimeError):
@@ -220,17 +220,17 @@ def canny(gray: np.ndarray, low: float, high: float,
     return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
 
 
-def detect_ball(image: RgbImage, color_low, color_high) -> tuple[np.ndarray, float]:
-    """Centroid (x, y) and equivalent-area-disc radius of pixels in a color box."""
+def detect_ball(image: np.ndarray, color_low, color_high) -> tuple[np.ndarray, float]:
+    """Centroid (x, y) and equivalent-area-disc radius of RGB pixels in a color box."""
     lo = np.asarray(color_low, dtype=np.uint8)
     hi = np.asarray(color_high, dtype=np.uint8)
     if np.any(lo > hi):
         raise ValueError("color_low must be componentwise <= color_high")
-    red = image.pixels[..., 0].ravel()  # a copy; green and blue only on its hits
+    red = image[..., 0].ravel()  # a copy; green and blue only on its hits
     ids = np.flatnonzero((red >= lo[0]) & (red <= hi[0]))  # row-major order
-    g, b = image.pixels.reshape(-1, 3)[ids, 1:].T
+    g, b = image.reshape(-1, 3)[ids, 1:].T
     ys, xs = np.divmod(ids[(g >= lo[1]) & (g <= hi[1]) & (b >= lo[2]) & (b <= hi[2])],
-                       image.width)
+                       image.shape[1])
     if len(xs) == 0:
         raise BallNotFound("ball not found: no pixels inside the color range")
     return np.array([xs.mean(), ys.mean()]), math.sqrt(len(xs) / math.pi)
@@ -357,12 +357,12 @@ def workspace_to_pixel(target, cfg: PipelineConfig) -> np.ndarray:
             / (cfg.scale_x, cfg.scale_y))
 
 
-def classical_pipeline(rgb: RgbImage, cfg: PipelineConfig,
+def classical_pipeline(rgb: np.ndarray, cfg: PipelineConfig,
                        ws: Workspace | None = None) -> GraspProposal:
     """Full classical path: blur, Canny, contours, ball, selection, calibration,
     the per-pixel stages in ws (or a fresh workspace). The proposal's t is 0;
     its caller stamps the frame's time."""
-    ws = Workspace.for_frame(ws, (rgb.height, rgb.width))
+    ws = Workspace.for_frame(ws, rgb.shape[:2])
     edges = canny(gaussian_blur(to_gray(rgb, ws), cfg.sigma, ws), cfg.canny_low,
                   cfg.canny_high, ws)
     polygons = find_contours(edges, ws)

@@ -157,6 +157,8 @@ def cmd_simulate(args, cfg) -> int:
             raise InputError("--vision file requires --proposals")
         source = _parse_proposals(config.read_text(
             args.proposals, "proposals file").splitlines(), args.proposals)
+        if not source:
+            raise InputError(f"{args.proposals}: no proposals in the file")
         scene = None
     else:
         params = _learned_params(args) if args.vision == "learned" else None

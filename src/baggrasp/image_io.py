@@ -1,5 +1,6 @@
-"""RGB and depth raster containers, binary PPM/PGM file I/O, and the
-grayscale / crop / resize preprocessing shared by the vision paths.
+"""Binary PPM/PGM file I/O and the grayscale / crop / resize preprocessing
+shared by the vision paths. An RGB image is a uint8 array (height, width, 3);
+a depth image is a native uint16 array (height, width), in millimeters.
 
 Wire formats: PPM is binary P6 with maxval 255; PGM is binary P5 with
 maxval 65535 and big-endian 16-bit samples (depth in millimeters).
@@ -9,7 +10,6 @@ maxval 65535 and big-endian 16-bit samples (depth in millimeters).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,45 +19,6 @@ from .config import InputError, read_bytes
 
 class FormatError(InputError):
     """Malformed or unsupported image file."""
-
-
-@dataclass
-class _Raster:
-    """Pixel array shaped (height, width) plus the subclass's CHANNELS axes."""
-
-    pixels: np.ndarray
-    CHANNELS = ()
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=self.DTYPE)
-        if self.pixels.shape[2:] != self.CHANNELS or self.pixels.ndim < 2:
-            dims = ", ".join(["height", "width", *map(str, self.CHANNELS)])
-            raise ValueError(f"{type(self).__name__} pixels must be ({dims})")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-
-@dataclass
-class RgbImage(_Raster):
-    """8-bit RGB raster, pixels shaped (height, width, 3)."""
-
-    DTYPE = np.uint8
-    CHANNELS = (3,)
-
-
-@dataclass
-class DepthImage(_Raster):
-    """16-bit depth raster in millimeters, pixels shaped (height, width)."""
-
-    DTYPE = np.uint16
 
 
 # A header field, after any whitespace and '#' comments (each to its line's end).
@@ -104,24 +65,25 @@ def _load_netpbm(path, what: str, magic: bytes, maxval: int, channels: int,
     return np.frombuffer(payload, dtype).reshape(height, width, channels)
 
 
-def load_ppm(path) -> RgbImage:
-    """Load a binary (P6) PPM file."""
-    return RgbImage(_load_netpbm(path, "PPM image", b"P6", 255, 3, "u1").copy())
+def load_ppm(path) -> np.ndarray:
+    """A binary (P6) PPM file's RGB image: a writable uint8 array (height, width, 3)."""
+    return _load_netpbm(path, "PPM image", b"P6", 255, 3, "u1").copy()
 
 
-def save_ppm(image: RgbImage, path) -> None:
-    header = f"P6\n{image.width} {image.height}\n255\n".encode()
-    Path(path).write_bytes(header + image.pixels.tobytes())
+def save_ppm(image: np.ndarray, path) -> None:
+    header = f"P6\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
+    Path(path).write_bytes(header + image.tobytes())
 
 
-def load_pgm(path) -> DepthImage:
-    """Load a binary (P5) PGM file with 16-bit big-endian samples."""
-    return DepthImage(_load_netpbm(path, "PGM image", b"P5", 65535, 1, ">u2")[:, :, 0])
+def load_pgm(path) -> np.ndarray:
+    """A binary (P5) PGM file's 16-bit big-endian depth image: a writable,
+    native-endian uint16 array (height, width)."""
+    return _load_netpbm(path, "PGM image", b"P5", 65535, 1, ">u2")[:, :, 0].astype(np.uint16)
 
 
-def save_pgm(image: DepthImage, path) -> None:
-    header = f"P5\n{image.width} {image.height}\n65535\n".encode()
-    Path(path).write_bytes(header + image.pixels.astype(">u2").tobytes())
+def save_pgm(image: np.ndarray, path) -> None:
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode()
+    Path(path).write_bytes(header + image.astype(">u2").tobytes())
 
 
 class Workspace:
@@ -162,28 +124,15 @@ class Workspace:
         return self.flat(f"frame{k}", self.shape[0] * self.shape[1]).reshape(self.shape)
 
 
-def to_gray(image: RgbImage, ws: Workspace | None = None) -> np.ndarray:
-    """Luminance 0.299 R + 0.587 G + 0.114 B, scaled to [0, 1]: a float
-    array shaped (height, width), in ws's frame 0 (frame 1 is scratch)."""
-    px = image.pixels  # uint8 channels: no float copy of the frame
-    ws = Workspace.for_frame(ws, px.shape[:2])
-    lum = np.multiply(px[..., 0], 0.299, out=ws.frame(0))
+def to_gray(image: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Luminance 0.299 R + 0.587 G + 0.114 B of an RGB image, scaled to [0, 1]:
+    a float array (height, width), in ws's frame 0 (frame 1 is scratch)."""
+    ws = Workspace.for_frame(ws, image.shape[:2])
+    lum = np.multiply(image[..., 0], 0.299, out=ws.frame(0))  # no float copy of the frame
     tmp = ws.frame(1)
-    lum += np.multiply(px[..., 1], 0.587, out=tmp)
-    lum += np.multiply(px[..., 2], 0.114, out=tmp)
+    lum += np.multiply(image[..., 1], 0.587, out=tmp)
+    lum += np.multiply(image[..., 2], 0.114, out=tmp)
     return np.divide(lum, 255.0, out=lum)
-
-
-def crop_center_quarter(image):
-    """Central crop of half the width and half the height (1/4 of the area).
-
-    Accepts RgbImage or DepthImage and returns the same type.
-    """
-    w, h = image.width, image.height
-    if w < 4 or h < 4:
-        raise InputError(f"image too small to crop: {w}x{h}")
-    ox, oy, cw, ch = crop_window(w, h)
-    return type(image)(image.pixels[oy:oy + ch, ox:ox + cw].copy())
 
 
 def crop_window(w: int, h: int) -> tuple[int, int, int, int]:
@@ -209,11 +158,10 @@ def _bilinear(src: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return cols[y0] * (1 - fy) + cols[y1] * fy  # take's C order: whole-row copies
 
 
-def resize_bilinear(image, out_w: int, out_h: int):
-    """Bilinear resize to exactly (out_w, out_h); same image type out."""
+def resize_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
+    """Bilinear resize of an RGB or depth image to exactly (out_w, out_h):
+    rounded and clipped to the input's unsigned integer dtype, which it keeps."""
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
-    out = _bilinear(image.pixels.astype(float), out_w, out_h)
-    if isinstance(image, RgbImage):
-        return RgbImage(np.clip(np.round(out), 0, 255).astype(np.uint8))
-    return DepthImage(np.clip(np.round(out), 0, 65535).astype(np.uint16))
+    out = _bilinear(image.astype(float), out_w, out_h)
+    return np.clip(np.round(out), 0, np.iinfo(image.dtype).max).astype(image.dtype)

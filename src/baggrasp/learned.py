@@ -29,7 +29,6 @@ import numpy as np
 
 from . import image_io
 from .config import InputError, read_bytes, read_text
-from .image_io import DepthImage, RgbImage
 
 IN_H, IN_W = 36, 64
 DEPTH_SCALE = 1000.0  # raw depth (mm) -> meters for network input
@@ -39,17 +38,12 @@ _MAGIC = b"BAGNET01"
 
 @dataclass
 class LabeledScene:
-    """A 36x64 training sample: rasters plus the labeled grasp pixel/angle."""
+    """A 36x64 training sample: preprocess's images plus the labeled grasp pixel/angle."""
 
-    rgb: RgbImage
-    depth: DepthImage
+    rgb: np.ndarray
+    depth: np.ndarray
     label_px: tuple
     label_theta: float
-
-    def __post_init__(self):
-        for img in (self.rgb, self.depth):
-            if (img.height, img.width) != (IN_H, IN_W):
-                raise ValueError(f"scene rasters must be {IN_H}x{IN_W}")
 
     def normalized_label(self) -> np.ndarray:
         x, y = self.label_px
@@ -59,8 +53,8 @@ class LabeledScene:
 
 def image_tensors(rgbs, depths) -> tuple[np.ndarray, np.ndarray]:
     """Network inputs of n image pairs: RGB in [0, 1] (n,3,h,w), depth in m (n,1,h,w)."""
-    r = np.stack([img.pixels for img in rgbs]).astype(float) / 255.0
-    d = np.stack([img.pixels for img in depths])[..., None].astype(float) / DEPTH_SCALE
+    r = np.stack(rgbs).astype(float) / 255.0
+    d = np.stack(depths)[..., None].astype(float) / DEPTH_SCALE
     return r.transpose(0, 3, 1, 2), d.transpose(0, 3, 1, 2)
 
 
@@ -278,20 +272,25 @@ def load_params(path) -> dict[str, np.ndarray]:
             pos += 8 * n
     except struct.error as err:
         raise InputError(f"{path}: truncated params file") from err
+    if pos < len(data):
+        raise InputError(f"{path}: {len(data) - pos} bytes after the last array")
     return arrays
 
 
-def preprocess(rgb: RgbImage, depth: DepthImage):
-    """Full-frame pair -> network tensors plus the 36x64 -> full-frame
-    pixel map (crop offsets and per-axis scales)."""
-    if rgb.pixels.shape[:2] != depth.pixels.shape:
-        raise InputError(f"RGB image is {rgb.width}x{rgb.height} but depth image "
-                         f"is {depth.width}x{depth.height}")
-    ox, oy, cw, ch = image_io.crop_window(rgb.width, rgb.height)
-    rgb_small = image_io.resize_bilinear(image_io.crop_center_quarter(rgb), IN_W, IN_H)
-    dep_small = image_io.resize_bilinear(image_io.crop_center_quarter(depth), IN_W, IN_H)
-    sx, sy = cw / IN_W, ch / IN_H
-    return rgb_small, dep_small, (ox, oy, sx, sy)
+def preprocess(rgb: np.ndarray, depth: np.ndarray):
+    """A full-frame pair, uint8 RGB (h, w, 3) and uint16 depth (h, w), at
+    least 4x4 -> the central quarter of each resized to 36x64 (same dtypes),
+    plus the 36x64 -> full-frame pixel map (crop offsets and per-axis scales)."""
+    (h, w), (dh, dw) = rgb.shape[:2], depth.shape
+    if (h, w) != (dh, dw):
+        raise InputError(f"RGB image is {w}x{h} but depth image is {dw}x{dh}")
+    if w < 4 or h < 4:
+        raise InputError(f"image too small to crop: {w}x{h}")
+    ox, oy, cw, ch = image_io.crop_window(w, h)
+    crop = np.s_[oy:oy + ch, ox:ox + cw]
+    rgb_small = image_io.resize_bilinear(rgb[crop], IN_W, IN_H)
+    dep_small = image_io.resize_bilinear(depth[crop], IN_W, IN_H)
+    return rgb_small, dep_small, (ox, oy, cw / IN_W, ch / IN_H)
 
 
 def net_to_full_px(px, py, frame) -> tuple[float, float]:
@@ -304,7 +303,7 @@ def full_to_net_px(px, py, frame) -> tuple[float, float]:
     return (px - ox + 0.5) / sx - 0.5, (py - oy + 0.5) / sy - 0.5
 
 
-def predict(params: dict, rgb: RgbImage, depth: DepthImage):
+def predict(params: dict, rgb: np.ndarray, depth: np.ndarray):
     """Predicted grasp for a full-frame pair: ((x, y) full-frame pixels, theta).
 
     theta is wrapped into (-pi/2, pi/2].

@@ -16,7 +16,6 @@ import numpy as np
 from . import classical, denoise, image_io, kinematics, learned, so3, trajectory
 from .classical import GraspProposal, VisionError, workspace_to_pixel, wrap_half_pi
 from .config import PipelineConfig
-from .image_io import DepthImage, RgbImage
 
 BACKGROUND = (100, 100, 100)
 BALL_COLOR = (183, 72, 27)    # same luminance as the background: the ball is
@@ -56,8 +55,8 @@ class CreaseSegment:
 
 @dataclass
 class Scene:
-    rgb: RgbImage
-    depth: DepthImage
+    rgb: np.ndarray     # uint8 (h, w, 3)
+    depth: np.ndarray   # uint16 (h, w), mm
     ball_center: np.ndarray
     ball_radius: float
     creases: list = field(default_factory=list)
@@ -179,27 +178,24 @@ def generate_scene(seed: int, cfg: PipelineConfig, flat: bool = False) -> Scene:
         best = min(creases, key=lambda s: (
             abs(np.linalg.norm(s.midpoint - center) - 1.1 * radius), -s.length))
         label = (best.midpoint.copy(), best.angle)
-    return Scene(RgbImage(rgb), DepthImage(depth.astype(np.uint16)),
-                 center, radius, creases, label)
+    return Scene(rgb, depth.astype(np.uint16), center, radius, creases, label)
 
 
-def _noisy_frame(rng, rgb: RgbImage, depth: DepthImage, sigma: float,
-                 buf: np.ndarray, out) -> tuple[RgbImage, DepthImage]:
+def _noisy_frame(rng, rgb: np.ndarray, depth: np.ndarray, sigma: float,
+                 buf: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
     """One frame's per-pixel Gaussian noise of sigma > 0 (levels, mm), into
-    out's pixel arrays (rgb's, depth's), bit for bit a float copy plus
-    rng.normal(0, sigma), rounded, clipped and cast: runs through the float
-    buffer buf draw numpy normal's values in its order, and sigma * z is its
-    0 + sigma * z once a pixel is added."""
-    frame = []
+    out, the (rgb, depth) pair of arrays it returns, bit for bit a float copy
+    plus rng.normal(0, sigma), rounded, clipped and cast: runs through the
+    float buffer buf draw numpy normal's values in its order, and sigma * z
+    is its 0 + sigma * z once a pixel is added."""
     for image, top, pixels in zip((rgb, depth), (255, 65535), out):
-        src, dst = image.pixels.reshape(-1), pixels.reshape(-1)
+        src, dst = image.reshape(-1), pixels.reshape(-1)
         for i in range(0, src.size, buf.size):
             run = rng.standard_normal(out=buf[:src.size - i])
             run *= sigma
             run += src[i:i + run.size]
             dst[i:i + run.size] = np.clip(np.round(run, out=run), 0, top, out=run)
-        frame.append(type(image)(pixels))
-    return tuple(frame)
+    return out
 
 
 def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
@@ -207,18 +203,18 @@ def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
     return np.minimum(np.maximum(q + qdot_d * dt, lower), upper)
 
 
-def draw_overlay(rgb: RgbImage, px, theta: float) -> RgbImage:
-    """Copy of rgb with the grasp marked: cyan angle line under a red dot."""
-    out = rgb.pixels.copy()
+def draw_overlay(rgb: np.ndarray, px, theta: float) -> np.ndarray:
+    """Copy of the RGB image with the grasp marked: cyan angle line under a red dot."""
+    out = rgb.copy()
     cx, cy = float(px[0]), float(px[1])
     s = np.linspace(-OVERLAY_HALF_LEN, OVERLAY_HALF_LEN, int(8 * OVERLAY_HALF_LEN) + 1)
     line = np.round([cx + s * math.cos(theta), cy + s * math.sin(theta)]).astype(int)
     off = np.mgrid[-2:3, -2:3].reshape(2, -1)
     dot = np.round([[cx], [cy]]).astype(int) + off[:, (off * off).sum(0) <= 4]
     for (x, y), color in ((line, (0, 255, 255)), (dot, (255, 0, 0))):
-        keep = (0 <= x) & (x < rgb.width) & (0 <= y) & (y < rgb.height)
+        keep = (0 <= x) & (x < rgb.shape[1]) & (0 <= y) & (y < rgb.shape[0])
         out[y[keep], x[keep]] = color
-    return RgbImage(out)
+    return out
 
 
 def arm_for(cfg: PipelineConfig) -> kinematics.ArmModel:
@@ -303,12 +299,11 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
         return list(source), max((p.t for p in source), default=cfg.window), 0, ""
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
-    ws = image_io.Workspace(*scene.depth.pixels.shape)
+    ws = image_io.Workspace(*scene.depth.shape)
     if noisy := cfg.noise_sigma > 0:  # imported here: noise-free runs never load it
         from concurrent.futures import ThreadPoolExecutor
-        buf = np.empty(scene.depth.pixels.size)
-        pairs = [(np.empty_like(scene.rgb.pixels), np.empty_like(scene.depth.pixels))
-                 for _ in range(2)]
+        buf = np.empty(scene.depth.size)
+        pairs = [(np.empty_like(scene.rgb), np.empty_like(scene.depth)) for _ in range(2)]
     proposals, last_error, prop = [], "", None
     # The worker starts at the first submit; leaving the block waits for it.
     with ThreadPoolExecutor(max_workers=1) if noisy else nullcontext() as pool:
@@ -418,7 +413,7 @@ def report_to_dict(report: EpisodeReport) -> dict:
 
 
 def write_episode_artifacts(report: EpisodeReport, cfg: PipelineConfig,
-                            out_dir, rgb: RgbImage | None) -> None:
+                            out_dir, rgb: np.ndarray | None) -> None:
     """report.json + trace.csv (+ overlay.ppm when an image is available)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

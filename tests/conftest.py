@@ -33,9 +33,9 @@ def noisy_frame(rng, scene, sigma: float):
     if sigma == 0:
         return scene.rgb, scene.depth
     return sim._noisy_frame(rng, scene.rgb, scene.depth, sigma,
-                            np.empty(scene.depth.pixels.size),
-                            (np.empty_like(scene.rgb.pixels),
-                             np.empty_like(scene.depth.pixels)))
+                            np.empty(scene.depth.size),
+                            (np.empty_like(scene.rgb),
+                             np.empty_like(scene.depth)))
 
 
 def is_rotation(R, tol=1e-9) -> bool:

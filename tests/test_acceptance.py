@@ -215,20 +215,37 @@ def test_learned_vision():
     eps = 1e-4
     worst = 0.0
 
-    # The branches do not read the head's parameters: perturbing one of them
-    # moves only forward_batch's two head expressions, run here on its emb.
-    emb = learned.forward_batch(params, rgb, dep)[2][2]
+    # The branches do not read the head's parameters, and a branch parameter
+    # moves only its own branch's embedding: perturbing a head parameter
+    # moves only forward_batch's two head expressions, run here on its emb,
+    # and perturbing a branch parameter re-runs that branch alone, adding the
+    # other's unperturbed embedding in forward_batch's order.
+    inputs, parts = {"rgb": rgb, "dep": dep}, ("k1", "b1", "k2", "b2")
+
+    def branch(name):
+        return learned._branch_forward(inputs[name], *(params[f"{name}_{p}"]
+                                                       for p in parts))[0]
+    embs = {name: branch(name) for name in inputs}
     head = {"pos_w", "pos_b", "theta_w", "theta_b"}
 
     def loss_only(name):
-        if name in head:
-            pos = emb @ params["pos_w"].T + params["pos_b"]
-            theta = emb @ params["theta_w"].T + params["theta_b"]
-        else:
-            pos, theta, _ = learned.forward_batch(params, rgb, dep)
+        moved = embs if name in head else {**embs, name[:3]: branch(name[:3])}
+        emb = moved["rgb"] + moved["dep"]
+        pos = emb @ params["pos_w"].T + params["pos_b"]
+        theta = emb @ params["theta_w"].T + params["theta_b"]
         return learned.l1_loss(np.concatenate([pos, theta], axis=1), labels)[0]
 
-    assert head < set(learned._SHAPES) and loss_only("pos_w") == loss_only("rgb_k1")
+    def full_loss():
+        pos, theta, _ = learned.forward_batch(params, rgb, dep)
+        return learned.l1_loss(np.concatenate([pos, theta], axis=1), labels)[0]
+
+    assert set(learned._SHAPES) == head | {f"{b}_{p}" for b in inputs for p in parts}
+    for name in ("pos_w", "theta_b", "rgb_k1", "rgb_b2", "dep_k1", "dep_b2"):
+        old = params[name].flat[0]
+        for value in (old, old + eps):
+            params[name].flat[0] = value
+            assert loss_only(name) == full_loss(), (name, value)
+        params[name].flat[0] = old
     for name in learned._SHAPES:
         arr = params[name].reshape(-1)
         g = grads[name].reshape(-1)
@@ -274,8 +291,8 @@ def test_learned_vision():
 
 def test_file_formats(tmp_path):
     rng = np.random.default_rng(106)
-    rgb = image_io.RgbImage(rng.integers(0, 256, (9, 13, 3), dtype=np.uint8))
-    dep = image_io.DepthImage(rng.integers(0, 65536, (6, 4), dtype=np.uint16))
+    rgb = rng.integers(0, 256, (9, 13, 3), dtype=np.uint8)
+    dep = rng.integers(0, 65536, (6, 4), dtype=np.uint16)
     image_io.save_ppm(rgb, tmp_path / "a.ppm")
     image_io.save_ppm(image_io.load_ppm(tmp_path / "a.ppm"), tmp_path / "b.ppm")
     ppm_ok = (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()

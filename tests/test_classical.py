@@ -11,7 +11,7 @@ from baggrasp.classical import (BallNotFound, GraspProposal,
                                 gaussian_blur, perimeter, pixel_to_workspace,
                                 polygon_mean, polygon_theta, select_grasp,
                                 sobel_gradients, workspace_to_pixel)
-from baggrasp.image_io import RgbImage, Workspace, to_gray
+from baggrasp.image_io import Workspace, to_gray
 from conftest import noisy_frame
 
 
@@ -106,7 +106,7 @@ def _disc_image(cx, cy, r, color, w=200, h=200, bg=(128, 128, 128)):
     img = np.empty((h, w, 3), dtype=np.uint8)
     img[:] = bg
     img[(xs - cx) ** 2 + (ys - cy) ** 2 <= r * r] = color
-    return RgbImage(img)
+    return img
 
 
 ORANGE_LO, ORANGE_HI = (200, 80, 0), (255, 160, 80)
@@ -120,17 +120,17 @@ def test_detect_ball_synthetic_disc():
 
 
 def test_detect_ball_no_pixels():
-    img = RgbImage(np.zeros((10, 10, 3), dtype=np.uint8))
+    img = np.zeros((10, 10, 3), dtype=np.uint8)
     with pytest.raises(BallNotFound):
         detect_ball(img, ORANGE_LO, ORANGE_HI)
 
 
 def test_detect_ball_ignores_out_of_range_disc():
     img = _disc_image(60, 60, 15, (230, 120, 40))
-    px = img.pixels.copy()
+    px = img.copy()
     ys, xs = np.mgrid[0:200, 0:200]
     px[(xs - 150) ** 2 + (ys - 150) ** 2 <= 400] = (0, 0, 255)  # distractor
-    center, _ = detect_ball(RgbImage(px), ORANGE_LO, ORANGE_HI)
+    center, _ = detect_ball(px, ORANGE_LO, ORANGE_HI)
     assert np.linalg.norm(center - (60, 60)) < 1.0
 
 
@@ -143,7 +143,7 @@ def test_detect_ball_matches_all_channels_formula():
     frames = [noisy_frame(rng, scene, sigma)[0]
               for scene in scenes for sigma in (0.0, 2.0, 32.0)]
     found = []
-    for rgb in frames + [RgbImage(px) for px in _oracle_frames()]:
+    for rgb in frames + list(_oracle_frames()):
         boxes = [(cfg.color_low, cfg.color_high), ((0, 0, 0), (255, 255, 255)),
                  ((255, 255, 255), (255, 255, 255)), ((0, 0, 0), (0, 0, 0))]
         for _ in range(4):
@@ -151,8 +151,7 @@ def test_detect_ball_matches_all_channels_formula():
             boxes.append((np.minimum(a, b), np.maximum(a, b)))
         for lo, hi in boxes:
             lo8, hi8 = np.asarray(lo, np.uint8), np.asarray(hi, np.uint8)
-            ys, xs = np.nonzero(np.all((rgb.pixels >= lo8)
-                                       & (rgb.pixels <= hi8), axis=2))
+            ys, xs = np.nonzero(np.all((rgb >= lo8) & (rgb <= hi8), axis=2))
             found.append(len(xs) > 0)
             if len(xs) == 0:
                 with pytest.raises(BallNotFound):
@@ -174,12 +173,12 @@ def test_detect_ball_needs_green_and_blue_inside_the_box():
     px[20, 10] = (180, 70, 200)  # green inside, blue outside
     px[21, 11] = (180, 200, 30)  # blue inside, green outside
     lo, hi = (150, 40, 0), (215, 105, 60)
-    center, radius = detect_ball(RgbImage(px), lo, hi)
+    center, radius = detect_ball(px, lo, hi)
     assert np.array_equal(center, [36.5, 9.5])
     assert radius == math.sqrt(140 / math.pi)
     px[5:15, 30:44, 2] = 61
     with pytest.raises(BallNotFound):
-        detect_ball(RgbImage(px), lo, hi)
+        detect_ball(px, lo, hi)
 
 
 # --- contours ---
@@ -617,7 +616,7 @@ def test_pipeline_hits_scene_label(cfg):
 
 
 def test_pipeline_blank_scene_errors(cfg):
-    blank = RgbImage(np.full((60, 80, 3), 100, dtype=np.uint8))
+    blank = np.full((60, 80, 3), 100, dtype=np.uint8)
     with pytest.raises(classical.VisionError):
         classical_pipeline(blank, cfg)
 
@@ -692,7 +691,7 @@ def _oracle_frames():
     for seed in range(3):
         scene = sim.generate_scene(seed, cfg)
         for sigma in (0.0, 2.0, 8.0):
-            yield noisy_frame(rng, scene, sigma)[0].pixels
+            yield noisy_frame(rng, scene, sigma)[0]
     for h, w in [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (9, 4)]:
         yield rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
         yield rng.choice(np.array([0, 255], dtype=np.uint8), size=(h, w, 3))
@@ -704,7 +703,7 @@ def _oracle_frames():
 def test_stages_match_pad_and_float_copy_oracles_bit_for_bit():
     cfg = config.PipelineConfig()
     for px in _oracle_frames():
-        gray = to_gray(RgbImage(px))
+        gray = to_gray(px)
         assert np.array_equal(gray, _to_gray_oracle(px))
         for sigma in (0.3, 1.0, cfg.sigma, 3.3):
             assert np.array_equal(gaussian_blur(gray, sigma), _blur_oracle(gray, sigma))
@@ -727,13 +726,13 @@ def test_gray_and_blur_stay_in_unit_interval():
     # [0, 1]. to_gray's rounded products and sums are monotone in each channel,
     # so the all-0 and all-255 frames among _oracle_frames bound every frame.
     for px in _oracle_frames():
-        gray = to_gray(RgbImage(px))
+        gray = to_gray(px)
         assert gray.dtype == np.float64 and gray.shape == px.shape[:2]
         assert 0.0 <= gray.min() and gray.max() <= 1.0
         for sigma in (0.3, 1.4, 3.3):
             blurred = gaussian_blur(gray, sigma)
             assert 0.0 <= blurred.min() and blurred.max() <= 1.0
-    assert to_gray(RgbImage(np.full((1, 1, 3), 255, np.uint8)))[0, 0] == 1.0
+    assert to_gray(np.full((1, 1, 3), 255, np.uint8))[0, 0] == 1.0
 
 
 def test_classical_pipeline_allocates_at_most_five_frames():
@@ -778,10 +777,10 @@ def test_one_workspace_over_frames_matches_fresh_workspaces_bit_for_bit():
     rng = np.random.default_rng(21)
     a, a2 = (noisy_frame(rng, scene, 8.0)[0] for _ in range(2))
     cx, cy = scene.ball_center.astype(int)
-    b = a.pixels.copy()
+    b = a.copy()
     b[:, cx:] = b[cy:] = sim.BACKGROUND
-    blank = RgbImage(np.full_like(b, 100))
-    frames = [a, RgbImage(b), a2, blank, a]
+    blank = np.full_like(b, 100)
+    frames = [a, b, a2, blank, a]
     counts = [np.count_nonzero(canny(gaussian_blur(to_gray(rgb), cfg.sigma),
                                      cfg.canny_low, cfg.canny_high)) for rgb in frames]
     assert 0 < counts[1] < counts[0] / 3 and counts[2] > 3 * counts[1] and counts[3] == 0

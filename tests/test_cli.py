@@ -78,7 +78,7 @@ def test_vision_overlay_written(scene_files, tmp_path, capsys):
                "--overlay", str(out)])
     assert rc == 0
     overlay = image_io.load_ppm(out)
-    assert (overlay.pixels == (255, 0, 0)).all(axis=2).any()
+    assert (overlay == (255, 0, 0)).all(axis=2).any()
     capsys.readouterr()
 
 
@@ -353,6 +353,19 @@ def test_simulate_file_vision(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["success"] is True
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_simulate_empty_proposals_file_exits_2(tmp_path, capsys, text):
+    # No proposal runs no episode: nothing is printed or written.
+    props = tmp_path / "props.jsonl"
+    props.write_text(text)
+    rc = main(["simulate", "--seed", "0", "--vision", "file",
+               "--proposals", str(props), "--out", str(tmp_path / "episode")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{props}: no proposals" in captured.err
+    assert not (tmp_path / "episode").exists()
 
 
 def test_simulate_batch_file_vision_exits_2(tmp_path, capsys):

@@ -5,14 +5,27 @@ import numpy as np
 import pytest
 
 from baggrasp.config import InputError
-from baggrasp.image_io import (DepthImage, FormatError, RgbImage,
-                               _bilinear, _parse_header, crop_center_quarter, load_pgm,
-                               load_ppm, resize_bilinear, save_pgm, save_ppm,
+from baggrasp.image_io import (FormatError, _bilinear, _parse_header, crop_window,
+                               load_pgm, load_ppm, resize_bilinear, save_pgm, save_ppm,
                                to_gray)
+from baggrasp.learned import preprocess
 
 
 def _random_rgb(rng, w, h):
-    return RgbImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    return rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+
+
+def _assert_loaded(img, dtype, shape):
+    """The loaders' contract: a writable, C-contiguous, native-endian array
+    of the image's dtype and shape."""
+    assert img.dtype == dtype and img.dtype.isnative and img.shape == shape
+    assert img.flags.writeable and img.flags.c_contiguous
+
+
+def _center_quarter(img):
+    """The central-quarter crop that learned.preprocess takes."""
+    ox, oy, cw, ch = crop_window(img.shape[1], img.shape[0])
+    return img[oy:oy + ch, ox:ox + cw]
 
 
 # --- PPM ---
@@ -21,8 +34,8 @@ def test_load_ppm_single_white_pixel(tmp_path):
     p = tmp_path / "white.ppm"
     p.write_bytes(b"P6\n1 1\n255\n\xff\xff\xff")
     img = load_ppm(p)
-    assert (img.width, img.height) == (1, 1)
-    assert tuple(img.pixels[0, 0]) == (255, 255, 255)
+    assert (img.shape[1], img.shape[0]) == (1, 1)
+    assert tuple(img[0, 0]) == (255, 255, 255)
 
 
 def test_ppm_round_trip_bytes(tmp_path):
@@ -30,7 +43,10 @@ def test_ppm_round_trip_bytes(tmp_path):
     img = _random_rgb(rng, 13, 7)
     p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
     save_ppm(img, p1)
-    save_ppm(load_ppm(p1), p2)
+    loaded = load_ppm(p1)
+    _assert_loaded(loaded, np.uint8, (7, 13, 3))
+    assert np.array_equal(loaded, img)
+    save_ppm(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -39,8 +55,8 @@ def test_ppm_header_comments(tmp_path):
     p.write_bytes(b"P6\n# a comment\n2 # trailing\n1\n# another\n255\n"
                   + bytes([10, 20, 30, 40, 50, 60]))
     img = load_ppm(p)
-    assert (img.width, img.height) == (2, 1)
-    assert tuple(img.pixels[0, 1]) == (40, 50, 60)
+    assert (img.shape[1], img.shape[0]) == (2, 1)
+    assert tuple(img[0, 1]) == (40, 50, 60)
 
 
 def test_ppm_bad_magic(tmp_path):
@@ -78,15 +94,18 @@ def test_pgm_gradient_fixture(tmp_path):
     payload = b"".join(v.to_bytes(2, "big") for v in (0, 1000, 2000, 3000))
     p.write_bytes(b"P5\n2 2\n65535\n" + payload)
     img = load_pgm(p)
-    assert img.pixels.tolist() == [[0, 1000], [2000, 3000]]
+    assert img.tolist() == [[0, 1000], [2000, 3000]]
 
 
 def test_pgm_round_trip_bytes(tmp_path):
     rng = np.random.default_rng(1)
-    img = DepthImage(rng.integers(0, 65536, (5, 9), dtype=np.uint16))
+    img = rng.integers(0, 65536, (5, 9), dtype=np.uint16)
     p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
     save_pgm(img, p1)
-    save_pgm(load_pgm(p1), p2)
+    loaded = load_pgm(p1)
+    _assert_loaded(loaded, np.uint16, (5, 9))
+    assert np.array_equal(loaded, img)
+    save_pgm(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -203,14 +222,14 @@ def test_netpbm_missing_path_is_input_error(tmp_path):
 # --- grayscale ---
 
 def test_to_gray_black_and_white():
-    black = RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
-    white = RgbImage(np.full((2, 2, 3), 255, dtype=np.uint8))
+    black = np.zeros((2, 2, 3), dtype=np.uint8)
+    white = np.full((2, 2, 3), 255, dtype=np.uint8)
     assert np.array_equal(to_gray(black), np.zeros((2, 2)))
     assert np.allclose(to_gray(white), 1.0, atol=1e-12)
 
 
 def test_to_gray_pure_red():
-    red = RgbImage(np.tile(np.array([255, 0, 0], dtype=np.uint8), (1, 1, 1)))
+    red = np.tile(np.array([255, 0, 0], dtype=np.uint8), (1, 1, 1))
     assert abs(to_gray(red)[0, 0] - 0.299) < 1e-6
 
 
@@ -219,25 +238,27 @@ def test_to_gray_pure_red():
 def test_crop_8x8():
     rng = np.random.default_rng(2)
     img = _random_rgb(rng, 8, 8)
-    out = crop_center_quarter(img)
-    assert (out.width, out.height) == (4, 4)
-    assert np.array_equal(out.pixels, img.pixels[2:6, 2:6])
+    out = _center_quarter(img)
+    assert (out.shape[1], out.shape[0]) == (4, 4)
+    assert np.array_equal(out, img[2:6, 2:6])
 
 
 def test_crop_144x256():
-    img = RgbImage(np.zeros((256, 144, 3), dtype=np.uint8))
-    out = crop_center_quarter(img)
-    assert (out.width, out.height) == (72, 128)
+    img = np.zeros((256, 144, 3), dtype=np.uint8)
+    out = _center_quarter(img)
+    assert (out.shape[1], out.shape[0]) == (72, 128)
 
 
 def test_crop_constant_stays_constant():
-    img = DepthImage(np.full((10, 12), 250))
-    assert np.all(crop_center_quarter(img).pixels == 250)
+    rgb_small, dep_small, _ = preprocess(np.full((10, 12, 3), 250, np.uint8),
+                                         np.full((10, 12), 250, np.uint16))
+    assert rgb_small.shape == (36, 64, 3) and dep_small.shape == (36, 64)
+    assert np.all(rgb_small == 250) and np.all(dep_small == 250)
 
 
 def test_crop_too_small():
-    with pytest.raises(ValueError, match="too small"):
-        crop_center_quarter(DepthImage(np.zeros((3, 8))))
+    with pytest.raises(InputError, match="image too small to crop: 8x3"):
+        preprocess(np.zeros((3, 8, 3), np.uint8), np.zeros((3, 8), np.uint16))
 
 
 # --- resize ---
@@ -329,17 +350,18 @@ def test_bilinear_matches_rows_first_oracle(kind, in_wh, out_wh):
 
 
 def test_resize_constant():
-    out = resize_bilinear(DepthImage(np.full((5, 7), 600)), 11, 3)
-    assert out.pixels.shape == (3, 11)
-    assert np.allclose(out.pixels, 600, atol=1e-12)
+    out = resize_bilinear(np.full((5, 7), 600, np.uint16), 11, 3)
+    assert out.shape == (3, 11) and out.dtype == np.uint16
+    assert np.allclose(out, 600, atol=1e-12)
 
 
 def test_resize_midpoint_gray():
     # A 2-wide black/white pair resized to 3 samples exactly between the two
     # source pixels at the middle output pixel.
-    img = RgbImage(np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8))
+    img = np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8)
     out = resize_bilinear(img, 3, 1)
-    assert abs(int(out.pixels[0, 1, 0]) - 127.5) <= 0.5
+    assert out.dtype == np.uint8
+    assert abs(int(out[0, 1, 0]) - 127.5) <= 0.5
 
 
 def test_resize_against_oracle():
@@ -350,22 +372,22 @@ def test_resize_against_oracle():
 
 
 def test_resize_output_dims_36x64():
-    img = RgbImage(np.zeros((72, 128, 3), dtype=np.uint8))
+    img = np.zeros((72, 128, 3), dtype=np.uint8)
     out = resize_bilinear(img, 64, 36)
-    assert (out.width, out.height) == (64, 36)
+    assert (out.shape[1], out.shape[0]) == (64, 36)
 
 
 def test_resize_preserves_range():
     rng = np.random.default_rng(4)
     img = _random_rgb(rng, 23, 17)
     out = resize_bilinear(img, 40, 9)
-    assert out.pixels.min() >= int(img.pixels.min()) - 1
-    assert out.pixels.max() <= int(img.pixels.max()) + 1
+    assert out.min() >= int(img.min()) - 1
+    assert out.max() <= int(img.max()) + 1
 
 
 def test_resize_deterministic():
     rng = np.random.default_rng(5)
     img = _random_rgb(rng, 16, 16)
-    a = resize_bilinear(crop_center_quarter(img), 5, 3)
-    b = resize_bilinear(crop_center_quarter(img), 5, 3)
-    assert np.array_equal(a.pixels, b.pixels)
+    a = resize_bilinear(_center_quarter(img), 5, 3)
+    b = resize_bilinear(_center_quarter(img), 5, 3)
+    assert np.array_equal(a, b)

@@ -202,6 +202,19 @@ def test_unreadable_input_files(good_inputs, tmp_path, capsys, name, kind):
         assert "labels.csv:2:" in captured.err
 
 
+def _rejected_params(good_inputs, bad, command, capsys) -> str:
+    """stderr of command run on the params file bad, which must exit 2 with
+    empty stdout."""
+    argv = FILE_INPUTS["--params" if command == "vision" else "simulate --params"](
+        good_inputs, bad)
+    if command == "simulate --batch":
+        argv += ["--batch", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 @pytest.mark.parametrize("command", ["vision", "simulate", "simulate --batch"])
 @pytest.mark.parametrize("name, value", [("pos_b", math.nan), ("theta_w", math.inf),
                                          ("rgb_k1", -math.inf)])
@@ -211,14 +224,17 @@ def test_non_finite_params(good_inputs, tmp_path, capsys, command, name, value):
     params[name].flat[1] = value
     bad = tmp_path / "params.bin"
     learned.save_params(params, bad)
-    argv = FILE_INPUTS["--params" if command == "vision" else "simulate --params"](
-        good_inputs, bad)
-    if command == "simulate --batch":
-        argv += ["--batch", "2"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"{bad}: {name} holds non-finite values" in captured.err
+    err = _rejected_params(good_inputs, bad, command, capsys)
+    assert f"{bad}: {name} holds non-finite values" in err
+
+
+@pytest.mark.parametrize("command", ["vision", "simulate", "simulate --batch"])
+def test_params_with_trailing_bytes(good_inputs, tmp_path, capsys, command):
+    # Bytes after the last array are rejected input, not ignored.
+    bad = tmp_path / "params.bin"
+    bad.write_bytes((good_inputs / "params.bin").read_bytes() + bytes(8))
+    err = _rejected_params(good_inputs, bad, command, capsys)
+    assert f"{bad}: 8 bytes after the last array" in err
 
 
 @pytest.mark.parametrize("name", ["--rgb", "--depth", "scene file"])
@@ -245,8 +261,8 @@ def test_learned_image_pair_sizes(good_inputs, tmp_path, capsys, command,
     # A pair of two sizes, or one too small to crop, is rejected input.
     (w, h), (dw, dh) = rgb_size, depth_size
     rgb, depth = tmp_path / "scene_0000.ppm", tmp_path / "scene_0000.pgm"
-    image_io.save_ppm(image_io.RgbImage(np.full((h, w, 3), 100, np.uint8)), rgb)
-    image_io.save_pgm(image_io.DepthImage(np.full((dh, dw), 800, np.uint16)), depth)
+    image_io.save_ppm(np.full((h, w, 3), 100, np.uint8), rgb)
+    image_io.save_pgm(np.full((dh, dw), 800, np.uint16), depth)
     if command == "vision":
         argv = ["vision", "--mode", "learned", "--rgb", str(rgb), "--depth", str(depth),
                 "--params", str(good_inputs / "params.bin")]

@@ -415,6 +415,14 @@ def test_params_truncated(tmp_path):
         load_params(p)
 
 
+def test_params_trailing_bytes(tmp_path):
+    p = tmp_path / "long.bin"
+    save_params(init_params(0), p)
+    p.write_bytes(p.read_bytes() + bytes(8))
+    with pytest.raises(InputError, match="long.bin: 8 bytes after the last array"):
+        load_params(p)
+
+
 def test_params_shape_mismatch(tmp_path):
     import struct
 
@@ -447,8 +455,8 @@ def test_batch_tensors_match_per_scene_oracle():
     assert rgb.shape == (5, 3, 36, 64) and dep.shape == (5, 1, 36, 64)
     assert labels.shape == (5, 3) and rgb.dtype == dep.dtype == np.float64
     for i, s in enumerate(scenes):
-        assert np.array_equal(rgb[i], s.rgb.pixels.astype(float).transpose(2, 0, 1) / 255.0)
-        assert np.array_equal(dep[i], s.depth.pixels.astype(float)[None] / learned.DEPTH_SCALE)
+        assert np.array_equal(rgb[i], s.rgb.astype(float).transpose(2, 0, 1) / 255.0)
+        assert np.array_equal(dep[i], s.depth.astype(float)[None] / learned.DEPTH_SCALE)
         assert np.array_equal(labels[i], s.normalized_label())
         one_rgb, one_dep = learned.image_tensors([s.rgb], [s.depth])
         assert np.array_equal(one_rgb, rgb[i:i + 1]) and np.array_equal(one_dep, dep[i:i + 1])

@@ -11,14 +11,13 @@ from baggrasp import denoise as denoise_mod
 from baggrasp.classical import (GraspProposal, VisionError, classical_pipeline,
                                 workspace_to_pixel, wrap_half_pi)
 from baggrasp.denoise import denoise
-from baggrasp.image_io import RgbImage
 
 
 def _pixel_grasp(px, cfg):
     """classical_pipeline's grasp as ((x, y) pixels, theta), or the class of
     the VisionError it raised."""
     try:
-        prop = classical_pipeline(RgbImage(np.ascontiguousarray(px)), cfg)
+        prop = classical_pipeline(np.ascontiguousarray(px), cfg)
     except VisionError as err:
         return type(err)
     return workspace_to_pixel(prop.target, cfg), prop.theta
@@ -32,7 +31,7 @@ def test_classical_pipeline_commutes_with_flips(size):
     cfg = config.PipelineConfig(scene_width=w, scene_height=h)
     grasps = 0
     for seed in range(100):
-        px = sim.generate_scene(seed, cfg).rgb.pixels
+        px = sim.generate_scene(seed, cfg).rgb
         base = _pixel_grasp(px, cfg)
         for flipped, mirror in [(px[:, ::-1], np.array([w - 1.0, 0.0])),
                                 (px[::-1], np.array([0.0, h - 1.0]))]:

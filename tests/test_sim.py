@@ -15,7 +15,6 @@ import pytest
 from baggrasp import classical, image_io, learned, sim
 from baggrasp.classical import GraspProposal, workspace_to_pixel
 from baggrasp.config import PipelineConfig
-from baggrasp.image_io import DepthImage, RgbImage
 from conftest import noisy_frame
 
 ARM = sim.arm_for(PipelineConfig())
@@ -28,8 +27,8 @@ def classical_source(cfg):
 def test_generate_scene_deterministic(cfg):
     a = sim.generate_scene(42, cfg)
     b = sim.generate_scene(42, cfg)
-    assert np.array_equal(a.rgb.pixels, b.rgb.pixels)
-    assert np.array_equal(a.depth.pixels, b.depth.pixels)
+    assert np.array_equal(a.rgb, b.rgb)
+    assert np.array_equal(a.depth, b.depth)
     assert np.array_equal(a.label[0], b.label[0]) and a.label[1] == b.label[1]
 
 
@@ -60,7 +59,7 @@ def test_generated_creases_avoid_ball_and_stay_in_frame(cfg):
 
 def test_depth_raster_has_ridges(cfg):
     scene = sim.generate_scene(1, cfg)
-    depth = scene.depth.pixels
+    depth = scene.depth
     seg = scene.creases[0]
     mx, my = int(round(seg.midpoint[0])), int(round(seg.midpoint[1]))
     assert depth[my, mx] < sim.BASE_DEPTH_MM - 5  # raised crease is closer
@@ -100,8 +99,8 @@ def test_windowed_creases_match_full_frame_oracle(size, seeds):
     for seed in seeds:
         scene = sim.generate_scene(seed, cfg)
         rgb, depth = _render_full_frame(scene, cfg)
-        assert scene.rgb.pixels.tobytes() == rgb.tobytes(), seed
-        assert scene.depth.pixels.tobytes() == depth.tobytes(), seed
+        assert scene.rgb.tobytes() == rgb.tobytes(), seed
+        assert scene.depth.tobytes() == depth.tobytes(), seed
         for seg in scene.creases:
             reach = 8.5 * seg.width + 1.0
             clipped += bool(np.any(np.minimum(seg.p0, seg.p1) - reach < 0)
@@ -171,15 +170,14 @@ def _generate_scene_oracle(seed, cfg, flat=False):
             key=lambda s: (abs(np.linalg.norm(s.midpoint - center) - 1.1 * radius),
                            -s.length))
         label = (best.midpoint.copy(), best.angle)
-    return sim.Scene(RgbImage(rgb), DepthImage(np.clip(np.round(depth), 0, 65535)
-                                               .astype(np.uint16)),
+    return sim.Scene(rgb, np.clip(np.round(depth), 0, 65535).astype(np.uint16),
                      center, radius, creases, label)
 
 
 def _assert_same_scene(got, want, where):
-    assert got.rgb.pixels.tobytes() == want.rgb.pixels.tobytes(), where
-    assert got.depth.pixels.tobytes() == want.depth.pixels.tobytes(), where
-    assert got.depth.pixels.dtype == want.depth.pixels.dtype == np.uint16, where
+    assert got.rgb.tobytes() == want.rgb.tobytes(), where
+    assert got.depth.tobytes() == want.depth.tobytes(), where
+    assert got.depth.dtype == want.depth.dtype == np.uint16, where
     assert got.ball_center.tobytes() == want.ball_center.tobytes(), where
     assert got.ball_radius == want.ball_radius, where
     assert (got.label is None) == (want.label is None), where
@@ -497,7 +495,7 @@ def _seen_frames(source):
     seen = []
 
     def recorded(rgb, depth, ws):
-        seen.append((rgb.pixels.tobytes(), depth.pixels.tobytes()))
+        seen.append((rgb.tobytes(), depth.tobytes()))
         return source(rgb, depth, ws)
     return recorded, seen
 
@@ -519,10 +517,8 @@ def test_collect_sources_see_add_pixel_noise_frames(cfg, vision, frame_rate,
     rng = np.random.default_rng([6, 1])
     want, want_props, want_error = [], [], ""
     for k in range(frames):
-        noisy_rgb, noisy_dep = _float_copy_pixel_noise(rng, scene.rgb, scene.depth,
-                                                       noise_sigma)
-        rgb, depth = RgbImage(noisy_rgb), DepthImage(noisy_dep)
-        want.append((rgb.pixels.tobytes(), depth.pixels.tobytes()))
+        rgb, depth = _float_copy_pixel_noise(rng, scene.rgb, scene.depth, noise_sigma)
+        want.append((rgb.tobytes(), depth.tobytes()))
         try:
             want_props.append(dataclasses.replace(sim.vision_source(
                 vision, run_cfg, params)(rgb, depth), t=k / frame_rate))
@@ -682,11 +678,11 @@ def test_run_batch_noisy_rows_repeat(cfg):
 def _float_copy_pixel_noise(rng, rgb, depth, sigma):
     """Frame noise as first written: a float copy of each image plus its
     draws, then round, clip and cast."""
-    noisy_rgb = np.clip(np.round(rgb.pixels.astype(float)
-                                 + rng.normal(0.0, sigma, rgb.pixels.shape)),
+    noisy_rgb = np.clip(np.round(rgb.astype(float)
+                                 + rng.normal(0.0, sigma, rgb.shape)),
                         0, 255).astype(np.uint8)
-    noisy_dep = np.clip(np.round(depth.pixels.astype(float)
-                                 + rng.normal(0.0, sigma, depth.pixels.shape)),
+    noisy_dep = np.clip(np.round(depth.astype(float)
+                                 + rng.normal(0.0, sigma, depth.shape)),
                         0, 65535).astype(np.uint16)
     return noisy_rgb, noisy_dep
 
@@ -695,22 +691,22 @@ def _float_copy_pixel_noise(rng, rgb, depth, sigma):
 def test_noisy_frame_matches_float_copy_formula(cfg, sigma):
     # One seeded stream of frames each: the draws keep their order and values.
     scenes = [sim.generate_scene(seed, cfg) for seed in (3, 4)]
-    before = [(s.rgb.pixels.copy(), s.depth.pixels.copy()) for s in scenes]
+    before = [(s.rgb.copy(), s.depth.copy()) for s in scenes]
     rng, rng_want = np.random.default_rng(11), np.random.default_rng(11)
     # One float buffer and one output pair serve every frame, as in _collect.
-    buf = np.empty(scenes[0].depth.pixels.size)
-    out = (np.empty_like(scenes[0].rgb.pixels), np.empty_like(scenes[0].depth.pixels))
+    buf = np.empty(scenes[0].depth.size)
+    out = (np.empty_like(scenes[0].rgb), np.empty_like(scenes[0].depth))
     for k in range(6):
         scene = scenes[k % 2]
         rgb, depth = sim._noisy_frame(rng, scene.rgb, scene.depth, sigma, buf, out)
         want_rgb, want_dep = _float_copy_pixel_noise(rng_want, scene.rgb,
                                                      scene.depth, sigma)
-        assert rgb.pixels.dtype == np.uint8 and depth.pixels.dtype == np.uint16
-        assert rgb.pixels is out[0] and depth.pixels is out[1]
-        assert np.array_equal(rgb.pixels, want_rgb)
-        assert np.array_equal(depth.pixels, want_dep)
+        assert rgb.dtype == np.uint8 and depth.dtype == np.uint16
+        assert rgb is out[0] and depth is out[1]
+        assert np.array_equal(rgb, want_rgb)
+        assert np.array_equal(depth, want_dep)
     for s, (rgb0, dep0) in zip(scenes, before):
-        assert np.array_equal(s.rgb.pixels, rgb0) and np.array_equal(s.depth.pixels, dep0)
+        assert np.array_equal(s.rgb, rgb0) and np.array_equal(s.depth, dep0)
 
 
 def test_run_batch_rows_do_not_depend_on_batch(cfg):
@@ -828,7 +824,7 @@ def test_importing_the_cli_leaves_the_executor_out():
 
 def _draw_overlay_by_pixel(rgb, px, theta, half_len=sim.OVERLAY_HALF_LEN):
     """draw_overlay one pixel at a time: the line's samples, then the dot."""
-    out = rgb.pixels.copy()
+    out = rgb.copy()
     h, w = out.shape[:2]
     cx, cy = float(px[0]), float(px[1])
     for s in np.linspace(-half_len, half_len, int(8 * half_len) + 1):
@@ -857,7 +853,7 @@ def test_overlay_matches_pixel_loop_oracle(cfg, tmp_path, monkeypatch):
         with monkeypatch.context() as patch:  # other line lengths, as a constant
             patch.setattr(sim, "OVERLAY_HALF_LEN", half_len)
             got = sim.draw_overlay(scene.rgb, px, theta)
-        assert got.pixels.tobytes() == _draw_overlay_by_pixel(
+        assert got.tobytes() == _draw_overlay_by_pixel(
             scene.rgb, px, theta, half_len).tobytes(), k
     # The artifact writer's overlay.ppm carries the same bytes.
     report = sim.run_episode(cfg, 8, ARM, classical_source(cfg), scene, out_dir=tmp_path)
@@ -872,5 +868,5 @@ def test_overlay_marks_proposal(cfg):
     px = workspace_to_pixel(prop.target, cfg)
     overlay = sim.draw_overlay(scene.rgb, px, prop.theta)
     x, y = int(round(px[0])), int(round(px[1]))
-    assert tuple(overlay.pixels[y, x]) == (255, 0, 0)
-    assert (overlay.pixels == (0, 255, 255)).all(axis=2).any()
+    assert tuple(overlay[y, x]) == (255, 0, 0)
+    assert (overlay == (0, 255, 255)).all(axis=2).any()
