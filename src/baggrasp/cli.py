@@ -78,7 +78,15 @@ def _numbers(form: str):
                     f"{form} within +-{config.WORKSPACE_LIMIT}", form)
 
 
+def _unread(args, mode: str, *names) -> None:
+    """Reject any of the named flags given with a mode that never reads it."""
+    if name := next((n for n in names if getattr(args, n)), None):
+        raise InputError(f"--{name} is not read with {mode}; drop it")
+
+
 def cmd_vision(args, cfg) -> int:
+    if args.mode == "classical":
+        _unread(args, "--mode classical", "depth", "params")
     rgb = image_io.load_ppm(args.rgb)
     depth = params = None
     if args.mode == "learned":
@@ -149,6 +157,11 @@ def cmd_plan(args, cfg) -> int:
 
 
 def cmd_simulate(args, cfg) -> int:
+    _unread(args, f"--vision {args.vision}", *{  # the flags each mode never reads
+        "classical": ("params", "proposals"), "learned": ("proposals",),
+        "file": ("params", "flat")}[args.vision])
+    if args.batch is not None:
+        _unread(args, "--batch", "flat")
     if args.vision == "file":
         if args.batch is not None:
             raise InputError("--vision file runs a single episode; batch episodes "

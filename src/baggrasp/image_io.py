@@ -62,6 +62,8 @@ def _load_netpbm(path, what: str, magic: bytes, maxval: int, channels: int,
     payload = data[offset:offset + need]
     if len(payload) < need:
         raise FormatError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
+    if len(data) > offset + need:  # one image per file
+        raise FormatError(f"{path}: {len(data) - offset - need} bytes after the image")
     return np.frombuffer(payload, dtype).reshape(height, width, channels)
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import so3
-from .config import WORKSPACE_LIMIT, InputError, PipelineConfig, read_text
+from .config import WORKSPACE_LIMIT, InputError, read_text
 from .so3 import Pose
 
 N_JOINTS = 7
-_CYCLIC = np.eye(4)[[0, 1, 2, 0, 1]]  # row picks: cross-product shifts become slices
 
 
 @dataclass
@@ -47,8 +47,8 @@ class ArmModel:
         if not np.all(np.abs([*self.points, self.zero_pose.p]) <= WORKSPACE_LIMIT):
             raise ValueError(f"joint points and zero_pose position must lie "
                              f"within +-{WORKSPACE_LIMIT} m")
-        # fk_and_jacobian's constants. Joint j's transform [R_j | (I - R_j) p_j]
-        # is [1, sin q_j, 1 - cos q_j] @ _basis[j + 1], as R_j = I + s W + (1 - c) W^2;
+        # Chain's constants. Joint j's transform [R_j | (I - R_j) p_j] is
+        # [1, sin q_j, 1 - cos q_j] @ _basis[j + 1], as R_j = I + s W + (1 - c) W^2;
         # [1, 0, 0] @ _basis[0] is the identity that starts the chain.
         W = so3.hat(self.axes)
         basis = np.zeros((N_JOINTS + 1, 3, 4, 4))
@@ -56,9 +56,12 @@ class ArmModel:
         joint[..., :3] = np.stack([W, W @ W], axis=1)
         joint[..., 3] = -np.einsum("jkab,jb->jka", joint[..., :3], self.points)
         self._basis = basis.reshape(N_JOINTS + 1, 3, 16)
-        # Columns [axis; 0] and [point; 1]: a frame maps both in one product.
-        self._lines = np.insert(np.stack([self.axes, self.points], -1), 3, (0, 1), axis=1)
-        self._zero_T = np.block([[R, self.zero_pose.p[:, None]], [0, 0, 0, 1]])
+        # Columns [axis; 0 | point; 1 | 0 | 0] per joint, then the zero-pose
+        # transform: one product maps each by the frame ahead of it.
+        self._cols = np.zeros((N_JOINTS + 1, 4, 4))
+        lines = np.stack([self.axes, self.points], -1)
+        self._cols[:-1, :, :2] = np.insert(lines, 3, (0, 1), axis=1)
+        self._cols[-1] = np.block([[R, self.zero_pose.p[:, None]], [0, 0, 0, 1]])
 
 
 def load_arm(path) -> ArmModel:
@@ -111,34 +114,67 @@ def default_arm_path() -> Path:
     return Path(__file__).parent / "data" / "arm7.txt"
 
 
-def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
-    """Forward kinematics and the 6x7 Jacobian in one pass.
+class Chain:
+    """FK, Jacobian and damped least-squares step at a stack of configurations
+    lead + (7,), in buffers made once that update(q) refills; pose and J are
+    views of them. The frames ahead of the joints are the prefix products of
+    [I, T_0, ..., T_6] in stacked steps of strides 1, 2, 4 (Hillis & Steele),
+    and one product with ArmModel._cols maps the joints' axes and points and
+    the zero pose. Jacobian column j, (linear velocity at the end-effector
+    point; angular velocity) in the base frame, comes from joint j's moved
+    axis. Products work slice by slice: no result depends on the rest of the
+    stack."""
 
-    q is one joint vector (7,) or a stack (..., 7); the pose and the
-    Jacobian (..., 6, 7) carry the same leading axes. Jacobian rows are
-    (linear velocity at the end-effector point; angular velocity) in the
-    base frame; column j comes from joint j's moved axis. The frames ahead
-    of the joints are the prefix products of [I, T_0, ..., T_6], in three
-    stacked steps of strides 1, 2, 4 (Hillis & Steele). Every product works
-    slice by slice, so a result does not depend on the rest of the stack.
-    """
-    q = np.asarray(q, dtype=float)
-    lead = q.shape[:-1]
-    coef = np.zeros(lead + (N_JOINTS + 1, 1, 3))  # [1, 0, 0], then [1, s_j, 1 - c_j]
-    coef[..., 0] = 1.0
-    np.sin(q, out=coef[..., 1:, 0, 1])
-    np.subtract(1.0, np.cos(q), out=coef[..., 1:, 0, 2])
-    P = (coef @ arm._basis).reshape(lead + (N_JOINTS + 1, 4, 4))
-    for d in (1, 2, 4):  # P[k] <- P[k - d] @ P[k], from the old P
-        P[..., d:, :, :] = P[..., :-d, :, :] @ P[..., d:, :, :]
-    F = _CYCLIC @ P  # F[j]: rows 0, 1, 2, 0, 1 of the frame ahead of joint j
-    moved = F[..., :N_JOINTS, :, :] @ arm._lines  # (..., 7, 5, 2)
-    end = F[..., N_JOINTS, :, :] @ arm._zero_T     # (..., 5, 4)
-    # Column j: moved axis a x (p_ee - moved point), np.cross's products.
-    a, d = moved[..., 0], end[..., None, :, 3] - moved[..., 1]
-    lin = a[..., 1:4] * d[..., 2:] - a[..., 2:] * d[..., 1:4]
-    J = np.swapaxes(np.concatenate([lin, a[..., :3]], axis=-1), -1, -2)
-    return Pose(end[..., :3, 3], end[..., :3, :3]), J
+    def __init__(self, arm: ArmModel, lead: tuple):
+        n, self._arm = N_JOINTS, arm
+        coef = np.zeros(lead + (n + 1, 1, 3))  # [1, 0, 0], then [1, s_j, 1 - c_j]
+        coef[..., 0] = 1.0
+        P = np.empty(lead + (n + 1, 4, 4))
+        # Mapped columns and d = p_ee - moved points in rows 0, 1, 2, 0, 1:
+        # rows 1-3 and 2-4 of them are the cross product's shifted operands.
+        M, d = np.empty(lead + (n + 1, 5, 4)), np.empty(lead + (n, 5))
+        rows = lambda x, s: np.moveaxis(sliding_window_view(x, 3, -1)[..., s, :], -2, 0)
+        self.JT = np.empty(lead + (n, 6))
+        self.J, self._G = np.swapaxes(self.JT, -1, -2), np.empty(lead + (6, 6))
+        self.pose = Pose(M[..., n, :3, 3], M[..., n, :3, :3])
+        # update()'s views, made once: slicing costs more than the products.
+        self._views = (
+            coef, coef[..., 1:, 0, 1], coef[..., 1:, 0, 2],
+            P.reshape(coef.shape[:-2] + (1, 16)),
+            [(P[..., s:, :, :], P[..., :-s, :, :]) for s in (1, 2, 4)],
+            P[..., :3, :], M[..., :3, :], M[..., 3:, :], M[..., :2, :],
+            d, M[..., n, None, :, 3], M[..., :n, :, 1],
+            rows(M[..., :n, :, 0], np.s_[1:]), rows(d, np.s_[2:0:-1]),
+            np.empty((2,) + lead + (n, 3)),
+            self.JT[..., :3], self.JT[..., 3:], M[..., :n, :3, 0])
+
+    def update(self, q) -> None:
+        (coef, sin, one_minus_cos, P16, prefix, P3, M3, M_copies, M_rows,
+         d, p_ee, moved_points, a_shifted, d_shifted, products, lin, ang, a) = self._views
+        np.sin(q, out=sin)
+        np.subtract(1.0, np.cos(q), out=one_minus_cos)
+        np.matmul(coef, self._arm._basis, out=P16)
+        for later, earlier in prefix:  # P[k] <- P[k - s] @ P[k], from the old P
+            later[...] = earlier @ later
+        np.matmul(P3, self._arm._cols, out=M3)
+        M_copies[...] = M_rows
+        np.subtract(p_ee, moved_points, out=d)
+        # Column j: moved axis a x (p_ee - moved point), np.cross's products.
+        np.subtract(*np.multiply(a_shifted, d_shifted, out=products), out=lin)
+        ang[...] = a
+
+    def dls(self, damping: float, u) -> np.ndarray:
+        """J^T (J J^T + damping^2 I)^-1 u, u (..., 6), by one solve at the last update."""
+        G = np.matmul(self.J, self.JT, out=self._G)
+        return (self.JT @ _dls_solve(G, damping, u[..., None]))[..., 0]
+
+
+def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
+    """Forward kinematics and the 6x7 Jacobian of q, one joint vector (7,) or a
+    stack (..., 7), in one pass of a Chain; both carry q's leading axes."""
+    chain = Chain(arm, np.shape(q)[:-1])
+    chain.update(np.asarray(q, dtype=float))
+    return chain.pose, chain.J
 
 
 def fk(arm: ArmModel, q) -> Pose:
@@ -146,12 +182,11 @@ def fk(arm: ArmModel, q) -> Pose:
     return fk_and_jacobian(arm, q)[0]
 
 
-def _dls_solve(J: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
-    """G^-1 rhs for G = J J^T + damping^2 I over a stack J (..., m, n); raises
-    when a slice's Cholesky pivots show G singular. Each exact pivot lies in
-    [damping, sqrt(G_ii)], so for damping > 1e-6 sqrt(max G_ii) that check
-    passes with a 10x margin, and the factorisation is skipped."""
-    G = J @ np.swapaxes(J, -1, -2)  # new, so contiguous: a strided diagonal
+def _dls_solve(G: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
+    """(G + damping^2 I)^-1 rhs for a stack of C-contiguous G = J J^T (..., m, m),
+    damped in place; raises when a slice's Cholesky pivots show it singular.
+    Each exact pivot lies in [damping, sqrt(G_ii)], so for damping > 1e-6
+    sqrt(max G_ii) that check passes with a 10x margin and is skipped."""
     diag = G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1]
     diag += damping * damping
     if not damping > 1e-6 * math.sqrt(diag.max(initial=0.0)):
@@ -165,31 +200,3 @@ def _dls_solve(J: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
         if singular:
             raise ValueError("J J^T singular; use damping > 0 near singularities")
     return np.linalg.solve(G, rhs)
-
-
-def compute_error(pose: Pose, p_d, R_d) -> np.ndarray:
-    """Stacked 6-vector error [p - p_d; e_o] of the pose w.r.t. the desired
-    position p_d and orientation R_d, e_o being the cross-product orientation
-    error; all may carry the same leading axes."""
-    return np.concatenate([pose.p - p_d, so3.rotation_error(R_d, pose.R)], axis=-1)
-
-
-def control_step(arm: ArmModel, q, p_d, R_d, v_ff, prev_e,
-                 cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One tick of the workspace PD velocity law; returns (qdot, e).
-
-    qdot = J^T (J J^T + damping^2 I)^-1 u, from one solve of that system, with
-    u = -k_p e - k_d edot + v_ff; e is the stacked 6-vector error to (p_d, R_d),
-    edot its backward difference over dt = 1 / control_rate (zero when prev_e
-    is None), v_ff the base-frame feedforward twist; qdot is clamped to
-    +-qdot_max. Gains, damping, qdot_max and control_rate come from cfg. q
-    (..., 7) and the targets may carry a leading episode axis; each episode
-    is its own.
-    """
-    dt = 1.0 / cfg.control_rate
-    pose, J = fk_and_jacobian(arm, q)
-    e = compute_error(pose, p_d, R_d)
-    edot = np.zeros_like(e) if prev_e is None else (e - prev_e) / dt
-    u = -cfg.k_p * e - cfg.k_d * edot + v_ff
-    qdot = (np.swapaxes(J, -1, -2) @ _dls_solve(J, cfg.damping, u[..., None]))[..., 0]
-    return np.minimum(np.maximum(qdot, -cfg.qdot_max), cfg.qdot_max), e

@@ -198,11 +198,6 @@ def _noisy_frame(rng, rgb: np.ndarray, depth: np.ndarray, sigma: float,
     return out
 
 
-def step_plant(q, qdot_d, dt: float, lower, upper) -> np.ndarray:
-    """Perfect velocity tracking: q + qdot_d * dt, clamped to [lower, upper]."""
-    return np.minimum(np.maximum(q + qdot_d * dt, lower), upper)
-
-
 def draw_overlay(rgb: np.ndarray, px, theta: float) -> np.ndarray:
     """Copy of the RGB image with the grasp marked: cyan angle line under a red dot."""
     out = rgb.copy()
@@ -240,22 +235,29 @@ _SAMPLE_BLOCK = 100  # control steps per trajectory.sample call
 
 
 def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
-    """Run the PD loop for a stack of episodes over their trajectories plus
-    settle time, starting each from q0.
+    """Run the workspace PD law for a stack of episodes over their
+    trajectories plus settle time, starting each from q0: qdot = J^T (J J^T +
+    damping^2 I)^-1 u within +-qdot_max, u = -k_p e - k_d edot + v_ff, for
+    e = [p - p_d; e_o] (e_o the cross-product orientation error) and edot its
+    backward difference (0 at first); the plant moves q to q + qdot dt within
+    the joint limits.
 
     The trajectories must share t_i and t_f (image vision gives every
-    episode the same window end and duration), so one loop steps all of them
-    as one joint state Q (B, 7). Every step works episode by episode, so an
-    episode's numbers do not depend on what else is in the stack. Returns
-    (final Q (B, 7), step times (steps,), series (steps, B, 2) of ||e_p||,
-    ||e_o|| per step).
+    episode the same window end and duration), so one loop steps them as one
+    joint state Q (B, 7) on one kinematics.Chain. Each step works episode by
+    episode: an episode's numbers do not depend on the rest of the stack.
+    Returns (final Q (B, 7), step times (steps,), series (steps, B, 2) of
+    ||e_p||, ||e_o|| per step).
     """
     traj = trajectory.stack(trajs)
     dt = 1.0 / cfg.control_rate
     n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
     q = np.tile(np.asarray(q0, dtype=float), (len(trajs), 1))
     lower, upper = arm.limits.T.copy()
+    chain = kinematics.Chain(arm, q.shape[:-1])
     errors = np.empty((n_steps, len(trajs), 6))  # e of every step
+    e_p, e_o = errors[..., :3], errors[..., 3:]
+    edot = np.zeros((len(trajs), 6))
     times = traj.t_i + np.arange(n_steps) * dt
     for i in range(n_steps):
         k = i % _SAMPLE_BLOCK
@@ -264,12 +266,17 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
             # one call's overhead per block, and memory for one block only.
             block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
             v_ff = trajectory.feedforward(block)
-        qdot, errors[i] = kinematics.control_step(
-            arm, q, block.p_d[k], block.R_d[k], v_ff[k],
-            errors[i - 1] if i else None, cfg)
-        q = step_plant(q, qdot, dt, lower, upper)
-    return q, times, np.stack([np.linalg.norm(errors[..., :3], axis=-1),
-                               np.linalg.norm(errors[..., 3:], axis=-1)], axis=-1)
+        chain.update(q)
+        np.subtract(chain.pose.p, block.p_d[k], out=e_p[i])
+        e_o[i] = so3.rotation_error(block.R_d[k], chain.pose.R)
+        if i:
+            np.divide(np.subtract(errors[i], errors[i - 1], out=edot), dt, out=edot)
+        qdot = chain.dls(cfg.damping, -cfg.k_p * errors[i] - cfg.k_d * edot + v_ff[k])
+        np.minimum(np.maximum(qdot, -cfg.qdot_max, out=qdot), cfg.qdot_max, out=qdot)
+        q += qdot * dt
+        np.minimum(np.maximum(q, lower, out=q), upper, out=q)
+    return q, times, np.stack([np.linalg.norm(e_p, axis=-1),
+                               np.linalg.norm(e_o, axis=-1)], axis=-1)
 
 
 def _yaw_error(R_current, R_target) -> float:

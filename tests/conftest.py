@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from baggrasp import config, learned, sim
+from baggrasp import config, learned, sim, trajectory
 from baggrasp.learned import LabeledScene, preprocess
 
 
@@ -36,6 +38,17 @@ def noisy_frame(rng, scene, sigma: float):
                             np.empty(scene.depth.size),
                             (np.empty_like(scene.rgb),
                              np.empty_like(scene.depth)))
+
+
+def control_steps(q0, start, cfg, n=1, arm=None, end=((0.55, -0.1, 0.01), 0.7)):
+    """sim.run_control for n steps from q0 (on the bundled arm, or arm) on a
+    plan from the pose start to end, a position and a yaw: the first step's
+    target is start, with no feedforward. Returns (q after n steps, series
+    (n, 2) of ||e_p||, ||e_o||)."""
+    traj = trajectory.plan(start, *end, 0.0, n / cfg.control_rate)
+    q, _, series = sim.run_control(arm or sim.arm_for(cfg), q0, [traj],
+                                   dataclasses.replace(cfg, settle_time=0.0))
+    return q[0], series[:, 0]
 
 
 def is_rotation(R, tol=1e-9) -> bool:

@@ -368,6 +368,46 @@ def test_simulate_empty_proposals_file_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "episode").exists()
 
 
+@pytest.mark.parametrize("flag", ["--depth", "--params"])
+def test_vision_classical_rejects_a_flag_it_never_reads(scene_files, tmp_path, capsys,
+                                                       flag):
+    # Classical vision reads no depth image and no params: naming either,
+    # here a missing file, exits 2 before anything is written.
+    overlay = tmp_path / "overlay.ppm"
+    rc = main(["vision", "--mode", "classical", "--rgb", str(scene_files / "scene.ppm"),
+               "--overlay", str(overlay), flag, str(tmp_path / "missing")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag} is not read with --mode classical" in captured.err
+    assert not overlay.exists()
+
+
+@pytest.mark.parametrize("argv, flag, mode", [
+    (["--vision", "classical", "--params", "p.bin"], "--params", "--vision classical"),
+    (["--vision", "file", "--proposals", "props.jsonl", "--params", "p.bin"],
+     "--params", "--vision file"),
+    (["--vision", "classical", "--proposals", "props.jsonl"], "--proposals",
+     "--vision classical"),
+    (["--vision", "learned", "--params", "p.bin", "--proposals", "props.jsonl"],
+     "--proposals", "--vision learned"),
+    (["--batch", "2", "--flat"], "--flat", "--batch"),
+    (["--vision", "file", "--proposals", "props.jsonl", "--flat"], "--flat",
+     "--vision file"),
+], ids=["params-classical", "params-file", "proposals-classical", "proposals-learned",
+        "flat-batch", "flat-file"])
+def test_simulate_rejects_a_flag_the_mode_never_reads(tmp_path, capsys, monkeypatch,
+                                                      argv, flag, mode):
+    # Each flag names an existing file the mode would not read; the run
+    # exits 2 naming it, prints nothing and writes no --out directory.
+    monkeypatch.chdir(tmp_path)
+    learned.save_params(learned.init_params(0), tmp_path / "p.bin")
+    (tmp_path / "props.jsonl").write_text('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": 0.0}\n')
+    assert main(["simulate", "--seed", "0", "--out", "episode", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag} is not read with {mode}" in captured.err
+    assert not (tmp_path / "episode").exists()
+
+
 def test_simulate_batch_file_vision_exits_2(tmp_path, capsys):
     props = tmp_path / "props.jsonl"
     props.write_text('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": 0.0}\n')

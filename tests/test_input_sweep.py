@@ -237,6 +237,24 @@ def test_params_with_trailing_bytes(good_inputs, tmp_path, capsys, command):
     assert f"{bad}: 8 bytes after the last array" in err
 
 
+@pytest.mark.parametrize("name, mode", [("scene_0000.ppm", "classical"),
+                                        ("scene_0000.ppm", "learned"),
+                                        ("scene_0000.pgm", "learned")])
+def test_netpbm_with_bytes_after_the_image(good_inputs, tmp_path, capsys, name, mode):
+    # A PPM or PGM file holds one image: bytes after it are rejected input.
+    # (Classical vision reads no PGM: it rejects --depth itself.)
+    files = {n: good_inputs / n for n in ("scene_0000.ppm", "scene_0000.pgm")}
+    bad = files[name] = tmp_path / name
+    bad.write_bytes((good_inputs / name).read_bytes() + bytes(8))
+    argv = ["vision", "--mode", mode, "--rgb", str(files["scene_0000.ppm"])]
+    if mode == "learned":
+        argv += ["--depth", str(files["scene_0000.pgm"]),
+                 "--params", str(good_inputs / "params.bin")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{bad}: 8 bytes after the image" in captured.err
+
+
 @pytest.mark.parametrize("name", ["--rgb", "--depth", "scene file"])
 def test_oversized_netpbm_header_field(good_inputs, tmp_path, capsys, name):
     # A field longer than int() converts (4,300 digits) is rejected input.

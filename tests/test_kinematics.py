@@ -3,18 +3,24 @@ import pytest
 
 from baggrasp import sim, so3, trajectory
 from baggrasp.config import PipelineConfig
-from baggrasp.kinematics import (_dls_solve, compute_error, control_step,
-                                 default_arm_path, fk, fk_and_jacobian, load_arm)
+from baggrasp.kinematics import (Chain, _dls_solve, default_arm_path, fk, fk_and_jacobian,
+                                 load_arm)
 from baggrasp.so3 import Pose
-from conftest import is_rotation
+from conftest import control_steps, is_rotation
 
 ARM = load_arm(default_arm_path())
+HOME = sim.HOME_Q
+
+
+def gram(J):
+    """J J^T, the matrix _dls_solve damps and solves with."""
+    return J @ np.swapaxes(J, -1, -2)
 
 
 def pinv(J, damping):
     """The damped pseudo-inverse J^T (J J^T + damping^2 I)^-1, as (G^-1 J)^T:
     G is symmetric, so one solve of G X = J gives it."""
-    return np.swapaxes(_dls_solve(J, damping, J), -1, -2)
+    return np.swapaxes(_dls_solve(gram(J), damping, J), -1, -2)
 
 
 def random_q(rng, size=None):
@@ -258,8 +264,9 @@ def test_pinv_stack_raises_on_one_singular_slice():
 
 
 def _dls_solve_checking_every_pivot(J, damping, rhs):
-    """_dls_solve with the Cholesky pivot check run whatever the damping."""
-    G = J @ np.swapaxes(J, -1, -2)
+    """_dls_solve(gram(J), ...) with the Cholesky pivot check run whatever
+    the damping."""
+    G = gram(J)
     G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] += damping * damping
     try:
         L = np.linalg.cholesky(G)
@@ -289,10 +296,10 @@ def test_dls_solve_skips_only_a_pivot_check_that_passes():
                 want = _dls_solve_checking_every_pivot(J, damping, rhs)
             except ValueError:
                 with pytest.raises(ValueError, match=r"J J\^T singular"):
-                    _dls_solve(J, damping, rhs)
+                    _dls_solve(gram(J), damping, rhs)
                 outcomes.add(("raised", damping > 1e-6 * scale))
                 continue
-            assert np.array_equal(_dls_solve(J, damping, rhs), want)
+            assert np.array_equal(_dls_solve(gram(J), damping, rhs), want)
             outcomes.add(("solved", damping > 1e-6 * scale))
     # Both outcomes occur below the bound, and above it every check passed.
     assert outcomes == {("raised", False), ("solved", False), ("solved", True)}
@@ -305,79 +312,91 @@ def test_pinv_continuity_near_singularity():
         assert np.all(np.isfinite(pinv(J, lam)))
 
 
-# --- error and control ---
+# --- error and control: run_control's steps ---
+
+def _first_error(start, k_p=0.8):
+    """run_control's first error e from HOME toward the pose start: its norms
+    from the series, and e itself from the command, as J qdot = -k_p e on an
+    undamped, unclamped first step."""
+    cfg = PipelineConfig(k_p=k_p, damping=0.0, qdot_max=np.inf)
+    q, series = control_steps(HOME, start, cfg)
+    return series[0], -(fk_and_jacobian(ARM, HOME)[1] @ (q - HOME)) * cfg.control_rate / k_p
+
 
 def test_compute_error_zero_at_match():
-    pose = fk(ARM, np.zeros(7))
-    e = compute_error(pose, pose.p, pose.R)
+    norms, e = _first_error(fk(ARM, HOME))
+    assert np.allclose(norms, 0.0, atol=1e-12)
     assert np.allclose(e, 0.0, atol=1e-12)
 
 
 def test_compute_error_position_offset():
-    pose = Pose((0.5, 0.0, 0.2), so3.GRIPPER_DOWN)
-    e = compute_error(pose, np.array([0.49, 0.0, 0.2]), so3.GRIPPER_DOWN.copy())
+    pose = fk(ARM, HOME)
+    norms, e = _first_error(Pose(pose.p - (0.01, 0.0, 0.0), pose.R))
+    assert np.allclose(norms, (0.01, 0.0), atol=1e-12)
     assert np.allclose(e, (0.01, 0, 0, 0, 0, 0), atol=1e-12)
 
 
 def test_compute_error_yaw_offset():
-    pose = Pose((0, 0, 0), np.eye(3))
-    e = compute_error(pose, np.zeros(3), so3.rot_z(np.pi / 2))
+    # R_d = rot_z(pi / 2) R, the current orientation R turned a quarter about z.
+    pose = fk(ARM, HOME)
+    norms, e = _first_error(Pose(pose.p, so3.rot_z(np.pi / 2) @ pose.R))
+    assert np.allclose(norms, (0.0, 2.0), atol=1e-12)
     assert np.allclose(e[3:], (0, 0, -2), atol=1e-12)
 
 
 def test_control_step_zero_error_zero_command():
-    q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
-    pose = fk(ARM, q)
-    qdot, e = control_step(ARM, q, pose.p, pose.R, np.zeros(6), None,
-                           PipelineConfig(k_p=0.8, k_d=0.4))
-    assert np.allclose(qdot, 0.0, atol=1e-9)
-    assert np.allclose(e, 0.0, atol=1e-12)
+    q, series = control_steps(HOME, fk(ARM, HOME), PipelineConfig(k_p=0.8, k_d=0.4))
+    assert np.allclose((q - HOME) * 100.0, 0.0, atol=1e-9)
+    assert np.allclose(series, 0.0, atol=1e-12)
 
 
 def test_control_step_proportional_in_kp():
-    q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
-    pose = fk(ARM, q)
-    p_d, R_d = pose.p + (0.01, -0.02, 0.005), pose.R @ so3.rot_z(0.05)
-    qdot1, _ = control_step(ARM, q, p_d, R_d, np.zeros(6), None,
-                            PipelineConfig(k_p=0.8, k_d=0.0, qdot_max=100.0))
-    qdot2, _ = control_step(ARM, q, p_d, R_d, np.zeros(6), None,
-                            PipelineConfig(k_p=1.6, k_d=0.0, qdot_max=100.0))
-    assert np.allclose(qdot2, 2.0 * qdot1, atol=1e-9)
+    pose = fk(ARM, HOME)
+    start = Pose(pose.p + (0.01, -0.02, 0.005), pose.R @ so3.rot_z(0.05))
+    q1, _ = control_steps(HOME, start, PipelineConfig(k_p=0.8, k_d=0.0, qdot_max=100.0))
+    q2, _ = control_steps(HOME, start, PipelineConfig(k_p=1.6, k_d=0.0, qdot_max=100.0))
+    assert np.allclose((q2 - HOME) * 100.0, 2.0 * (q1 - HOME) * 100.0, atol=1e-9)
 
 
 def test_control_step_derivative_term():
-    # With k_p = 0 and no feedforward, the command is -k_d (e - prev_e) / dt.
-    q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
-    pose = fk(ARM, q)
-    p_d, R_d = pose.p + (0.01, -0.02, 0.005), pose.R @ so3.rot_z(0.05)
-    e = compute_error(pose, p_d, R_d)
-    prev_e = e - np.array([0.001, 0.0, -0.002, 0.0005, 0.0, 0.001])
-    qdot, e_out = control_step(ARM, q, p_d, R_d, np.zeros(6), prev_e,
-                               PipelineConfig(k_p=0.0, k_d=0.4, qdot_max=100.0))
-    J = fk_and_jacobian(ARM, q)[1]
-    assert np.array_equal(e_out, e)
-    assert np.allclose(qdot, pinv(J, 1e-3) @ (-0.4 * (e - prev_e) / 0.01),
-                       atol=1e-12)
+    # With k_p = 0 the first step has no command (edot is 0, and so is the
+    # feedforward at t_i), so both steps run at HOME. The second step's
+    # commands with and without k_d differ by pinv(J) (-k_d (e - prev_e) / dt).
+    pose = fk(ARM, HOME)
+    start = Pose(pose.p + (0.01, -0.02, 0.005), pose.R @ so3.rot_z(0.05))
+    end = (start.p + (0.002, -0.001, 0.0), 0.06)  # start.R is at yaw 0.05
+    runs = [control_steps(HOME, start, PipelineConfig(k_p=0.0, k_d=k_d, qdot_max=100.0),
+                          2, end=end) for k_d in (0.4, 0.0)]
+    traj = trajectory.plan(start, *end, 0.0, 0.02)
+    e = np.array([np.concatenate([pose.p - s.p_d, so3.rotation_error(s.R_d, pose.R)])
+                  for s in (trajectory.sample(traj, t) for t in (0.0, 0.01))])
+    for _, series in runs:  # norms over an axis, as run_control takes them
+        assert np.array_equal(series, np.stack([np.linalg.norm(e[:, :3], axis=-1),
+                                                np.linalg.norm(e[:, 3:], axis=-1)], -1))
+    J = fk_and_jacobian(ARM, HOME)[1]
+    assert np.allclose((runs[0][0] - runs[1][0]) * 100.0,
+                       pinv(J, 1e-3) @ (-0.4 * (e[1] - e[0]) / 0.01), atol=1e-12)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 64])
 def test_control_step_vector_solve_matches_pinv(batch):
-    # With k_p = k_d = 0 and no clamp, control_step's command is
-    # J^T (J J^T + damping^2 I)^-1 v_ff for any v_ff. Two backward-stable
-    # solves of G = J J^T + damping^2 I agree to about eps * cond(G)
-    # relative, so the bound is 1e-12 up to cond(G) = 2.25e3 and 2 eps cond(G)
-    # above; near the stretched-out q = 0 (every other slice) cond(G) reaches
-    # 1e6 at damping 1e-3.
+    # Chain.dls's command is J^T (J J^T + damping^2 I)^-1 u for any u. Two
+    # backward-stable solves of G = J J^T + damping^2 I agree to about
+    # eps * cond(G) relative, so the bound is 1e-12 up to cond(G) = 2.25e3
+    # and 2 eps cond(G) above; near the stretched-out q = 0 (every other
+    # slice) cond(G) reaches 1e6 at damping 1e-3.
     rng = np.random.default_rng(10 + batch)
     eps = np.finfo(float).eps
+    chain = Chain(ARM, (batch,))
     for damping in (1e-3, 1e-2, 1e-1):
         for _ in range(-(-60 // batch)):
             qs = random_q(rng, batch)
             qs[::2] = rng.normal(scale=1e-4, size=qs[::2].shape)
-            pose, J = fk_and_jacobian(ARM, qs)
+            chain.update(qs)
+            J = fk_and_jacobian(ARM, qs)[1]
+            assert np.array_equal(chain.J, J)
             u = rng.normal(size=(batch, 6))
-            qdot, _ = control_step(ARM, qs, pose.p, pose.R, u, None, PipelineConfig(
-                k_p=0.0, k_d=0.0, damping=damping, qdot_max=np.inf))
+            qdot = chain.dls(damping, u)
             want = (pinv(J, damping) @ u[..., None])[..., 0]
             rel = np.linalg.norm(qdot - want, axis=-1) / np.linalg.norm(want, axis=-1)
             G = J @ np.swapaxes(J, -1, -2) + damping ** 2 * np.eye(6)
@@ -385,9 +404,9 @@ def test_control_step_vector_solve_matches_pinv(batch):
     # Undamped, one singular slice fails the stack, as pinv does.
     stack = random_q(rng, 4)
     stack[2] = 0.0
-    at = fk(ARM, stack)
-    for solve in (lambda: control_step(ARM, stack, at.p, at.R, np.zeros((4, 6)), None,
-                                       PipelineConfig(damping=0.0)),
+    chain = Chain(ARM, (4,))
+    chain.update(stack)
+    for solve in (lambda: chain.dls(0.0, np.zeros((4, 6))),
                   lambda: pinv(fk_and_jacobian(ARM, stack)[1], 0.0)):
         with pytest.raises(ValueError, match=r"J J\^T singular"):
             solve()
@@ -395,18 +414,14 @@ def test_control_step_vector_solve_matches_pinv(batch):
 
 def test_control_step_propagates_pinv_error():
     with pytest.raises(ValueError, match="damping"):
-        at = fk(ARM, np.zeros(7))
-        control_step(ARM, np.zeros(7), at.p, at.R, np.zeros(6), None,
-                     PipelineConfig(damping=0.0))
+        control_steps(np.zeros(7), fk(ARM, np.zeros(7)), PipelineConfig(damping=0.0))
 
 
 def test_control_step_clamps_joint_velocity():
-    q = np.array([0.0, 0.45, 0.0, -1.05, 0.0, 0.6, 0.0])
-    pose = fk(ARM, q)
-    qdot, _ = control_step(ARM, q, pose.p + (0.5, 0.5, -0.1), pose.R.copy(),
-                           np.zeros(6), None,
-                           PipelineConfig(k_p=50.0, k_d=0.0, qdot_max=1.5))
-    assert np.abs(qdot).max() <= 1.5 + 1e-12
+    pose = fk(ARM, HOME)
+    q, _ = control_steps(HOME, Pose(pose.p + (0.5, 0.5, -0.1), pose.R),
+                         PipelineConfig(k_p=50.0, k_d=0.0, qdot_max=1.5))
+    assert np.abs(q - HOME).max() * 100.0 <= 1.5 + 1e-12
 
 
 def test_closed_loop_converges_quickly():
@@ -432,6 +447,23 @@ def test_stacked_control_loop_matches_scalar_oracle():
         q_k, series_k = _run_control_one_by_one(ARM, sim.HOME_Q, traj, cfg)
         assert np.abs(q[k] - q_k).max() < 1e-9
         assert np.abs(series[:, k] - series_k).max() < 1e-9
+
+
+def test_run_control_keeps_no_state_between_runs():
+    # Stacks of 3, 1 and 4 episodes back to back: each episode's final q
+    # and series, first step included, equal its lone run bit for bit.
+    cfg = PipelineConfig(duration=2.0)
+    start = fk(ARM, HOME)
+    rng = np.random.default_rng(7)
+    for size in (3, 1, 4):
+        trajs = [trajectory.plan(start, (*rng.uniform((0.5, -0.12), (0.72, 0.12)),
+                                         cfg.grasp_z), rng.uniform(-1.5, 1.5), 0.0,
+                                 cfg.duration) for _ in range(size)]
+        q, times, series = sim.run_control(ARM, HOME, trajs, cfg)
+        for k, traj in enumerate(trajs):
+            q_k, times_k, series_k = sim.run_control(ARM, HOME, [traj], cfg)
+            assert np.array_equal(q[k], q_k[0]) and np.array_equal(times, times_k)
+            assert np.array_equal(series[:, k], series_k[:, 0])
 
 
 def test_run_control_rejects_trajectories_on_other_windows():

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from baggrasp import classical, image_io, learned, sim
+from baggrasp import classical, image_io, kinematics, learned, sim, so3
 from baggrasp.classical import GraspProposal, workspace_to_pixel
 from baggrasp.config import PipelineConfig
-from conftest import noisy_frame
+from conftest import control_steps, noisy_frame
 
 ARM = sim.arm_for(PipelineConfig())
 
@@ -330,25 +330,41 @@ def test_segments_close_matches_sampled_oracle():
     assert seen == {(True, False), (False, False), (False, True)}
 
 
+# --- the plant, inside run_control's steps (conftest.control_steps) ---
+
 def test_step_plant_zero_velocity():
-    q = np.linspace(-1, 1, 7)
-    limits = np.tile((-2.0, 2.0), (7, 1))
-    assert np.array_equal(sim.step_plant(q, np.zeros(7), 0.01, *limits.T), q)
+    # No gains and no feedforward at t_i: a zero command leaves q exactly.
+    q0 = np.linspace(-1, 1, 7)
+    pose = kinematics.fk(ARM, q0)
+    q, _ = control_steps(q0, so3.Pose(pose.p + 0.1, pose.R),
+                         PipelineConfig(k_p=0.0, k_d=0.0))
+    assert np.array_equal(q, q0)
 
 
 def test_step_plant_constant_velocity_exact():
-    q = np.zeros(7)
-    qdot = np.full(7, 0.3)
-    limits = np.tile((-10.0, 10.0), (7, 1))
-    for _ in range(50):
-        q = sim.step_plant(q, qdot, 0.01, *limits.T)
-    assert np.allclose(q, 50 * 0.01 * 0.3, atol=1e-12)
+    # Far from its target every joint's command stays clamped at +-qdot_max,
+    # so 50 steps move each joint 50 * dt * qdot_max one way.
+    home = sim.HOME_Q
+    pose = kinematics.fk(ARM, home)
+    cfg = PipelineConfig(k_p=1e3, qdot_max=0.1)
+    start = so3.Pose(pose.p + (-0.3, 0.4, 0.3), pose.R)
+    q1, _ = control_steps(home, start, cfg)
+    q50, _ = control_steps(home, start, cfg, 50)
+    assert np.allclose(np.abs(q1 - home), 0.01 * 0.1, atol=1e-12)
+    assert np.allclose(q50, home + 50 * 0.01 * 0.1 * np.sign(q1 - home), atol=1e-12)
 
 
 def test_step_plant_clamps_at_limits():
-    limits = np.tile((-0.1, 0.1), (7, 1))
-    q = sim.step_plant(np.full(7, 0.09), np.full(7, 10.0), 0.01, *limits.T)
-    assert np.allclose(q, 0.1)
+    # Each joint moves by +-qdot_max dt = +-0.1 from 0.09: up to the limit
+    # 0.1 exactly, or down to -0.01.
+    narrow = kinematics.ArmModel(ARM.zero_pose, ARM.axes, ARM.points,
+                                 np.tile((-0.1, 0.1), (7, 1)))
+    q0 = np.full(7, 0.09)
+    pose = kinematics.fk(narrow, q0)
+    q, _ = control_steps(q0, so3.Pose(pose.p + (0.3, 0.3, -0.2), pose.R),
+                         PipelineConfig(k_p=1e3, qdot_max=10.0), arm=narrow)
+    at_limit = q == 0.1
+    assert at_limit.any() and np.allclose(q[~at_limit], -0.01, atol=1e-12)
 
 
 def test_episode_noiseless_classical_succeeds(cfg, tmp_path):
