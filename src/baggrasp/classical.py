@@ -359,13 +359,13 @@ def workspace_to_pixel(target, cfg: PipelineConfig) -> np.ndarray:
 
 def classical_pipeline(rgb: np.ndarray, cfg: PipelineConfig,
                        ws: Workspace | None = None) -> GraspProposal:
-    """Full classical path: blur, Canny, contours, ball, selection, calibration,
-    the per-pixel stages in ws (or a fresh workspace). The proposal's t is 0;
-    its caller stamps the frame's time."""
+    """Full classical path: ball first (a frame without one costs no edge stage),
+    blur, Canny, contours, selection, calibration, the per-pixel stages in ws (or
+    a fresh workspace). The proposal's t is 0; its caller stamps the frame's time."""
     ws = Workspace.for_frame(ws, rgb.shape[:2])
+    center, radius = detect_ball(rgb, cfg.color_low, cfg.color_high)
     edges = canny(gaussian_blur(to_gray(rgb, ws), cfg.sigma, ws), cfg.canny_low,
                   cfg.canny_high, ws)
     polygons = find_contours(edges, ws)
-    center, radius = detect_ball(rgb, cfg.color_low, cfg.color_high)
     mean, theta = select_grasp(polygons, center, radius, cfg.perimeter_min)
     return pixel_to_workspace(mean, theta, cfg)

@@ -162,6 +162,8 @@ def cmd_simulate(args, cfg) -> int:
         "file": ("params", "flat")}[args.vision])
     if args.batch is not None:
         _unread(args, "--batch", "flat")
+    if args.vision != "file" and args.seed is None:
+        raise InputError(f"--vision {args.vision} requires --seed")
     if args.vision == "file":
         if args.batch is not None:
             raise InputError("--vision file runs a single episode; batch episodes "
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one episode or a batch")
     common(p)
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--seed", type=_int_at_least(0))  # file mode reads none
     p.add_argument("--out", help="artifact directory")
     p.add_argument("--batch", type=_int_at_least(1), metavar="N")
     p.add_argument("--vision", choices=["classical", "learned", "file"],

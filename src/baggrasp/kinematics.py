@@ -22,6 +22,7 @@ from .config import WORKSPACE_LIMIT, InputError, read_text
 from .so3 import Pose
 
 N_JOINTS = 7
+_ONE = np.array(1.0)  # ufuncs take a 0-d array faster than a float
 
 
 @dataclass
@@ -62,6 +63,9 @@ class ArmModel:
         lines = np.stack([self.axes, self.points], -1)
         self._cols[:-1, :, :2] = np.insert(lines, 3, (0, 1), axis=1)
         self._cols[-1] = np.block([[R, self.zero_pose.p[:, None]], [0, 0, 0, 1]])
+        # diag(J J^T) <= gram_bound at every q: |p_ee - p_j| <= the fixed hops from j on.
+        hops = np.linalg.norm(np.diff([*self.points, self.zero_pose.p], axis=0), axis=1)
+        self.gram_bound = max(7.0, float(np.sum(np.cumsum(hops[::-1]) ** 2)))
 
 
 def load_arm(path) -> ArmModel:
@@ -116,14 +120,14 @@ def default_arm_path() -> Path:
 
 class Chain:
     """FK, Jacobian and damped least-squares step at a stack of configurations
-    lead + (7,), in buffers made once that update(q) refills; pose and J are
-    views of them. The frames ahead of the joints are the prefix products of
-    [I, T_0, ..., T_6] in stacked steps of strides 1, 2, 4 (Hillis & Steele),
-    and one product with ArmModel._cols maps the joints' axes and points and
-    the zero pose. Jacobian column j, (linear velocity at the end-effector
-    point; angular velocity) in the base frame, comes from joint j's moved
-    axis. Products work slice by slice: no result depends on the rest of the
-    stack."""
+    lead + (7,), in buffers made once that update(q) and dls refill; pose, J
+    and dls's result are views of them. The frames ahead of the joints are the
+    prefix products of [I, T_0, ..., T_6] in stacked steps of strides 1, 2, 4
+    (Hillis & Steele), and one product with ArmModel._cols maps the joints'
+    axes and points and the zero pose. Jacobian column j, (linear velocity at
+    the end-effector point; angular velocity) in the base frame, comes from
+    joint j's moved axis. Products work slice by slice: no result depends on
+    the rest of the stack."""
 
     def __init__(self, arm: ArmModel, lead: tuple):
         n, self._arm = N_JOINTS, arm
@@ -137,6 +141,8 @@ class Chain:
         self.JT = np.empty(lead + (n, 6))
         self.J, self._G = np.swapaxes(self.JT, -1, -2), np.empty(lead + (6, 6))
         self.pose = Pose(M[..., n, :3, 3], M[..., n, :3, :3])
+        self._diag = self._G.reshape(lead + (36,))[..., ::7]  # dls()'s view of G's diagonal
+        self._qdot = np.empty(lead + (n, 1))  # and its result column
         # update()'s views, made once: slicing costs more than the products.
         self._views = (
             coef, coef[..., 1:, 0, 1], coef[..., 1:, 0, 2],
@@ -152,7 +158,7 @@ class Chain:
         (coef, sin, one_minus_cos, P16, prefix, P3, M3, M_copies, M_rows,
          d, p_ee, moved_points, a_shifted, d_shifted, products, lin, ang, a) = self._views
         np.sin(q, out=sin)
-        np.subtract(1.0, np.cos(q), out=one_minus_cos)
+        np.subtract(_ONE, np.cos(q, out=one_minus_cos), out=one_minus_cos)
         np.matmul(coef, self._arm._basis, out=P16)
         for later, earlier in prefix:  # P[k] <- P[k - s] @ P[k], from the old P
             later[...] = earlier @ later
@@ -163,10 +169,11 @@ class Chain:
         np.subtract(*np.multiply(a_shifted, d_shifted, out=products), out=lin)
         ang[...] = a
 
-    def dls(self, damping: float, u) -> np.ndarray:
-        """J^T (J J^T + damping^2 I)^-1 u, u (..., 6), by one solve at the last update."""
-        G = np.matmul(self.J, self.JT, out=self._G)
-        return (self.JT @ _dls_solve(G, damping, u[..., None]))[..., 0]
+    def dls(self, damping: float, u, proven: bool = False) -> np.ndarray:
+        """J^T (J J^T + damping^2 I)^-1 u, u (..., 6), at the last update; see _dls_solve."""
+        np.matmul(self.J, self.JT, out=self._G)
+        x = _dls_solve(self._G, damping, u[..., None], self._diag, proven)
+        return np.matmul(self.JT, x, out=self._qdot)[..., 0]
 
 
 def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
@@ -182,14 +189,14 @@ def fk(arm: ArmModel, q) -> Pose:
     return fk_and_jacobian(arm, q)[0]
 
 
-def _dls_solve(G: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
-    """(G + damping^2 I)^-1 rhs for a stack of C-contiguous G = J J^T (..., m, m),
-    damped in place; raises when a slice's Cholesky pivots show it singular.
-    Each exact pivot lies in [damping, sqrt(G_ii)], so for damping > 1e-6
-    sqrt(max G_ii) that check passes with a 10x margin and is skipped."""
-    diag = G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1]
+def _dls_solve(G, damping: float, rhs, diag=None, proven=False) -> np.ndarray:
+    """(G + damping^2 I)^-1 rhs for a stack of C-contiguous G = J J^T (..., m, m), damped
+    in place (via its diagonal view diag if given). A slice whose Cholesky pivots show it
+    singular raises; as each exact pivot lies in [damping, sqrt(G_ii)], that check is skipped
+    for damping > 1e-6 sqrt(max G_ii), or proven so: it would pass with a 10x margin."""
+    diag = G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] if diag is None else diag
     diag += damping * damping
-    if not damping > 1e-6 * math.sqrt(diag.max(initial=0.0)):
+    if not (proven or damping > 1e-6 * math.sqrt(diag.max(initial=0.0))):
         # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
         # healthy configurations sit orders of magnitude above this cut.
         try:

@@ -253,27 +253,35 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     dt = 1.0 / cfg.control_rate
     n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
     q = np.tile(np.asarray(q0, dtype=float), (len(trajs), 1))
-    lower, upper = arm.limits.T.copy()
+    lower, upper = np.repeat(arm.limits.T[:, None], len(trajs), axis=1)  # (B, 7): no broadcast
     chain = kinematics.Chain(arm, q.shape[:-1])
+    orientation_error = so3.rotation_error_into(q.shape[:-1])
+    # gram_bound >= diag(J J^T) at all q; 2x for rounding: this stands for _dls_solve's test.
+    proven = cfg.damping > 1e-6 * math.sqrt(2.0 * arm.gram_bound + cfg.damping * cfg.damping)
     errors = np.empty((n_steps, len(trajs), 6))  # e of every step
     e_p, e_o = errors[..., :3], errors[..., 3:]
-    edot = np.zeros((len(trajs), 6))
+    edot, u, kd_edot = np.zeros((3, len(trajs), 6))  # u = -k_p e - kd_edot + v_ff
+    # Scalars as 0-d arrays: ufuncs take them faster than floats, with the same values.
+    step, neg_k_p, k_d, v_min, v_max = map(
+        np.array, (dt, -cfg.k_p, cfg.k_d, -cfg.qdot_max, cfg.qdot_max))
     times = traj.t_i + np.arange(n_steps) * dt
-    for i in range(n_steps):
-        k = i % _SAMPLE_BLOCK
-        if k == 0:
+    for i, e, e_p_i, e_o_i in zip(range(n_steps), errors, e_p, e_o):
+        if i % _SAMPLE_BLOCK == 0:
             # Trajectories and feedforward come a block of steps at a time:
             # one call's overhead per block, and memory for one block only.
             block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
-            v_ff = trajectory.feedforward(block)
+            rows = zip(block.p_d, block.R_d.swapaxes(-1, -2), trajectory.feedforward(block))
+        p_d, R_dT, v_ff = next(rows)
         chain.update(q)
-        np.subtract(chain.pose.p, block.p_d[k], out=e_p[i])
-        e_o[i] = so3.rotation_error(block.R_d[k], chain.pose.R)
+        np.subtract(chain.pose.p, p_d, out=e_p_i)
+        orientation_error(R_dT, chain.pose.R, e_o_i)
         if i:
-            np.divide(np.subtract(errors[i], errors[i - 1], out=edot), dt, out=edot)
-        qdot = chain.dls(cfg.damping, -cfg.k_p * errors[i] - cfg.k_d * edot + v_ff[k])
-        np.minimum(np.maximum(qdot, -cfg.qdot_max, out=qdot), cfg.qdot_max, out=qdot)
-        q += qdot * dt
+            np.divide(np.subtract(e, errors[i - 1], out=edot), step, out=edot)
+        np.multiply(neg_k_p, e, out=u)
+        np.subtract(u, np.multiply(k_d, edot, out=kd_edot), out=u)
+        qdot = chain.dls(cfg.damping, np.add(u, v_ff, out=u), proven)
+        np.minimum(np.maximum(qdot, v_min, out=qdot), v_max, out=qdot)
+        q += np.multiply(qdot, step, out=qdot)
         np.minimum(np.maximum(q, lower, out=q), upper, out=q)
     return q, times, np.stack([np.linalg.norm(e_p, axis=-1),
                                np.linalg.norm(e_o, axis=-1)], axis=-1)

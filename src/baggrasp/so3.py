@@ -24,7 +24,8 @@ GRIPPER_DOWN = np.array([
 _HAT_INDEX = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 _HAT_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
-_VEE_PLUS, _VEE_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
+# vee(M - M^T) (vee inverts hat): flat (2,1) (0,2) (1,0) less (1,2) (2,0) (0,1).
+_VEE_OPERANDS = np.array([7, 2, 3, 5, 6, 1])
 _SMALL_ANGLE = 1e-8
 _ANTIPODE_MARGIN = 1e-6
 
@@ -48,13 +49,6 @@ def hat(v) -> np.ndarray:
     v may carry leading axes: (..., 3) gives (..., 3, 3).
     """
     return np.asarray(v, dtype=float)[..., _HAT_INDEX] * _HAT_SIGN
-
-
-def _vee_antisym(M) -> np.ndarray:
-    """vee(M - M^T) over leading axes, vee being the inverse of hat; read
-    off flat entries (2,1) (0,2) (1,0) less (1,2) (2,0) (0,1), no M^T formed."""
-    M = M.reshape(M.shape[:-2] + (9,))
-    return M.take(_VEE_PLUS, axis=-1) - M.take(_VEE_MINUS, axis=-1)
 
 
 def exp_so3(w) -> np.ndarray:
@@ -87,7 +81,8 @@ def log_so3(R) -> np.ndarray:
     phi = np.arccos(cos_phi)
     if phi >= np.pi - _ANTIPODE_MARGIN:
         raise ValueError("log near antipode; axis ill-conditioned by this formula")
-    anti = _vee_antisym(R)
+    ops = R.reshape(9)[_VEE_OPERANDS]  # vee(R - R^T), no R^T formed
+    anti = ops[:3] - ops[3:]
     if phi < _SMALL_ANGLE:
         return 0.5 * anti
     return (phi / (2.0 * np.sin(phi))) * anti
@@ -112,15 +107,20 @@ def grasp_orientation(theta_d: float) -> np.ndarray:
     return GRIPPER_DOWN @ rot_z(theta_d)
 
 
-def rotation_error(R_d, R_e) -> np.ndarray:
-    """Cross-product orientation error between desired and current frames.
+def rotation_error_into(lead: tuple):
+    """error(R_dT, R_e, out) writes the cross-product orientation error of
+    desired frames R_d (given transposed) and current frames R_e, stacks of
+    lead + (3, 3), into out (lead + (3,)), in buffers made once: no array is made.
 
     Defined as the sum over i of column_i(R_d) x column_i(R_e) (Luh, Walker
-    & Paul, 1980). Since hat(a x b) = b a^T - a b^T, the sum equals
-    vee(R_e R_d^T - R_d R_e^T), which is how it is computed, over any
-    leading axes. Zero iff R_d == R_e; for a single-axis offset of angle phi
-    its magnitude is 2|sin phi|.
+    & Paul, 1980); as hat(a x b) = b a^T - a b^T, it is computed as vee(R_e
+    R_d^T - R_d R_e^T). Zero iff R_d == R_e; 2|sin phi| for a one-axis turn phi.
     """
-    R_d = np.asarray(R_d, dtype=float)
-    R_e = np.asarray(R_e, dtype=float)
-    return _vee_antisym(R_e @ np.swapaxes(R_d, -1, -2))
+    RRt, ops = np.empty(lead + (3, 3)), np.empty(lead + (6,))
+    flat, plus, minus = RRt.reshape(lead + (9,)), ops[..., :3], ops[..., 3:]
+
+    def error(R_dT, R_e, out):
+        np.matmul(R_e, R_dT, out=RRt)
+        flat.take(_VEE_OPERANDS, -1, ops, "clip")
+        return np.subtract(plus, minus, out=out)
+    return error

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from baggrasp import config, learned, sim, trajectory
+from baggrasp import config, learned, sim, so3, trajectory
 from baggrasp.learned import LabeledScene, preprocess
 
 
@@ -51,6 +51,14 @@ def control_steps(q0, start, cfg, n=1, arm=None, end=((0.55, -0.1, 0.01), 0.7)):
     return q[0], series[:, 0]
 
 
+def rotation_error(R_d, R_e) -> np.ndarray:
+    """so3's cross-product orientation error of R_d and R_e, single frames or
+    stacks that broadcast, in buffers made for the call."""
+    R_d, R_e = np.asarray(R_d, dtype=float), np.asarray(R_e, dtype=float)
+    lead = np.broadcast_shapes(R_d.shape[:-2], R_e.shape[:-2])
+    return so3.rotation_error_into(lead)(np.swapaxes(R_d, -1, -2), R_e, np.empty(lead + (3,)))
+
+
 def is_rotation(R, tol=1e-9) -> bool:
     """True if R is orthonormal with determinant +1 within tol."""
     R = np.asarray(R, dtype=float)
@@ -61,7 +69,6 @@ def is_rotation(R, tol=1e-9) -> bool:
 
 
 def random_rotation(rng, max_angle=np.pi - 0.01) -> np.ndarray:
-    from baggrasp import so3
     w = rng.normal(size=3)
     w *= rng.uniform(0.0, max_angle) / np.linalg.norm(w)
     return so3.exp_so3(w)

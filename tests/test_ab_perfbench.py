@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,8 +47,8 @@ def test_summary_medians_iqr_and_wins():
     change = [33.0, 34.0, 28.5, 36.0, 35.0, 30.5, 35.0, 31.0, 37.0, 33.0]
     setup_base = [0.14, 0.15, 0.13, 0.14, 0.16, 0.15, 0.14, 0.13, 0.15, 0.14]
     setup_change = [0.13, 0.15, 0.12, 0.15, 0.15, 0.14, 0.14, 0.12, 0.14, 0.13]
-    pairs = [{"base": _result(b, sb), "change": _result(c, sc)}
-             for b, c, sb, sc in zip(base, change, setup_base, setup_change)]
+    pairs = [{"seed": 10 + i % 3, "base": _result(b, sb), "change": _result(c, sc)}
+             for i, (b, c, sb, sc) in enumerate(zip(base, change, setup_base, setup_change))]
     s = ab.summarize(pairs, METRICS)
     items = s["items_per_s"]
     assert items["base_median"] == 30.75 and items["change_median"] == 33.5
@@ -63,6 +64,8 @@ def test_summary_medians_iqr_and_wins():
     text = ab.report(pairs, METRICS)
     assert "change better in 8 of 10 pairs" in text and "median 30.75 -> 33.5 (+8.9%)" in text
     assert "output check failed" not in text
+    assert [line.split()[:3] for line in text.splitlines()[1:4]] == [
+        ["1", "10", "base"], ["2", "11", "change"], ["3", "12", "base"]]
     pairs[0]["change"]["correct"] = False
     assert ab.report(pairs, METRICS).count("output check failed") == 1
 
@@ -70,3 +73,36 @@ def test_summary_medians_iqr_and_wins():
 def test_a_single_pair_has_no_spread():
     s = ab.summarize([{"base": _result(30.0, 0.1), "change": _result(29.0, 0.1)}], METRICS)
     assert s["items_per_s"]["base_iqr"] == 0.0 and s["items_per_s"]["wins"] == 0
+
+
+def test_pairs_take_the_seeds_in_turn(tmp_path, monkeypatch, capsys):
+    # main() with its exports and benchmark runs replaced by canned results
+    # (no benchmark runs): pair i runs both sides on seed i mod n, and each
+    # pair's line names it; without --seeds every pair runs on --seed.
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": n, "better": b} for n, b in METRICS]}))
+
+    runs = []
+
+    def run(argv, cwd, **kwargs):
+        seed = int(argv[argv.index("--seed") + 1])
+        runs.append((Path(cwd).name, seed))
+        line = json.dumps({"correct": True, "metrics": {
+            "items_per_s": {"value": 30.0 + seed}, "setup_s": {"value": 0.1}}})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    assert [ab.pair_seed(i, [10, 11, 12]) for i in range(5)] == [10, 11, 12, 10, 11]
+    argv = ["HEAD~1", "HEAD", "--workload", "batch_clean", "--pairs", "5"]
+    assert ab.main([*argv, "--scratch", str(tmp_path / "one"), "--seeds", "10,11"]) == 0
+    assert runs == [("a", 10), ("b", 10), ("b", 11), ("a", 11), ("a", 10), ("b", 10),
+                    ("b", 11), ("a", 11), ("a", 10), ("b", 10)]
+    out = capsys.readouterr().out
+    assert "pair 1 seed 10: base 40, change 40" in out and "pair 4 seed 11:" in out
+    runs.clear()
+    assert ab.main([*argv, "--scratch", str(tmp_path / "two"), "--seed", "3"]) == 0
+    assert [seed for _, seed in runs] == [3] * 10
+    assert "pair 5 seed 3:" in capsys.readouterr().out

@@ -12,7 +12,7 @@ from baggrasp.classical import GraspProposal, workspace_to_pixel
 from baggrasp.cli import main
 from baggrasp.config import PipelineConfig
 from baggrasp.so3 import Pose
-from conftest import make_dataset, noisy_frame
+from conftest import make_dataset, noisy_frame, rotation_error
 
 ARM = kinematics.load_arm(kinematics.default_arm_path())
 
@@ -33,7 +33,7 @@ def test_so3_suite():
         worst = max(worst, float(np.linalg.norm(
             so3.log_so3(so3.exp_so3(w)) - w)))
     mag_ok = all(
-        abs(np.linalg.norm(so3.rotation_error(so3.rot_z(phi), np.eye(3)))
+        abs(np.linalg.norm(rotation_error(so3.rot_z(phi), np.eye(3)))
             - 2.0 * np.sin(phi)) < 1e-9
         for phi in np.arange(0.1, 1.51, 0.1))
     elapsed = time.monotonic() - t0

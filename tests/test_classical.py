@@ -621,6 +621,25 @@ def test_pipeline_blank_scene_errors(cfg):
         classical_pipeline(blank, cfg)
 
 
+def test_pipeline_finds_the_ball_before_any_edge_stage(cfg, monkeypatch):
+    # A flat scene keeps its ball, so its frame is blurred and fails at grasp
+    # selection (the flat_vision_failure golden case). Painted out, the ball
+    # is missed first: the same BallNotFound, and no edge stage runs.
+    blurred = []
+    blur = classical.gaussian_blur
+    monkeypatch.setattr(classical, "gaussian_blur", lambda *a: blurred.append(1) or blur(*a))
+    rgb = sim.generate_scene(9, cfg, flat=True).rgb
+    with pytest.raises(NoViableContour):
+        classical_pipeline(rgb, cfg)
+    assert blurred == [1]
+    ball = np.all(rgb == sim.BALL_COLOR, axis=-1)
+    assert ball.any()
+    rgb[ball] = sim.BACKGROUND
+    with pytest.raises(BallNotFound, match="^ball not found: no pixels inside the color range$"):
+        classical_pipeline(rgb, cfg)
+    assert blurred == [1]
+
+
 def test_pipeline_deterministic(cfg):
     scene = sim.generate_scene(5, cfg)
     a = classical_pipeline(scene.rgb, cfg)

@@ -355,6 +355,35 @@ def test_simulate_file_vision(tmp_path, capsys):
     assert report["success"] is True
 
 
+def test_simulate_file_vision_reads_no_seed(tmp_path, capsys):
+    # File mode runs the proposals it is given: no seed, --seed 0 and
+    # --seed 7 print the same report and write the same artifacts.
+    props = tmp_path / "props.jsonl"
+    props.write_text('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": 0.0}\n')
+    runs = []
+    for name, seed in (("none", []), ("zero", ["--seed", "0"]), ("seven", ["--seed", "7"])):
+        out = tmp_path / name
+        assert main(["simulate", *seed, "--vision", "file", "--proposals", str(props),
+                     "--out", str(out)]) == 0
+        runs.append([capsys.readouterr().out] + [(out / f).read_bytes()
+                                                 for f in ("report.json", "trace.csv")])
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("argv, mode", [
+    ([], "classical"), (["--batch", "2"], "classical"),
+    (["--vision", "learned", "--params", "p.bin"], "learned"),
+    (["--vision", "learned", "--params", "p.bin", "--batch", "2"], "learned"),
+], ids=["classical", "classical-batch", "learned", "learned-batch"])
+def test_simulate_on_scenes_requires_a_seed(tmp_path, capsys, monkeypatch, argv, mode):
+    monkeypatch.chdir(tmp_path)
+    learned.save_params(learned.init_params(0), tmp_path / "p.bin")
+    assert main(["simulate", "--out", "episode", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--vision {mode} requires --seed" in captured.err
+    assert not (tmp_path / "episode").exists()
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
 def test_simulate_empty_proposals_file_exits_2(tmp_path, capsys, text):
     # No proposal runs no episode: nothing is printed or written.

@@ -6,7 +6,7 @@ from baggrasp.config import PipelineConfig
 from baggrasp.kinematics import (Chain, _dls_solve, default_arm_path, fk, fk_and_jacobian,
                                  load_arm)
 from baggrasp.so3 import Pose
-from conftest import control_steps, is_rotation
+from conftest import control_steps, is_rotation, rotation_error
 
 ARM = load_arm(default_arm_path())
 HOME = sim.HOME_Q
@@ -61,7 +61,7 @@ def _run_control_one_by_one(arm, q0, traj, cfg):
     for i in range(n_steps):
         s = trajectory.sample(traj, traj.t_i + i * dt)
         p, R, J = _fk_and_jacobian_by_joint(arm, q)
-        e = np.concatenate([p - s.p_d, so3.rotation_error(s.R_d, R)])
+        e = np.concatenate([p - s.p_d, rotation_error(s.R_d, R)])
         edot = np.zeros(6) if prev_e is None else (e - prev_e) / dt
         v_ff = np.concatenate([s.pdot_d, s.R_d @ s.w_ff])
         G = J @ J.T + cfg.damping ** 2 * np.eye(6)
@@ -368,7 +368,7 @@ def test_control_step_derivative_term():
     runs = [control_steps(HOME, start, PipelineConfig(k_p=0.0, k_d=k_d, qdot_max=100.0),
                           2, end=end) for k_d in (0.4, 0.0)]
     traj = trajectory.plan(start, *end, 0.0, 0.02)
-    e = np.array([np.concatenate([pose.p - s.p_d, so3.rotation_error(s.R_d, pose.R)])
+    e = np.array([np.concatenate([pose.p - s.p_d, rotation_error(s.R_d, pose.R)])
                   for s in (trajectory.sample(traj, t) for t in (0.0, 0.01))])
     for _, series in runs:  # norms over an axis, as run_control takes them
         assert np.array_equal(series, np.stack([np.linalg.norm(e[:, :3], axis=-1),
@@ -447,6 +447,118 @@ def test_stacked_control_loop_matches_scalar_oracle():
         q_k, series_k = _run_control_one_by_one(ARM, sim.HOME_Q, traj, cfg)
         assert np.abs(q[k] - q_k).max() < 1e-9
         assert np.abs(series[:, k] - series_k).max() < 1e-9
+
+
+def _run_control_by_expression(arm, q0, trajs, cfg):
+    """run_control with its step written plainly: the orientation error of
+    R_d in buffers made per step, the PD law as one expression and Chain.dls
+    with _dls_solve's own damping test at every step, each array made where
+    it is used."""
+    traj = trajectory.stack(trajs)
+    dt = 1.0 / cfg.control_rate
+    n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))
+    q = np.tile(np.asarray(q0, dtype=float), (len(trajs), 1))
+    lower, upper = arm.limits.T.copy()
+    chain = Chain(arm, q.shape[:-1])
+    errors = np.empty((n_steps, len(trajs), 6))
+    e_p, e_o = errors[..., :3], errors[..., 3:]
+    edot = np.zeros((len(trajs), 6))
+    times = traj.t_i + np.arange(n_steps) * dt
+    for i in range(n_steps):
+        k = i % sim._SAMPLE_BLOCK
+        if k == 0:
+            block = trajectory.sample(traj, times[i:i + sim._SAMPLE_BLOCK])
+            v_ff = trajectory.feedforward(block)
+        chain.update(q)
+        np.subtract(chain.pose.p, block.p_d[k], out=e_p[i])
+        e_o[i] = rotation_error(block.R_d[k], chain.pose.R)
+        if i:
+            np.divide(np.subtract(errors[i], errors[i - 1], out=edot), dt, out=edot)
+        qdot = chain.dls(cfg.damping, -cfg.k_p * errors[i] - cfg.k_d * edot + v_ff[k])
+        np.minimum(np.maximum(qdot, -cfg.qdot_max, out=qdot), cfg.qdot_max, out=qdot)
+        q += qdot * dt
+        np.minimum(np.maximum(q, lower, out=q), upper, out=q)
+    return q, times, np.stack([np.linalg.norm(e_p, axis=-1),
+                               np.linalg.norm(e_o, axis=-1)], axis=-1)
+
+
+@pytest.mark.parametrize("damping", [1e-3, 1e-9, 0.0])
+def test_run_control_matches_its_expression_form_bit_for_bit(monkeypatch, damping):
+    # Stacks of 1, 3 and 4 over 210 steps (three sample blocks) and over one
+    # step (edot = 0 only): final q, times and series equal the oracle's.
+    # At 1e-3 the arm's Gram bound proves the pivot check passes, and no
+    # step factors G; at 1e-9 and 0 every step runs it.
+    factors = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda G: factors.append(1) or cholesky(G))
+    assert ARM.gram_bound == 7.0
+    start = fk(ARM, HOME)
+    rng = np.random.default_rng(26)
+    for size, duration, settle_time in ((1, 1.5, 0.6), (3, 1.5, 0.6), (4, 1.5, 0.6),
+                                        (4, 0.01, 0.0)):
+        cfg = PipelineConfig(duration=duration, settle_time=settle_time, damping=damping)
+        n_steps = round((duration + settle_time) * cfg.control_rate)
+        trajs = [trajectory.plan(start, (*rng.uniform((0.5, -0.12), (0.72, 0.12)),
+                                         cfg.grasp_z), rng.uniform(-1.5, 1.5), 0.0,
+                                 duration) for _ in range(size)]
+        factors.clear()
+        got = sim.run_control(ARM, HOME, trajs, cfg)
+        assert len(factors) == (0 if damping == 1e-3 else n_steps)
+        want = _run_control_by_expression(ARM, HOME, trajs, cfg)
+        assert got[2].shape == (n_steps, size, 2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # From the stretched-out singular q = 0, a stack fails on its first step
+    # with the oracle's error below the bound, and runs as the oracle does at 1e-3.
+    trajs = [trajectory.plan(fk(ARM, np.zeros(7)), (0.6, y, 0.01), 0.0, 0.0, 1.0)
+             for y in (-0.05, 0.05)]
+    cfg = PipelineConfig(damping=damping, settle_time=0.0)
+    outcomes = []
+    for run in (sim.run_control, _run_control_by_expression):
+        try:
+            outcomes.append(run(ARM, np.zeros(7), trajs, cfg))
+        except ValueError as err:
+            outcomes.append(str(err))
+    if damping == 1e-3:
+        assert all(np.array_equal(g, w) for g, w in zip(*outcomes))
+    else:
+        assert outcomes == ["J J^T singular; use damping > 0 near singularities"] * 2
+
+
+def _diag_gram_max(arm, q) -> float:
+    """The largest diagonal entry of J J^T over the configurations q (n, 7)."""
+    J = fk_and_jacobian(arm, q)[1]
+    return float(np.einsum("...ij,...ij->...i", J, J).max())
+
+
+def test_gram_bound_holds_on_the_bundled_arm():
+    # 20,000 uniform in-limit configurations; the largest diagonal entry of
+    # J J^T reads about 4 there, against the bound's floor of 7.
+    rng = np.random.default_rng(20)
+    top = max(_diag_gram_max(ARM, rng.uniform(*ARM.limits.T, (5000, 7)))
+              for _ in range(4))
+    assert 3.9 < top <= ARM.gram_bound == 7.0
+
+
+def test_gram_bound_holds_on_random_arms(tmp_path):
+    # 20 random arms written to files: unit axes, points and zero pose within
+    # the workspace limit at scales from 1 cm to 1 km, random limits; 200
+    # uniform in-limit configurations each.
+    rng = np.random.default_rng(21)
+    path = tmp_path / "arm.txt"
+    for _ in range(20):
+        axes = rng.normal(size=(7, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        scale = 10.0 ** rng.uniform(-2, 3)
+        points, p0 = rng.uniform(-scale, scale, (7, 3)), rng.uniform(-scale, scale, 3)
+        lower = rng.uniform(-3.0, 0.0, 7)
+        upper = lower + rng.uniform(0.1, 3.0, 7)
+        R = so3.exp_so3(rng.normal(size=3))
+        text = lambda tag, *v: " ".join([tag, *(repr(float(x)) for x in v)]) + "\n"
+        path.write_text(text("zero_pose", *p0, *R.ravel()) + "".join(
+            text("joint", *a, *p, lo, hi) for a, p, lo, hi in zip(axes, points, lower, upper)))
+        arm = load_arm(path)
+        assert np.array_equal(arm.points, points) and np.array_equal(arm.axes, axes)
+        assert _diag_gram_max(arm, rng.uniform(lower, upper, (200, 7))) <= arm.gram_bound
 
 
 def test_run_control_keeps_no_state_between_runs():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from baggrasp import so3
-from conftest import is_rotation
+from conftest import is_rotation, rotation_error
 
 
 def test_hat_zero():
@@ -108,18 +108,18 @@ def test_rotation_error_fixed_point():
     for _ in range(20):
         w = rng.normal(size=3)
         R = so3.exp_so3(w)
-        assert np.allclose(so3.rotation_error(R, R), 0.0, atol=1e-15)
+        assert np.allclose(rotation_error(R, R), 0.0, atol=1e-15)
 
 
 def test_rotation_error_quarter_turn():
     # Hand expansion of the three column cross products.
-    e = so3.rotation_error(so3.rot_z(np.pi / 2), np.eye(3))
+    e = rotation_error(so3.rot_z(np.pi / 2), np.eye(3))
     assert np.allclose(e, (0, 0, -2), atol=1e-12)
 
 
 def test_rotation_error_magnitude_two_sin_phi():
     for phi in np.arange(0.1, 1.51, 0.1):
-        e = so3.rotation_error(so3.rot_z(phi), np.eye(3))
+        e = rotation_error(so3.rot_z(phi), np.eye(3))
         assert abs(np.linalg.norm(e) - 2.0 * np.sin(phi)) < 1e-9
 
 
@@ -137,4 +137,21 @@ def test_rotation_error_matches_column_cross_products():
         R_d = so3.exp_so3(rng.normal(size=3))
         R_e = so3.exp_so3(rng.normal(size=3))
         want = _rotation_error_by_columns(R_d, R_e)
-        assert np.abs(so3.rotation_error(R_d, R_e) - want).max() <= 1e-15
+        assert np.abs(rotation_error(R_d, R_e) - want).max() <= 1e-15
+
+
+def test_rotation_error_into_fills_its_out_with_the_flat_entry_formula():
+    # A stack of 4 with one R_d broadcast or one R_d per slice: the error
+    # goes into out, and equals vee(R_e R_d^T - R_d R_e^T) read off flat
+    # entries (2,1) (0,2) (1,0) less (1,2) (2,0) (0,1), bit for bit, each
+    # time the buffers are reused.
+    rng = np.random.default_rng(8)
+    R_e = so3.exp_so3(rng.normal(size=(4, 3)))
+    error = so3.rotation_error_into((4,))
+    for R_d in (so3.exp_so3(rng.normal(size=(4, 3))), so3.exp_so3(rng.normal(size=3))):
+        out = np.empty((4, 3))
+        assert error(np.swapaxes(R_d, -1, -2), R_e, out) is out
+        flat = (R_e @ np.swapaxes(R_d, -1, -2)).reshape(4, 9)
+        assert np.array_equal(out, flat[:, [7, 2, 3]] - flat[:, [5, 6, 1]])
+        assert np.array_equal(rotation_error(R_d, R_e), out)
+    assert rotation_error(np.eye(3), np.eye(3)).shape == (3,)

@@ -2,17 +2,19 @@
 """A/B perfbench pairs: two git revisions, alternating untraced runs.
 
     python3 tools/ab_perfbench.py BASE CHANGE --workload batch_clean \\
-        --scratch /tmp/ab --pairs 10 --seconds 30
+        --scratch /tmp/ab --pairs 10 --seconds 30 --seeds 10,11,12,13,14
 
 Run from a checkout. It exports BASE and CHANGE (any git revisions) into
 SCRATCH/a and SCRATCH/b, paths of the same length (the length of a
 checkout's path alone moves `train`'s readings), and runs
 `perfbench/run.py --trace 0` in each, one pair at a time. Within a pair the
-side that runs first alternates, base first in pair 1. It prints each
-pair's end-to-end metrics, then per metric the medians, the base runs'
-interquartile range and the pairs in which the change is better, with the
-direction (higher or lower) read from BENCHMARK.json. Standard library only;
-it writes nothing outside SCRATCH.
+side that runs first alternates, base first in pair 1. Every pair runs on
+--seed, or with --seeds S0,S1,... pair i runs on seed S(i mod n), so a claim
+can be checked on seeds not used while the change was written. It prints
+each pair's seed and end-to-end metrics, then per metric the medians, the
+base runs' interquartile range and the pairs in which the change is better,
+with the direction (higher or lower) read from BENCHMARK.json. Standard
+library only; it writes nothing outside SCRATCH.
 """
 
 from __future__ import annotations
@@ -47,6 +49,16 @@ def export(rev: str, dest: Path) -> None:
 def run_order(pair: int) -> tuple:
     """The sides in the order they run in pair number `pair` (from 0)."""
     return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def pair_seed(pair: int, seeds: list) -> int:
+    """The seed that pair number `pair` (from 0) runs on: the seeds in turn."""
+    return seeds[pair % len(seeds)]
+
+
+def parse_seeds(text: str) -> list:
+    """--seeds: comma-separated integers."""
+    return [int(s) for s in text.split(",")]
 
 
 def parse_result(stdout: str) -> dict:
@@ -85,11 +97,11 @@ def summarize(pairs: list, metrics: list) -> dict:
 def report(pairs: list, metrics: list) -> str:
     """The per-pair table and the per-metric summary, as printed."""
     names = [name for name, _ in metrics]
-    lines = ["pair first  " + "  ".join(f"{n + ' base->change':>34}" for n in names)]
+    lines = ["pair  seed first  " + "  ".join(f"{n + ' base->change':>34}" for n in names)]
     for i, p in enumerate(pairs):
         cells = [f"{value(p['base'], n):>16.6g}->{value(p['change'], n):<16.6g}"
                  for n in names]
-        lines.append(f"{i + 1:>4} {run_order(i)[0]:<6} " + "  ".join(cells)
+        lines.append(f"{i + 1:>4} {p['seed']:>5} {run_order(i)[0]:<6} " + "  ".join(cells)
                      + ("" if p["base"]["correct"] and p["change"]["correct"]
                         else "  (an output check failed)"))
     for name, s in summarize(pairs, metrics).items():
@@ -109,26 +121,28 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seeds", type=parse_seeds,
+                   help="comma-separated seeds, taken in turn by the pairs (overrides --seed)")
     args = p.parse_args(argv)
     dirs = checkout_dirs(args.scratch)
     for side, rev in zip(SIDES, (args.base, args.change)):
         export(rev, dirs[side])
     metrics = [(m["name"], m["better"]) for m in
                json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]]
-    pairs = []
+    pairs, seeds = [], args.seeds or [args.seed]
     for i in range(args.pairs):
-        pair = {}
+        pair = {"seed": pair_seed(i, seeds)}
         for side in run_order(i):
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", args.workload,
-                 "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+                 "--seed", str(pair["seed"]), "--seconds", str(args.seconds), "--trace", "0"],
                 cwd=dirs[side], capture_output=True, text=True)
             if proc.returncode != 0:
                 print(proc.stderr, file=sys.stderr)
                 return proc.returncode
             pair[side] = parse_result(proc.stdout)
         pairs.append(pair)
-        print(f"pair {i + 1}: " + ", ".join(
+        print(f"pair {i + 1} seed {pair['seed']}: " + ", ".join(
             f"{s} {value(pair[s], metrics[0][0]):.6g}" for s in SIDES), flush=True)
     print(report(pairs, metrics))
     return 0
