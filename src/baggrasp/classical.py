@@ -78,9 +78,9 @@ def wrap_half_pi(theta: float) -> float:
 
 
 def _edge_pad(src: np.ndarray, ry: int, rx: int, ws: Workspace) -> np.ndarray:
-    """np.pad(src, ((ry, ry), (rx, rx)), mode="edge"), in ws's pad buffer."""
+    """np.pad(src, ((ry, ry), (rx, rx)), mode="edge"), in ws.pad."""
     h, w = src.shape
-    out = ws.flat("pad", (h + 2 * ry) * (w + 2 * rx)).reshape(h + 2 * ry, w + 2 * rx)
+    out = ws.pad((h + 2 * ry) * (w + 2 * rx)).reshape(h + 2 * ry, w + 2 * rx)
     mid = out[ry:ry + h]
     mid[:, rx:rx + w] = src
     mid[:, :rx], mid[:, rx + w:] = src[:, :1], src[:, -1:]
@@ -90,7 +90,7 @@ def _edge_pad(src: np.ndarray, ry: int, rx: int, ws: Workspace) -> np.ndarray:
 
 def gaussian_blur(gray: np.ndarray, sigma: float, ws: Workspace | None = None) -> np.ndarray:
     """Separable Gaussian blur, kernel radius ceil(3 sigma), clamped borders;
-    in ws's frame 1 (frame 2 and the pad are scratch)."""
+    in ws.frames[1] (ws.frames[2] and ws.pad are scratch)."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     ws = Workspace.for_frame(ws, gray.shape)
@@ -99,9 +99,9 @@ def gaussian_blur(gray: np.ndarray, sigma: float, ws: Workspace | None = None) -
     kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     kernel /= kernel.sum()
     h, w = gray.shape
-    out, tmp = ws.frame(1), ws.frame(2)
+    out, tmp = ws.frames[1], ws.frames[2]
     # One pad buffer, made at its largest at once, serves both passes and Sobel.
-    ws.flat("pad", max(h * (w + 2 * radius), (h + 2 * radius) * w, (h + 2) * (w + 2)))
+    ws.pad(max(h * (w + 2 * radius), (h + 2 * radius) * w, (h + 2) * (w + 2)))
     # A pass sums its taps from 0.0; the first is a kernel value > 0 times a
     # value >= +0, so 0.0 + it is itself and it is written as it is.
     padded = _edge_pad(gray, 0, radius, ws)
@@ -118,10 +118,10 @@ def gaussian_blur(gray: np.ndarray, sigma: float, ws: Workspace | None = None) -
 def sobel_gradients(gray: np.ndarray, ws: Workspace | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Sobel x/y gradients, scaled so a unit step edge has magnitude 1; in
-    ws's frames 0 and 2 (frame 1 and the pad are scratch)."""
+    ws.frames[0] and [2] (ws.frames[1] and ws.pad are scratch)."""
     ws = Workspace.for_frame(ws, gray.shape)
     p = _edge_pad(gray, 1, 1, ws)
-    tmp = ws.frame(1)
+    tmp = ws.frames[1]
 
     def grad(g, a, b, c, d, e, f):  # (a + 2b + c - d - 2e - f) / 4; 2b + a == a + 2b
         np.multiply(b, 2.0, out=g)
@@ -131,9 +131,9 @@ def sobel_gradients(gray: np.ndarray, ws: Workspace | None = None
         g -= np.multiply(e, 2.0, out=tmp)
         g -= f
         return np.divide(g, 4.0, out=g)
-    return (grad(ws.frame(0), p[:-2, 2:], p[1:-1, 2:], p[2:, 2:], p[:-2, :-2], p[1:-1, :-2],
+    return (grad(ws.frames[0], p[:-2, 2:], p[1:-1, 2:], p[2:, 2:], p[:-2, :-2], p[1:-1, :-2],
                  p[2:, :-2]),
-            grad(ws.frame(2), p[2:, :-2], p[2:, 1:-1], p[2:, 2:], p[:-2, :-2], p[:-2, 1:-1],
+            grad(ws.frames[2], p[2:, :-2], p[2:, 1:-1], p[2:, 2:], p[:-2, :-2], p[:-2, 1:-1],
                  p[:-2, 2:]))
 
 
@@ -171,7 +171,7 @@ def _label8(ids: np.ndarray, w: int) -> np.ndarray:
 def _thin(gx: np.ndarray, gy: np.ndarray, low: float, ws: Workspace):
     """Non-maximum suppression of the weak pixels (magnitude >= low): the
     flat ids (y+1)*(w+2) + x+1 of those that survive, and the zero-padded
-    magnitude, in ws's pad, that they were judged on.
+    magnitude, in ws.pad, that they were judged on.
 
     |g| <= sqrt(2) max(|gx|, |gy|): a pixel under 0.7 low is under 0.99 low,
     neither weak nor a neighbour as large as one, so it stays 0 in the
@@ -180,11 +180,11 @@ def _thin(gx: np.ndarray, gy: np.ndarray, low: float, ws: Workspace):
     """
     h, w = gx.shape
     gx, gy = gx.ravel(), gy.ravel()
-    big = np.abs(gx, out=ws.frame(1).ravel())
-    near = np.flatnonzero(np.maximum(big, np.abs(gy, out=ws.flat("pad", h * w)), out=big)
+    big = np.abs(gx, out=ws.frames[1].ravel())
+    near = np.flatnonzero(np.maximum(big, np.abs(gy, out=ws.pad(h * w)), out=big)
                           >= 0.7 * low)
     at = near + 2 * (near // w) + w + 3
-    padded = ws.flat("pad", (h + 2) * (w + 2))
+    padded = ws.pad((h + 2) * (w + 2))
     padded.fill(0.0)
     padded[at] = np.hypot(gx[near], gy[near])
     weak = padded[at] >= low

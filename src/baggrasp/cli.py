@@ -117,8 +117,7 @@ def _parse_proposals(lines, source: str) -> list[GraspProposal]:
 def cmd_denoise(args, cfg) -> int:
     proposals = _parse_proposals(sys.stdin, "<stdin>")
     if not proposals:
-        print("no proposals on stdin", file=sys.stderr)
-        return 1
+        raise InputError("<stdin>: no proposals")
     now = args.now if args.now is not None else max(p.t for p in proposals)
     print(denoise.denoise(proposals, now, cfg.window,
                           cfg.distance_threshold).to_json_line())

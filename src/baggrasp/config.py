@@ -85,7 +85,7 @@ class PipelineConfig:
         # NaN fails every comparison, so each bound is written as the test
         # a good value passes.
         for f in dataclasses.fields(self):
-            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name)):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise InputError(f"{f.name} must be finite")
         for name in ("sigma", "perimeter_min", "window", "frame_rate", "duration",
                      "control_rate", "k_p", "qdot_max", "pos_tol", "ang_tol_deg",
@@ -174,14 +174,14 @@ def _parse_value(name: str, raw: str):
     kind = _FIELDS[name].type
     raw = raw.strip()
     try:
-        if kind in ("tuple", tuple):
+        if kind == "tuple":
             parts = tuple(int(p) for p in raw.split(",") if p.strip())
             if len(parts) != 3:
                 raise InputError(f"expected an r,g,b triple, got {raw!r}")
             return parts
-        if kind in ("int", int):
+        if kind == "int":
             return int(raw)
-        if kind in ("float", float):
+        if kind == "float":
             return float(raw)
     except ValueError as err:
         raise InputError(f"{name}: {err}") from err

@@ -90,18 +90,20 @@ def save_pgm(image: np.ndarray, path) -> None:
 
 class Workspace:
     """A frame's state, reused frame after frame for frames of one (height,
-    width): float buffers for the per-pixel stages (to_gray; classical's
-    gaussian_blur, sobel_gradients and canny), each made, zeroed, at its
-    first use, so a run of frames makes no frame-sized array after the
-    first, and `kept`, canny's record of its mask for find_contours. A stage
-    output made in a workspace is one of its buffers: valid only until the
-    next stage call on it, never past its next frame, and not to be written
-    into. A stage given no workspace makes a fresh one."""
+    width): `frames`, three zeroed float frames made with the workspace, and
+    `pad(size)`, one float buffer that grows, for the per-pixel stages
+    (to_gray; classical's gaussian_blur, sobel_gradients and canny), so a run
+    of frames makes no frame-sized array after the first; and `kept`, canny's
+    record of its mask for find_contours. A stage output made in a workspace
+    is one of its buffers: valid only until the next stage call on it, never
+    past its next frame, and not to be written into. A stage given no
+    workspace makes a fresh one."""
 
     def __init__(self, height: int, width: int):
         self.shape = (height, width)
         self.kept = (np.zeros(0, int), np.zeros(0, int))
-        self._buffers: dict = {}
+        self.frames = np.zeros((3, height, width))
+        self._pad = np.zeros(0)
 
     @classmethod
     def for_frame(cls, ws: "Workspace | None", shape) -> "Workspace":
@@ -113,25 +115,19 @@ class Workspace:
                              f"given a {shape[0]}x{shape[1]} frame")
         return ws
 
-    def flat(self, name: str, size: int) -> np.ndarray:
-        """The first size items of the float buffer called name, made when
-        missing or smaller."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.zeros(size)
-        return buf[:size]
-
-    def frame(self, k: int) -> np.ndarray:
-        """Float frame buffer k, shaped (height, width)."""
-        return self.flat(f"frame{k}", self.shape[0] * self.shape[1]).reshape(self.shape)
+    def pad(self, size: int) -> np.ndarray:
+        """The first size items of the pad buffer, made anew, zeroed, when smaller."""
+        if self._pad.size < size:
+            self._pad = np.zeros(size)
+        return self._pad[:size]
 
 
 def to_gray(image: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Luminance 0.299 R + 0.587 G + 0.114 B of an RGB image, scaled to [0, 1]:
-    a float array (height, width), in ws's frame 0 (frame 1 is scratch)."""
+    a float array (height, width), in ws.frames[0] (ws.frames[1] is scratch)."""
     ws = Workspace.for_frame(ws, image.shape[:2])
-    lum = np.multiply(image[..., 0], 0.299, out=ws.frame(0))  # no float copy of the frame
-    tmp = ws.frame(1)
+    lum = np.multiply(image[..., 0], 0.299, out=ws.frames[0])  # no float copy of the frame
+    tmp = ws.frames[1]
     lum += np.multiply(image[..., 1], 0.587, out=tmp)
     lum += np.multiply(image[..., 2], 0.114, out=tmp)
     return np.divide(lum, 255.0, out=lum)

@@ -131,6 +131,7 @@ class Chain:
 
     def __init__(self, arm: ArmModel, lead: tuple):
         n, self._arm = N_JOINTS, arm
+        self._floor = 1e-6 * math.sqrt(2.0 * arm.gram_bound)  # dls()'s pivot check bound
         coef = np.zeros(lead + (n + 1, 1, 3))  # [1, 0, 0], then [1, s_j, 1 - c_j]
         coef[..., 0] = 1.0
         P = np.empty(lead + (n + 1, 4, 4))
@@ -169,11 +170,25 @@ class Chain:
         np.subtract(*np.multiply(a_shifted, d_shifted, out=products), out=lin)
         ang[...] = a
 
-    def dls(self, damping: float, u, proven: bool = False) -> np.ndarray:
-        """J^T (J J^T + damping^2 I)^-1 u, u (..., 6), at the last update; see _dls_solve."""
-        np.matmul(self.J, self.JT, out=self._G)
-        x = _dls_solve(self._G, damping, u[..., None], self._diag, proven)
-        return np.matmul(self.JT, x, out=self._qdot)[..., 0]
+    def dls(self, damping: float, u) -> np.ndarray:
+        """J^T (J J^T + damping^2 I)^-1 u, u (..., 6), at the last update. A slice
+        whose Cholesky pivots show G = J J^T + damping^2 I singular raises. Each
+        exact pivot lies in [damping, sqrt(gram_bound + damping^2)], so the check
+        runs only for damping <= 1e-6 sqrt(2 gram_bound) (2x for rounding): above
+        that floor it would pass with a 10x margin."""
+        G = np.matmul(self.J, self.JT, out=self._G)
+        self._diag += damping * damping
+        if damping <= self._floor:
+            # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
+            # healthy configurations sit orders of magnitude above this cut.
+            try:
+                pivots = np.diagonal(np.linalg.cholesky(G), axis1=-2, axis2=-1)
+                singular = (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any()
+            except np.linalg.LinAlgError:
+                singular = True
+            if singular:
+                raise ValueError("J J^T singular; use damping > 0 near singularities")
+        return np.matmul(self.JT, np.linalg.solve(G, u[..., None]), out=self._qdot)[..., 0]
 
 
 def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
@@ -188,22 +203,3 @@ def fk(arm: ArmModel, q) -> Pose:
     """End-effector pose for joint vector q (product of exponentials)."""
     return fk_and_jacobian(arm, q)[0]
 
-
-def _dls_solve(G, damping: float, rhs, diag=None, proven=False) -> np.ndarray:
-    """(G + damping^2 I)^-1 rhs for a stack of C-contiguous G = J J^T (..., m, m), damped
-    in place (via its diagonal view diag if given). A slice whose Cholesky pivots show it
-    singular raises; as each exact pivot lies in [damping, sqrt(G_ii)], that check is skipped
-    for damping > 1e-6 sqrt(max G_ii), or proven so: it would pass with a 10x margin."""
-    diag = G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] if diag is None else diag
-    diag += damping * damping
-    if not (proven or damping > 1e-6 * math.sqrt(diag.max(initial=0.0))):
-        # A rank deficiency shows up as a Cholesky pivot of order sqrt(eps);
-        # healthy configurations sit orders of magnitude above this cut.
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(G), axis1=-2, axis2=-1)
-            singular = (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any()
-        except np.linalg.LinAlgError:
-            singular = True
-        if singular:
-            raise ValueError("J J^T singular; use damping > 0 near singularities")
-    return np.linalg.solve(G, rhs)

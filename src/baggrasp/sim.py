@@ -256,8 +256,6 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     lower, upper = np.repeat(arm.limits.T[:, None], len(trajs), axis=1)  # (B, 7): no broadcast
     chain = kinematics.Chain(arm, q.shape[:-1])
     orientation_error = so3.rotation_error_into(q.shape[:-1])
-    # gram_bound >= diag(J J^T) at all q; 2x for rounding: this stands for _dls_solve's test.
-    proven = cfg.damping > 1e-6 * math.sqrt(2.0 * arm.gram_bound + cfg.damping * cfg.damping)
     errors = np.empty((n_steps, len(trajs), 6))  # e of every step
     e_p, e_o = errors[..., :3], errors[..., 3:]
     edot, u, kd_edot = np.zeros((3, len(trajs), 6))  # u = -k_p e - kd_edot + v_ff
@@ -279,7 +277,7 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
             np.divide(np.subtract(e, errors[i - 1], out=edot), step, out=edot)
         np.multiply(neg_k_p, e, out=u)
         np.subtract(u, np.multiply(k_d, edot, out=kd_edot), out=u)
-        qdot = chain.dls(cfg.damping, np.add(u, v_ff, out=u), proven)
+        qdot = chain.dls(cfg.damping, np.add(u, v_ff, out=u))
         np.minimum(np.maximum(qdot, v_min, out=qdot), v_max, out=qdot)
         q += np.multiply(qdot, step, out=qdot)
         np.minimum(np.maximum(q, lower, out=q), upper, out=q)

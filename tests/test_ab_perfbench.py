@@ -78,7 +78,7 @@ def test_a_single_pair_has_no_spread():
 def test_pairs_take_the_seeds_in_turn(tmp_path, monkeypatch, capsys):
     # main() with its exports and benchmark runs replaced by canned results
     # (no benchmark runs): pair i runs both sides on seed i mod n, and each
-    # pair's line names it; without --seeds every pair runs on --seed.
+    # pair's line names it; with one seed every pair runs on it.
     def export(rev, dest):
         dest.mkdir(parents=True)
         (dest / "BENCHMARK.json").write_text(json.dumps(
@@ -103,6 +103,18 @@ def test_pairs_take_the_seeds_in_turn(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "pair 1 seed 10: base 40, change 40" in out and "pair 4 seed 11:" in out
     runs.clear()
-    assert ab.main([*argv, "--scratch", str(tmp_path / "two"), "--seed", "3"]) == 0
+    assert ab.main([*argv, "--scratch", str(tmp_path / "two"), "--seeds", "3"]) == 0
     assert [seed for _, seed in runs] == [3] * 10
     assert "pair 5 seed 3:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_exit_2_before_any_export(tmp_path, monkeypatch, capsys, pairs):
+    exports = []
+    monkeypatch.setattr(ab, "export", lambda rev, dest: exports.append(rev))
+    with pytest.raises(SystemExit) as exit_:
+        ab.main(["HEAD~1", "HEAD", "--workload", "batch_clean", "--pairs", pairs,
+                 "--scratch", str(tmp_path / "ab")])
+    assert exit_.value.code == 2 and exports == []
+    assert "--pairs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ab").exists()

@@ -103,10 +103,12 @@ def test_denoise_pipe(monkeypatch, capsys):
     assert abs(got["theta"] - 0.205) < 1e-12
 
 
-def test_denoise_empty_stdin_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    assert main(["denoise"]) == 1
-    capsys.readouterr()
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_denoise_empty_stdin_exits_2(monkeypatch, capsys, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["denoise"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "<stdin>: no proposals" in captured.err
 
 
 def test_denoise_malformed_line_exits_2(monkeypatch, capsys):

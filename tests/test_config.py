@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,17 @@ def test_load_config_parses_types(tmp_path):
     assert cfg.sigma == 2.0
     assert cfg.scene_width == 128
     assert cfg.color_low == (10, 20, 30)
+
+
+def test_every_field_type_is_one_that_parse_value_handles():
+    # Annotations are strings (config.py postpones them), and _parse_value
+    # and validate compare with these four; any other would parse as raw text.
+    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    assert set(types.values()) <= {"float", "int", "tuple", "str"}, types
+    assert [config._parse_value(name, "1,2,3" if kind == "tuple" else "7")
+            for name, kind in (("sigma", "float"), ("batch_size", "int"),
+                               ("color_low", "tuple"), ("arm_file", "str"))] \
+        == [7.0, 7, (1, 2, 3), "7"]
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

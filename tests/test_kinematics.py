@@ -3,8 +3,7 @@ import pytest
 
 from baggrasp import sim, so3, trajectory
 from baggrasp.config import PipelineConfig
-from baggrasp.kinematics import (Chain, _dls_solve, default_arm_path, fk, fk_and_jacobian,
-                                 load_arm)
+from baggrasp.kinematics import Chain, default_arm_path, fk, fk_and_jacobian, load_arm
 from baggrasp.so3 import Pose
 from conftest import control_steps, is_rotation, rotation_error
 
@@ -13,14 +12,29 @@ HOME = sim.HOME_Q
 
 
 def gram(J):
-    """J J^T, the matrix _dls_solve damps and solves with."""
+    """J J^T, the matrix Chain.dls damps and solves with."""
     return J @ np.swapaxes(J, -1, -2)
+
+
+def _dls_solve_checking_every_pivot(J, damping, rhs):
+    """(J J^T + damping^2 I)^-1 rhs with Chain.dls's Cholesky pivot check run
+    whatever the damping: a slice it shows singular raises Chain.dls's error."""
+    G = gram(J)
+    G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] += damping * damping
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(G), axis1=-2, axis2=-1)
+        singular = (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any()
+    except np.linalg.LinAlgError:
+        singular = True
+    if singular:
+        raise ValueError("J J^T singular; use damping > 0 near singularities")
+    return np.linalg.solve(G, rhs)
 
 
 def pinv(J, damping):
     """The damped pseudo-inverse J^T (J J^T + damping^2 I)^-1, as (G^-1 J)^T:
     G is symmetric, so one solve of G X = J gives it."""
-    return np.swapaxes(_dls_solve(gram(J), damping, J), -1, -2)
+    return np.swapaxes(_dls_solve_checking_every_pivot(J, damping, J), -1, -2)
 
 
 def random_q(rng, size=None):
@@ -263,45 +277,40 @@ def test_pinv_stack_raises_on_one_singular_slice():
     assert np.all(np.isfinite(pinv(stack, 1e-3)))
 
 
-def _dls_solve_checking_every_pivot(J, damping, rhs):
-    """_dls_solve(gram(J), ...) with the Cholesky pivot check run whatever
-    the damping."""
-    G = gram(J)
-    G.reshape(G.shape[:-2] + (-1,))[..., ::G.shape[-1] + 1] += damping * damping
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("J J^T singular") from err
-    pivots = np.diagonal(L, axis1=-2, axis2=-1)
-    if (pivots.min(axis=-1) <= 1e-7 * pivots.max(axis=-1)).any():
-        raise ValueError("J J^T singular")
-    return np.linalg.solve(G, rhs)
-
-
-def test_dls_solve_skips_only_a_pivot_check_that_passes():
-    # Stacks of rank 6 and rank 5 (every third slice), damped from 0 up past
-    # the skip bound damping > 1e-6 sqrt(max G_ii): the solve raises exactly
-    # when the full check does, and otherwise returns np.linalg.solve(G, rhs).
+def test_chain_dls_skips_only_a_pivot_check_that_passes(monkeypatch):
+    # Stacks of arm configurations, every third slice the stretched-out
+    # singular q = 0 or a configuration near it, damped from 0 up past the
+    # floor 1e-6 sqrt(2 gram_bound): Chain.dls raises exactly when the full
+    # check does, with its error, otherwise returns the oracle's solve bit for
+    # bit, and factors G only at or below the floor.
+    factors = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda G: factors.append(1) or cholesky(G))
+    floor = 1e-6 * np.sqrt(2.0 * ARM.gram_bound)
     rng = np.random.default_rng(11)
     outcomes = set()
-    for trial in range(40):
+    for trial in range(30):
         batch = (1, 4, 16)[trial % 3]
-        J = rng.normal(size=(batch, 6, 7)) * 10.0 ** rng.uniform(-3, 3)
-        J[::3] = J[::3, :, :5] @ rng.normal(size=(5, 7))
-        rhs = rng.normal(size=(batch, 6, 1 + trial % 2 * 6))
-        scale = np.sqrt(np.einsum("...ij,...ij->...i", J, J).max())
-        for damping in (0.0, 1e-9 * scale, 2e-7 * scale, 0.99e-6 * scale,
-                        1.01e-6 * scale, 1e-3 * scale, 1e-3):
+        qs = random_q(rng, batch)
+        qs[::3] = 0.0 if trial % 2 else rng.normal(scale=1e-4, size=qs[::3].shape)
+        chain = Chain(ARM, (batch,))
+        chain.update(qs)
+        u = rng.normal(size=(batch, 6))
+        for damping in (0.0, 1e-9, 0.99 * floor, 1.01 * floor, 1e-3):
             try:
-                want = _dls_solve_checking_every_pivot(J, damping, rhs)
-            except ValueError:
-                with pytest.raises(ValueError, match=r"J J\^T singular"):
-                    _dls_solve(gram(J), damping, rhs)
-                outcomes.add(("raised", damping > 1e-6 * scale))
+                x = _dls_solve_checking_every_pivot(chain.J, damping, u[..., None])
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    chain.dls(damping, u)
+                assert str(got.value) == str(err) == \
+                    "J J^T singular; use damping > 0 near singularities"
+                outcomes.add(("raised", damping > floor))
                 continue
-            assert np.array_equal(_dls_solve(gram(J), damping, rhs), want)
-            outcomes.add(("solved", damping > 1e-6 * scale))
-    # Both outcomes occur below the bound, and above it every check passed.
+            factors.clear()
+            assert np.array_equal(chain.dls(damping, u), (chain.JT @ x)[..., 0])
+            assert len(factors) == (damping <= floor)
+            outcomes.add(("solved", damping > floor))
+    # Both outcomes occur below the floor, and above it every check passed.
     assert outcomes == {("raised", False), ("solved", False), ("solved", True)}
 
 
@@ -451,9 +460,8 @@ def test_stacked_control_loop_matches_scalar_oracle():
 
 def _run_control_by_expression(arm, q0, trajs, cfg):
     """run_control with its step written plainly: the orientation error of
-    R_d in buffers made per step, the PD law as one expression and Chain.dls
-    with _dls_solve's own damping test at every step, each array made where
-    it is used."""
+    R_d in buffers made per step, the PD law as one expression and Chain.dls,
+    each array made where it is used."""
     traj = trajectory.stack(trajs)
     dt = 1.0 / cfg.control_rate
     n_steps = int(round((traj.t_f - traj.t_i + cfg.settle_time) * cfg.control_rate))

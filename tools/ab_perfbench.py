@@ -8,13 +8,13 @@ Run from a checkout. It exports BASE and CHANGE (any git revisions) into
 SCRATCH/a and SCRATCH/b, paths of the same length (the length of a
 checkout's path alone moves `train`'s readings), and runs
 `perfbench/run.py --trace 0` in each, one pair at a time. Within a pair the
-side that runs first alternates, base first in pair 1. Every pair runs on
---seed, or with --seeds S0,S1,... pair i runs on seed S(i mod n), so a claim
-can be checked on seeds not used while the change was written. It prints
-each pair's seed and end-to-end metrics, then per metric the medians, the
-base runs' interquartile range and the pairs in which the change is better,
-with the direction (higher or lower) read from BENCHMARK.json. Standard
-library only; it writes nothing outside SCRATCH.
+side that runs first alternates, base first in pair 1. With --seeds
+S0,S1,... (default 0) pair i runs on seed S(i mod n), so a claim can be
+checked on seeds not used while the change was written. It prints each
+pair's seed and end-to-end metrics, then per metric the medians, the base
+runs' interquartile range and the pairs in which the change is better, with
+the direction (higher or lower) read from BENCHMARK.json. Standard library
+only; it writes nothing outside SCRATCH.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ def run_order(pair: int) -> tuple:
 def pair_seed(pair: int, seeds: list) -> int:
     """The seed that pair number `pair` (from 0) runs on: the seeds in turn."""
     return seeds[pair % len(seeds)]
+
+
+def positive_int(text: str) -> int:
+    """--pairs: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def parse_seeds(text: str) -> list:
@@ -118,20 +126,19 @@ def main(argv=None) -> int:
     p.add_argument("change", help="git revision of the change, e.g. HEAD")
     p.add_argument("--workload", required=True)
     p.add_argument("--scratch", required=True, help="new directory for both checkouts")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=positive_int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=parse_seeds,
-                   help="comma-separated seeds, taken in turn by the pairs (overrides --seed)")
+    p.add_argument("--seeds", type=parse_seeds, default="0",
+                   help="comma-separated seeds, taken in turn by the pairs")
     args = p.parse_args(argv)
     dirs = checkout_dirs(args.scratch)
     for side, rev in zip(SIDES, (args.base, args.change)):
         export(rev, dirs[side])
     metrics = [(m["name"], m["better"]) for m in
                json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]]
-    pairs, seeds = [], args.seeds or [args.seed]
+    pairs = []
     for i in range(args.pairs):
-        pair = {"seed": pair_seed(i, seeds)}
+        pair = {"seed": pair_seed(i, args.seeds)}
         for side in run_order(i):
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", args.workload,
