@@ -64,8 +64,10 @@ class GraspProposal:
         """Parse one JSON line; a malformed one is an InputError naming where."""
         try:
             obj = json.loads(line)
-            return GraspProposal(float(obj["x"]), float(obj["y"]),
-                                 float(obj["theta"]), float(obj["t"]))
+            values = [obj[k] for k in ("x", "y", "theta", "t")]
+            if any(type(v) not in (int, float) for v in values):  # bool is an int
+                raise TypeError("x, y, theta and t must be JSON numbers")
+            return GraspProposal(*map(float, values))
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise InputError(f"{where}: malformed proposal line {line.strip()!r}: "
                              f"{err}") from err
@@ -195,29 +197,27 @@ def _thin(gx: np.ndarray, gy: np.ndarray, low: float, ws: Workspace):
 
 
 def canny(gray: np.ndarray, low: float, high: float,
-          ws: Workspace | None = None) -> np.ndarray:
-    """Canny edge mask: Sobel -> non-maximum suppression -> hysteresis.
+          ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Canny edge set: Sobel -> non-maximum suppression -> hysteresis.
 
     Gradient directions are quantized to the 8 compass sectors; a pixel
     survives suppression iff its magnitude strictly exceeds the neighbor
     against the gradient and is >= the neighbor along it (the asymmetry
     thins symmetric two-pixel ridges to one pixel). Strong pixels have
     magnitude >= high; weak ones (>= low) are kept only when their
-    8-connected component of weak pixels holds a strong pixel. The mask is a new
-    array; ws.kept records its pixels' flat ids and labels (ws's buffers are scratch).
+    8-connected component of weak pixels holds a strong pixel. Returns
+    (ids, label): the kept pixels' flat ids (y+1)*(w+2) + x+1, ascending, and
+    for each the index in ids of its component's first pixel (ws's buffers
+    are scratch).
     """
     if not (0.0 < low < high <= 1.0):
         raise ValueError("require 0 < low < high <= 1")
     ws = Workspace.for_frame(ws, gray.shape)
-    h, w = gray.shape
     at, padded = _thin(*sobel_gradients(gray, ws), low, ws)
-    label = _label8(at, w)
+    label = _label8(at, gray.shape[1])
     kept = np.isin(label, label[padded[at] >= high])
     # A kept component's first pixel is kept, so labels re-index into the kept.
-    ws.kept = at[kept], (np.cumsum(kept) - 1)[label[kept]]
-    keep = np.zeros((h + 2) * (w + 2), dtype=bool)
-    keep[ws.kept[0]] = True
-    return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
+    return at[kept], (np.cumsum(kept) - 1)[label[kept]]
 
 
 def detect_ball(image: np.ndarray, color_low, color_high) -> tuple[np.ndarray, float]:
@@ -267,31 +267,20 @@ def _trace_boundary(edge: set[int], start: int, w: int, size: int) -> np.ndarray
     return np.column_stack([ids % (w + 2) - 1, ids // (w + 2) - 1]).astype(float)
 
 
-def find_contours(mask: np.ndarray, ws: Workspace | None = None) -> list[np.ndarray]:
-    """Boundary polygons of the 8-connected components of an edge mask, by
-    the labels in ws.kept when canny recorded this mask there.
+def find_contours(ids: np.ndarray, label: np.ndarray, w: int) -> list[np.ndarray]:
+    """Boundary polygons of the 8-connected components of a frame w wide
+    whose edge set is canny's (ids, label).
 
     Components smaller than 3 pixels are dropped. Each polygon is an (N, 2)
     array of (x, y) vertices in trace order, components in row-major order.
     """
-    w = np.shape(mask)[1]
-    ids = np.flatnonzero(mask)
-    ids += 2 * (ids // w) + w + 3  # flat id (y+1)*(w+2) + x+1, as in canny
     # A label is the index of its component's first pixel, so size[k] is
     # the size of the component that starts at pixel k. A trace only visits
     # the 8-neighbours of its own component, so one set serves every trace.
-    kept_ids, label = Workspace.for_frame(ws, np.shape(mask)).kept
-    size = np.bincount(label if np.array_equal(ids, kept_ids) else _label8(ids, w))
+    size = np.bincount(label)
     edge = set(ids.tolist())
     return [_trace_boundary(edge, int(ids[k]), w, int(size[k]))
             for k in np.flatnonzero(size >= 3)]
-
-
-def polygon_mean(polygon: np.ndarray) -> np.ndarray:
-    poly = np.asarray(polygon, dtype=float)
-    if poly.size == 0:
-        raise ValueError("polygon is empty")
-    return poly.mean(axis=0)
 
 
 def polygon_theta(polygon: np.ndarray) -> float:
@@ -333,7 +322,7 @@ def select_grasp(polygons, center, radius: float, perimeter_min: float):
         per = perimeter(poly)
         if per <= perimeter_min:
             continue
-        mean = polygon_mean(poly)
+        mean = poly.mean(axis=0)
         score = abs(np.linalg.norm(mean - center) - 1.1 * radius)
         key = (score, -per, idx)
         if best is None or key < best[0]:
@@ -364,8 +353,7 @@ def classical_pipeline(rgb: np.ndarray, cfg: PipelineConfig,
     a fresh workspace). The proposal's t is 0; its caller stamps the frame's time."""
     ws = Workspace.for_frame(ws, rgb.shape[:2])
     center, radius = detect_ball(rgb, cfg.color_low, cfg.color_high)
-    edges = canny(gaussian_blur(to_gray(rgb, ws), cfg.sigma, ws), cfg.canny_low,
-                  cfg.canny_high, ws)
-    polygons = find_contours(edges, ws)
+    polygons = find_contours(*canny(gaussian_blur(to_gray(rgb, ws), cfg.sigma, ws),
+                                    cfg.canny_low, cfg.canny_high, ws), rgb.shape[1])
     mean, theta = select_grasp(polygons, center, radius, cfg.perimeter_min)
     return pixel_to_workspace(mean, theta, cfg)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -294,8 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes "-1e-3" for an option; no option starts with a digit: pass --opt=-1e-3.
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        joins = words and words[-1][:1] == "-" and "=" not in words[-1]
+        words.append(f"{words.pop()}={word}" if joins and re.match(r"-\.?\d", word) else word)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

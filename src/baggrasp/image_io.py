@@ -93,15 +93,13 @@ class Workspace:
     width): `frames`, three zeroed float frames made with the workspace, and
     `pad(size)`, one float buffer that grows, for the per-pixel stages
     (to_gray; classical's gaussian_blur, sobel_gradients and canny), so a run
-    of frames makes no frame-sized array after the first; and `kept`, canny's
-    record of its mask for find_contours. A stage output made in a workspace
-    is one of its buffers: valid only until the next stage call on it, never
-    past its next frame, and not to be written into. A stage given no
-    workspace makes a fresh one."""
+    of frames makes no frame-sized array after the first. A stage output made
+    in a workspace is one of its buffers: valid only until the next stage call
+    on it, never past its next frame, and not to be written into. A stage
+    given no workspace makes a fresh one."""
 
     def __init__(self, height: int, width: int):
         self.shape = (height, width)
-        self.kept = (np.zeros(0, int), np.zeros(0, int))
         self.frames = np.zeros((3, height, width))
         self._pad = np.zeros(0)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def make_dataset(seed0: int, n: int, cfg=None) -> list:
             continue
         out.append(LabeledScene(rgb, dep, (px, py), scene.label[1]))
     return out
+
+
+@functools.cache
+def acceptance_params() -> dict:
+    """The acceptance recipe's trained parameters (make_dataset(0, 200), 50
+    epochs, lr 1e-3, seed 0), trained once per session; read, never write."""
+    return learned.train(make_dataset(0, 200), epochs=50, lr=1e-3, seed=0)[0]
 
 
 def noisy_frame(rng, scene, sigma: float):

@@ -9,8 +9,8 @@ from baggrasp.classical import (BallNotFound, GraspProposal,
                                 NoViableContour, canny, classical_pipeline,
                                 connected_components, detect_ball, find_contours,
                                 gaussian_blur, perimeter, pixel_to_workspace,
-                                polygon_mean, polygon_theta, select_grasp,
-                                sobel_gradients, workspace_to_pixel)
+                                polygon_theta, select_grasp, sobel_gradients,
+                                workspace_to_pixel)
 from baggrasp.image_io import Workspace, to_gray
 from conftest import noisy_frame
 
@@ -64,15 +64,39 @@ def test_blur_rejects_bad_sigma():
 
 # --- canny ---
 
+def _mask(edges, shape):
+    """The bool mask (h, w) of canny's edge set (ids, label)."""
+    h, w = shape
+    keep = np.zeros((h + 2) * (w + 2), dtype=bool)
+    keep[edges[0]] = True
+    return keep.reshape(h + 2, w + 2)[1:-1, 1:-1]
+
+
+def _edge_set(mask):
+    """The edge set of a bool mask: np.pad(mask, 1)'s flat ids and their
+    classical._label8 labels."""
+    ids = np.flatnonzero(np.pad(mask, 1))
+    return ids, classical._label8(ids, mask.shape[1])
+
+
+def _same_edges(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def _contours(mask):
+    """find_contours on a bool mask's edge set."""
+    return find_contours(*_edge_set(mask), mask.shape[1])
+
+
 def test_canny_constant_empty():
     img = np.full((10, 10), 0.7)
-    assert not canny(img, 0.1, 0.2).any()
+    assert len(canny(img, 0.1, 0.2)[0]) == 0
 
 
 def test_canny_vertical_step_edge():
     step = np.zeros((20, 30))
     step[:, 15:] = 1.0
-    edges = canny(step, 0.1, 0.2)
+    edges = _mask(canny(step, 0.1, 0.2), step.shape)
     cols = np.unique(np.nonzero(edges)[1])
     assert len(cols) == 1 and abs(int(cols[0]) - 15) <= 1
     # one-pixel-wide line spanning the image height
@@ -82,13 +106,13 @@ def test_canny_vertical_step_edge():
 def test_canny_weak_speckle_absent():
     img = np.full((11, 11), 0.5)
     img[5, 5] = 0.52  # gradient well below the low threshold
-    assert not canny(img, 0.1, 0.2).any()
+    assert len(canny(img, 0.1, 0.2)[0]) == 0
 
 
 def test_canny_mask_subset_of_low_threshold():
     gray = to_gray(sim.generate_scene(3, config.PipelineConfig()).rgb)
     blurred = gaussian_blur(gray, 1.4)
-    edges = canny(blurred, 0.1, 0.2)
+    edges = _mask(canny(blurred, 0.1, 0.2), blurred.shape)
     gx, gy = sobel_gradients(blurred)
     mag = np.hypot(gx, gy)
     assert np.all(mag[edges] >= 0.1)
@@ -184,14 +208,14 @@ def test_detect_ball_needs_green_and_blue_inside_the_box():
 # --- contours ---
 
 def test_find_contours_empty():
-    assert find_contours(np.zeros((8, 8), dtype=bool)) == []
+    assert _contours(np.zeros((8, 8), dtype=bool)) == []
 
 
 def test_find_contours_hollow_square():
     mask = np.zeros((20, 20), dtype=bool)
     mask[5, 5:15] = mask[14, 5:15] = True
     mask[5:15, 5] = mask[5:15, 14] = True
-    polys = find_contours(mask)
+    polys = _contours(mask)
     assert len(polys) == 1
     assert abs(perimeter(polys[0]) - 36.0) <= 4.0
 
@@ -200,13 +224,13 @@ def test_find_contours_two_segments():
     mask = np.zeros((20, 20), dtype=bool)
     mask[3, 2:8] = True
     mask[15, 10:17] = True
-    assert len(find_contours(mask)) == 2
+    assert len(_contours(mask)) == 2
 
 
 def test_find_contours_drops_tiny_components():
     mask = np.zeros((8, 8), dtype=bool)
     mask[2, 2] = mask[5, 5] = mask[5, 6] = True
-    assert find_contours(mask) == []
+    assert _contours(mask) == []
 
 
 # --- labeller oracles: the earlier fixpoint hysteresis and DFS contours ---
@@ -364,7 +388,7 @@ def _oracle_masks():
 
 def test_find_contours_matches_dfs_oracle_on_masks():
     for mask in _oracle_masks():
-        assert _same_polygons(find_contours(mask), _dfs_find_contours(mask))
+        assert _same_polygons(_contours(mask), _dfs_find_contours(mask))
 
 
 def test_canny_and_contours_match_oracles_on_scenes():
@@ -380,9 +404,10 @@ def test_canny_and_contours_match_oracles_on_scenes():
                 for low, high in ((cfg.canny_low, cfg.canny_high), (0.02, 0.05),
                                   (0.3, 0.9)):
                     edges = canny(blurred, low, high)
-                    assert np.array_equal(edges, _fixpoint_canny(blurred, low, high))
-                    assert _same_polygons(find_contours(edges),
-                                          _dfs_find_contours(edges))
+                    mask = _fixpoint_canny(blurred, low, high)
+                    assert _same_edges(edges, _edge_set(mask))
+                    assert _same_polygons(find_contours(*edges, blurred.shape[1]),
+                                          _dfs_find_contours(mask))
 
 
 def test_canny_matches_fixpoint_oracle_on_random_images():
@@ -392,7 +417,7 @@ def test_canny_matches_fixpoint_oracle_on_random_images():
         img = rng.random((h, w))
         low = rng.uniform(0.01, 0.5)
         high = rng.uniform(low + 1e-3, 1.0)
-        assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
+        assert _same_edges(canny(img, low, high), _edge_set(_fixpoint_canny(img, low, high)))
 
 
 @pytest.mark.parametrize("low", [3 * 5e-324, 1e-300, 1e-3])
@@ -403,7 +428,7 @@ def test_canny_matches_fixpoint_oracle_at_small_thresholds(low):
         h, w = rng.integers(2, 30, size=2)
         img = rng.integers(0, 9, (h, w)) * (low * rng.uniform(0.5, 3.0))
         high = low * rng.integers(2, 7)
-        assert np.array_equal(canny(img, low, high), _fixpoint_canny(img, low, high))
+        assert _same_edges(canny(img, low, high), _edge_set(_fixpoint_canny(img, low, high)))
 
 
 @pytest.mark.parametrize("low", [0.1, 1e-300])
@@ -424,13 +449,13 @@ def test_canny_neighbour_near_magnitude_cutoff(monkeypatch, low, share):
     want[1, 2] = True
     want[2, 2 if isinstance(share, str) else 3] = True  # P, or N over P
     assert np.array_equal(_fixpoint_canny(img, low, 4.0 * low), want)
-    assert np.array_equal(canny(img, low, 4.0 * low), want)
+    assert _same_edges(canny(img, low, 4.0 * low), _edge_set(want))
 
 
 def test_find_contours_takes_canny_labels_only_for_its_mask():
-    # canny keeps its kept pixels' labels in its workspace for find_contours:
-    # they must be the labels find_contours would make, and a changed mask
-    # must be labelled anew.
+    # find_contours traces from the labels it is given: on canny's own edge
+    # set, and on the edge set of that mask with one pixel moved (same count,
+    # other pixels, so other labels), it must match the DFS oracle.
     rng = np.random.default_rng(7)
     images = [rng.random(rng.integers(2, 30, size=2)) for _ in range(30)]
     cfg = config.PipelineConfig()
@@ -439,39 +464,18 @@ def test_find_contours_takes_canny_labels_only_for_its_mask():
         noisy = noisy_frame(rng, scene, 2.0)[0]
         images += [gaussian_blur(to_gray(rgb), cfg.sigma) for rgb in (scene.rgb, noisy)]
     for img in images:
-        h, w = img.shape
-        ws = Workspace(h, w)
+        w = img.shape[1]
         for low, high in ((cfg.canny_low, cfg.canny_high), (0.02, 0.05), (0.3, 0.9)):
-            edges = canny(img, low, high, ws)
-            ids, label = ws.kept
-            want = np.flatnonzero(np.pad(edges, 1))
-            assert ws.shape[1] == w and np.array_equal(ids, want)
-            assert np.array_equal(label, classical._label8(want, w))
-            assert _same_polygons(find_contours(edges, ws), _dfs_find_contours(edges))
-            # Move one edge pixel: same count, other pixels, so other labels.
+            ids, label = canny(img, low, high)
+            edges = _mask((ids, label), img.shape)
+            assert _same_polygons(find_contours(ids, label, w), _dfs_find_contours(edges))
             on, off = np.flatnonzero(edges), np.flatnonzero(~edges)
             if len(on) and len(off):
                 edges.flat[[on[rng.integers(len(on))], off[rng.integers(len(off))]]] = False, True
-                assert _same_polygons(find_contours(edges, ws), _dfs_find_contours(edges))
+                assert _same_polygons(_contours(edges), _dfs_find_contours(edges))
 
 
 # --- polygon operations ---
-
-def test_polygon_mean_square():
-    assert np.array_equal(polygon_mean(np.array([(0, 0), (2, 0), (2, 2), (0, 2)],
-                                                dtype=float)), (1.0, 1.0))
-
-
-def test_polygon_mean_repeated_point():
-    assert np.array_equal(polygon_mean(np.array([(3, 4)] * 5, dtype=float)),
-                          (3.0, 4.0))
-
-
-def test_polygon_mean_matches_numpy():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 100, (37, 2))
-    assert np.allclose(polygon_mean(pts), pts.mean(axis=0), atol=1e-12)
-
 
 def test_polygon_theta_diagonal():
     pts = np.array([(i, i) for i in range(6)], dtype=float)
@@ -525,7 +529,7 @@ def test_select_grasp_prefers_distance_band():
     near = _poly_with((22.0, 0.0), 80)   # |22 - 22| = 0
     far = _poly_with((30.0, 0.0), 80)    # |30 - 22| = 8
     mean, _ = select_grasp([far, near], (0, 0), 20.0, 60.0)
-    assert np.allclose(mean, polygon_mean(near), atol=1e-9)
+    assert np.allclose(mean, np.mean(near, axis=0), atol=1e-9)
 
 
 def test_select_grasp_all_below_threshold():
@@ -536,7 +540,7 @@ def test_select_grasp_all_below_threshold():
 def test_select_grasp_singleton():
     poly = _poly_with((400, 400), 100)
     mean, theta = select_grasp([poly], (0, 0), 10.0, 60.0)
-    assert np.allclose(mean, polygon_mean(poly), atol=1e-9)
+    assert np.allclose(mean, np.mean(poly, axis=0), atol=1e-9)
     assert theta == polygon_theta(poly)
 
 
@@ -546,7 +550,7 @@ def _select_grasp_oracle(polygons, center, radius, perimeter_min):
         per = perimeter(poly)
         if per <= perimeter_min:
             continue
-        mean = polygon_mean(poly)
+        mean = np.mean(poly, axis=0)
         score = abs(np.linalg.norm(mean - center) - 1.1 * radius)
         candidates.append((score, -per, idx, mean, poly))
     if not candidates:
@@ -680,8 +684,8 @@ def _sobel_oracle(src):
 
 
 def _canny_oracle(src, low, high):
-    """canny's mask, the frame's width and its workspace's (ids, labels)
-    record, from _sobel_oracle and a full-frame max(|gx|, |gy|)."""
+    """canny's edge set (ids, labels), from _sobel_oracle and a full-frame
+    max(|gx|, |gy|)."""
     gx, gy = _sobel_oracle(src)
     h, w = gx.shape
     near = np.flatnonzero(np.maximum(np.abs(gx), np.abs(gy)) >= 0.7 * low)
@@ -696,10 +700,7 @@ def _canny_oracle(src, low, high):
     at = at[(padded[at] >= padded[at + step]) & (padded[at] > padded[at - step])]
     label = classical._label8(at, w)
     kept = np.isin(label, label[padded[at] >= high])
-    ids, labels = at[kept], (np.cumsum(kept) - 1)[label[kept]]
-    keep = np.zeros(padded.size, dtype=bool)
-    keep[ids] = True
-    return keep.reshape(h + 2, w + 2)[1:-1, 1:-1], w, ids, labels
+    return at[kept], (np.cumsum(kept) - 1)[label[kept]]
 
 
 def _oracle_frames():
@@ -732,12 +733,8 @@ def test_stages_match_pad_and_float_copy_oracles_bit_for_bit():
             ox, oy = _sobel_oracle(src)
             assert np.array_equal(gx, ox) and np.array_equal(gy, oy)
             for low, high in [(cfg.canny_low, cfg.canny_high), (0.01, 0.02), (1e-3, 1.0)]:
-                mask, w, ids, labels = _canny_oracle(src, low, high)
-                ws = Workspace(*src.shape)
-                assert np.array_equal(canny(src, low, high, ws), mask)
-                assert ws.shape[1] == w
-                assert np.array_equal(ws.kept[0], ids)
-                assert np.array_equal(ws.kept[1], labels)
+                assert _same_edges(canny(src, low, high, Workspace(*src.shape)),
+                                   _canny_oracle(src, low, high))
 
 
 def test_gray_and_blur_stay_in_unit_interval():
@@ -785,9 +782,8 @@ def _outcome(run):
 
 def test_one_workspace_over_frames_matches_fresh_workspaces_bit_for_bit():
     # Canny writes its magnitude into the pad that Sobel leaves full of this
-    # frame's values, the same in a fresh workspace, so each mask is held to
-    # the zero-padded oracle too; canny's label record must be the oracle's,
-    # or contours on a later frame could take stale labels. A and A2 are
+    # frame's values, the same in a fresh workspace, so each edge set, ids
+    # and labels, is held to the zero-padded oracle too. A and A2 are
     # noisy frames of one scene; B is A with all but the quadrant above and
     # left of the ball painted over, so it has far fewer edges, all among
     # A's; blank has none.
@@ -800,8 +796,8 @@ def test_one_workspace_over_frames_matches_fresh_workspaces_bit_for_bit():
     b[:, cx:] = b[cy:] = sim.BACKGROUND
     blank = np.full_like(b, 100)
     frames = [a, b, a2, blank, a]
-    counts = [np.count_nonzero(canny(gaussian_blur(to_gray(rgb), cfg.sigma),
-                                     cfg.canny_low, cfg.canny_high)) for rgb in frames]
+    counts = [len(canny(gaussian_blur(to_gray(rgb), cfg.sigma), cfg.canny_low,
+                        cfg.canny_high)[0]) for rgb in frames]
     assert 0 < counts[1] < counts[0] / 3 and counts[2] > 3 * counts[1] and counts[3] == 0
     ws = Workspace(cfg.scene_height, cfg.scene_width)
     for rgb in frames:
@@ -817,12 +813,9 @@ def test_one_workspace_over_frames_matches_fresh_workspaces_bit_for_bit():
         # Unblurred, noise puts large magnitudes beside weak pixels.
         for src, (low, high) in itertools.product(
                 (gray, blurred), ((cfg.canny_low, cfg.canny_high), (0.02, 0.05))):
-            want, _, ids, labels = _canny_oracle(src, low, high)
-            fresh = Workspace(*src.shape)
-            assert np.array_equal(canny(src, low, high, fresh), want)
-            assert np.array_equal(canny(src, low, high, ws), want)
-            assert all(np.array_equal(k, w) for k, w in zip(ws.kept, fresh.kept))
-            assert np.array_equal(ws.kept[0], ids) and np.array_equal(ws.kept[1], labels)
+            want = _canny_oracle(src, low, high)
+            assert _same_edges(canny(src, low, high, Workspace(*src.shape)), want)
+            assert _same_edges(canny(src, low, high, ws), want)
         assert _outcome(lambda: classical_pipeline(rgb, cfg, ws)) == want_prop
 
 
@@ -834,7 +827,6 @@ def test_a_workspace_serves_frames_of_one_size_only():
     gray = to_gray(small)
     calls = [lambda: to_gray(small, ws), lambda: gaussian_blur(gray, cfg.sigma, ws),
              lambda: sobel_gradients(gray, ws), lambda: canny(gray, 0.1, 0.2, ws),
-             lambda: find_contours(gray > 0.5, ws),
              lambda: classical_pipeline(small, cfg, ws),
              lambda: gaussian_blur(gray.T, cfg.sigma, Workspace(*gray.shape))]
     for call in calls:

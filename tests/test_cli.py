@@ -169,7 +169,7 @@ def test_plan_bad_target_exits_2(capsys):
                         (["--rate", "1e300"], "--rate"),
                         (["--tf", "1e9"], "--tf"),
                         (["--tf", "1.0000001e10"], "--tf"),
-                        (["--ti", "-1e11"], "--ti"),
+                        (["--ti", "-1e11"], "--ti: expected a time within"),
                         (["--target", "2000,0"], "--target"),
                         # Valid flags whose start yaw is half a turn from the grasp.
                         (["--start", "0.5,0,0.3,3.141592653589793", "--theta", "0"],
@@ -178,6 +178,21 @@ def test_plan_bad_target_exits_2(capsys):
         assert main(["plan", "--target", "0.6,0.1", *extra]) == 2, extra
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == "", extra
+
+
+def test_negative_flag_values_read_as_their_equals_form(monkeypatch, capsys):
+    # argparse takes "-0.5,0" and "-1e-3" for options unless written --opt=value.
+    line = '{"x": 0.6, "y": 0.1, "theta": 0.2, "t": -1000.5}\n'
+    for argv in (["plan", "--target", "-0.5,0"],
+                 ["plan", "--target", "0.6,0.1", "--start", "-0.1,0.2,0.3,0"],
+                 ["plan", "--target", "0.6,0.1", "--theta", "-1e-3"],
+                 ["denoise", "--now", "-1e3"]):
+        outcomes = []
+        for form in (argv, [*argv[:-2], f"{argv[-2]}={argv[-1]}"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(line))
+            outcomes.append((main(form), capsys.readouterr().out))
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0, argv
+        assert outcomes[0][1], argv
 
 
 def test_genscenes_deterministic(tmp_path, capsys):
@@ -480,7 +495,10 @@ def test_more_than_max_frames_proposals_in_the_window_exit_2(tmp_path, monkeypat
 def test_nonfinite_timestamp_exits_2(tmp_path, monkeypatch, capsys):
     for line in ('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": NaN}\n',
                  '{"x": 1e300, "y": 0.0, "theta": 0.2, "t": 0.0}\n',
-                 '{"x": 0.6, "y": 0.0, "theta": \udcff, "t": 0.0}\n'):
+                 '{"x": 0.6, "y": 0.0, "theta": \udcff, "t": 0.0}\n',
+                 '{"x": true, "y": 0.0, "theta": 0.2, "t": 0.0}\n',
+                 '{"x": "0.6", "y": 0.0, "theta": 0.2, "t": 0.0}\n',
+                 '{"x": 0.6, "y": 0.0, "theta": 0.2, "t": null}\n'):
         monkeypatch.setattr("sys.stdin", io.StringIO(line))
         assert main(["denoise"]) == 2
         assert "malformed proposal line" in capsys.readouterr().err
@@ -503,7 +521,7 @@ def test_times_beyond_max_timestamp_exit_2(tmp_path, capsys):
             (["simulate", "--seed", "1", "--set", "window=1e17",
               "--set", "frame_rate=1e-17"], "window"),
             (["vision", "--rgb", str(tmp_path / "none.ppm"), "--t", "1e17"], "--t"),
-            (["denoise", "--now", "-1e17"], "--now")]:
+            (["denoise", "--now", "-1e17"], "--now: expected a time within")]:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert where in captured.err and captured.out == "", argv
