@@ -5,9 +5,12 @@ perfect-velocity-tracking plant, and the end-to-end episode runner
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from contextlib import nullcontext
+import os
+import pickle
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -263,12 +266,17 @@ def run_control(arm: kinematics.ArmModel, q0, trajs, cfg: PipelineConfig):
     step, neg_k_p, k_d, v_min, v_max = map(
         np.array, (dt, -cfg.k_p, cfg.k_d, -cfg.qdot_max, cfg.qdot_max))
     times = traj.t_i + np.arange(n_steps) * dt
+    settled = False
     for i, e, e_p_i, e_o_i in zip(range(n_steps), errors, e_p, e_o):
-        if i % _SAMPLE_BLOCK == 0:
+        if i % _SAMPLE_BLOCK == 0 and not settled:
             # Trajectories and feedforward come a block of steps at a time:
             # one call's overhead per block, and memory for one block only.
-            block = trajectory.sample(traj, times[i:i + _SAMPLE_BLOCK])
+            # From t_f on, tau clamps to 1: one sampled pose serves every step.
+            settled = times[i] >= traj.t_f
+            block = trajectory.sample(traj, times[i:i + (1 if settled else _SAMPLE_BLOCK)])
             rows = zip(block.p_d, block.R_d.swapaxes(-1, -2), trajectory.feedforward(block))
+            if settled:
+                rows = itertools.repeat(next(rows))
         p_d, R_dT, v_ff = next(rows)
         chain.update(q)
         np.subtract(chain.pose.p, p_d, out=e_p_i)
@@ -292,19 +300,69 @@ def _yaw_error(R_current, R_target) -> float:
         return math.pi
 
 
+def _noisy_frames(rng, scene: Scene, sigma: float, n_frames: int):
+    """The scene's own (rgb, depth) once for sigma 0, else n_frames frames of
+    _noisy_frame's noise from rng in frame order, frame k in slot k % 2 of a
+    shared ring. A child forked at frame 0 draws frame k+1 while the caller
+    reads frame k; pipes carry a byte per frame drawn (or the failed draw's
+    pickled exception) and a byte per slot freed. Closing the generator
+    closes the caller's pipe ends (EOF to a child waiting for a slot) and
+    reaps the child. Without fork, the frames are drawn inline."""
+    if sigma == 0:
+        yield scene.rgb, scene.depth
+        return
+    import mmap  # here: noise-free runs never load its shared library
+    slots = list(zip(*(np.frombuffer(mmap.mmap(-1, 2 * a.nbytes), a.dtype).reshape(2, *a.shape)
+                       for a in (scene.rgb, scene.depth))))
+    draw = lambda k, buf: _noisy_frame(rng, scene.rgb, scene.depth, sigma, buf, slots[k % 2])
+    if not hasattr(os, "fork"):
+        buf = np.empty(scene.depth.size)
+        yield from (draw(k, buf) for k in range(n_frames))
+        return
+    (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
+    if (pid := os.fork()) == 0:  # the child: draw every frame, then leave at once
+        try:  # without the caller's ends, EOF and EPIPE mean the caller has gone
+            os.close(ready_r)
+            os.close(free_w)
+            buf = np.empty(scene.depth.size)
+            for k in range(n_frames):
+                if k >= 2 and not os.read(free_r, 1):
+                    break  # EOF: the caller stopped before freeing frame k - 2
+                draw(k, buf)
+                os.write(ready_w, b"\0")
+            os._exit(0)
+        except Exception as err:
+            os.write(ready_w, pickle.dumps(err))
+        finally:
+            os._exit(1)
+    os.close(ready_w)  # the child's is then the only one: EOF when it exits
+    error = None
+    try:
+        for k in range(n_frames):
+            if (head := os.read(ready_r, 1)) != b"\0":  # the child has exited
+                error = head + b"".join(iter(lambda: os.read(ready_r, 1 << 16), b""))
+                break
+            yield slots[k % 2]
+            os.write(free_w, b"\0")  # free_r is open until the end: no EPIPE
+    finally:
+        for fd in (ready_r, free_r, free_w):
+            os.close(fd)
+        status = os.waitpid(pid, 0)[1]
+    if error is not None:
+        raise pickle.loads(error) if error else RuntimeError(
+            f"the draw of frame {k} gave no frame: wait status {status}")
+
+
 def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     """The denoiser's proposals from the proposal source: a fixed proposal
     list, or a vision function run on the scene's per-frame noisy images.
 
-    Noisy frames (_noisy_frame's) are drawn one ahead on one worker thread,
-    the only one to touch the episode's rng, in frame order, so they do not
-    depend on thread timing, and no draw outlives the call. Frame state is
-    freed on return: the image_io.Workspace that every source(rgb, depth,
-    ws) call gets, and a noisy episode's draw buffer and two (rgb, depth)
-    pairs that the draws fill in turn, so a frame is valid until the source
-    returns. The source runs on the calling thread; each proposal is
-    stamped here with its frame's time, so the proposal from the first
-    noise-free frame, made once, serves them all.
+    Frames come from _noisy_frames, whose child is reaped before this
+    returns or raises. Frame state is freed on return: the image_io.Workspace
+    that every source(rgb, depth, ws) call gets, and the frame ring, so a
+    frame is valid until the source returns. The source runs in the calling
+    process and thread; each proposal is stamped here with its frame's time,
+    so the proposal from the first noise-free frame, made once, serves them all.
 
     Returns (proposals, window end, frames attempted, last vision error).
     """
@@ -313,22 +371,12 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
     ws = image_io.Workspace(*scene.depth.shape)
-    if noisy := cfg.noise_sigma > 0:  # imported here: noise-free runs never load it
-        from concurrent.futures import ThreadPoolExecutor
-        buf = np.empty(scene.depth.size)
-        pairs = [(np.empty_like(scene.rgb), np.empty_like(scene.depth)) for _ in range(2)]
     proposals, last_error, prop = [], "", None
-    # The worker starts at the first submit; leaving the block waits for it.
-    with ThreadPoolExecutor(max_workers=1) if noisy else nullcontext() as pool:
-        def draw(k):
-            return pool.submit(_noisy_frame, rng, scene.rgb, scene.depth,
-                               cfg.noise_sigma, buf, pairs[k % 2])
-        ahead = draw(0) if noisy and n_frames else None
+    with closing(_noisy_frames(rng, scene, cfg.noise_sigma, n_frames)) as frames:
         for k in range(n_frames):
             t = k / cfg.frame_rate
-            if k == 0 or noisy:
-                rgb, depth = ahead.result() if noisy else (scene.rgb, scene.depth)
-                ahead = draw(k + 1) if noisy and k + 1 < n_frames else None
+            if k == 0 or cfg.noise_sigma > 0:
+                rgb, depth = next(frames)
                 try:
                     prop = source(rgb, depth, ws)
                 except VisionError as err:

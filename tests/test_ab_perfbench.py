@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import signal
 import statistics
 import subprocess
 from pathlib import Path
@@ -70,6 +72,29 @@ def test_summary_medians_iqr_and_wins():
     assert ab.report(pairs, METRICS).count("output check failed") == 1
 
 
+def test_a_pair_whose_run_left_a_process_is_marked():
+    pairs = [{"seed": 0, "base": _result(30.0, 0.1), "change": _result(31.0, 0.1)}
+             for _ in range(3)]
+    pairs[1]["change"]["left_running"] = True
+    pairs[2]["base"]["left_running"] = False
+    lines = ab.report(pairs, METRICS).splitlines()[1:4]
+    assert ["left a process running" in line for line in lines] == [False, True, False]
+
+
+def test_run_benchmark_probes_the_run_s_process_group(tmp_path):
+    # A real short-lived group (no perfbench): sh leaves a sleep behind,
+    # which holds no pipe, so the call returns at once and sees it.
+    done, left = ab.run_benchmark(["sh", "-c", "sleep 5 & echo $!"], tmp_path)
+    try:
+        assert done.returncode == 0 and left
+        assert os.getpgid(int(done.stdout)) != os.getpgid(0)  # a group of its own
+    finally:
+        os.killpg(os.getpgid(int(done.stdout)), signal.SIGKILL)
+    done, left = ab.run_benchmark(["sh", "-c", "echo ok; echo no >&2; exit 3"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr, left) == (3, "ok\n", "no\n", False)
+    assert list(tmp_path.iterdir()) == []  # the output files had no names
+
+
 def test_a_single_pair_has_no_spread():
     s = ab.summarize([{"base": _result(30.0, 0.1), "change": _result(29.0, 0.1)}], METRICS)
     assert s["items_per_s"]["base_iqr"] == 0.0 and s["items_per_s"]["wins"] == 0
@@ -94,7 +119,7 @@ def test_pairs_take_the_seeds_in_turn(tmp_path, monkeypatch, capsys):
         return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
 
     monkeypatch.setattr(ab, "export", export)
-    monkeypatch.setattr(ab.subprocess, "run", run)
+    monkeypatch.setattr(ab, "run_benchmark", lambda argv, cwd: (run(argv, cwd), False))
     assert [ab.pair_seed(i, [10, 11, 12]) for i in range(5)] == [10, 11, 12, 10, 11]
     argv = ["HEAD~1", "HEAD", "--workload", "batch_clean", "--pairs", "5"]
     assert ab.main([*argv, "--scratch", str(tmp_path / "one"), "--seeds", "10,11"]) == 0

@@ -490,6 +490,27 @@ def _run_control_by_expression(arm, q0, trajs, cfg):
                                np.linalg.norm(e_o, axis=-1)], axis=-1)
 
 
+def test_run_control_samples_the_settle_phase_once(monkeypatch):
+    # From t_f on, tau clamps to 1, so a block starting there samples one
+    # time and its row serves every later step; the blocks before it sample
+    # 100 times each. Outputs equal the oracle's, which samples every block.
+    sizes = []
+    sample = trajectory.sample
+    monkeypatch.setattr(trajectory, "sample",
+                        lambda traj, t: sizes.append(np.size(t)) or sample(traj, t))
+    start = fk(ARM, HOME)
+    for duration, settle_time, want in ((1.5, 2.6, [100, 100, 1]), (1.5, 0.6, [100, 100, 1]),
+                                        (2.0, 0.0, [100, 100]), (0.5, 0.0, [50])):
+        cfg = PipelineConfig(duration=duration, settle_time=settle_time)
+        trajs = [trajectory.plan(start, (0.6, y, cfg.grasp_z), 0.3, 0.0, duration)
+                 for y in (-0.05, 0.05)]
+        sizes.clear()
+        got = sim.run_control(ARM, HOME, trajs, cfg)
+        assert sizes == want
+        assert all(np.array_equal(g, w) for g, w in zip(
+            got, _run_control_by_expression(ARM, HOME, trajs, cfg)))
+
+
 @pytest.mark.parametrize("damping", [1e-3, 1e-9, 0.0])
 def test_run_control_matches_its_expression_form_bit_for_bit(monkeypatch, damping):
     # Stacks of 1, 3 and 4 over 210 steps (three sample blocks) and over one

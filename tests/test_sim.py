@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -556,29 +557,78 @@ def _thread_starts(monkeypatch):
     return started
 
 
+def _forks(monkeypatch):
+    """Patch os.fork to record the pid of each child forked."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a collect that waits forever on its child:
+    SIGALRM raises in the test after 60 s (a forked child has no alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
-def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, noise_sigma):
+def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, tmp_path,
+                                                       deadline, noise_sigma):
+    # The draws (in the child) and the source (here) append to one log, so
+    # its order is the order in which draws start and frames are seen.
     run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=2.0)
     scene = sim.generate_scene(4, run_cfg)
     started = _thread_starts(monkeypatch)
-    draws, leads = [], []
+    forks = _forks(monkeypatch)
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     noisy_frame = sim._noisy_frame
 
-    def counted_draw(*args):
-        draws.append(threading.current_thread())
+    def logged_draw(*args):
+        os.write(log, f"draw {os.getpid()}\n".encode())
         return noisy_frame(*args)
-    monkeypatch.setattr(sim, "_noisy_frame", counted_draw)
+    monkeypatch.setattr(sim, "_noisy_frame", logged_draw)
 
     def slow(rgb, depth, ws):
         time.sleep(0.005)  # room for draws queued too far ahead to start
-        leads.append(len(draws) - len(leads))  # this is frame len(leads)
+        os.write(log, b"see\n")
         return classical_source(run_cfg)(rgb, depth, ws)
     threads = threading.active_count()
-    _, _, frames, _ = sim._collect(slow, scene, run_cfg, 4)
-    assert threading.active_count() == threads
-    assert len(started) == (1 if noise_sigma else 0)
-    assert draws == started * frames  # every frame drawn on the one worker
+    try:
+        _, _, frames, _ = sim._collect(slow, scene, run_cfg, 4)
+    finally:
+        os.close(log)
+    assert threading.active_count() == threads and started == []
+    assert len(forks) == (1 if noise_sigma else 0)
+    lines = (tmp_path / "log").read_text().splitlines()
+    # Every frame drawn by the one child.
+    assert [line for line in lines if line != "see"] == [f"draw {pid}" for pid in forks] * frames
+    leads, drawn = [], 0
+    for line in lines:
+        if line == "see":
+            leads.append(drawn - len(leads))  # this is frame len(leads)
+        else:
+            drawn += 1
+    assert len(leads) == (frames if noise_sigma else 1)
     assert max(leads) <= 2  # frame k is seen with at most k + 2 draws started
+    _assert_no_child_left()
 
 
 def _record_public_calls(monkeypatch, modules):
@@ -608,8 +658,8 @@ def _record_public_calls(monkeypatch, modules):
 @pytest.mark.parametrize("vision", ["classical", "learned"])
 def test_collect_runs_public_functions_on_the_calling_thread(cfg, monkeypatch,
                                                              vision):
-    # perfbench's tracer keeps one span stack, so the draw worker may run
-    # only private code.
+    # perfbench's tracer keeps one span stack in the calling process, so
+    # vision stays in it; the child that draws the noise runs private code.
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=2.0)
     scene = sim.generate_scene(4, run_cfg)
     params = learned.init_params(0) if vision == "learned" else None
@@ -626,31 +676,39 @@ def test_collect_runs_public_functions_on_the_calling_thread(cfg, monkeypatch,
 def test_noisy_collect_reuses_its_frame_buffers(cfg):
     # A noisy episode draws and reads its frames in buffers made once. Frame-
     # sized arrays made and freed every frame are each mapped, faulted in and
-    # unmapped again: 12,000 or more minor faults per 40-frame episode, where
-    # the reused buffers take about 100 at most. ru_minflt counts the whole
-    # process, so the draw thread's faults too.
+    # unmapped again: 12,000 or more minor faults per 40-frame episode. Both
+    # sides of the fork take one copy-on-write fault per page they write
+    # after it, so each count follows the pages a collect writes, not its
+    # frames: the caller's vision takes about 850 in a fresh process and up
+    # to about 1,650 late in a long test session; the drawing child, which
+    # RUSAGE_CHILDREN counts once it is reaped, takes about 550-620.
     try:
         import resource
     except ImportError:  # Unix only: nothing to count faults with elsewhere
         pytest.skip("the resource module is not available on this platform")
+
+    def faults():
+        return [resource.getrusage(who).ru_minflt
+                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=4.0)
     scene = sim.generate_scene(4, run_cfg)
     source = classical_source(run_cfg)
     sim._collect(source, scene, run_cfg, 4)  # warm up imports and the heap
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    before = faults()
     _, _, frames, _ = sim._collect(source, scene, run_cfg, 5)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert frames == 40 and faults < 2000, f"{faults} minor faults"
+    caller, child = (after - b for after, b in zip(faults(), before))
+    assert frames == 40 and caller < 2000, f"{caller} minor faults"
+    assert child < 1000, f"{child} minor faults in the child"
 
 
-def test_collect_raises_a_failed_draw(cfg, monkeypatch):
+def test_collect_raises_a_failed_draw(cfg, monkeypatch, deadline):
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
     scene = sim.generate_scene(4, run_cfg)
     draws = []
     noisy_frame = sim._noisy_frame
 
     def failing(*args):
-        draws.append(threading.current_thread())
+        draws.append(os.getpid())
         if len(draws) == 4:
             raise MemoryError("draw of frame 3")
         return noisy_frame(*args)
@@ -661,10 +719,47 @@ def test_collect_raises_a_failed_draw(cfg, monkeypatch):
         sim._collect(source, scene, run_cfg, 4)
     assert threading.active_count() == threads
     assert len(seen) == 3  # frames 0, 1 and 2
-    assert threading.main_thread() not in draws
+    assert draws == []  # every draw ran in the child, on its copy of the list
+    _assert_no_child_left()
 
 
-def test_collect_propagates_a_source_error(cfg):
+def test_collect_raises_when_the_child_is_killed(cfg, monkeypatch, deadline):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
+    scene = sim.generate_scene(4, run_cfg)
+    caller, draws = os.getpid(), []
+    noisy_frame = sim._noisy_frame
+
+    def killed(*args):
+        draws.append(1)
+        if len(draws) == 3 and os.getpid() != caller:  # frame 2, in the child only
+            os.kill(os.getpid(), signal.SIGKILL)
+        return noisy_frame(*args)
+    monkeypatch.setattr(sim, "_noisy_frame", killed)
+    source, seen = _seen_frames(classical_source(run_cfg))
+    with pytest.raises(RuntimeError, match=f"frame 2 .*wait status {int(signal.SIGKILL)}$"):
+        sim._collect(source, scene, run_cfg, 4)
+    assert len(seen) == 2 and draws == []
+    _assert_no_child_left()
+
+
+def test_collect_without_fork_draws_inline_to_the_same_proposals(cfg, monkeypatch,
+                                                                deadline):
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=4.0)
+    scene = sim.generate_scene(6, run_cfg)
+    forks = _forks(monkeypatch)
+    source, forked_seen = _seen_frames(classical_source(run_cfg))
+    forked = sim._collect(source, scene, run_cfg, 6)
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    source, seen = _seen_frames(classical_source(run_cfg))
+    threads = threading.active_count()
+    inline = sim._collect(source, scene, run_cfg, 6)
+    assert threading.active_count() == threads
+    assert repr(inline) == repr(forked) and seen == forked_seen
+    assert len(seen) == 40 and len(inline[0]) > 0
+
+
+def test_collect_propagates_a_source_error(cfg, deadline):
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
     scene = sim.generate_scene(4, run_cfg)
     calls = []
@@ -678,13 +773,14 @@ def test_collect_propagates_a_source_error(cfg):
     with pytest.raises(RuntimeError, match="source broke"):
         sim._collect(broken, scene, run_cfg, 4)
     assert threading.active_count() == threads and len(calls) == 2
+    _assert_no_child_left()
 
 
 def test_run_batch_noisy_rows_repeat(cfg):
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=2.0)
     rows = sim.run_batch(run_cfg, 2, 13)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the threads trade turns as often as they can
+    sys.setswitchinterval(1e-6)  # any thread would trade turns as often as it can
     try:
         assert sim.run_batch(run_cfg, 2, 13) == rows
     finally:
@@ -822,20 +918,24 @@ def test_report_to_dict_is_asdict_without_series(cfg, seed, flat):
 
 
 def test_importing_the_cli_leaves_the_executor_out():
-    # Only a noisy collection imports concurrent.futures: its dozen modules
-    # would raise the peak memory of runs that draw no noise.
+    # No collection imports concurrent.futures (its dozen modules), and only a
+    # noisy one loads mmap's shared library: each would raise the peak memory
+    # of runs that draw no noise.
     src = str(Path(sim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, baggrasp.cli\n"
             "from baggrasp import config, sim\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            "loaded = lambda: [m in sys.modules for m in ('concurrent.futures', 'mmap')]\n"
+            "print(loaded())\n"
             "cfg = config.PipelineConfig()\n"
-            "sim._collect(sim.vision_source('classical', cfg), sim.generate_scene(4, cfg), cfg, 4)\n"
-            "print('concurrent.futures' in sys.modules)\n")
+            "for c in (cfg, config.PipelineConfig(noise_sigma=2.0)):\n"
+            "    sim._collect(sim.vision_source('classical', c), sim.generate_scene(4, c), c, 4)\n"
+            "    print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
-    assert proc.returncode == 0 and proc.stdout == "False\nFalse\n", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False]\n[False, False]\n[False, True]\n"
 
 
 def _draw_overlay_by_pixel(rgb, px, theta, half_len=sim.OVERLAY_HALF_LEN):

@@ -13,8 +13,9 @@ S0,S1,... (default 0) pair i runs on seed S(i mod n), so a claim can be
 checked on seeds not used while the change was written. It prints each
 pair's seed and end-to-end metrics, then per metric the medians, the base
 runs' interquartile range and the pairs in which the change is better, with
-the direction (higher or lower) read from BENCHMARK.json. Standard library
-only; it writes nothing outside SCRATCH.
+the direction (higher or lower) read from BENCHMARK.json. Each run leads a
+new session; a pair where a run left a process of its group running is
+marked. Standard library only; it writes nothing outside SCRATCH.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +70,25 @@ def positive_int(text: str) -> int:
 def parse_seeds(text: str) -> list:
     """--seeds: comma-separated integers."""
     return [int(s) for s in text.split(",")]
+
+
+def run_benchmark(argv: list, cwd) -> tuple:
+    """Run argv in cwd as the leader of a new session, its output in unnamed
+    files in cwd, so a process it leaves behind holds no pipe open. Returns
+    (the completed process, whether a process of its group is still running)."""
+    with (tempfile.TemporaryFile("w+", dir=cwd) as out,
+          tempfile.TemporaryFile("w+", dir=cwd) as err):
+        proc = subprocess.Popen(argv, cwd=cwd, stdout=out, stderr=err,
+                                start_new_session=True)
+        proc.wait()
+        try:
+            os.killpg(proc.pid, 0)  # the group, named by its leader: anyone left?
+            left = True
+        except ProcessLookupError:
+            left = False
+        out.seek(0)
+        err.seek(0)
+        return subprocess.CompletedProcess(argv, proc.returncode, out.read(), err.read()), left
 
 
 def parse_result(stdout: str) -> dict:
@@ -111,7 +133,9 @@ def report(pairs: list, metrics: list) -> str:
                  for n in names]
         lines.append(f"{i + 1:>4} {p['seed']:>5} {run_order(i)[0]:<6} " + "  ".join(cells)
                      + ("" if p["base"]["correct"] and p["change"]["correct"]
-                        else "  (an output check failed)"))
+                        else "  (an output check failed)")
+                     + ("  (left a process running)"
+                        if any(p[side].get("left_running") for side in SIDES) else ""))
     for name, s in summarize(pairs, metrics).items():
         rel = (s["change_median"] / s["base_median"] - 1.0) if s["base_median"] else 0.0
         lines.append(f"{name} ({s['better']} is better): median {s['base_median']:.6g} -> "
@@ -140,14 +164,14 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         pair = {"seed": pair_seed(i, args.seeds)}
         for side in run_order(i):
-            proc = subprocess.run(
+            proc, left = run_benchmark(
                 [sys.executable, "perfbench/run.py", "--workload", args.workload,
                  "--seed", str(pair["seed"]), "--seconds", str(args.seconds), "--trace", "0"],
-                cwd=dirs[side], capture_output=True, text=True)
+                dirs[side])
             if proc.returncode != 0:
                 print(proc.stderr, file=sys.stderr)
                 return proc.returncode
-            pair[side] = parse_result(proc.stdout)
+            pair[side] = parse_result(proc.stdout) | {"left_running": left}
         pairs.append(pair)
         print(f"pair {i + 1} seed {pair['seed']}: " + ", ".join(
             f"{s} {value(pair[s], metrics[0][0]):.6g}" for s in SIDES), flush=True)
