@@ -300,69 +300,93 @@ def _yaw_error(R_current, R_target) -> float:
         return math.pi
 
 
-def _noisy_frames(rng, scene: Scene, sigma: float, n_frames: int):
-    """The scene's own (rgb, depth) once for sigma 0, else n_frames frames of
-    _noisy_frame's noise from rng in frame order, frame k in slot k % 2 of a
-    shared ring. A child forked at frame 0 draws frame k+1 while the caller
-    reads frame k; pipes carry a byte per frame drawn (or the failed draw's
-    pickled exception) and a byte per slot freed. Closing the generator
-    closes the caller's pipe ends (EOF to a child waiting for a slot) and
-    reaps the child. Without fork, the frames are drawn inline."""
-    if sigma == 0:
-        yield scene.rgb, scene.depth
-        return
-    import mmap  # here: noise-free runs never load its shared library
-    slots = list(zip(*(np.frombuffer(mmap.mmap(-1, 2 * a.nbytes), a.dtype).reshape(2, *a.shape)
-                       for a in (scene.rgb, scene.depth))))
-    draw = lambda k, buf: _noisy_frame(rng, scene.rgb, scene.depth, sigma, buf, slots[k % 2])
-    if not hasattr(os, "fork"):
-        buf = np.empty(scene.depth.size)
-        yield from (draw(k, buf) for k in range(n_frames))
-        return
-    (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
-    if (pid := os.fork()) == 0:  # the child: draw every frame, then leave at once
-        try:  # without the caller's ends, EOF and EPIPE mean the caller has gone
-            os.close(ready_r)
-            os.close(free_w)
+class _Draws:
+    """A run's frames for _collect. Where os.fork exists, one child process,
+    forked at the run's first noisy collect and reaped by close(), draws
+    every noisy frame: each collect writes its scene (one shape a run) into
+    a shared anonymous mmap and sends its rng, and the child draws frame k
+    into slot k % 2 of a ring there while the caller reads frame k - 1. One
+    pipe carries a byte per frame drawn (or a failed draw's pickled
+    exception), the other the request and a byte per slot freed; EOF on it
+    lets the child out. A collect that stops early closes its _Draws."""
+
+    child = None  # (pid, ready_r, free_r, free_w, rgb, depth): scene at 0, ring at 1 and 2
+
+    def frames(self, rng, scene: Scene, sigma: float, n_frames: int):
+        """The scene's own (rgb, depth) once for sigma 0, else n_frames
+        frames of _noisy_frame's noise from rng in frame order."""
+        if sigma == 0:
+            yield scene.rgb, scene.depth
+        elif not hasattr(os, "fork"):  # inline, on the calling thread
             buf = np.empty(scene.depth.size)
-            for k in range(n_frames):
-                if k >= 2 and not os.read(free_r, 1):
-                    break  # EOF: the caller stopped before freeing frame k - 2
-                draw(k, buf)
-                os.write(ready_w, b"\0")
-            os._exit(0)
-        except Exception as err:
-            os.write(ready_w, pickle.dumps(err))
-        finally:
-            os._exit(1)
-    os.close(ready_w)  # the child's is then the only one: EOF when it exits
-    error = None
-    try:
-        for k in range(n_frames):
-            if (head := os.read(ready_r, 1)) != b"\0":  # the child has exited
-                error = head + b"".join(iter(lambda: os.read(ready_r, 1 << 16), b""))
-                break
-            yield slots[k % 2]
-            os.write(free_w, b"\0")  # free_r is open until the end: no EPIPE
-    finally:
-        for fd in (ready_r, free_r, free_w):
-            os.close(fd)
-        status = os.waitpid(pid, 0)[1]
-    if error is not None:
-        raise pickle.loads(error) if error else RuntimeError(
-            f"the draw of frame {k} gave no frame: wait status {status}")
+            out = (np.empty_like(scene.rgb), np.empty_like(scene.depth))
+            for _ in range(n_frames):
+                yield _noisy_frame(rng, scene.rgb, scene.depth, sigma, buf, out)
+        else:
+            pid, ready_r, _, free_w, rgb, depth = self.child or self._fork(scene)
+            rgb[0], depth[0] = scene.rgb, scene.depth
+            try:  # the caller's free_r stays open: writing free_w never raises EPIPE
+                os.write(free_w, pickle.dumps((rng, sigma, n_frames)))
+                for k in range(n_frames):
+                    if (head := os.read(ready_r, 1)) != b"\0":  # the child has exited
+                        error = head + b"".join(iter(lambda: os.read(ready_r, 1 << 16), b""))
+                        status = self.close()
+                        raise pickle.loads(error) if error else RuntimeError(
+                            f"the draw of frame {k} gave no frame: wait status {status}")
+                    yield rgb[1 + k % 2], depth[1 + k % 2]
+                    if k + 2 < n_frames:
+                        os.write(free_w, b"\0")
+            except BaseException:  # GeneratorExit too: the child is mid-collect
+                self.close()
+                raise
+
+    def _fork(self, scene: Scene):
+        import mmap  # here: noise-free runs never load its shared library
+        rgb, depth = (np.frombuffer(mmap.mmap(-1, 3 * a.nbytes), a.dtype).reshape(3, *a.shape)
+                      for a in (scene.rgb, scene.depth))
+        (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
+        if (pid := os.fork()) == 0:  # the child: draw each request's frames
+            try:  # it holds only its own pipe ends, so EOF means the caller has gone
+                lo, hi = sorted((ready_w, free_r))
+                for a, b in ((3, lo), (lo + 1, hi), (hi + 1, os.sysconf("SC_OPEN_MAX"))):
+                    os.closerange(a, b)
+                buf = np.empty(scene.depth.size)
+                while request := os.read(free_r, 4096):
+                    rng, sigma, n_frames = pickle.loads(request)
+                    for k in range(n_frames):
+                        if k >= 2 and not os.read(free_r, 1):
+                            break  # EOF: the caller stopped before freeing frame k - 2
+                        _noisy_frame(rng, rgb[0], depth[0], sigma, buf,
+                                     (rgb[1 + k % 2], depth[1 + k % 2]))
+                        os.write(ready_w, b"\0")
+                os._exit(0)
+            except Exception as err:
+                os.write(ready_w, pickle.dumps(err))
+            finally:
+                os._exit(1)
+        os.close(ready_w)  # the child's is then the only one: EOF when it exits
+        self.child = (pid, ready_r, free_r, free_w, rgb, depth)
+        return self.child
+
+    def close(self):
+        """Close the caller's pipe ends and reap the child: its wait status."""
+        if self.child is not None:
+            (pid, *fds, _, _), self.child = self.child, None
+            for fd in fds:
+                os.close(fd)
+            return os.waitpid(pid, 0)[1]
 
 
-def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
+def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int, draws: _Draws):
     """The denoiser's proposals from the proposal source: a fixed proposal
-    list, or a vision function run on the scene's per-frame noisy images.
+    list, or a vision function run on the scene's frames from draws, the
+    run's _Draws.
 
-    Frames come from _noisy_frames, whose child is reaped before this
-    returns or raises. Frame state is freed on return: the image_io.Workspace
-    that every source(rgb, depth, ws) call gets, and the frame ring, so a
-    frame is valid until the source returns. The source runs in the calling
-    process and thread; each proposal is stamped here with its frame's time,
-    so the proposal from the first noise-free frame, made once, serves them all.
+    Frame state is freed on return: the image_io.Workspace that every
+    source(rgb, depth, ws) call gets, so a frame is valid until the source
+    returns. The source runs in the calling process and thread; each
+    proposal is stamped here with its frame's time, so the proposal from
+    the one noise-free frame serves them all.
 
     Returns (proposals, window end, frames attempted, last vision error).
     """
@@ -371,27 +395,26 @@ def _collect(source, scene: Scene | None, cfg: PipelineConfig, seed: int):
     n_frames = int(round(cfg.window * cfg.frame_rate))
     rng = np.random.default_rng([seed, 1])
     ws = image_io.Workspace(*scene.depth.shape)
-    proposals, last_error, prop = [], "", None
-    with closing(_noisy_frames(rng, scene, cfg.noise_sigma, n_frames)) as frames:
-        for k in range(n_frames):
-            t = k / cfg.frame_rate
-            if k == 0 or cfg.noise_sigma > 0:
-                rgb, depth = next(frames)
-                try:
-                    prop = source(rgb, depth, ws)
-                except VisionError as err:
-                    prop, last_error = None, str(err)
-            if prop is not None:
-                proposals.append(replace(prop, t=t))
+    props, last_error = [], ""
+    with closing(draws.frames(rng, scene, cfg.noise_sigma, n_frames)) as frames:
+        for rgb, depth in frames:
+            try:
+                props.append(source(rgb, depth, ws))
+            except VisionError as err:
+                props.append(None)
+                last_error = str(err)
+    props += props[-1:] * (n_frames - len(props))
+    proposals = [replace(prop, t=k / cfg.frame_rate)
+                 for k, prop in enumerate(props) if prop is not None]
     return proposals, cfg.window, n_frames, last_error
 
 
 def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
-                  scene: Scene | None):
-    """Collect, denoise and plan one episode. Returns (report, trajectory);
-    the trajectory is None when the episode failed here, and then the
-    report is final."""
-    proposals, now, frames, vision_error = _collect(source, scene, cfg, seed)
+                  scene: Scene | None, draws: _Draws):
+    """Collect, with the run's draws, denoise and plan one episode. Returns
+    (report, trajectory); the trajectory is None when the episode failed
+    here, and then the report is final."""
+    proposals, now, frames, vision_error = _collect(source, scene, cfg, seed, draws)
     stats = {"frames_attempted": frames,
              "proposals_collected": len(proposals),
              "control_steps": 0}
@@ -431,17 +454,19 @@ def _score(cfg: PipelineConfig, report: EpisodeReport, pose: so3.Pose,
 def _run_episodes(cfg: PipelineConfig, arm: kinematics.ArmModel,
                   episodes) -> list[EpisodeReport]:
     """Run episodes given as (seed, source, scene, out_dir) in three phases:
-    each is collected, denoised and planned in turn; the planned ones then
+    each is collected, denoised and planned in turn, their noisy frames all
+    drawn by one _Draws child, reaped after the last; the planned ones then
     share one run_control loop and are scored; last, every episode's
     artifacts are written, in index order."""
     start = kinematics.fk(arm, HOME_Q)
     reports, trajs, outputs = [], [], []
-    for seed, source, scene, out_dir in episodes:
-        report, traj = _plan_episode(cfg, seed, start, source, scene)
-        reports.append(report)
-        trajs.append(traj)
-        if out_dir is not None:  # only the images overlays need are kept
-            outputs.append((report, out_dir, scene.rgb if scene is not None else None))
+    with closing(_Draws()) as draws:
+        for seed, source, scene, out_dir in episodes:
+            report, traj = _plan_episode(cfg, seed, start, source, scene, draws)
+            reports.append(report)
+            trajs.append(traj)
+            if out_dir is not None:  # only the images overlays need are kept
+                outputs.append((report, out_dir, scene.rgb if scene is not None else None))
     planned = [i for i, traj in enumerate(trajs) if traj is not None]
     if planned:
         q, times, series = run_control(arm, HOME_Q, [trajs[i] for i in planned], cfg)

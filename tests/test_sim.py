@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,12 @@ def test_episode_noisy_stream_collects_frames(cfg):
     assert report.success
 
 
+def _collect(source, scene, cfg, seed):
+    """sim._collect with _Draws of its own, closed on return: a run of one."""
+    with closing(sim._Draws()) as draws:
+        return sim._collect(source, scene, cfg, seed, draws)
+
+
 def _counting(source):
     calls = []
 
@@ -489,7 +496,7 @@ def test_collect_runs_noise_free_source_once(cfg, seed, flat, noise_sigma):
     run_cfg = dataclasses.replace(cfg, noise_sigma=noise_sigma, frame_rate=2.0)
     scene = sim.generate_scene(seed, run_cfg, flat=flat)
     source, calls = _counting(classical_source(run_cfg))
-    proposals, now, frames, error = sim._collect(source, scene, run_cfg, seed)
+    proposals, now, frames, error = _collect(source, scene, run_cfg, seed)
     assert frames == 20 and now == run_cfg.window
     assert len(calls) == (1 if noise_sigma == 0 else frames)
     # Oracle: every frame through the source in turn, as noisy frames are,
@@ -527,7 +534,7 @@ def test_collect_sources_see_add_pixel_noise_frames(cfg, vision, frame_rate,
     params = learned.init_params(0) if vision == "learned" else None
     source, seen = _seen_frames(sim.vision_source(vision, run_cfg, params))
     threads = threading.active_count()
-    proposals, _, frames, error = sim._collect(source, scene, run_cfg, 6)
+    proposals, _, frames, error = _collect(source, scene, run_cfg, 6)
     assert threading.active_count() == threads
     # Oracle: the frame noise as first written, inline, frame after frame
     # from the episode's rng.
@@ -571,6 +578,16 @@ def _forks(monkeypatch):
     return pids
 
 
+def _append(path, line):
+    """Append a line to the file at path, opened anew: a forked draw child
+    closes the descriptors it inherits."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -598,23 +615,20 @@ def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, tmp_pat
     scene = sim.generate_scene(4, run_cfg)
     started = _thread_starts(monkeypatch)
     forks = _forks(monkeypatch)
-    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    log = tmp_path / "log"
     noisy_frame = sim._noisy_frame
 
     def logged_draw(*args):
-        os.write(log, f"draw {os.getpid()}\n".encode())
+        _append(log, f"draw {os.getpid()}")
         return noisy_frame(*args)
     monkeypatch.setattr(sim, "_noisy_frame", logged_draw)
 
     def slow(rgb, depth, ws):
         time.sleep(0.005)  # room for draws queued too far ahead to start
-        os.write(log, b"see\n")
+        _append(log, "see")
         return classical_source(run_cfg)(rgb, depth, ws)
     threads = threading.active_count()
-    try:
-        _, _, frames, _ = sim._collect(slow, scene, run_cfg, 4)
-    finally:
-        os.close(log)
+    _, _, frames, _ = _collect(slow, scene, run_cfg, 4)
     assert threading.active_count() == threads and started == []
     assert len(forks) == (1 if noise_sigma else 0)
     lines = (tmp_path / "log").read_text().splitlines()
@@ -631,14 +645,15 @@ def test_collect_draws_one_frame_ahead_only_when_noisy(cfg, monkeypatch, tmp_pat
     _assert_no_child_left()
 
 
-def _record_public_calls(monkeypatch, modules):
+def _record_public_calls(monkeypatch, modules, log):
     """Wrap every public function of modules, wherever the package holds
-    it, to record (name, thread) of each call."""
-    calls, wrapped = [], {}
+    it, to append "name pid thread" of each call to the file log: a forked
+    child's calls land there too."""
+    wrapped = {}
 
     def recording(fn):
         def recorded(*args, **kwargs):
-            calls.append((fn.__name__, threading.current_thread()))
+            _append(log, f"{fn.__name__} {os.getpid()} {threading.get_ident()}")
             return fn(*args, **kwargs)
         return recorded
     for mod in modules:
@@ -652,53 +667,55 @@ def _record_public_calls(monkeypatch, modules):
                 hit = wrapped.get(id(obj))
                 if hit is not None and hit[0] is obj:
                     monkeypatch.setattr(holder, name, hit[1])
-    return calls
 
 
 @pytest.mark.parametrize("vision", ["classical", "learned"])
 def test_collect_runs_public_functions_on_the_calling_thread(cfg, monkeypatch,
-                                                             vision):
+                                                             tmp_path, vision):
     # perfbench's tracer keeps one span stack in the calling process, so
     # vision stays in it; the child that draws the noise runs private code.
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=2.0)
     scene = sim.generate_scene(4, run_cfg)
     params = learned.init_params(0) if vision == "learned" else None
     source = sim.vision_source(vision, run_cfg, params)
-    calls = _record_public_calls(monkeypatch, (sim, classical, image_io))
-    sim._collect(source, scene, run_cfg, 4)
-    names = {name for name, _ in calls}
+    _record_public_calls(monkeypatch, (sim, classical, image_io), tmp_path / "calls")
+    _collect(source, scene, run_cfg, 4)
+    calls = [line.split() for line in (tmp_path / "calls").read_text().splitlines()]
     assert ({"classical_pipeline", "canny", "to_gray"} if vision == "classical"
-            else {"pixel_to_workspace", "resize_bilinear"}) <= names
-    assert [name for name, thread in calls
-            if thread is not threading.current_thread()] == []
+            else {"pixel_to_workspace", "resize_bilinear"}) <= {name for name, *_ in calls}
+    here = [str(os.getpid()), str(threading.get_ident())]
+    assert [call for call in calls if call[1:] != here] == []
 
 
 def test_noisy_collect_reuses_its_frame_buffers(cfg):
     # A noisy episode draws and reads its frames in buffers made once. Frame-
     # sized arrays made and freed every frame are each mapped, faulted in and
-    # unmapped again: 12,000 or more minor faults per 40-frame episode. Both
-    # sides of the fork take one copy-on-write fault per page they write
-    # after it, so each count follows the pages a collect writes, not its
-    # frames: the caller's vision takes about 850 in a fresh process and up
-    # to about 1,650 late in a long test session; the drawing child, which
-    # RUSAGE_CHILDREN counts once it is reaped, takes about 550-620.
+    # unmapped again: 12,000 or more minor faults per 40-frame episode. The
+    # collects of a run share one drawing child. After the fork the caller
+    # takes one copy-on-write fault per page it writes: about 900 in a fresh
+    # process and up to 1,600 late in a long test session, paid once a run,
+    # in its first collect, and left out here. A later collect takes about
+    # 50. The child's faults over its whole life, the fork's included, count
+    # in full (about 700): RUSAGE_CHILDREN adds them once it is reaped.
     try:
         import resource
     except ImportError:  # Unix only: nothing to count faults with elsewhere
         pytest.skip("the resource module is not available on this platform")
 
-    def faults():
-        return [resource.getrusage(who).ru_minflt
-                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    def faults(who):
+        return resource.getrusage(who).ru_minflt
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0, frame_rate=4.0)
     scene = sim.generate_scene(4, run_cfg)
     source = classical_source(run_cfg)
-    sim._collect(source, scene, run_cfg, 4)  # warm up imports and the heap
-    before = faults()
-    _, _, frames, _ = sim._collect(source, scene, run_cfg, 5)
-    caller, child = (after - b for after, b in zip(faults(), before))
-    assert frames == 40 and caller < 2000, f"{caller} minor faults"
-    assert child < 1000, f"{child} minor faults in the child"
+    _collect(source, scene, run_cfg, 3)  # warm up imports and the heap
+    reaped = faults(resource.RUSAGE_CHILDREN)
+    with closing(sim._Draws()) as draws:
+        sim._collect(source, scene, run_cfg, 4, draws)  # the run's first: the fork
+        before = faults(resource.RUSAGE_SELF)
+        _, _, frames, _ = sim._collect(source, scene, run_cfg, 5, draws)
+        caller = faults(resource.RUSAGE_SELF) - before
+    child = faults(resource.RUSAGE_CHILDREN) - reaped
+    assert frames == 40 and caller + child < 2000, f"{caller} + {child} minor faults"
 
 
 def test_collect_raises_a_failed_draw(cfg, monkeypatch, deadline):
@@ -716,7 +733,7 @@ def test_collect_raises_a_failed_draw(cfg, monkeypatch, deadline):
     source, seen = _seen_frames(classical_source(run_cfg))
     threads = threading.active_count()
     with pytest.raises(MemoryError, match="draw of frame 3"):
-        sim._collect(source, scene, run_cfg, 4)
+        _collect(source, scene, run_cfg, 4)
     assert threading.active_count() == threads
     assert len(seen) == 3  # frames 0, 1 and 2
     assert draws == []  # every draw ran in the child, on its copy of the list
@@ -737,7 +754,7 @@ def test_collect_raises_when_the_child_is_killed(cfg, monkeypatch, deadline):
     monkeypatch.setattr(sim, "_noisy_frame", killed)
     source, seen = _seen_frames(classical_source(run_cfg))
     with pytest.raises(RuntimeError, match=f"frame 2 .*wait status {int(signal.SIGKILL)}$"):
-        sim._collect(source, scene, run_cfg, 4)
+        _collect(source, scene, run_cfg, 4)
     assert len(seen) == 2 and draws == []
     _assert_no_child_left()
 
@@ -748,31 +765,62 @@ def test_collect_without_fork_draws_inline_to_the_same_proposals(cfg, monkeypatc
     scene = sim.generate_scene(6, run_cfg)
     forks = _forks(monkeypatch)
     source, forked_seen = _seen_frames(classical_source(run_cfg))
-    forked = sim._collect(source, scene, run_cfg, 6)
+    forked = _collect(source, scene, run_cfg, 6)
     assert len(forks) == 1
     monkeypatch.delattr(os, "fork")
     source, seen = _seen_frames(classical_source(run_cfg))
     threads = threading.active_count()
-    inline = sim._collect(source, scene, run_cfg, 6)
+    inline = _collect(source, scene, run_cfg, 6)
     assert threading.active_count() == threads
     assert repr(inline) == repr(forked) and seen == forked_seen
     assert len(seen) == 40 and len(inline[0]) > 0
 
 
 def test_collect_propagates_a_source_error(cfg, deadline):
+    # A collect that stops early closes the run's draws, reaping its child.
     run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
     scene = sim.generate_scene(4, run_cfg)
     calls = []
 
     def broken(rgb, depth, ws):
         calls.append(rgb)
-        if len(calls) == 2:
+        if len(calls) == 12:  # the second collect's frame 1
             raise RuntimeError("source broke")
         return classical_source(run_cfg)(rgb, depth, ws)
     threads = threading.active_count()
+    draws = sim._Draws()
+    sim._collect(broken, scene, run_cfg, 3, draws)
+    assert draws.child is not None
     with pytest.raises(RuntimeError, match="source broke"):
-        sim._collect(broken, scene, run_cfg, 4)
-    assert threading.active_count() == threads and len(calls) == 2
+        sim._collect(broken, scene, run_cfg, 4, draws)
+    assert threading.active_count() == threads and len(calls) == 12
+    assert draws.child is None
+    _assert_no_child_left()
+
+
+def test_draw_children_hold_no_other_descriptors(cfg, deadline):
+    # Two runs' children at once: were the second to hold the first's pipe
+    # ends, closing the first would wait on the second's child forever.
+    run_cfg = dataclasses.replace(cfg, noise_sigma=2.0)
+    scene = sim.generate_scene(4, run_cfg)
+    source = classical_source(run_cfg)
+    first, second = sim._Draws(), sim._Draws()
+    try:
+        sim._collect(source, scene, run_cfg, 4, first)
+        sim._collect(source, scene, run_cfg, 5, second)
+        assert first.close() == 0
+    finally:
+        second.close()
+        first.close()
+    _assert_no_child_left()
+
+
+def test_run_batch_draws_its_noisy_episodes_in_one_child(cfg, monkeypatch, deadline):
+    forks = _forks(monkeypatch)
+    sim.run_batch(cfg, 3, 20)  # noise-free: nothing to draw
+    assert forks == []
+    sim.run_batch(dataclasses.replace(cfg, noise_sigma=2.0), 3, 20)
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
@@ -930,7 +978,9 @@ def test_importing_the_cli_leaves_the_executor_out():
             "print(loaded())\n"
             "cfg = config.PipelineConfig()\n"
             "for c in (cfg, config.PipelineConfig(noise_sigma=2.0)):\n"
-            "    sim._collect(sim.vision_source('classical', c), sim.generate_scene(4, c), c, 4)\n"
+            "    draws = sim._Draws()\n"
+            "    sim._collect(sim.vision_source('classical', c), sim.generate_scene(4, c), c, 4, draws)\n"
+            "    draws.close()\n"
             "    print(loaded())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
