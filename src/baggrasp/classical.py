@@ -237,9 +237,9 @@ def detect_ball(image: np.ndarray, color_low, color_high) -> tuple[np.ndarray, f
 
 
 def _trace_boundary(edge: set[int], start: int, w: int, size: int) -> np.ndarray:
-    """Moore boundary trace, clockwise from its topmost-leftmost pixel start,
-    of the 8-connected component of `size` pixels in the set of flat pixel
-    ids (y+1)*(w+2)+(x+1) `edge`. Points are (x, y)."""
+    """Moore boundary trace, clockwise from its topmost-leftmost pixel start, of
+    the 8-connected component of `size` >= 2 pixels in `edge`, flat pixel ids
+    (y+1)*(w+2)+(x+1): each pixel visited has a neighbour there. Points are (x, y)."""
     moore = [dy * (w + 2) + dx for dx, dy in _COMPASS]  # clockwise
     # Enter from the west; that neighbor is background by choice of start.
     backtrack = start - 1
@@ -253,8 +253,6 @@ def _trace_boundary(edge: set[int], start: int, w: int, size: int) -> np.ndarray
             if nxt in edge:
                 backtrack = current + moore[(base + k - 1) % 8]
                 break
-        else:
-            break
         if first_move is None:
             first_move = nxt
         elif current == start and nxt == first_move:

@@ -1,4 +1,4 @@
-"""7-DOF serial-arm kinematics and the workspace PD velocity law.
+"""7-DOF serial-arm kinematics: FK, the Jacobian and the damped least-squares step.
 
 The arm is described by its zero-configuration end-effector pose plus one
 revolute screw per joint (unit axis and a point on the axis, both in the
@@ -191,15 +191,9 @@ class Chain:
         return np.matmul(self.JT, np.linalg.solve(G, u[..., None]), out=self._qdot)[..., 0]
 
 
-def fk_and_jacobian(arm: ArmModel, q) -> tuple[Pose, np.ndarray]:
-    """Forward kinematics and the 6x7 Jacobian of q, one joint vector (7,) or a
-    stack (..., 7), in one pass of a Chain; both carry q's leading axes."""
+def fk(arm: ArmModel, q) -> Pose:
+    """End-effector pose for q, one joint vector (7,) or a stack (..., 7), in
+    one pass of a fresh Chain; the pose carries q's leading axes."""
     chain = Chain(arm, np.shape(q)[:-1])
     chain.update(np.asarray(q, dtype=float))
-    return chain.pose, chain.J
-
-
-def fk(arm: ArmModel, q) -> Pose:
-    """End-effector pose for joint vector q (product of exponentials)."""
-    return fk_and_jacobian(arm, q)[0]
-
+    return chain.pose

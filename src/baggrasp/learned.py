@@ -10,10 +10,9 @@ The network operates on normalized quantities throughout: inputs scaled to
 roughly [0, 1], pixel labels divided by (width-1, height-1), angles divided
 by pi/2. `predict` converts raw head outputs back to pixels/radians.
 
-Conv internals are channel-last: the (n, c, h, w) inputs are views of the
-(n, h, w, c) floats made from the pixels, so im2col copies contiguous runs and
-a conv's output is its product's rows as they come. Kernels stay (oc, ic, kh, kw),
-the embedding is still flattened in (c, y, x) order, and params files are unchanged.
+Tensors are channel-last, (n, h, w, c) as the pixels come, so im2col copies
+contiguous runs and a conv's output is its product's rows as they come. Kernels
+are (oc, ic, kh, kw) and the embedding is flattened in (c, y, x) order.
 """
 
 from __future__ import annotations
@@ -52,10 +51,9 @@ class LabeledScene:
 
 
 def image_tensors(rgbs, depths) -> tuple[np.ndarray, np.ndarray]:
-    """Network inputs of n image pairs: RGB in [0, 1] (n,3,h,w), depth in m (n,1,h,w)."""
-    r = np.stack(rgbs).astype(float) / 255.0
-    d = np.stack(depths)[..., None].astype(float) / DEPTH_SCALE
-    return r.transpose(0, 3, 1, 2), d.transpose(0, 3, 1, 2)
+    """Network inputs of n image pairs: RGB in [0, 1] (n,h,w,3), depth in m (n,h,w,1)."""
+    return (np.stack(rgbs).astype(float) / 255.0,
+            np.stack(depths)[..., None].astype(float) / DEPTH_SCALE)
 
 
 # Model parameters (and their gradients) are a name -> array dict in this
@@ -132,8 +130,7 @@ def _conv_backward(dout: np.ndarray, cols: np.ndarray, x_shape,
 
 
 def _branch_forward(x: np.ndarray, k1, b1, k2, b2):
-    h1, cols1 = _conv_forward(np.ascontiguousarray(x.transpose(0, 2, 3, 1)),
-                              k1, b1, STRIDE)
+    h1, cols1 = _conv_forward(x, k1, b1, STRIDE)
     h2, cols2 = _conv_forward(np.maximum(h1, 0.0), k2, b2, STRIDE)
     # The embedding keeps the (c, y, x) order that pos_w and theta_w expect.
     emb = np.maximum(h2, 0.0).transpose(0, 3, 1, 2).reshape(len(x), -1)
@@ -155,8 +152,8 @@ def forward_batch(params: dict, rgb: np.ndarray, dep: np.ndarray):
     Outputs are in the network's normalized units; see `predict` for pixels
     and radians.
     """
-    if rgb.shape[1:] != (3, IN_H, IN_W) or dep.shape[1:] != (1, IN_H, IN_W):
-        raise ValueError(f"inputs must be (n,3,{IN_H},{IN_W}) and (n,1,{IN_H},{IN_W})")
+    if rgb.shape[1:] != (IN_H, IN_W, 3) or dep.shape[1:] != (IN_H, IN_W, 1):
+        raise ValueError(f"inputs must be (n,{IN_H},{IN_W},3) and (n,{IN_H},{IN_W},1)")
     emb_rgb, cache_rgb = _branch_forward(rgb, params["rgb_k1"], params["rgb_b1"],
                                          params["rgb_k2"], params["rgb_b2"])
     emb_dep, cache_dep = _branch_forward(dep, params["dep_k1"], params["dep_b1"],

@@ -71,9 +71,9 @@ class EpisodeReport:
     proposal: GraspProposal | None
     success: bool
     reason: str
-    final_pos_err: float | None
-    final_yaw_err: float | None
-    proposal_px_err: float | None
+    final_pos_err: float | None = None
+    final_yaw_err: float | None = None
+    proposal_px_err: float | None = None
     # |wrap_half_pi(theta - label theta)|, rad; None without a label.
     proposal_theta_err: float | None = None
     # One (t, ||e_p||, ||e_o||) row per control step.
@@ -420,21 +420,21 @@ def _plan_episode(cfg: PipelineConfig, seed: int, start: so3.Pose, source,
              "control_steps": 0}
     if not proposals:
         reason = vision_error or "vision produced no proposals"
-        return EpisodeReport(None, False, reason, None, None, None, stats=stats), None
+        return EpisodeReport(None, False, reason, stats=stats), None
     final_prop = denoise.denoise(proposals, now, cfg.window, cfg.distance_threshold)
     try:
         traj = trajectory.plan(start, (final_prop.x, final_prop.y, cfg.grasp_z),
                                final_prop.theta, now, now + cfg.duration)
     except ValueError as err:
         return EpisodeReport(final_prop, False, f"planning failed: {err}",
-                             None, None, None, stats=stats), None
+                             stats=stats), None
     px_err = theta_err = None
     if scene is not None and scene.label is not None:
         px_err = float(np.linalg.norm(workspace_to_pixel(final_prop.target, cfg)
                                       - scene.label[0]))
         theta_err = abs(wrap_half_pi(final_prop.theta - scene.label[1]))
-    return EpisodeReport(final_prop, False, "", None, None, px_err, theta_err,
-                         stats=stats), traj
+    return EpisodeReport(final_prop, False, "", proposal_px_err=px_err,
+                         proposal_theta_err=theta_err, stats=stats), traj
 
 
 def _score(cfg: PipelineConfig, report: EpisodeReport, pose: so3.Pose,

@@ -77,9 +77,11 @@ def test_kinematics_suite():
     rng = np.random.default_rng(102)
     delta = 1e-6
     worst = 0.0
+    chain = kinematics.Chain(ARM, ())
     for _ in range(100):
         q = rng.uniform(ARM.limits[:, 0] * 0.6, ARM.limits[:, 1] * 0.6)
-        J = kinematics.fk_and_jacobian(ARM, q)[1]
+        chain.update(q)
+        J = chain.J
         J_fd = np.zeros_like(J)
         for j in range(7):
             dq = np.zeros(7)

@@ -149,6 +149,12 @@ def test_detect_ball_no_pixels():
         detect_ball(img, ORANGE_LO, ORANGE_HI)
 
 
+def test_detect_ball_rejects_an_inverted_color_box():
+    img = _disc_image(100, 100, 20, (230, 120, 40))
+    with pytest.raises(ValueError, match="color_low must be componentwise <= color_high"):
+        detect_ball(img, ORANGE_HI, ORANGE_LO)
+
+
 def test_detect_ball_ignores_out_of_range_disc():
     img = _disc_image(60, 60, 15, (230, 120, 40))
     px = img.copy()
@@ -495,6 +501,9 @@ def test_polygon_theta_vertical_boundary():
 def test_polygon_theta_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
         polygon_theta(np.array([(1.0, 1.0)] * 4))
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need at least 2 points"):
+            polygon_theta(np.zeros((n, 2)))
 
 
 def test_polygon_theta_matches_polyfit():
@@ -535,6 +544,12 @@ def test_select_grasp_prefers_distance_band():
 def test_select_grasp_all_below_threshold():
     with pytest.raises(NoViableContour):
         select_grasp([_poly_with((5, 5), 30)], (0, 0), 10.0, 60.0)
+
+
+@pytest.mark.parametrize("perimeter_min", [0.0, -1.0])
+def test_select_grasp_rejects_a_non_positive_perimeter_floor(perimeter_min):
+    with pytest.raises(ValueError, match="perimeter_min must be > 0"):
+        select_grasp([_poly_with((22.0, 0.0), 80)], (0, 0), 20.0, perimeter_min)
 
 
 def test_select_grasp_singleton():

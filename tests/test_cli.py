@@ -454,6 +454,33 @@ def test_simulate_rejects_a_flag_the_mode_never_reads(tmp_path, capsys, monkeypa
     assert not (tmp_path / "episode").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vision", "--mode", "learned", "--rgb", "scene.ppm", "--depth", "scene.pgm"],
+     "learned vision requires --params"),
+    (["simulate", "--seed", "0", "--vision", "learned", "--out", "episode"],
+     "learned vision requires --params"),
+    (["simulate", "--seed", "0", "--vision", "file", "--out", "episode"],
+     "--vision file requires --proposals"),
+], ids=["vision-learned", "simulate-learned", "simulate-file"])
+def test_a_mode_without_its_input_file_exits_2(scene_files, tmp_path, capsys, monkeypatch,
+                                               argv, message):
+    monkeypatch.chdir(scene_files)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not (scene_files / "episode").exists()
+
+
+def test_simulate_out_under_a_regular_file_exits_1(tmp_path, capsys):
+    # The episode runs, but its directory cannot be made: an OS error, exit 1.
+    (tmp_path / "file").write_text("")
+    rc = main(["simulate", "--seed", "0", "--out", str(tmp_path / "file" / "episode")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(tmp_path / "file") in captured.err
+
+
 def test_simulate_batch_file_vision_exits_2(tmp_path, capsys):
     props = tmp_path / "props.jsonl"
     props.write_text('{"x": 0.6, "y": 0.0, "theta": 0.2, "t": 0.0}\n')
@@ -575,6 +602,9 @@ def test_bad_set_override_exits_2(capsys):
     rc = main(["simulate", "--seed", "0", "--set", "nope=3"])
     assert rc == 2
     capsys.readouterr()
+    assert main(["simulate", "--seed", "0", "--set", "sigma"]) == 2
+    captured = capsys.readouterr()
+    assert "--set expects key=value, got 'sigma'" in captured.err and captured.out == ""
     for item in ("k_d=nan", "damping=nan", "settle_time=-5", "qdot_max=-1",
                  "control_rate=inf", "grasp_z=nan", "frame_rate=0",
                  "frame_rate=1e6", "scene_width=12.5", "sigma=abc",

@@ -70,7 +70,9 @@ def test_load_config_rejects_bad_line(tmp_path):
         "scene_height=100000", "sigma=85.4", "sigma=1e300", "scale_y=1e300",
         "shift_x=1e300", "grasp_z=1e300", "scale_x=1e-300", "damping=1e300",
         "k_p=1e300", "k_d=1e308", "sigma=1e-300", "control_rate=0.01",
-        "noise_sigma=65535.5", "noise_sigma=1e308")],
+        "noise_sigma=65535.5", "noise_sigma=1e308",
+        # A channel past 255, and a box whose low corner is above its high one.
+        "color_high=215,105,256", "color_low=216,40,0")],
     # A control loop of 0 steps: round(1e-7) == 0.
     pytest.param("settle_time=0\nduration=1e-9\n", r"duration \+ settle_time",
                  id="settle_time=0,duration=1e-9"),

@@ -209,11 +209,20 @@ def test_select_theta_mode_binning():
 def test_select_theta_tie_prefers_smallest_abs():
     clusters = [[prop(0, 0, 0.02, 1.0), prop(0, 0, 0.50, 2.0)]]
     assert abs(select(clusters).theta - 0.02) < 1e-12
+    # Two bins of two: [0, 5 deg) holds the smallest |theta|, 0.001, and
+    # [-5 deg, 0) the smaller largest |theta|, 0.02. The first bin wins.
+    clusters = [[prop(0, 0, th, float(i)) for i, th in enumerate((0.08, -0.01, 0.001, -0.02))]]
+    assert abs(select(clusters).theta - 0.0405) < 1e-12
 
 
 def test_select_size_tie_prefers_most_recent():
     clusters = [[prop(0, 0, 0.1, t=1.0)], [prop(1, 1, 0.2, t=9.0)]]
     assert select(clusters).theta == 0.2
+    # Most recent by newest member: the first cluster's t = 10, not the
+    # second's later oldest member.
+    clusters = [[prop(0, 0, 0.1, t=1.0), prop(0, 0, 0.1, t=10.0)],
+                [prop(1, 1, 0.2, t=5.0), prop(1, 1, 0.2, t=6.0)]]
+    assert select(clusters).theta == 0.1 and select(clusters).t == 10.0
 
 
 def test_select_empty():

@@ -80,6 +80,14 @@ def test_ppm_truncated_payload(tmp_path):
         load_ppm(p)
 
 
+@pytest.mark.parametrize("size", [b"0 2", b"2 0"])
+def test_ppm_zero_width_or_height(tmp_path, size):
+    p = tmp_path / "empty.ppm"
+    p.write_bytes(b"P6\n" + size + b"\n255\n")
+    with pytest.raises(FormatError, match="bad dimensions"):
+        load_ppm(p)
+
+
 def test_ppm_wrong_maxval(tmp_path):
     p = tmp_path / "max.ppm"
     p.write_bytes(b"P6\n1 1\n65535\n\xff\xff\xff")
@@ -369,6 +377,12 @@ def test_resize_against_oracle():
     src = rng.uniform(0, 1, (9, 14))
     out = _bilinear(src, 5, 21)
     assert np.allclose(out, _bilinear_oracle(src, 5, 21), atol=1e-12)
+
+
+@pytest.mark.parametrize("out_w, out_h", [(0, 5), (5, 0)])
+def test_resize_rejects_an_empty_output(out_w, out_h):
+    with pytest.raises(ValueError, match="output dimensions must be >= 1"):
+        resize_bilinear(np.zeros((4, 4, 3), np.uint8), out_w, out_h)
 
 
 def test_resize_output_dims_36x64():

@@ -3,12 +3,19 @@ import pytest
 
 from baggrasp import sim, so3, trajectory
 from baggrasp.config import PipelineConfig
-from baggrasp.kinematics import Chain, default_arm_path, fk, fk_and_jacobian, load_arm
+from baggrasp.kinematics import ArmModel, Chain, default_arm_path, fk, load_arm
 from baggrasp.so3 import Pose
 from conftest import control_steps, is_rotation, rotation_error
 
 ARM = load_arm(default_arm_path())
 HOME = sim.HOME_Q
+
+
+def chain_at(arm, q):
+    """A Chain for q's leading axes, updated at q: pose and J as run_control reads them."""
+    chain = Chain(arm, np.shape(q)[:-1])
+    chain.update(np.asarray(q, dtype=float))
+    return chain
 
 
 def gram(J):
@@ -110,6 +117,15 @@ def test_load_arm_wrong_joint_count(tmp_path):
         load_arm(p)
 
 
+def test_load_arm_unknown_line_tag(tmp_path):
+    p = tmp_path / "arm.txt"
+    p.write_text("zero_pose 0 0 0 1 0 0 0 1 0 0 0 1\n"
+                 + "joint 0 0 1 0 0 0 -1 1\n" * 3 + "link 1 2 3\n"
+                 + "joint 0 0 1 0 0 0 -1 1\n" * 4)
+    with pytest.raises(ValueError, match=r"arm\.txt:5: unknown line tag 'link'"):
+        load_arm(p)
+
+
 def test_load_arm_non_unit_axis(tmp_path):
     # A component past 1 is rejected before the norm, which 1e308 overflows.
     p = tmp_path / "arm.txt"
@@ -166,16 +182,17 @@ def test_stacked_fk_and_jacobian_match_joint_by_joint_oracle(batch):
     worst = 0.0
     for _ in range(-(-200 // batch)):
         qs = random_q(rng, batch)
-        pose, J = fk_and_jacobian(ARM, qs)
+        chain = chain_at(ARM, qs)
+        pose, J = chain.pose, chain.J
         assert pose.p.shape == (batch, 3) and J.shape == (batch, 6, 7)
         for k, q in enumerate(qs):
             p, R, J_k = _fk_and_jacobian_by_joint(ARM, q)
             worst = max(worst, np.abs(pose.p[k] - p).max(),
                         np.abs(pose.R[k] - R).max(), np.abs(J[k] - J_k).max())
-            alone, J_alone = fk_and_jacobian(ARM, q)
-            assert np.array_equal(pose.p[k], alone.p)
-            assert np.array_equal(pose.R[k], alone.R)
-            assert np.array_equal(J[k], J_alone)
+            alone = chain_at(ARM, q)
+            assert np.array_equal(pose.p[k], alone.pose.p)
+            assert np.array_equal(pose.R[k], alone.pose.R)
+            assert np.array_equal(J[k], alone.J)
     assert worst <= 1e-14
 
 
@@ -183,10 +200,12 @@ def test_stacked_kernels_do_not_mix_episodes():
     # A configuration's numbers are the same alone and inside any stack.
     rng = np.random.default_rng(4)
     qs = random_q(rng, 5)
-    pose, J = fk_and_jacobian(ARM, qs)
+    chain = chain_at(ARM, qs)
+    pose, J = chain.pose, chain.J
     Jp = pinv(J, 1e-3)
     for k in range(5):
-        pose_k, J_k = fk_and_jacobian(ARM, qs[k:k + 1])
+        one = chain_at(ARM, qs[k:k + 1])
+        pose_k, J_k = one.pose, one.J
         assert np.array_equal(pose.p[k], pose_k.p[0])
         assert np.array_equal(pose.R[k], pose_k.R[0])
         assert np.array_equal(J[k], J_k[0])
@@ -196,7 +215,7 @@ def test_stacked_kernels_do_not_mix_episodes():
 # --- jacobian ---
 
 def test_jacobian_zero_config_columns():
-    J = fk_and_jacobian(ARM, np.zeros(7))[1]
+    J = chain_at(ARM, np.zeros(7)).J
     p_ee = ARM.zero_pose.p
     for j in range(7):
         assert np.allclose(J[3:, j], ARM.axes[j], atol=1e-12)
@@ -209,7 +228,7 @@ def test_jacobian_zero_config_columns():
 
 def test_jacobian_zero_linear_column_for_axis_through_ee():
     # The wrist-yaw axis passes through the tool point at q = 0.
-    J = fk_and_jacobian(ARM, np.zeros(7))[1]
+    J = chain_at(ARM, np.zeros(7)).J
     assert np.allclose(J[:3, 6], 0.0, atol=1e-12)
 
 
@@ -229,7 +248,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(2)
     for _ in range(20):
         q = random_q(rng)
-        J = fk_and_jacobian(ARM, q)[1]
+        J = chain_at(ARM, q).J
         J_fd = _fd_jacobian(ARM, q)
         rel = np.abs(J - J_fd).max() / max(np.abs(J_fd).max(), 1e-12)
         assert rel < 1e-5
@@ -261,10 +280,10 @@ def test_pinv_singular_rejected_then_damped():
 
 def test_pinv_stack_raises_on_one_singular_slice():
     rng = np.random.default_rng(5)
-    healthy = fk_and_jacobian(ARM, random_q(rng, 4))[1]
+    healthy = chain_at(ARM, random_q(rng, 4)).J
     # The stretched-out q = 0 is singular; cholesky still succeeds on it, so
     # only the pivot test of that slice can see it.
-    stack = np.concatenate([healthy[:2], fk_and_jacobian(ARM, np.zeros((1, 7)))[1],
+    stack = np.concatenate([healthy[:2], chain_at(ARM, np.zeros((1, 7))).J,
                             healthy[2:]])
     with pytest.raises(ValueError, match="damping"):
         pinv(stack, 0.0)
@@ -316,7 +335,7 @@ def test_chain_dls_skips_only_a_pivot_check_that_passes(monkeypatch):
 
 def test_pinv_continuity_near_singularity():
     # q = 0 is the stretched-out singular configuration of the default arm.
-    J = fk_and_jacobian(ARM, np.zeros(7))[1]
+    J = chain_at(ARM, np.zeros(7)).J
     for lam in (1e-3, 1e-2, 1e-1):
         assert np.all(np.isfinite(pinv(J, lam)))
 
@@ -329,7 +348,7 @@ def _first_error(start, k_p=0.8):
     undamped, unclamped first step."""
     cfg = PipelineConfig(k_p=k_p, damping=0.0, qdot_max=np.inf)
     q, series = control_steps(HOME, start, cfg)
-    return series[0], -(fk_and_jacobian(ARM, HOME)[1] @ (q - HOME)) * cfg.control_rate / k_p
+    return series[0], -(chain_at(ARM, HOME).J @ (q - HOME)) * cfg.control_rate / k_p
 
 
 def test_compute_error_zero_at_match():
@@ -382,7 +401,7 @@ def test_control_step_derivative_term():
     for _, series in runs:  # norms over an axis, as run_control takes them
         assert np.array_equal(series, np.stack([np.linalg.norm(e[:, :3], axis=-1),
                                                 np.linalg.norm(e[:, 3:], axis=-1)], -1))
-    J = fk_and_jacobian(ARM, HOME)[1]
+    J = chain_at(ARM, HOME).J
     assert np.allclose((runs[0][0] - runs[1][0]) * 100.0,
                        pinv(J, 1e-3) @ (-0.4 * (e[1] - e[0]) / 0.01), atol=1e-12)
 
@@ -402,7 +421,7 @@ def test_control_step_vector_solve_matches_pinv(batch):
             qs = random_q(rng, batch)
             qs[::2] = rng.normal(scale=1e-4, size=qs[::2].shape)
             chain.update(qs)
-            J = fk_and_jacobian(ARM, qs)[1]
+            J = chain_at(ARM, qs).J
             assert np.array_equal(chain.J, J)
             u = rng.normal(size=(batch, 6))
             qdot = chain.dls(damping, u)
@@ -416,9 +435,20 @@ def test_control_step_vector_solve_matches_pinv(batch):
     chain = Chain(ARM, (4,))
     chain.update(stack)
     for solve in (lambda: chain.dls(0.0, np.zeros((4, 6))),
-                  lambda: pinv(fk_and_jacobian(ARM, stack)[1], 0.0)):
+                  lambda: pinv(chain_at(ARM, stack).J, 0.0)):
         with pytest.raises(ValueError, match=r"J J\^T singular"):
             solve()
+
+
+def test_chain_dls_undamped_rejects_a_gram_matrix_cholesky_cannot_factor():
+    # Seven parallel axes move the tool in a plane: three rows of J, and so
+    # of G = J J^T, are exactly zero, and the Cholesky factorization fails
+    # outright instead of returning a small pivot.
+    arm = ArmModel(ARM.zero_pose, np.tile((0.0, 0.0, 1.0), (7, 1)), ARM.points, ARM.limits)
+    chain = Chain(arm, (2,))
+    chain.update(np.zeros((2, 7)))
+    with pytest.raises(ValueError, match=r"J J\^T singular"):
+        chain.dls(0.0, np.ones((2, 6)))
 
 
 def test_control_step_propagates_pinv_error():
@@ -555,7 +585,7 @@ def test_run_control_matches_its_expression_form_bit_for_bit(monkeypatch, dampin
 
 def _diag_gram_max(arm, q) -> float:
     """The largest diagonal entry of J J^T over the configurations q (n, 7)."""
-    J = fk_and_jacobian(arm, q)[1]
+    J = chain_at(arm, q).J
     return float(np.einsum("...ij,...ij->...i", J, J).max())
 
 

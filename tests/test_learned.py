@@ -190,11 +190,12 @@ def test_backward_matches_channel_first_oracle(seed):
     for name in ("rgb_b1", "rgb_b2", "dep_b1", "dep_b2"):
         params[name][:] = rng.normal(0.0, 0.1, params[name].shape)
     n = 1 + seed * 3
-    rgb = rng.uniform(0, 1, (n, 3, 36, 64))
-    dep = rng.uniform(0.5, 1, (n, 1, 36, 64))
+    rgb = rng.uniform(0, 1, (n, 36, 64, 3))
+    dep = rng.uniform(0.5, 1, (n, 36, 64, 1))
     labels = rng.uniform(-1, 1, (n, 3))
     loss, grads = backward(params, rgb, dep, labels)
-    want_loss, want = _nchw_backward(params, rgb, dep, labels)
+    want_loss, want = _nchw_backward(params, rgb.transpose(0, 3, 1, 2),
+                                     dep.transpose(0, 3, 1, 2), labels)
     assert np.isclose(loss, want_loss, rtol=1e-12, atol=0)
     for name, shape in learned._SHAPES.items():
         assert grads[name].shape == shape
@@ -219,21 +220,24 @@ def test_forward_zero_params_returns_biases():
     params = _zero_params()
     params["pos_b"][:] = (0.25, -0.5)
     params["theta_b"][:] = 0.125
-    pos, theta = _forward_one(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
+    pos, theta = _forward_one(params, np.zeros((36, 64, 3)), np.zeros((36, 64, 1)))
     assert np.array_equal(pos, (0.25, -0.5))
     assert np.array_equal(theta, (0.125,))
 
 
 def test_forward_output_shapes():
     params = init_params(0)
-    pos, theta = _forward_one(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
+    pos, theta = _forward_one(params, np.zeros((36, 64, 3)), np.zeros((36, 64, 1)))
     assert pos.shape == (2,) and theta.shape == (1,)
 
 
 def test_forward_rejects_wrong_dims():
     params = init_params(0)
-    with pytest.raises(ValueError):
-        _forward_one(params, np.zeros((3, 36, 63)), np.zeros((1, 36, 64)))
+    with pytest.raises(ValueError, match=r"inputs must be \(n,36,64,3\) and \(n,36,64,1\)"):
+        _forward_one(params, np.zeros((36, 63, 3)), np.zeros((36, 64, 1)))
+    # The channel-first layout of the same pixels is rejected, not misread.
+    with pytest.raises(ValueError, match="inputs must be"):
+        _forward_one(params, np.zeros((3, 36, 64)), np.zeros((1, 36, 64)))
 
 
 def test_forward_head_linearity_in_embedding():
@@ -243,8 +247,8 @@ def test_forward_head_linearity_in_embedding():
     params = init_params(3)
     for name in ("rgb_b1", "rgb_b2", "dep_b1", "dep_b2", "pos_b", "theta_b"):
         params[name][:] = 0.0
-    rgb = rng.uniform(0, 1, (3, 36, 64))
-    dep = rng.uniform(0, 1, (1, 36, 64))
+    rgb = rng.uniform(0, 1, (36, 64, 3))
+    dep = rng.uniform(0, 1, (36, 64, 1))
     pos1, th1 = _forward_one(params, rgb, dep)
     pos2, th2 = _forward_one(params, 2 * rgb, 2 * dep)
     assert np.allclose(pos2, 2 * pos1, atol=1e-9)
@@ -269,8 +273,8 @@ def test_l1_loss_arithmetic():
 def test_backward_zero_loss_gives_zero_grads():
     params = init_params(1)
     rng = np.random.default_rng(4)
-    rgb = rng.uniform(0, 1, (2, 3, 36, 64))
-    dep = rng.uniform(0, 1, (2, 1, 36, 64))
+    rgb = rng.uniform(0, 1, (2, 36, 64, 3))
+    dep = rng.uniform(0, 1, (2, 36, 64, 1))
     pos, theta, _ = forward_batch(params, rgb, dep)
     labels = np.concatenate([pos, theta], axis=1)
     loss, grads = backward(params, rgb, dep, labels)
@@ -284,8 +288,8 @@ def test_backward_untouched_head_gets_zero_grad():
     # the position head, and vice versa.
     params = init_params(1)
     rng = np.random.default_rng(5)
-    rgb = rng.uniform(0, 1, (2, 3, 36, 64))
-    dep = rng.uniform(0, 1, (2, 1, 36, 64))
+    rgb = rng.uniform(0, 1, (2, 36, 64, 3))
+    dep = rng.uniform(0, 1, (2, 36, 64, 1))
     pos, theta, _ = forward_batch(params, rgb, dep)
     labels = np.concatenate([pos, theta + 1.0], axis=1)
     _, grads = backward(params, rgb, dep, labels)
@@ -415,6 +419,28 @@ def test_params_truncated(tmp_path):
         load_params(p)
 
 
+# Cut inside the array count, and inside the first array's ndim and dims.
+@pytest.mark.parametrize("length", [10, 14, 20])
+def test_params_truncated_inside_a_header_struct(tmp_path, length):
+    p = tmp_path / "short.bin"
+    save_params(init_params(0), p)
+    p.write_bytes(p.read_bytes()[:length])
+    with pytest.raises(InputError, match="short.bin: truncated params file"):
+        load_params(p)
+
+
+def test_params_wrong_array_count(tmp_path):
+    import struct
+
+    p = tmp_path / "count.bin"
+    save_params(init_params(0), p)
+    data = bytearray(p.read_bytes())
+    data[8:12] = struct.pack("<I", len(learned._SHAPES) - 1)
+    p.write_bytes(bytes(data))
+    with pytest.raises(InputError, match="count.bin: expected 12 arrays, got 11"):
+        load_params(p)
+
+
 def test_params_trailing_bytes(tmp_path):
     p = tmp_path / "long.bin"
     save_params(init_params(0), p)
@@ -452,18 +478,16 @@ def test_pixel_frame_round_trip():
 def test_batch_tensors_match_per_scene_oracle():
     scenes = make_dataset(30, 5)
     rgb, dep, labels = batch_tensors(scenes)
-    assert rgb.shape == (5, 3, 36, 64) and dep.shape == (5, 1, 36, 64)
+    assert rgb.shape == (5, 36, 64, 3) and dep.shape == (5, 36, 64, 1)
     assert labels.shape == (5, 3) and rgb.dtype == dep.dtype == np.float64
     for i, s in enumerate(scenes):
-        assert np.array_equal(rgb[i], s.rgb.astype(float).transpose(2, 0, 1) / 255.0)
-        assert np.array_equal(dep[i], s.depth.astype(float)[None] / learned.DEPTH_SCALE)
+        assert np.array_equal(rgb[i], s.rgb.astype(float) / 255.0)
+        assert np.array_equal(dep[i], s.depth.astype(float)[..., None] / learned.DEPTH_SCALE)
         assert np.array_equal(labels[i], s.normalized_label())
         one_rgb, one_dep = learned.image_tensors([s.rgb], [s.depth])
         assert np.array_equal(one_rgb, rgb[i:i + 1]) and np.array_equal(one_dep, dep[i:i + 1])
-    # The branches' channel-last layout is the tensors' own: making it copies nothing.
-    assert rgb.transpose(0, 2, 3, 1).flags.c_contiguous
-    assert dep.transpose(0, 2, 3, 1).flags.c_contiguous
-    assert one_rgb.transpose(0, 2, 3, 1).flags.c_contiguous
+    # im2col's windows run along contiguous rows of the tensors as made.
+    assert rgb.flags.c_contiguous and dep.flags.c_contiguous and one_rgb.flags.c_contiguous
 
 
 def test_normalized_label_ranges():

@@ -387,7 +387,6 @@ def test_episode_file_vision_converges(cfg):
     assert report.success
     assert report.final_pos_err < 1e-3
     assert report.proposal_px_err is None and report.proposal_theta_err is None
-    assert report.proposal_px_err is None and report.proposal_theta_err is None
 
 
 def test_episode_accepts_bare_image_pair(cfg):
@@ -473,6 +472,35 @@ def test_episode_noisy_stream_collects_frames(cfg):
     assert report.stats["frames_attempted"] == 10
     assert report.stats["proposals_collected"] >= 8
     assert report.success
+
+
+def test_vision_source_rejects_what_it_cannot_run(cfg):
+    with pytest.raises(ValueError, match="learned vision requires params"):
+        sim.vision_source("learned", cfg)
+    with pytest.raises(ValueError, match="no image vision mode 'file'"):
+        sim.vision_source("file", cfg)
+
+
+def test_yaw_error_is_pi_at_the_antipode():
+    # log_so3 rejects a half turn; the yaw error reads it as pi.
+    for R in (np.eye(3), so3.grasp_orientation(0.3)):
+        assert sim._yaw_error(R, so3.rot_z(np.pi) @ R) == math.pi
+
+
+def test_plan_episode_reports_a_planning_failure(cfg):
+    # A start yawed a half turn from the grasp has no unique rotation path:
+    # the episode ends at planning, with the denoised proposal and no errors.
+    proposals = [GraspProposal(0.5, 0.25, 0.3, float(t)) for t in range(3)]
+    R_grasp = so3.grasp_orientation(0.3)
+    start = so3.Pose(np.array([0.5, 0.25, 0.4]), so3.rot_z(np.pi) @ R_grasp)
+    with closing(sim._Draws()) as draws:
+        report, traj = sim._plan_episode(cfg, 0, start, proposals, None, draws)
+    assert traj is None and not report.success
+    assert report.reason.startswith("planning failed: cannot plan rotation")
+    assert report.proposal == GraspProposal(0.5, 0.25, 0.3, 2.0)
+    assert report.final_pos_err is report.final_yaw_err is report.proposal_px_err is None
+    assert report.stats == {"frames_attempted": 0, "proposals_collected": 3,
+                            "control_steps": 0}
 
 
 def _collect(source, scene, cfg, seed):

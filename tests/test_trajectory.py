@@ -217,3 +217,18 @@ def test_sample_times_covers_endpoint():
     traj = _plan((0.2, 0.0, 0.3), 0.0, (0.6, 0.1), 0.3, t_i=1.0, t_f=2.05)
     ts = sample_times(traj, 10.0)
     assert ts[0] == 1.0 and ts[-1] == 2.05
+    # Every 0.1 s from t_i, then t_f, which falls between two of them.
+    np.testing.assert_allclose(ts, [1.0 + k / 10 for k in range(11)] + [2.05],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sample_times(traj, 1.0), [1.0, 2.0, 2.05], rtol=0, atol=1e-12)
+    assert sample_times(traj, 0.5).tolist() == [1.0, 2.05]
+    # A window a whole number of periods long ends on a sample: t_f once.
+    whole = _plan((0.2, 0.0, 0.3), 0.0, (0.6, 0.1), 0.3, t_i=0.0, t_f=1.0)
+    assert sample_times(whole, 4.0).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0])
+def test_sample_times_rejects_a_non_positive_rate(rate):
+    traj = _plan((0.2, 0.0, 0.3), 0.0, (0.6, 0.1), 0.3, t_i=1.0, t_f=2.05)
+    with pytest.raises(ValueError, match="rate must be > 0"):
+        sample_times(traj, rate)
